@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datamodel as dm
-from . import dti, encoding, pgm, phantom, pipeline, recon, stats
+from . import dti, encoding, pgm, phantom, pipeline, recon
 from .errors import NumericalError, ValidationError
 
 log = logging.getLogger("lrcs_cdti")
@@ -148,8 +148,6 @@ def cmd_recon(args) -> int:
     d = encoding.load_kspace(args.kspace)
     coils = dm.load_coils(args.coils)
     model = encoding.EncodingModel(coils, d.mask, None)
-    method = recon.Method(args.method or "lrcs")
-    mode = recon.PhaseMode(args.phase or "proposed")
 
     if args.lam is not None:
         lam = args.lam
@@ -159,29 +157,10 @@ def cmd_recon(args) -> int:
     else:
         scale = args.lambda_scale if args.lambda_scale is not None else 1e-2
         lam = scale * recon.lambda_base(d, model)
-    iters = args.iters or 25
-
-    prelim = recon.reconstruct_cs_only(
-        d, model, recon.SolverConfig(lam=lam, max_iters=iters, rank=1))
-    if method == recon.Method.CS_ONLY:
-        result = prelim
-    else:
-        if mode == recon.PhaseMode.NONE:
-            pmap = None
-        elif mode == recon.PhaseMode.PROPOSED:
-            pmap = recon.estimate_phase_map(prelim.series)
-        else:
-            pmap = recon.estimate_phase_lowres(d, model)
-        rank = recon.select_rank(prelim.series,
-                                 None if pmap is None else pmap,
-                                 override=args.rank)
-        v = recon.estimate_subspace(prelim.series, rank)
-        scfg = recon.SolverConfig(lam=lam, rank=rank, max_iters=iters,
-                                  method=method, phase_mode=mode)
-        if method == recon.Method.LR_ONLY:
-            result = recon.reconstruct_lr_only(d, model, pmap, v, scfg)
-        else:
-            result = recon.reconstruct_lrcs(d, model, pmap, v, scfg)
+    cfg = recon.SolverConfig(lam=lam, max_iters=args.iters or 25, rank=1)
+    prelim = recon.reconstruct_cs_only(d, model, cfg)
+    result = recon.recon(d, model, prelim, args.method or "lrcs",
+                         args.phase or "proposed", args.rank, cfg)
     out = Path(args.out)
     dm.save_series(out, result.series)
     (out / "run_report.json").write_text(json.dumps(result.report.to_json(),
@@ -242,42 +221,28 @@ def cmd_metrics(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    rows = []
+    """Cohort statistics from a run's summary.csv; the table carries no
+    regional values, so no p-maps are written."""
     with open(args.summary, newline="") as fh:
-        for row in csv.DictReader(fh):
-            rows.append(row)
-    refs = {}
-    for row in rows:
-        if row["method"] == "reference":
-            refs[int(row["subject"])] = (float(row["hat"]), float(row["md"]))
-    out_rows = []
+        rows = list(csv.DictReader(fh))
+
+    def metrics(row):
+        if row["ok"] not in ("True", "true"):
+            return None
+        return pipeline.SubjectMetrics(float(row["hat"]), float(row["md"]),
+                                       None, None)
+
+    refs = {int(r["subject"]): metrics(r) for r in rows
+            if r["method"] == "reference"}
     groups = {}
     for row in rows:
-        if row["method"] == "reference" or row["ok"] not in ("True", "true"):
+        if row["method"] == "reference":
             continue
-        key = (row["R"], row["method"], row["phase_mode"])
-        groups.setdefault(key, []).append(row)
-    for (R, method, mode), group in sorted(groups.items()):
-        group = sorted(group, key=lambda r: int(r["subject"]))
-        subjects = [int(r["subject"]) for r in group]
-        if len(subjects) < 3 or any(s not in refs for s in subjects):
-            continue
-        for metric, idx in (("hat", 0), ("md", 1)):
-            ref = np.array([refs[s][idx] for s in subjects])
-            rec = np.array([float(r[metric]) for r in group])
-            summary = stats.summarize(ref, rec)
-            out_rows.append([R, method, mode, metric,
-                             repr(summary.bias_mean), repr(summary.bias_std),
-                             repr(summary.icc.r), summary.icc.band,
-                             repr(summary.wilcoxon.p)])
-    out = Path(args.out)
-    out.parent.mkdir(parents=True, exist_ok=True)
-    with open(out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["R", "method", "phase_mode", "metric", "bias_mean",
-                         "bias_std", "icc", "icc_band", "p"])
-        writer.writerows(out_rows)
-    log.info("evaluation written to %s (%d rows)", out, len(out_rows))
+        subject = int(row["subject"])
+        key = (float(row["R"]), row["method"], row["phase_mode"])
+        groups.setdefault(key, {})[subject] = (refs.get(subject), metrics(row))
+    out_rows = pipeline.write_stats(groups, Path(args.out))
+    log.info("evaluation written to %s (%d rows)", args.out, len(out_rows))
     return 0
 
 

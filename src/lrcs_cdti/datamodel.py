@@ -217,43 +217,6 @@ class PhaseMap:
 
 
 @dataclass(frozen=True)
-class FactorPair:
-    """Explicit low-rank factorization X = U V."""
-
-    U: np.ndarray
-    V: np.ndarray
-
-    def __post_init__(self):
-        U = np.asarray(self.U)
-        V = np.asarray(self.V)
-        if U.ndim != 2 or V.ndim != 2 or U.shape[1] != V.shape[0]:
-            raise ValidationError(
-                f"incompatible factor shapes {U.shape} and {V.shape}")
-        m, rank = U.shape
-        n = V.shape[1]
-        if rank > min(m, n):
-            raise ValidationError(f"rank {rank} exceeds min(M, N) = {min(m, n)}")
-        sv = np.linalg.svd(V, compute_uv=False)
-        if sv[-1] <= 1e-12 * sv[0]:
-            raise ValidationError("V is rank deficient")
-        object.__setattr__(self, "U", U)
-        object.__setattr__(self, "V", V)
-
-    @property
-    def rank(self) -> int:
-        return self.U.shape[1]
-
-    def degrees_of_freedom(self) -> int:
-        """Real degrees of freedom of the product model: 2(M + N - L)L."""
-        m, rank = self.U.shape
-        n = self.V.shape[1]
-        return 2 * (m + n - rank) * rank
-
-    def product(self) -> np.ndarray:
-        return self.U @ self.V
-
-
-@dataclass(frozen=True)
 class CoilMaps:
     """Coil sensitivity maps (C, nx, ny, nz) plus root-sum-of-squares field."""
 

@@ -338,6 +338,17 @@ class AhaSegmentation:
 
 
 BANDS = ("basal", "mid", "apical")
+# first segment id, sector width (deg) and sector count of each band
+_SECTORS = {"basal": (1, 60.0, 6), "mid": (7, 60.0, 6), "apical": (13, 90.0, 4)}
+
+
+def aha_sector(angle_deg, band: str, reference_angle: float = 0.0) -> np.ndarray:
+    """AHA segment id of in-plane angles (degrees, counterclockwise) in
+    slice band ``band``: six 60-deg sectors (basal 1-6, mid 7-12) or four
+    90-deg sectors (apical 13-16), starting at ``reference_angle``."""
+    first, width, count = _SECTORS[band]
+    rel = np.mod(np.asarray(angle_deg, dtype=float) - reference_angle, 360.0)
+    return first + np.minimum((rel / width).astype(int), count - 1)
 
 
 def segment_aha16(mask: np.ndarray, lv_center=None, slice_bands=None,
@@ -380,14 +391,7 @@ def segment_aha16(mask: np.ndarray, lv_center=None, slice_bands=None,
             continue
         cx, cy = centers[z]
         theta = np.degrees(np.arctan2(ys - cy, xs - cx))
-        rel = np.mod(theta - reference_angle, 360.0)
-        band = slice_bands[z]
-        if band == "basal":
-            seg = 1 + np.minimum((rel / 60.0).astype(int), 5)
-        elif band == "mid":
-            seg = 7 + np.minimum((rel / 60.0).astype(int), 5)
-        else:
-            seg = 13 + np.minimum((rel / 90.0).astype(int), 3)
+        seg = aha_sector(theta, slice_bands[z], reference_angle)
         segments[:, :, z] = np.where(m, seg, 0)
     return AhaSegmentation(segments, tuple(slice_bands), float(reference_angle))
 
@@ -402,6 +406,24 @@ def regional_means(values: np.ndarray, seg: AhaSegmentation) -> np.ndarray:
             v = v[np.isfinite(v)]
             if v.size:
                 out[s - 1] = float(v.mean())
+    return out
+
+
+def regional_hat(hat: HatResult, seg: AhaSegmentation) -> np.ndarray:
+    """Mean of the finite ray slopes per AHA segment, each ray assigned
+    by its angle and its slice's band (NaN where a segment has none)."""
+    angles = np.degrees(hat.ray_angles)
+    sums = np.zeros(16)
+    counts = np.zeros(16)
+    for z, band in enumerate(seg.band_of_slice):
+        slopes = hat.ray_slopes[z]
+        ok = np.isfinite(slopes)
+        ids = aha_sector(angles[ok], band, seg.reference_angle) - 1
+        np.add.at(sums, ids, slopes[ok])
+        np.add.at(counts, ids, 1)
+    out = np.full(16, np.nan)
+    filled = counts > 0
+    out[filled] = sums[filled] / counts[filled]
     return out
 
 

@@ -7,6 +7,12 @@ Layout conventions:
   by a centered unitary 2-D DFT per slice; axis 0 (x) is the fully
   sampled readout, axis 1 (y) the phase-encode axis whose lines the mask
   keeps or drops.  DC sits at index n//2 after centering.
+* The centered DFT is one formula for every grid size: per axis,
+  F_c = kappa diag(b) F diag(a) with a = b = exp(2 pi i (n//2) x / n)
+  and kappa = exp(-2 pi i (n//2)^2 / n) (see :func:`_centering_ramps`).
+  The operators fold the image-space ramp ``a`` into the precomputed
+  coil fields and apply ``kappa b`` on the k-space grid; in A*A that
+  ramp cancels.
 * Full k-space grids are (C, N, nz, ny, nx): (coil, column, slice, line,
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
@@ -43,35 +49,45 @@ def get_fft_workers() -> int:
     return _workers
 
 
-def _checkerboard(ny: int, nx: int) -> np.ndarray:
-    iy, ix = np.meshgrid(np.arange(ny), np.arange(nx), indexing="ij")
-    return ((-1.0) ** (iy + ix)).astype(np.float64)
+_QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
+
+
+def _unit_root(p: np.ndarray, n: int) -> np.ndarray:
+    """exp(2 pi i p / n) for integers p, exact at quarter turns."""
+    p = np.asarray(p) % n
+    out = np.exp(2j * np.pi * p / n)
+    quarter = (4 * p) % n == 0
+    out[quarter] = _QUARTER_TURNS[(4 * p[quarter]) // n]
+    return out
+
+
+def _centering_ramps(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
+    """Image- and k-space ramps of the centered DFT on a (ny, nx) grid.
+
+    Per axis of length n, with c = n//2 and F the unitary DFT,
+    F_c = kappa diag(b) F diag(a) where a(x) = b(x) = exp(2 pi i c x/n)
+    and kappa = exp(-2 pi i c^2/n), so kappa b(k) = exp(2 pi i c (k - c)/n).
+    Returns (a, kappa b) as (ny, nx) outer products.  Even n gives
+    a = (-1)^x exactly (checkerboard sign flips); odd n needs nothing else.
+    """
+    cy, cx = ny // 2, nx // 2
+    iy, ix = np.arange(ny)[:, None], np.arange(nx)[None, :]
+    a = _unit_root(cy * iy, ny) * _unit_root(cx * ix, nx)
+    kb = _unit_root(cy * (iy - cy), ny) * _unit_root(cx * (ix - cx), nx)
+    return a, kb
 
 
 def fft2c(grid: np.ndarray) -> np.ndarray:
     """Centered unitary 2-D DFT over the trailing (line, readout) axes."""
-    ny, nx = grid.shape[-2:]
-    if ny % 2 == 0 and nx % 2 == 0:
-        # fold the fftshifts into checkerboard sign flips
-        cb = _checkerboard(ny, nx)
-        sign = (-1.0) ** (ny // 2 + nx // 2)
-        return sign * cb * sfft.fftn(cb * grid, axes=(-2, -1), norm="ortho",
-                                     workers=_workers)
-    shifted = np.fft.ifftshift(grid, axes=(-2, -1))
-    k = sfft.fftn(shifted, axes=(-2, -1), norm="ortho", workers=_workers)
-    return np.fft.fftshift(k, axes=(-2, -1))
+    a, kb = _centering_ramps(*grid.shape[-2:])
+    return kb * sfft.fftn(a * grid, axes=(-2, -1), norm="ortho", workers=_workers)
 
 
 def ifft2c(grid: np.ndarray) -> np.ndarray:
-    ny, nx = grid.shape[-2:]
-    if ny % 2 == 0 and nx % 2 == 0:
-        cb = _checkerboard(ny, nx)
-        sign = (-1.0) ** (ny // 2 + nx // 2)
-        return sign * cb * sfft.ifftn(cb * grid, axes=(-2, -1), norm="ortho",
-                                      workers=_workers)
-    shifted = np.fft.ifftshift(grid, axes=(-2, -1))
-    img = sfft.ifftn(shifted, axes=(-2, -1), norm="ortho", workers=_workers)
-    return np.fft.fftshift(img, axes=(-2, -1))
+    """Inverse (= adjoint) of :func:`fft2c`."""
+    a, kb = _centering_ramps(*grid.shape[-2:])
+    return np.conj(a) * sfft.ifftn(np.conj(kb) * grid, axes=(-2, -1), norm="ortho",
+                                   workers=_workers)
 
 
 def center_line_block(n_pe: int, count: int = N_CENTER_LINES) -> np.ndarray:
@@ -150,9 +166,11 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float, seed: int,
 class EncodingModel:
     """Coil maps + sampling mask + optional phase map; immutable.
 
-    Construction precomputes the transposed coil/phase fields and the
-    flat gather indices of the kept samples, so forward/adjoint are pure
-    and cheap to call concurrently.
+    Construction precomputes the transposed coil fields times the
+    image-space ramp ``a`` of the centered DFT, the k-space ramp
+    ``kappa b``, the transposed phase field and the flat gather indices
+    of the kept samples, so forward/adjoint are pure and cheap to call
+    concurrently.
     """
 
     coils: CoilMaps
@@ -172,10 +190,13 @@ class EncodingModel:
                 raise ValidationError(
                     f"phase map shape {self.phase.values.shape} does not match "
                     f"(M={m}, N={n_cols})")
-        n_coils = self.coils.n_coils
-        # (C, nz, ny, nx) coil fields; (N, nz, ny, nx) phase; (N, nz, ny) mask
-        object.__setattr__(self, "_maps_t",
-                           np.ascontiguousarray(self.coils.maps.transpose(0, 3, 2, 1)))
+        # (C, nz, ny, nx) coil fields with the image-space ramp folded
+        # in; (N, nz, ny, nx) phase; (N, nz, ny) mask
+        a, kb = _centering_ramps(ny, nx)
+        maps_a = np.ascontiguousarray(self.coils.maps.transpose(0, 3, 2, 1)) * a
+        object.__setattr__(self, "_maps_a", maps_a)
+        object.__setattr__(self, "_maps_a_conj", np.conj(maps_a))
+        object.__setattr__(self, "_kb", kb)
         object.__setattr__(self, "_kept_t",
                            np.ascontiguousarray(self.mask.kept.transpose(2, 1, 0)))
         if self.phase is not None:
@@ -186,23 +207,8 @@ class EncodingModel:
         else:
             object.__setattr__(self, "_phase_t", None)
             object.__setattr__(self, "_phase_t_conj", None)
-        grid_mask = np.broadcast_to(
-            self._kept_t[None, :, :, :, None],
-            (n_coils, n_cols, nz, ny, nx))
-        object.__setattr__(self, "_flat_idx", np.flatnonzero(grid_mask))
-        # even in-plane dims let the centered DFT fold into checkerboard
-        # sign flips absorbed by the precomputed coil fields
-        fast = ny % 2 == 0 and nx % 2 == 0
-        object.__setattr__(self, "_fast", fast)
-        if fast:
-            cb = (-1.0) ** (ny // 2 + nx // 2) * _checkerboard(ny, nx)
-            maps_cb = self._maps_t * _checkerboard(ny, nx)
-            object.__setattr__(self, "_maps_cb", maps_cb)
-            object.__setattr__(self, "_maps_cb_conj", np.conj(maps_cb))
-            sign_grid = np.broadcast_to(cb[None, None, None],
-                                        (n_coils, n_cols, nz, ny, nx))
-            object.__setattr__(self, "_sign_flat",
-                               np.ascontiguousarray(sign_grid.reshape(-1)[self._flat_idx]))
+        object.__setattr__(self, "_flat_idx", np.flatnonzero(
+            _bool_grid_mask(self.mask, self.coils.n_coils, nx)))
 
     @property
     def spatial_dims(self) -> tuple[int, int, int]:
@@ -311,14 +317,8 @@ def adjoint(model: EncodingModel, d: KSpaceData) -> CasoratiSeries:
 
 def forward_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     """Matrix-level forward for solver hot paths (returns packed samples)."""
-    vols = _series_to_grid(x, model.spatial_dims)
-    if model._phase_t is not None:
-        vols = vols * model._phase_t
-    if model._fast:
-        kgrid = sfft.fftn(model._maps_cb[:, None] * vols[None], axes=(-2, -1),
-                          norm="ortho", workers=_workers)
-        return kgrid.reshape(-1)[model._flat_idx] * model._sign_flat
-    kgrid = fft2c(model._maps_t[:, None] * vols[None])
+    kgrid = _coil_dft(model, x)
+    kgrid *= model._kb
     return kgrid.reshape(-1)[model._flat_idx]
 
 
@@ -326,36 +326,35 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
     nx, ny, nz = model.spatial_dims
     grid = np.zeros((model.coils.n_coils, model.n_columns, nz, ny, nx),
                     dtype=np.complex128)
-    if model._fast:
-        grid.ravel()[model._flat_idx] = samples * model._sign_flat
-        imgs = sfft.ifftn(grid, axes=(-2, -1), norm="ortho", workers=_workers)
-        combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_cb_conj)
-    else:
-        grid.ravel()[model._flat_idx] = samples
-        imgs = ifft2c(grid)
-        combined = np.einsum("cnzyx,czyx->nzyx", imgs, np.conj(model._maps_t))
-    if model._phase_t is not None:
-        combined = combined * model._phase_t_conj
-    return _grid_to_series(combined)
+    grid.ravel()[model._flat_idx] = samples
+    grid *= np.conj(model._kb)
+    return _coil_combine(model, grid)
 
 
 def normal_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     """A*(A(x)) without packing: the sampling projector is a diagonal
-    mask on the k-space grid (the checkerboard factors cancel)."""
+    mask on the k-space grid, and the k-space ramp kappa b of the
+    centered DFT cancels against its conjugate, so only the image-space
+    ramp (folded into the coil fields) and plain DFTs remain."""
+    kgrid = _coil_dft(model, x)
+    kgrid *= model._kept_t[None, :, :, :, None]
+    return _coil_combine(model, kgrid)
+
+
+def _coil_dft(model: EncodingModel, x: np.ndarray) -> np.ndarray:
+    """Plain DFT of the ramped coil images of P o X: (C, N, nz, ny, nx)."""
     vols = _series_to_grid(x, model.spatial_dims)
     if model._phase_t is not None:
         vols = vols * model._phase_t
-    if model._fast:
-        kgrid = sfft.fftn(model._maps_cb[:, None] * vols[None], axes=(-2, -1),
-                          norm="ortho", workers=_workers)
-        kgrid *= model._kept_t[None, :, :, :, None]
-        imgs = sfft.ifftn(kgrid, axes=(-2, -1), norm="ortho", workers=_workers)
-        combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_cb_conj)
-    else:
-        kgrid = fft2c(model._maps_t[:, None] * vols[None])
-        kgrid *= model._kept_t[None, :, :, :, None]
-        imgs = ifft2c(kgrid)
-        combined = np.einsum("cnzyx,czyx->nzyx", imgs, np.conj(model._maps_t))
+    return sfft.fftn(model._maps_a[:, None] * vols[None], axes=(-2, -1),
+                     norm="ortho", workers=_workers)
+
+
+def _coil_combine(model: EncodingModel, kgrid: np.ndarray) -> np.ndarray:
+    """Adjoint of :func:`_coil_dft`: inverse DFT, conjugate ramped coil
+    combination, conjugate phase; returns the (M, N) layout."""
+    imgs = sfft.ifftn(kgrid, axes=(-2, -1), norm="ortho", workers=_workers)
+    combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_a_conj)
     if model._phase_t is not None:
         combined = combined * model._phase_t_conj
     return _grid_to_series(combined)

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import datamodel as dm
 from . import dti, encoding, phantom, recon, stats
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 METRICS = ("hat", "md")
 
@@ -108,44 +108,18 @@ def _series_metrics(series: dm.CasoratiSeries, mask: np.ndarray, center,
                     segmentation) -> SubjectMetrics:
     field_ = dti.fit_tensors(series, mask)
     ha = dti.helix_angle(field_, lv_center=center)
-    hat = dti.compute_hat(ha, mask, lv_center=center).global_hat
+    hat = dti.compute_hat(ha, mask, lv_center=center)
     md_map = dti.mean_diffusivity(field_)
     md = float(md_map[mask].mean())
+    if not (np.isfinite(hat.global_hat) and np.isfinite(md)):
+        raise NumericalError(
+            f"non-finite metrics: HAT {hat.global_hat}, MD {md} "
+            f"({hat.n_skipped} of {hat.ray_slopes.size} rays skipped)")
     reg_hat = reg_md = None
     if segmentation is not None:
-        reg_hat = _regional_hat(ha, mask, center, segmentation)
+        reg_hat = dti.regional_hat(hat, segmentation)
         reg_md = dti.regional_means(np.where(mask, md_map, np.nan), segmentation)
-    return SubjectMetrics(hat, md, reg_hat, reg_md)
-
-
-def _regional_hat(ha: np.ndarray, mask: np.ndarray, center,
-                  segmentation: dti.AhaSegmentation) -> np.ndarray:
-    """Regional HAT: per-segment mean of the ray slopes whose angular
-    sector and slice band fall in the segment."""
-    hat = dti.compute_hat(ha, mask, lv_center=center)
-    nz, n_rays = hat.ray_slopes.shape
-    out = np.full(16, np.nan)
-    counts = np.zeros(16)
-    sums = np.zeros(16)
-    for z in range(nz):
-        band = segmentation.band_of_slice[z]
-        for j in range(n_rays):
-            slope = hat.ray_slopes[z, j]
-            if not np.isfinite(slope):
-                continue
-            angle = np.degrees(hat.ray_angles[j])
-            rel = np.mod(angle - segmentation.reference_angle, 360.0)
-            if band == "basal":
-                seg = 1 + min(int(rel // 60), 5)
-            elif band == "mid":
-                seg = 7 + min(int(rel // 60), 5)
-            else:
-                seg = 13 + min(int(rel // 90), 3)
-            sums[seg - 1] += slope
-            counts[seg - 1] += 1
-    nonzero = counts > 0
-    out[nonzero] = sums[nonzero] / counts[nonzero]
-    return out
+    return SubjectMetrics(hat.global_hat, md, reg_hat, reg_md)
 
 
 @dataclass
@@ -185,10 +159,10 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
     d_full = encoding.extract_samples(knoisy, full_mask)
     coil_maps = encoding.estimate_coil_maps(encoding.coil_images(d_full, 0))
     model_full = encoding.EncodingModel(coil_maps, full_mask, None)
+    # at lambda = 0 the sparsity-only solve is plain least squares
     solver = _solver_config(plan, lam=0.0, rank=len(labels))
-    ref = recon.reconstruct_lrcs(d_full, model_full, None,
-                                 np.eye(len(labels), dtype=np.complex128),
-                                 replace(solver, cg_max_iters=30))
+    ref = recon.reconstruct_cs_only(d_full, model_full,
+                                    replace(solver, cg_max_iters=30))
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
@@ -209,13 +183,14 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
     cfg = art.config
     labels = art.truth.clean_series.column_labels
     _, ny, nz = cfg.grid
-    mask_vol = art.truth.myocardium_mask
+    scheme_of = {mode: "lowres-lattice" if mode == "lowres" else "proposed"
+                 for mode in plan.phase_modes}
     results: list[CellResult] = []
     for R in plan.R_list:
-        schemes = {}
-        for mode in plan.phase_modes:
-            schemes.setdefault("lowres-lattice" if mode == "lowres" else "proposed")
-        for scheme in schemes:
+        # one sampling pattern, weight and preliminary solve per scheme,
+        # shared by every cell that samples with it
+        prepared = {}
+        for scheme in dict.fromkeys(scheme_of.values()):
             try:
                 smask = encoding.make_sampling_mask(
                     ny, nz, labels, R=R, seed=cfg.seed, scheme=scheme)
@@ -229,37 +204,24 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                     lam = plan.lambda_scale * recon.lambda_base(d, model)
                 prelim = recon.reconstruct_cs_only(
                     d, model, _solver_config(plan, lam=lam, rank=len(labels)))
-                schemes[scheme] = (smask, d, model, lam, prelim)
+                prepared[scheme] = (d, model, lam, prelim)
             except Exception:
-                schemes[scheme] = traceback.format_exc(limit=3)
+                prepared[scheme] = traceback.format_exc(limit=3)
         for method in plan.methods:
             for mode in plan.phase_modes:
-                scheme = "lowres-lattice" if mode == "lowres" else "proposed"
-                prepared = schemes[scheme]
                 cell = CellResult(index, R, method, mode, ok=False)
-                if isinstance(prepared, str):
-                    cell.error = prepared
-                    results.append(cell)
+                results.append(cell)
+                prep = prepared[scheme_of[mode]]
+                if isinstance(prep, str):
+                    cell.error = prep
                     continue
-                smask, d, model, lam, prelim = prepared
+                d, model, lam, prelim = prep
                 try:
-                    scfg = _solver_config(plan, lam=lam, rank=art.rank)
-                    if method == "cs":
-                        res = prelim
-                    else:
-                        if mode == "none":
-                            pmap = None
-                        elif mode == "proposed":
-                            pmap = recon.estimate_phase_map(prelim.series)
-                        else:
-                            pmap = recon.estimate_phase_lowres(d, model)
-                        v = recon.estimate_subspace(prelim.series, art.rank)
-                        if method == "lr":
-                            res = recon.reconstruct_lr_only(d, model, pmap, v, scfg)
-                        else:
-                            res = recon.reconstruct_lrcs(d, model, pmap, v, scfg)
-                    cell.metrics = _series_metrics(res.series, mask_vol, cfg.center,
-                                                   art.segmentation)
+                    res = recon.recon(d, model, prelim, method, mode, art.rank,
+                                      _solver_config(plan, lam=lam, rank=art.rank))
+                    cell.metrics = _series_metrics(
+                        res.series, art.truth.myocardium_mask, cfg.center,
+                        art.segmentation)
                     cell.report = res.report.to_json()
                     cell.ok = True
                     if plan.save_arrays:
@@ -270,25 +232,35 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                             json.dumps(cell.report, indent=1))
                 except Exception:
                     cell.error = traceback.format_exc(limit=3)
-                results.append(cell)
     return results
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
     """Execute the full study; returns the summary structure and writes
-    the report tree under ``plan.output_dir``."""
+    the report tree under ``plan.output_dir``.
+
+    A subject whose preparation fails (a jitter the phantom rejects, a
+    reference with non-finite metrics) is recorded with the error on its
+    reference row and on ``ok=False`` cells; the other subjects run on.
+    """
     out_root = Path(plan.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "plan.json").write_text(json.dumps(plan.to_json(), indent=1))
 
     def one_subject(i: int):
-        art = prepare_subject(plan, i)
+        try:
+            art = prepare_subject(plan, i)
+        except Exception:
+            error = traceback.format_exc(limit=3)
+            cells = [CellResult(i, R, method, mode, ok=False, error=error)
+                     for R in plan.R_list for method in plan.methods
+                     for mode in plan.phase_modes]
+            return None, cells, error
         if plan.save_arrays:
             sdir = out_root / f"subject{i:02d}"
             phantom.save_ground_truth(sdir / "ground_truth", art.truth)
             dm.save_series(sdir / "reference", art.reference)
-        cells = run_subject_cells(plan, i, art)
-        return art, cells
+        return art, run_subject_cells(plan, i, art), ""
 
     if plan.threads > 1:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
@@ -296,27 +268,35 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     else:
         subject_runs = [one_subject(i) for i in range(plan.n_subjects)]
 
-    arts = [a for a, _ in subject_runs]
-    cells = [c for _, cs in subject_runs for c in cs]
-    summary_rows = _write_summary(plan, arts, cells, out_root)
-    stats_rows = _write_stats(plan, arts, cells, out_root)
+    arts = [a for a, _, _ in subject_runs]
+    errors = [e for _, _, e in subject_runs]
+    cells = [c for _, cs, _ in subject_runs for c in cs]
+    summary_rows = _write_summary(arts, errors, cells, out_root)
+    groups = {}
+    for c in cells:
+        pair = (arts[c.subject].reference_metrics, c.metrics) if c.ok else (None, None)
+        groups.setdefault((c.R, c.method, c.phase_mode), {})[c.subject] = pair
+    stats_rows = write_stats(groups, out_root / "stats.csv")
     return {"cells": cells, "artifacts": arts, "summary": summary_rows,
             "stats": stats_rows}
 
 
-def _write_summary(plan, arts, cells, out_root: Path) -> list[dict]:
+def _write_summary(arts, errors, cells, out_root: Path) -> list[dict]:
     rows = []
-    for art, i in zip(arts, range(plan.n_subjects)):
-        rows.append({"subject": i, "R": 1.0, "method": "reference",
-                     "phase_mode": "", "ok": True,
-                     "hat": art.reference_metrics.hat,
-                     "md": art.reference_metrics.md,
-                     "rank": art.rank,
-                     "hat_bias": 0.0, "md_bias": 0.0, "error": ""})
+    for i, (art, error) in enumerate(zip(arts, errors)):
+        row = {"subject": i, "R": 1.0, "method": "reference", "phase_mode": "",
+               "ok": art is not None, "rank": "", "hat": np.nan, "md": np.nan,
+               "hat_bias": np.nan, "md_bias": np.nan,
+               "error": error.splitlines()[-1] if error else ""}
+        if art is not None:
+            row.update(rank=art.rank, hat=art.reference_metrics.hat,
+                       md=art.reference_metrics.md, hat_bias=0.0, md_bias=0.0)
+        rows.append(row)
     for c in cells:
         art = arts[c.subject]
         row = {"subject": c.subject, "R": c.R, "method": c.method,
-               "phase_mode": c.phase_mode, "ok": c.ok, "rank": art.rank,
+               "phase_mode": c.phase_mode, "ok": c.ok,
+               "rank": art.rank if art is not None else "",
                "hat": np.nan, "md": np.nan, "hat_bias": np.nan,
                "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else ""}
         if c.ok:
@@ -342,21 +322,26 @@ def _fmt(v):
     return v
 
 
-def _write_stats(plan, arts, cells, out_root: Path) -> list[dict]:
-    """Cohort statistics per (R, method, phase_mode, metric), mirroring
-    the global bias/ICC/p tables plus regional p-maps."""
+def write_stats(groups: dict, stats_path: Path) -> list[dict]:
+    """Cohort statistics per (R, method, phase_mode, metric): bias, ICC
+    and Wilcoxon p in ``stats_path``, plus regional p-maps beside it.
+
+    ``groups`` maps (R, method, phase_mode) to {subject: (reference,
+    reconstruction)} pairs of :class:`SubjectMetrics`; None on either
+    side marks a failed cell.  A group with fewer than 3 subjects or any
+    failed cell is skipped.  A p-map is written when every pair carries
+    finite regional values.
+    """
     rows = []
-    by_cell = {}
-    for c in cells:
-        by_cell.setdefault((c.R, c.method, c.phase_mode), []).append(c)
-    for (R, method, mode), group in sorted(by_cell.items()):
-        group = sorted(group, key=lambda c: c.subject)
-        if not all(c.ok for c in group) or len(group) < 3:
+    out_dir = Path(stats_path).parent
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for (R, method, mode), by_subject in sorted(groups.items()):
+        pairs = [by_subject[s] for s in sorted(by_subject)]
+        if len(pairs) < 3 or any(ref is None or rec is None for ref, rec in pairs):
             continue
         for metric in METRICS:
-            ref = np.array([getattr(arts[c.subject].reference_metrics, metric)
-                            for c in group])
-            rec = np.array([getattr(c.metrics, metric) for c in group])
+            ref = np.array([getattr(p[0], metric) for p in pairs])
+            rec = np.array([getattr(p[1], metric) for p in pairs])
             try:
                 summary = stats.summarize(ref, rec)
             except ValidationError:
@@ -367,13 +352,12 @@ def _write_stats(plan, arts, cells, out_root: Path) -> list[dict]:
                          "bias_std": summary.bias_std,
                          "icc": summary.icc.r, "icc_band": summary.icc.band,
                          "p": summary.wilcoxon.p})
-            reg_ref = [getattr(arts[c.subject].reference_metrics,
-                               f"regional_{metric}") for c in group]
-            reg_rec = [getattr(c.metrics, f"regional_{metric}") for c in group]
+            reg_ref = [getattr(p[0], f"regional_{metric}") for p in pairs]
+            reg_rec = [getattr(p[1], f"regional_{metric}") for p in pairs]
             if all(r is not None and np.isfinite(r).all()
                    for r in reg_ref + reg_rec):
                 pmap = stats.regional_pmap(np.array(reg_ref).T, np.array(reg_rec).T)
-                pmap_path = out_root / f"pmap_{metric}_R{R:g}_{method}_{mode}.csv"
+                pmap_path = out_dir / f"pmap_{metric}_R{R:g}_{method}_{mode}.csv"
                 with open(pmap_path, "w", newline="") as fh:
                     writer = csv.writer(fh)
                     writer.writerow(["segment", "p", "significant"])
@@ -381,7 +365,7 @@ def _write_stats(plan, arts, cells, out_root: Path) -> list[dict]:
                         writer.writerow([s, repr(p), sig])
     fields = ["R", "method", "phase_mode", "metric", "bias_mean", "bias_std",
               "icc", "icc_band", "p"]
-    with open(out_root / "stats.csv", "w", newline="") as fh:
+    with open(stats_path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()
         writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)

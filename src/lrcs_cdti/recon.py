@@ -57,7 +57,6 @@ class SolverConfig:
     cg_max_iters: int = 15
     cg_tol: float = 1e-8
     method: Method = Method.LRCS
-    phase_mode: PhaseMode = PhaseMode.PROPOSED
 
     def __post_init__(self):
         if self.alpha_decay <= 1:
@@ -273,6 +272,36 @@ def reconstruct_lr_only(d: KSpaceData, model: EncodingModel, phase: PhaseMap | N
                             replace(cfg, lam=0.0, method=Method.LR_ONLY))
 
 
+def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
+          method: Method | str, mode: PhaseMode | str, rank: int | None,
+          cfg: SolverConfig) -> ReconResult:
+    """Run one reconstruction method from a shared preliminary solve.
+
+    ``prelim`` is the sparsity-only reconstruction of ``d``
+    (:func:`reconstruct_cs_only` with the weight in ``cfg``); CS_ONLY
+    returns it as is.  LR_ONLY and LRCS take the phase map of ``mode``
+    (none, the preliminary's own phase, or the low-resolution center
+    block), the rank ``rank`` (None selects the elbow of the
+    phase-corrected preliminary), the subspace of the preliminary's
+    magnitude, and solve with ``cfg`` at that rank.
+    """
+    method, mode = Method(method), PhaseMode(mode)
+    if method == Method.CS_ONLY:
+        return prelim
+    if mode == PhaseMode.NONE:
+        pmap = None
+    elif mode == PhaseMode.PROPOSED:
+        pmap = estimate_phase_map(prelim.series)
+    else:
+        pmap = estimate_phase_lowres(d, model)
+    rank = select_rank(prelim.series, pmap, override=rank)
+    v = estimate_subspace(prelim.series, rank)
+    scfg = replace(cfg, rank=rank, method=method)
+    if method == Method.LR_ONLY:
+        return reconstruct_lr_only(d, model, pmap, v, scfg)
+    return reconstruct_lrcs(d, model, pmap, v, scfg)
+
+
 def estimate_phase_map(series: CasoratiSeries) -> PhaseMap:
     """Entrywise unit-magnitude phase of the preliminary reconstruction;
     zeros map to 1."""
@@ -315,10 +344,6 @@ def select_rank(series: CasoratiSeries, phase: PhaseMap | None = None,
     return int(np.clip(elbow, 2, n - 1))
 
 
-def nuclear_norm(matrix: np.ndarray) -> float:
-    return float(np.linalg.svd(matrix, compute_uv=False).sum())
-
-
 def lambda_base(d: KSpaceData, model: EncodingModel) -> float:
     """Scale anchor for regularization weights: max |Psi A*(d)|."""
     spec = WaveletSpec(dims=model.spatial_dims)
@@ -345,7 +370,7 @@ def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
         result = reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)))
         phase = estimate_phase_map(result.series)
         corrected = np.conj(phase.values) * result.series.data
-        norms.append(nuclear_norm(corrected))
+        norms.append(float(np.linalg.svd(corrected, compute_uv=False).sum()))
     best = int(np.argmin(norms))
     return float(candidates[best]), {"candidates": candidates, "norms": norms}
 

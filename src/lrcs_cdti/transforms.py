@@ -49,28 +49,20 @@ def _axis_levels(extent: int, levels: int) -> int:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Transform configuration, serialized into recon configs."""
+    """Transform configuration: dims and the requested depth; the depth
+    actually used per axis follows from the dims."""
 
     dims: tuple[int, int, int]
     levels: int = 4
-    family: str = "symlet-4"
-    boundary: str = "periodic"
     levels_per_axis: tuple[int, int, int] = field(init=False)
 
     def __post_init__(self):
         dims = tuple(int(v) for v in self.dims)
         if any(v < 1 for v in dims):
             raise ValidationError(f"zero-sized axis in dims {dims}")
-        if self.family != "symlet-4" or self.boundary != "periodic":
-            raise ValidationError("only periodic symlet-4 is implemented")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "levels_per_axis",
                            tuple(_axis_levels(v, self.levels) for v in dims))
-
-    def to_json(self) -> dict:
-        return {"family": self.family, "levels": self.levels,
-                "boundary": self.boundary, "dims": list(self.dims),
-                "levels_per_axis": list(self.levels_per_axis)}
 
 
 def _analysis_step(block: np.ndarray, axis: int) -> np.ndarray:
@@ -151,12 +143,6 @@ def wavelet_adjoint(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     return out
 
 
-def approximation_slices(spec: WaveletSpec) -> tuple[slice, slice, slice]:
-    """Index of the coarsest approximation block in the packed layout."""
-    return tuple(slice(0, d // 2 ** l)
-                 for d, l in zip(spec.dims, spec.levels_per_axis))
-
-
 def series_forward(matrix: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Apply the transform to each column of an M x K Casorati-layout matrix."""
     nx, ny, nz = spec.dims
@@ -180,25 +166,9 @@ def series_adjoint(matrix: np.ndarray, spec: WaveletSpec) -> np.ndarray:
 # Group penalty
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class GroupLayout:
-    """One group per transform-domain location, spanning all columns."""
-
-    n_groups: int
-
-    def check(self, matrix: np.ndarray) -> None:
-        if matrix.shape[0] != self.n_groups:
-            raise ValidationError(
-                f"layout has {self.n_groups} groups but matrix has "
-                f"{matrix.shape[0]} rows")
-
-
-def group_l12_norm(coeffs: np.ndarray, layout: GroupLayout | None = None) -> float:
+def group_l12_norm(coeffs: np.ndarray) -> float:
     """Sum over locations of the l2 norm across encodings."""
-    w = np.asarray(coeffs)
-    if layout is not None:
-        layout.check(w)
-    return float(np.linalg.norm(w, axis=1).sum())
+    return float(np.linalg.norm(np.asarray(coeffs), axis=1).sum())
 
 
 def group_shrink(z: np.ndarray, alpha: float) -> np.ndarray:

@@ -1,0 +1,80 @@
+import csv
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from lrcs_cdti import cli, encoding
+from lrcs_cdti import datamodel as dm
+from lrcs_cdti import phantom as ph
+
+FLAGS = ["--threads", "1", "--log-level", "warning"]
+
+
+def _read(path):
+    with open(path, newline="") as fh:
+        return list(csv.DictReader(fh))
+
+
+def test_eval_reproduces_run_stats(study, tmp_path):
+    plan, _ = study
+    out = Path(plan.output_dir)
+    rc = cli.main(["eval", "--summary", str(out / "summary.csv"),
+                   "--out", str(tmp_path / "eval.csv"), *FLAGS])
+    assert rc == 0
+    assert _read(tmp_path / "eval.csv") == _read(out / "stats.csv")
+    # summary.csv carries no regional values, so eval writes no p-maps
+    assert not list(tmp_path.glob("pmap_*.csv"))
+
+
+def test_eval_skips_group_with_failed_cell(study, tmp_path):
+    plan, _ = study
+    rows = _read(Path(plan.output_dir) / "summary.csv")
+    # a fourth subject, so that every group keeps 3 good subjects
+    rows += [{**r, "subject": "3"} for r in rows if r["subject"] == "0"]
+    failed = next(r for r in rows if (r["method"], r["phase_mode"]) == ("lr", "none"))
+    failed.update(ok="False", hat="nan", md="nan")
+    summary = tmp_path / "summary.csv"
+    with open(summary, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert cli.main(["eval", "--summary", str(summary),
+                     "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 0
+    groups = {(r["method"], r["phase_mode"]) for r in _read(tmp_path / "eval.csv")}
+    assert ("lr", "none") not in groups
+    assert len(groups) == 8
+
+
+@pytest.fixture(scope="module")
+def recon_inputs(tmp_path_factory):
+    cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2, seed=1)
+    gt = ph.build_phantom(cfg)
+    labels = gt.clean_series.column_labels
+    kgrid = encoding.coil_kspace(gt.clean_series, gt.coils, gt.phase)
+    mask = encoding.make_sampling_mask(16, 3, labels, R=2, seed=0,
+                                       scheme="lowres-lattice")
+    root = tmp_path_factory.mktemp("recon_inputs")
+    encoding.save_kspace(root / "kspace", encoding.extract_samples(kgrid, mask))
+    dm.save_coils(root / "coils", gt.coils)
+    return cfg, root
+
+
+@pytest.mark.parametrize("method, phase, rank", [
+    ("lrcs", "proposed", None), ("lr", "lowres", "3"), ("cs", "none", None)])
+def test_recon_command_on_saved_containers(recon_inputs, tmp_path, method, phase, rank):
+    cfg, root = recon_inputs
+    argv = ["recon", "--kspace", str(root / "kspace"), "--coils", str(root / "coils"),
+            "--method", method, "--phase", phase, "--iters", "2",
+            "--out", str(tmp_path / "out"), *FLAGS]
+    if rank is not None:
+        argv += ["--rank", rank]
+    assert cli.main(argv) == 0
+    series = dm.load_series(tmp_path / "out")
+    assert series.spatial_dims == cfg.grid
+    assert np.isfinite(series.data).all() and np.abs(series.data).max() > 0
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["method"] == method
+    if rank is not None:
+        assert report["rank"] == int(rank)

@@ -41,13 +41,6 @@ class TestCasoratiReshape:
         # j = x + nx*(y + ny*z) = 1 + 2*(2 + 3*0) = 5
         assert series.data[5, 0] == 7.0
 
-    def test_dof_of_rank7_factorization(self):
-        m, n, rank = 64 * 64 * 1, 13, 7
-        pair = dm.FactorPair(np.ones((m, rank), dtype=complex),
-                             np.eye(rank, n).astype(complex))
-        # independent evaluation of 2(M+N-L)L
-        assert pair.degrees_of_freedom() == 2 * (4096 + 13 - 7) * 7 == 57428
-
     def test_dimension_error_names_axis(self):
         with pytest.raises(ValidationError, match="axis"):
             dm.reshape_to_casorati(np.zeros((2, 2, 2)), [])
@@ -84,24 +77,6 @@ class TestInvariants:
         with pytest.raises(ValidationError, match="unit magnitude"):
             dm.PhaseMap(np.full((2, 2), 0.5 + 0j))
         dm.PhaseMap(np.exp(1j * np.ones((2, 2))))  # fine
-
-    def test_factor_pair_rank_bound(self):
-        with pytest.raises(ValidationError, match="rank"):
-            dm.FactorPair(np.ones((3, 4), dtype=complex), np.ones((4, 3), dtype=complex))
-
-    def test_factor_pair_rank_deficient_v(self):
-        u = np.ones((5, 2), dtype=complex)
-        v = np.ones((2, 4), dtype=complex)  # rank 1
-        with pytest.raises(ValidationError, match="rank deficient"):
-            dm.FactorPair(u, v)
-
-    def test_factor_product_numerical_rank(self):
-        rng = np.random.default_rng(2)
-        u = rng.normal(size=(40, 3)) + 1j * rng.normal(size=(40, 3))
-        v = rng.normal(size=(3, 9)) + 1j * rng.normal(size=(3, 9))
-        prod = dm.FactorPair(u, v).product()
-        s = np.linalg.svd(prod, compute_uv=False)
-        assert (s[3:] <= 1e-9 * s[0]).all()
 
 
 class TestContainer:

@@ -277,6 +277,30 @@ class TestAha16:
         assert present.sum() >= 14
         np.testing.assert_allclose(means[present], 2.5)
 
+    def test_regional_hat_matches_explicit_sector_loop(self, truth):
+        cfg, gt = truth
+        seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center,
+                                reference_angle=20.0)
+        hat = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
+        slopes = np.arange(hat.ray_slopes.size, dtype=float).reshape(
+            hat.ray_slopes.shape)
+        slopes[0, 3] = np.nan
+        hat = dti.HatResult(slopes, hat.ray_r2, hat.per_slice, hat.global_hat,
+                            hat.ray_angles, hat.centers, hat.n_skipped)
+        expected = {}
+        for z, band in enumerate(seg.band_of_slice):
+            width, first = (90.0, 13) if band == "apical" else \
+                (60.0, 1 if band == "basal" else 7)
+            for j, theta in enumerate(hat.ray_angles):
+                if np.isfinite(slopes[z, j]):
+                    rel = (np.degrees(theta) - 20.0) % 360.0
+                    s = first + min(int(rel // width), int(360 / width) - 1)
+                    expected.setdefault(s, []).append(slopes[z, j])
+        got = dti.regional_hat(hat, seg)
+        for s in range(1, 17):
+            want = np.mean(expected[s]) if s in expected else np.nan
+            np.testing.assert_allclose(got[s - 1], want, rtol=1e-15)
+
 
 class TestTensorContainer:
     def test_round_trip(self, fitted, tmp_path):

@@ -187,6 +187,84 @@ class TestForwardAdjoint:
             enc.EncodingModel(gt.coils, mask, None)
 
 
+def dense_centered_dft(n):
+    """Unitary DFT matrix with DC at index n//2, entry by entry."""
+    c = n // 2
+    k = np.arange(n)[:, None]
+    x = np.arange(n)[None, :]
+    return np.exp(-2j * np.pi * (k - c) * (x - c) / n) / np.sqrt(n)
+
+
+def random_model(nx, ny, nz=2, n_coils=3, seed=0):
+    rng = np.random.default_rng(seed)
+    labels = dm.make_labels([0, 500], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    shape = (n_coils, nx, ny, nz)
+    coils = dm.CoilMaps(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                        np.ones((nx, ny, nz)))
+    kept = rng.random((ny, nz, len(labels))) < 0.5
+    kept[:, :, 0] = True
+    mask = dm.SamplingMask(kept, 2.0, seed, labels)
+    phase = dm.PhaseMap(np.exp(1j * rng.normal(size=(nx * ny * nz, len(labels)))))
+    return enc.EncodingModel(coils, mask, phase), rng
+
+
+# (nx, ny): even, odd and mixed in-plane sizes
+IN_PLANE = [(8, 6), (7, 9), (5, 8), (6, 7), (9, 5)]
+
+
+class TestCenteredDft:
+    @pytest.mark.parametrize("nx, ny", IN_PLANE)
+    def test_fft2c_and_ifft2c_match_dense_matrix(self, nx, ny):
+        rng = np.random.default_rng(nx * ny)
+        grid = rng.normal(size=(2, 3, ny, nx)) + 1j * rng.normal(size=(2, 3, ny, nx))
+        fy, fx = dense_centered_dft(ny), dense_centered_dft(nx)
+        ref = np.einsum("ky,...yx,lx->...kl", fy, grid, fx)
+        ref_inv = np.einsum("yk,...yx,xl->...kl", fy.conj(), grid, fx.conj())
+        for got, want in ((enc.fft2c(grid), ref), (enc.ifft2c(grid), ref_inv)):
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("nx, ny", IN_PLANE)
+    def test_operators_match_dense_matrix(self, nx, ny):
+        model, rng = random_model(nx, ny, seed=nx + 10 * ny)
+        nz, n_cols = model.spatial_dims[2], model.n_columns
+        fy, fx = dense_centered_dft(ny), dense_centered_dft(nx)
+        maps = model.coils.maps.transpose(0, 3, 2, 1)          # (C, nz, ny, nx)
+        phase = model.phase.values.T.reshape(n_cols, nz, ny, nx)
+        kept = model.mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
+        grid_mask = np.broadcast_to(kept, (model.coils.n_coils, n_cols, nz, ny, nx))
+
+        def ref_forward(x):
+            vols = phase * x.T.reshape(n_cols, nz, ny, nx)
+            coil_vols = maps[:, None] * vols[None]
+            return np.einsum("ky,cnzyx,lx->cnzkl", fy, coil_vols, fx)[grid_mask]
+
+        def ref_adjoint(samples):
+            grid = np.zeros(grid_mask.shape, dtype=complex)
+            grid[grid_mask] = samples
+            imgs = np.einsum("yk,cnzyx,xl->cnzkl", fy.conj(), grid, fx.conj())
+            vols = np.conj(phase) * (np.conj(maps)[:, None] * imgs).sum(axis=0)
+            return vols.reshape(n_cols, -1).T
+
+        shape = (model.n_voxels, n_cols)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        y = ref_forward(x)
+        for got, ref in ((enc.forward_matrix(model, x), y),
+                         (enc.adjoint_matrix(model, y), ref_adjoint(y)),
+                         (enc.normal_matrix(model, x), ref_adjoint(y))):
+            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_adjoint_dot_product_odd_grid(self):
+        model, rng = random_model(9, 7, nz=3, seed=11)
+        m, n = model.n_voxels, model.n_columns
+        for _ in range(3):
+            x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
+            ax = enc.forward_matrix(model, x)
+            y = rng.normal(size=ax.shape) + 1j * rng.normal(size=ax.shape)
+            lhs = np.vdot(ax, y)
+            rhs = np.vdot(x, enc.adjoint_matrix(model, y))
+            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+
 class TestCoilMapEstimation:
     def test_rss_consistency_on_phantom(self):
         # desk-scale grid: the fixed smoothing width is calibrated there
