@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -149,16 +150,21 @@ def cmd_recon(args) -> int:
     coils = dm.load_coils(args.coils)
     model = encoding.EncodingModel(coils, d.mask, None)
 
+    # one config for the grid search and the solve, so the winning
+    # candidate's solve is the preliminary
+    cfg = recon.SolverConfig(max_iters=args.iters or 25, rank=1)
+    prelim = None
     if args.lam is not None:
         lam = args.lam
     elif args.lambda_grid:
-        lam, _ = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
-                                     recon.SolverConfig(lam=0.0, rank=1))
+        lam, prelim, _ = recon.select_lambda(
+            d, model, recon.default_lambda_grid(d, model), cfg)
     else:
         scale = args.lambda_scale if args.lambda_scale is not None else 1e-2
         lam = scale * recon.lambda_base(d, model)
-    cfg = recon.SolverConfig(lam=lam, max_iters=args.iters or 25, rank=1)
-    prelim = recon.reconstruct_cs_only(d, model, cfg)
+    cfg = replace(cfg, lam=lam)
+    if prelim is None:
+        prelim = recon.reconstruct_cs_only(d, model, cfg)
     result = recon.recon(d, model, prelim, args.method or "lrcs",
                          args.phase or "proposed", args.rank, cfg)
     out = Path(args.out)

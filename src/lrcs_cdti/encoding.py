@@ -11,8 +11,15 @@ Layout conventions:
   F_c = kappa diag(b) F diag(a) with a = b = exp(2 pi i (n//2) x / n)
   and kappa = exp(-2 pi i (n//2)^2 / n) (see :func:`_centering_ramps`).
   The operators fold the image-space ramp ``a`` into the precomputed
-  coil fields and apply ``kappa b`` on the k-space grid; in A*A that
-  ramp cancels.
+  coil fields and apply ``kappa b`` on the k-space grid.
+* A*A runs no DFT.  ``kappa b`` cancels against its conjugate, and the
+  mask is constant along the readout, so F_x^H F_x = I and the x part
+  of ``a`` cancels in the conjugate coil combination.  What is left is
+  A*A = sum_c (S_c a)^H F_y^H M F_y (S_c a) per (column, slice), with
+  F_y the plain unitary DFT along the lines: the coil sum of squares on
+  a fully sampled column (F_y^H F_y = I), and R^H R with R the kept rows
+  of F_y on an undersampled one.  Forward and adjoint keep the 2-D DFT
+  because they map to and from the packed samples.
 * Full k-space grids are (C, N, nz, ny, nx): (coil, column, slice, line,
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
@@ -170,7 +177,12 @@ class EncodingModel:
     image-space ramp ``a`` of the centered DFT, the k-space ramp
     ``kappa b``, the transposed phase field and the flat gather indices
     of the kept samples, so forward/adjoint are pure and cheap to call
-    concurrently.
+    concurrently.  For :func:`normal_matrix` it adds the indices of the
+    fully sampled columns (``_full_cols``) and of the others
+    (``_part_cols``), the coil sum of squares ``_sos`` = sum_c |S_c a|^2
+    (nz, ny, nx), and per undersampled (column, slice) the kept rows of
+    the unitary line DFT, ``_rows`` (N_part, nz, L, ny) zero-padded to
+    the largest kept count L, with their conjugate transpose ``_rows_h``.
     """
 
     coils: CoilMaps
@@ -191,14 +203,12 @@ class EncodingModel:
                     f"phase map shape {self.phase.values.shape} does not match "
                     f"(M={m}, N={n_cols})")
         # (C, nz, ny, nx) coil fields with the image-space ramp folded
-        # in; (N, nz, ny, nx) phase; (N, nz, ny) mask
+        # in; (N, nz, ny, nx) phase
         a, kb = _centering_ramps(ny, nx)
         maps_a = np.ascontiguousarray(self.coils.maps.transpose(0, 3, 2, 1)) * a
         object.__setattr__(self, "_maps_a", maps_a)
         object.__setattr__(self, "_maps_a_conj", np.conj(maps_a))
         object.__setattr__(self, "_kb", kb)
-        object.__setattr__(self, "_kept_t",
-                           np.ascontiguousarray(self.mask.kept.transpose(2, 1, 0)))
         if self.phase is not None:
             phase_t = np.ascontiguousarray(_series_to_grid(self.phase.values,
                                                            (nx, ny, nz)))
@@ -209,6 +219,24 @@ class EncodingModel:
             object.__setattr__(self, "_phase_t_conj", None)
         object.__setattr__(self, "_flat_idx", np.flatnonzero(
             _bool_grid_mask(self.mask, self.coils.n_coils, nx)))
+        # fields of the normal operator (see the class docstring)
+        kept = self.mask.kept
+        is_full = kept.all(axis=(0, 1))
+        full, part = np.flatnonzero(is_full), np.flatnonzero(~is_full)
+        object.__setattr__(self, "_full_cols", full)
+        object.__setattr__(self, "_part_cols", part)
+        object.__setattr__(self, "_sos", (maps_a * self._maps_a_conj).real.sum(axis=0))
+        n_rows = int(kept[:, :, part].sum(axis=0).max()) if part.size else 0
+        rows = np.zeros((part.size, nz, n_rows, ny), dtype=np.complex128)
+        iy = np.arange(ny)
+        for i, n in enumerate(part):
+            for z in range(nz):
+                lines = np.flatnonzero(kept[:, z, n])
+                rows[i, z, :lines.size] = _unit_root(-np.outer(lines, iy), ny)
+        rows /= np.sqrt(ny)
+        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows_h",
+                           np.ascontiguousarray(np.conj(rows).swapaxes(-1, -2)))
 
     @property
     def spatial_dims(self) -> tuple[int, int, int]:
@@ -317,7 +345,11 @@ def adjoint(model: EncodingModel, d: KSpaceData) -> CasoratiSeries:
 
 def forward_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     """Matrix-level forward for solver hot paths (returns packed samples)."""
-    kgrid = _coil_dft(model, x)
+    vols = _series_to_grid(x, model.spatial_dims)
+    if model._phase_t is not None:
+        vols = vols * model._phase_t
+    kgrid = sfft.fftn(model._maps_a[:, None] * vols[None], axes=(-2, -1),
+                      norm="ortho", workers=_workers)
     kgrid *= model._kb
     return kgrid.reshape(-1)[model._flat_idx]
 
@@ -328,36 +360,38 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
                     dtype=np.complex128)
     grid.ravel()[model._flat_idx] = samples
     grid *= np.conj(model._kb)
-    return _coil_combine(model, grid)
+    imgs = sfft.ifftn(grid, axes=(-2, -1), norm="ortho", workers=_workers)
+    combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_a_conj)
+    if model._phase_t is not None:
+        combined *= model._phase_t_conj
+    return _grid_to_series(combined)
 
 
 def normal_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
-    """A*(A(x)) without packing: the sampling projector is a diagonal
-    mask on the k-space grid, and the k-space ramp kappa b of the
-    centered DFT cancels against its conjugate, so only the image-space
-    ramp (folded into the coil fields) and plain DFTs remain."""
-    kgrid = _coil_dft(model, x)
-    kgrid *= model._kept_t[None, :, :, :, None]
-    return _coil_combine(model, kgrid)
+    """A*(A(x)) with no DFT (see the module notes for the algebra).
 
-
-def _coil_dft(model: EncodingModel, x: np.ndarray) -> np.ndarray:
-    """Plain DFT of the ramped coil images of P o X: (C, N, nz, ny, nx)."""
+    A fully sampled column is ``_sos`` times P o X.  An undersampled one
+    is, per coil, ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched
+    matrix products over the kept lines) combined with conj(S_c a).
+    Both end with the conjugate phase.  Equal to
+    ``adjoint_matrix(model, forward_matrix(model, x))`` up to rounding.
+    """
     vols = _series_to_grid(x, model.spatial_dims)
     if model._phase_t is not None:
         vols = vols * model._phase_t
-    return sfft.fftn(model._maps_a[:, None] * vols[None], axes=(-2, -1),
-                     norm="ortho", workers=_workers)
-
-
-def _coil_combine(model: EncodingModel, kgrid: np.ndarray) -> np.ndarray:
-    """Adjoint of :func:`_coil_dft`: inverse DFT, conjugate ramped coil
-    combination, conjugate phase; returns the (M, N) layout."""
-    imgs = sfft.ifftn(kgrid, axes=(-2, -1), norm="ortho", workers=_workers)
-    combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_a_conj)
+    out = np.empty(vols.shape, dtype=np.complex128)
+    out[model._full_cols] = model._sos * vols[model._full_cols]
+    # one coil at a time keeps the temporaries a coil's size
+    vols_part = vols[model._part_cols]
+    combined = np.zeros(vols_part.shape, dtype=np.complex128)
+    for maps_a, maps_a_conj in zip(model._maps_a, model._maps_a_conj):
+        projected = model._rows_h @ (model._rows @ (maps_a * vols_part))
+        projected *= maps_a_conj
+        combined += projected
+    out[model._part_cols] = combined
     if model._phase_t is not None:
-        combined = combined * model._phase_t_conj
-    return _grid_to_series(combined)
+        out *= model._phase_t_conj
+    return _grid_to_series(out)
 
 
 def coil_images(d: KSpaceData, column: int) -> np.ndarray:

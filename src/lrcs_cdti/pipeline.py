@@ -197,13 +197,13 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                 d = encoding.extract_samples(art.noisy_kspace, smask)
                 model = encoding.EncodingModel(art.coil_maps, smask, None)
                 if plan.lambda_scale is None:
-                    lam, _ = recon.select_lambda(
+                    lam, prelim, _ = recon.select_lambda(
                         d, model, recon.default_lambda_grid(d, model),
                         _solver_config(plan, lam=0.0, rank=art.rank))
                 else:
                     lam = plan.lambda_scale * recon.lambda_base(d, model)
-                prelim = recon.reconstruct_cs_only(
-                    d, model, _solver_config(plan, lam=lam, rank=len(labels)))
+                    prelim = recon.reconstruct_cs_only(
+                        d, model, _solver_config(plan, lam=lam, rank=len(labels)))
                 prepared[scheme] = (d, model, lam, prelim)
             except Exception:
                 prepared[scheme] = traceback.format_exc(limit=3)

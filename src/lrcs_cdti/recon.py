@@ -129,8 +129,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
             # numerically singular direction; stop at the current iterate
             return x, it, history[-1]
         step = rs / denom
-        x = x + step * p
-        r = r - step * hp
+        x += step * p
+        r -= step * hp
         rs_new = float(np.vdot(r, r).real)
         history.append(np.sqrt(rs_new) / rhs_norm)
         if history[-1] > history[-2]:
@@ -142,7 +142,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
         else:
             grows = 0
         best = min(best, history[-1])
-        p = r + (rs_new / rs) * p
+        p *= rs_new / rs
+        p += r
         rs = rs_new
     return x, max_iters, history[-1]
 
@@ -357,22 +358,26 @@ def default_lambda_grid(d: KSpaceData, model: EncodingModel) -> list[float]:
 
 
 def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
-                  cfg: SolverConfig) -> tuple[float, dict]:
+                  cfg: SolverConfig) -> tuple[float, ReconResult, dict]:
     """Pick the candidate whose preliminary reconstruction maximizes
-    low-rankness of the phase-corrected image (minimal nuclear norm)."""
+    low-rankness of the phase-corrected image (minimal nuclear norm).
+
+    Returns the weight, its :func:`reconstruct_cs_only` result with
+    ``cfg`` at that weight, and the candidates with their nuclear norms.
+    """
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("empty lambda candidate list")
-    if len(candidates) == 1:
-        return float(candidates[0]), {"candidates": candidates, "norms": [None]}
-    norms = []
+    norms, results = [], []
     for lam in candidates:
         result = reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)))
         phase = estimate_phase_map(result.series)
         corrected = np.conj(phase.values) * result.series.data
         norms.append(float(np.linalg.svd(corrected, compute_uv=False).sum()))
+        results.append(result)
     best = int(np.argmin(norms))
-    return float(candidates[best]), {"candidates": candidates, "norms": norms}
+    return float(candidates[best]), results[best], \
+        {"candidates": candidates, "norms": norms}
 
 
 def estimate_phase_lowres(d: KSpaceData, model: EncodingModel,

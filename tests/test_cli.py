@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrcs_cdti import cli, encoding
+from lrcs_cdti import cli, encoding, recon
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import phantom as ph
 
@@ -78,3 +78,22 @@ def test_recon_command_on_saved_containers(recon_inputs, tmp_path, method, phase
     assert report["method"] == method
     if rank is not None:
         assert report["rank"] == int(rank)
+
+
+def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
+    # with --iters the grid search runs the command's own solver config,
+    # and cs returns the winning candidate's solve
+    cfg, root = recon_inputs
+    assert cli.main(["recon", "--kspace", str(root / "kspace"),
+                     "--coils", str(root / "coils"), "--method", "cs",
+                     "--phase", "none", "--iters", "2", "--lambda-grid",
+                     "--out", str(tmp_path / "out"), *FLAGS]) == 0
+    d = encoding.load_kspace(root / "kspace")
+    model = encoding.EncodingModel(dm.load_coils(root / "coils"), d.mask, None)
+    lam, prelim, _ = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
+                                         recon.SolverConfig(max_iters=2, rank=1))
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["lambda"] == lam
+    series = dm.load_series(tmp_path / "out")
+    want = prelim.series.data
+    np.testing.assert_allclose(series.data, want, atol=1e-6 * np.abs(want).max())

@@ -175,9 +175,9 @@ class TestForwardAdjoint:
         model = enc.EncodingModel(gt.coils, mask, gt.phase)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(model.n_voxels, model.n_columns)) * (1 + 0j)
-        np.testing.assert_array_equal(
+        np.testing.assert_allclose(
             enc.normal_matrix(model, x),
-            enc.adjoint_matrix(model, enc.forward_matrix(model, x)))
+            enc.adjoint_matrix(model, enc.forward_matrix(model, x)), rtol=1e-12)
 
     def test_dim_mismatch(self, small_phantom):
         cfg, gt = small_phantom
@@ -263,6 +263,82 @@ class TestCenteredDft:
             lhs = np.vdot(ax, y)
             rhs = np.vdot(x, enc.adjoint_matrix(model, y))
             assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+
+
+def dense_normal(model):
+    """A^H A built column by column from forward_matrix, acting on the
+    C-order flattening of an (M, N) matrix."""
+    shape = (model.n_voxels, model.n_columns)
+    eye = np.eye(shape[0] * shape[1], dtype=complex)
+    a = np.stack([enc.forward_matrix(model, e.reshape(shape)) for e in eye], axis=1)
+    return a.conj().T @ a
+
+
+def normal_case(name):
+    """Small models for the normal-operator tests: (model, rng)."""
+    labels = dm.make_labels([0, 500], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    nx, ny = {"even": (8, 8), "odd": (7, 9), "r1": (8, 8), "phase": (7, 8),
+              "lattice": (6, 16)}[name]
+    nz = 2
+    rng = np.random.default_rng(len(name) + nx * ny)
+    shape = (3, nx, ny, nz)
+    coils = dm.CoilMaps(rng.normal(size=shape) + 1j * rng.normal(size=shape),
+                        np.ones((nx, ny, nz)))
+    if name == "lattice":
+        mask = enc.make_sampling_mask(ny, nz, labels, R=4, seed=2,
+                                      scheme="lowres-lattice")
+    else:
+        kept = rng.random((ny, nz, len(labels))) < 0.4
+        kept[:, :, 0] = True        # fully kept b=0 column
+        kept[:, 0, 1] = True        # undersampled column with one full slice
+        kept[:, 1, 2] = False       # and one with an empty slice
+        if name == "r1":
+            kept[:] = True
+        mask = dm.SamplingMask(kept, 2.0, 0, labels)
+    phase = None
+    if name == "phase":
+        phase = dm.PhaseMap(np.exp(1j * rng.normal(size=(nx * ny * nz, len(labels)))))
+    return enc.EncodingModel(coils, mask, phase), rng
+
+
+NORMAL_CASES = ["even", "odd", "r1", "phase", "lattice"]
+
+
+class TestNormalOperator:
+    @pytest.mark.parametrize("name", NORMAL_CASES)
+    def test_matches_dense_normal_matrix(self, name):
+        model, rng = normal_case(name)
+        shape = (model.n_voxels, model.n_columns)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        want = (dense_normal(model) @ x.ravel()).reshape(shape)
+        got = enc.normal_matrix(model, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_full_sampling_is_coil_sum_of_squares(self):
+        model, rng = normal_case("r1")
+        assert model._part_cols.size == 0
+        shape = (model.n_voxels, model.n_columns)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        sos = (np.abs(model.coils.maps) ** 2).sum(axis=0).reshape(-1, order="F")
+        want = sos[:, None] * x
+        got = enc.normal_matrix(model, x)
+        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_mixed_mask_splits_columns(self):
+        model, _ = normal_case("even")
+        assert list(model._full_cols) == [0]
+        assert list(model._part_cols) == [1, 2, 3]
+        assert model._rows.shape[:3] == (3, 2, 8)     # one slice of column 1 is full
+
+    @pytest.mark.parametrize("name", NORMAL_CASES)
+    def test_hermitian_positive_semidefinite(self, name):
+        model, rng = normal_case(name)
+        shape = (model.n_voxels, model.n_columns)
+        for _ in range(3):
+            x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+            q = np.vdot(x, enc.normal_matrix(model, x))
+            assert abs(q.imag) <= 1e-12 * abs(q)
+            assert q.real >= 0
 
 
 class TestCoilMapEstimation:

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -163,8 +165,10 @@ class TestSelectLambda:
     def test_single_candidate_passthrough(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2)
-        lam, info = recon.select_lambda(d, model, [0.123], recon.SolverConfig(lam=0.0))
+        lam, result, info = recon.select_lambda(d, model, [0.123],
+                                                recon.SolverConfig(lam=0.0))
         assert lam == 0.123
+        assert result.report.lam == 0.123 and len(info["norms"]) == 1
 
     def test_empty_rejected(self, bench):
         cfg, gt, labels, kfull = bench
@@ -176,10 +180,20 @@ class TestSelectLambda:
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
         grid = recon.default_lambda_grid(d, model)
-        lam, info = recon.select_lambda(d, model, grid,
-                                        recon.SolverConfig(lam=0.0, max_iters=8))
+        lam, _, info = recon.select_lambda(d, model, grid,
+                                           recon.SolverConfig(lam=0.0, max_iters=8))
         norms = info["norms"]
         assert lam == grid[int(np.argmin(norms))]
+
+    def test_returns_the_winning_solve(self, bench):
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
+        grid = recon.default_lambda_grid(d, model)
+        scfg = recon.SolverConfig(lam=0.0, max_iters=4)
+        lam, result, _ = recon.select_lambda(d, model, grid, scfg)
+        fresh = recon.reconstruct_cs_only(d, model, replace(scfg, lam=lam))
+        np.testing.assert_array_equal(result.series.data, fresh.series.data)
+        assert result.report.to_json()["delta_u"] == fresh.report.to_json()["delta_u"]
 
 
 class TestExactRecovery:
@@ -410,3 +424,15 @@ class TestCg:
             return mat @ x
         x, its, res = recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-10, 100)
         assert np.linalg.norm(mat @ x - rhs) < 1e-8 * np.linalg.norm(rhs)
+
+    def test_inputs_not_modified(self):
+        rng = np.random.default_rng(2)
+        a = rng.normal(size=(10, 10))
+        mat = a @ a.T + np.eye(10)
+        rhs = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
+        x0 = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
+        rhs_before, x0_before = rhs.copy(), x0.copy()
+        x, its, _ = recon.cg_solve(lambda v: mat @ v, rhs, x0, 1e-10, 100)
+        assert its > 0 and x is not x0
+        np.testing.assert_array_equal(rhs, rhs_before)
+        np.testing.assert_array_equal(x0, x0_before)
