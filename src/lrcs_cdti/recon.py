@@ -81,6 +81,7 @@ class RunReport:
     alphas: list = field(default_factory=list)
     rhos: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
+    cg_residuals: list = field(default_factory=list)
     stop_reason: str = ""
     wall_time_s: float = 0.0
 
@@ -88,7 +89,8 @@ class RunReport:
         return {"method": self.method, "lambda": self.lam, "rank": self.rank,
                 "delta_u": self.delta_u, "feasibility": self.feasibility,
                 "alpha": self.alphas, "rho": self.rhos,
-                "cg_iterations": self.cg_iters, "stop_reason": self.stop_reason,
+                "cg_iterations": self.cg_iters, "cg_residual": self.cg_residuals,
+                "stop_reason": self.stop_reason,
                 "wall_time_s": self.wall_time_s}
 
 
@@ -180,9 +182,10 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
             return u @ v
 
     # U0: data-consistency-only solve
-    u, cg_it, _ = cg_solve(apply_data, a_star_d, np.zeros_like(a_star_d),
-                           cfg.cg_tol, cfg.cg_max_iters)
+    u, cg_it, cg_res = cg_solve(apply_data, a_star_d, np.zeros_like(a_star_d),
+                                cfg.cg_tol, cfg.cg_max_iters)
     report.cg_iters.append(cg_it)
+    report.cg_residuals.append(cg_res)
 
     if cfg.lam == 0.0:
         report.stop_reason = "pure least squares (lambda = 0)"
@@ -211,7 +214,8 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
             def apply_h(x, _rho=rho):
                 return apply_data(x) + (_rho / 2.0) * (x @ vvh)
 
-        u_next, cg_it, _ = cg_solve(apply_h, rhs, u, cfg.cg_tol, cfg.cg_max_iters)
+        u_next, cg_it, cg_res = cg_solve(apply_h, rhs, u, cfg.cg_tol,
+                                         cfg.cg_max_iters)
         if not np.isfinite(u_next).all():
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": k})
@@ -224,6 +228,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.alphas.append(alpha)
         report.rhos.append(rho)
         report.cg_iters.append(cg_it)
+        report.cg_residuals.append(cg_res)
         alpha /= cfg.alpha_decay
         if delta <= cfg.tol:
             report.stop_reason = f"delta_u <= tol at iteration {k + 1}"

@@ -88,10 +88,14 @@ def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccRe
             (a * ms_c) ** 2 / (k - 1) + (b * ms_e) ** 2 / ((n - 1) * (k - 1)))
         f_l = f_dist.ppf(1 - alpha / 2, n - 1, v)
         f_u = f_dist.ppf(1 - alpha / 2, v, n - 1)
-        ci_low = (n * (ms_r - f_l * ms_e)
-                  / (f_l * (k * ms_c + (k * n - k - n) * ms_e) + n * ms_r))
-        ci_high = (n * (f_u * ms_r - ms_e)
-                   / (k * ms_c + (k * n - k - n) * ms_e + n * f_u * ms_r))
+        spread = k * ms_c + (k * n - k - n) * ms_e
+        if np.isinf(f_l):
+            # a tiny Satterthwaite df v puts the quantile at infinity:
+            # take the f_l -> inf limit of the bound
+            ci_low = -n * ms_e / spread
+        else:
+            ci_low = n * (ms_r - f_l * ms_e) / (f_l * spread + n * ms_r)
+        ci_high = n * (f_u * ms_r - ms_e) / (spread + n * f_u * ms_r)
     return IccResult(float(r), icc_band(float(r)), float(ci_low), float(ci_high))
 
 

@@ -323,6 +323,8 @@ class TestAdmmBehavior:
         assert len(rep["delta_u"]) == len(rep["alpha"]) == len(rep["rho"]) == 5
         assert rep["wall_time_s"] > 0
         assert all(r == pytest.approx(lam / a) for r, a in zip(rep["rho"], rep["alpha"]))
+        assert len(rep["cg_residual"]) == len(rep["cg_iterations"]) == 6
+        assert all(np.isfinite(r) and r >= 0 for r in rep["cg_residual"])
 
 
 class TestLowResPhase:

@@ -1,4 +1,5 @@
 import itertools
+import warnings
 
 import numpy as np
 import pytest
@@ -35,8 +36,9 @@ class TestNormalizedBias:
         assert a == pytest.approx(b, rel=1e-9, abs=1e-12)
 
 
-def icc_oracle(data):
-    """Brute-force two-way ANOVA sums with explicit loops."""
+def anova_mean_squares(data):
+    """Brute-force two-way ANOVA mean squares (rows, columns, error) with
+    explicit loops."""
     n, k = data.shape
     grand = sum(data[i][j] for i in range(n) for j in range(k)) / (n * k)
     row_means = [sum(data[i]) / k for i in range(n)]
@@ -48,6 +50,12 @@ def icc_oracle(data):
     ms_r = ss_rows / (n - 1)
     ms_c = ss_cols / (k - 1)
     ms_e = ss_err / ((n - 1) * (k - 1))
+    return ms_r, ms_c, ms_e
+
+
+def icc_oracle(data):
+    n, k = data.shape
+    ms_r, ms_c, ms_e = anova_mean_squares(data)
     return (ms_r - ms_e) / (ms_r + (k - 1) * ms_e + k / n * (ms_c - ms_e))
 
 
@@ -98,6 +106,21 @@ class TestIcc:
         data = np.column_stack([subj, subj + rng.normal(scale=0.2, size=8)])
         res = stats.icc_absolute_agreement(data)
         assert res.ci_low <= res.r <= res.ci_high
+
+    def test_tiny_df_lower_bound_takes_the_limit(self):
+        # r = -0.131 and Satterthwaite df v = 0.0062: the lower F quantile
+        # is infinite, so the bound is the f -> inf limit of its formula
+        data = np.array([[0.60558868, -1.52006865],
+                         [0.44851725, -0.97493119],
+                         [-0.12689184, -0.73482883]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = stats.icc_absolute_agreement(data)
+        n, k = data.shape
+        _, ms_c, ms_e = anova_mean_squares(data)
+        limit = -n * ms_e / (k * ms_c + (k * n - k - n) * ms_e)
+        assert res.ci_low == pytest.approx(limit, rel=1e-12)
+        assert np.isfinite(res.ci_high)
 
     @given(st.integers(0, 2 ** 31 - 1), st.floats(0.1, 5), st.floats(-3, 3))
     @settings(max_examples=40, deadline=None)

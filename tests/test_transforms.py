@@ -26,6 +26,34 @@ def reference_analysis_1d(x, h, g):
     return out
 
 
+def reference_series_forward(matrix, dims, levels=4):
+    """Multi-level transform of each column with explicit loops: per
+    level, per active axis and per line of the low-corner block, the
+    single-level reference above."""
+    depth = []
+    for n in dims:
+        d = 0
+        while d < levels and n % 2 == 0:
+            n //= 2
+            d += 1
+        depth.append(d)
+    cols = []
+    for col in np.asarray(matrix).T:
+        vol = col.reshape(dims, order="F").astype(complex)
+        cur = list(dims)
+        for level in range(max(depth)):
+            active = [ax for ax in range(3) if level < depth[ax]]
+            for ax in active:
+                lines = np.moveaxis(vol[:cur[0], :cur[1], :cur[2]], ax, -1)
+                for idx in np.ndindex(lines.shape[:-1]):
+                    lines[idx] = reference_analysis_1d(lines[idx].copy(),
+                                                       tr.SYM4_DEC_LO, tr.SYM4_DEC_HI)
+            for ax in active:
+                cur[ax] //= 2
+        cols.append(vol.ravel(order="F"))
+    return np.stack(cols, axis=1)
+
+
 class TestWavelet:
     def test_filter_table_orthonormal(self):
         h = tr.SYM4_DEC_LO
@@ -91,6 +119,72 @@ class TestWavelet:
         w = tr.series_forward(x, spec)
         back = tr.series_adjoint(w, spec)
         assert np.linalg.norm(back - x) < 1e-12 * np.linalg.norm(x)
+
+
+class TestFilterBank:
+    def series(self, dims, k=3, complex_=True):
+        m = int(np.prod(dims))
+        x = RNG.normal(size=(m, k))
+        return x + 1j * RNG.normal(size=(m, k)) if complex_ else x
+
+    @pytest.mark.parametrize("complex_", [True, False])
+    @pytest.mark.parametrize("dims", [(16, 8, 4), (12, 6, 3), (8, 2, 1), (4, 4, 2)])
+    def test_matches_loop_reference(self, dims, complex_):
+        # (8, 2, 1) and (4, 4, 2) have axes of extent 2 and 4, where the
+        # 8-tap filter wraps around the axis more than once
+        x = self.series(dims, complex_=complex_)
+        mine = tr.series_forward(x, tr.WaveletSpec(dims=dims))
+        ref = reference_series_forward(x, dims)
+        np.testing.assert_allclose(mine, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+    def test_real_input_returns_float64(self):
+        spec = tr.WaveletSpec(dims=(8, 4, 2))
+        x = self.series(spec.dims, complex_=False).astype(np.float32)
+        assert tr.series_forward(x, spec).dtype == np.float64
+        assert tr.series_adjoint(x, spec).dtype == np.float64
+        assert tr.wavelet_forward(x[:, 0].reshape(spec.dims, order="F"),
+                                  spec).dtype == np.float64
+
+    def test_column_equals_volume_transform(self):
+        spec = tr.WaveletSpec(dims=(16, 8, 4))
+        x = self.series(spec.dims, k=4)
+        w = tr.series_forward(x, spec)
+        for k in range(x.shape[1]):
+            vol = tr.wavelet_forward(x[:, k].reshape(spec.dims, order="F"), spec)
+            np.testing.assert_allclose(w[:, k], vol.ravel(order="F"),
+                                       rtol=0, atol=1e-13 * np.abs(vol).max())
+
+    @pytest.mark.parametrize("fn", [tr.series_forward, tr.series_adjoint])
+    def test_non_contiguous_input(self, fn):
+        spec = tr.WaveletSpec(dims=(16, 8, 4))
+        big = self.series(spec.dims, k=6)
+        strided = big[:, ::2]
+        expected = fn(np.ascontiguousarray(strided), spec)
+        np.testing.assert_array_equal(fn(strided, spec), expected)
+        np.testing.assert_array_equal(fn(np.asfortranarray(strided), spec), expected)
+
+    @pytest.mark.parametrize("fn", [tr.series_forward, tr.series_adjoint])
+    def test_input_not_modified(self, fn):
+        spec = tr.WaveletSpec(dims=(16, 8, 4))
+        x = self.series(spec.dims)
+        before = x.copy()
+        fn(x, spec)
+        np.testing.assert_array_equal(x, before)
+
+    def test_series_adjoint_dot_product(self):
+        spec = tr.WaveletSpec(dims=(12, 6, 3))
+        x = self.series(spec.dims, k=5)
+        y = self.series(spec.dims, k=5)
+        lhs = np.vdot(tr.series_forward(x, spec), y)
+        rhs = np.vdot(x, tr.series_adjoint(y, spec))
+        assert abs(lhs - rhs) < 1e-12 * abs(lhs)
+
+    @pytest.mark.parametrize("fn", [tr.series_forward, tr.series_adjoint])
+    @pytest.mark.parametrize("shape", [(256, 4), (512,), (512, 2, 2)])
+    def test_wrong_shape_rejected(self, fn, shape):
+        spec = tr.WaveletSpec(dims=(16, 16, 2))
+        with pytest.raises(ValidationError, match="512 rows"):
+            fn(np.ones(shape), spec)
 
 
 class TestGroupNorm:
