@@ -291,8 +291,16 @@ def write_container(path, arrays: dict[str, np.ndarray], metadata: dict | None =
                                       encoding="utf-8")
 
 
-def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
-    """Read a container directory; validates payload sizes against the header."""
+def read_container(path, names: Sequence[str] | None = None,
+                   kind: str | None = None) -> tuple[dict[str, np.ndarray], dict]:
+    """Read a container directory; validates payload sizes against the header.
+
+    ``names`` selects the arrays to read (default: every array); the
+    payloads of the others are not opened.  ``kind``, when given, must
+    equal the header's metadata ``kind``: every typed loader passes its
+    own, so a container of another kind fails with a named error before
+    any payload is read.
+    """
     path = Path(path)
     header_path = path / "header.json"
     if not header_path.is_file():
@@ -303,8 +311,17 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
         raise ValidationError(f"malformed header {header_path}: {exc}") from exc
     if header.get("format") != CONTAINER_FORMAT:
         raise ValidationError(f"{header_path}: not a {CONTAINER_FORMAT} header")
+    metadata = header.get("metadata", {})
+    if kind is not None and metadata.get("kind") != kind:
+        raise ValidationError(
+            f"{path}: container kind is {metadata.get('kind')!r}, "
+            f"expected {kind!r}")
+    entries = header.get("arrays", {})
     arrays = {}
-    for name, entry in header.get("arrays", {}).items():
+    for name in entries if names is None else names:
+        if name not in entries:
+            raise ValidationError(f"{path}: no '{name}' array in container")
+        entry = entries[name]
         dtype_name = entry["dtype"]
         if dtype_name not in _DTYPES:
             raise ValidationError(f"array '{name}': unsupported dtype {dtype_name}")
@@ -317,7 +334,7 @@ def read_container(path) -> tuple[dict[str, np.ndarray], dict]:
                 f"array '{name}': payload length mismatch "
                 f"(expected {expected} bytes, found {len(raw)})")
         arrays[name] = np.frombuffer(raw, dtype=dtype).reshape(dims, order="F")
-    return arrays, header.get("metadata", {})
+    return arrays, metadata
 
 
 def _to_storage_complex(arr: np.ndarray) -> np.ndarray:
@@ -332,7 +349,7 @@ def save_series(path, series: CasoratiSeries) -> None:
 
 
 def load_series(path) -> CasoratiSeries:
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, kind="casorati_series")
     return CasoratiSeries(arrays["data"].astype(np.complex128),
                           tuple(meta["spatial_dims"]),
                           _labels_from_json(meta["column_labels"]))
@@ -348,7 +365,7 @@ def save_mask(path, mask: SamplingMask) -> None:
 
 
 def load_mask(path) -> SamplingMask:
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, kind="sampling_mask")
     return SamplingMask(arrays["kept"], float(meta["R_nominal"]), int(meta["seed"]),
                         _labels_from_json(meta["column_labels"]))
 
@@ -361,7 +378,7 @@ def save_phase(path, phase: PhaseMap) -> None:
 
 
 def load_phase(path) -> PhaseMap:
-    arrays, _ = read_container(path)
+    arrays, _ = read_container(path, kind="phase_map")
     return PhaseMap(arrays["real"].astype(np.float64)
                     + 1j * arrays["imag"].astype(np.float64))
 
@@ -373,6 +390,6 @@ def save_coils(path, coils: CoilMaps) -> None:
 
 
 def load_coils(path) -> CoilMaps:
-    arrays, _ = read_container(path)
+    arrays, _ = read_container(path, kind="coil_maps")
     return CoilMaps(arrays["maps"].astype(np.complex128),
                     arrays["normalization"].astype(np.float64))

@@ -11,7 +11,10 @@ circumferential) in (-90, 90] degrees.
 Helix angle transmurality (HAT) is the ordinary least-squares slope of
 HA versus transmural depth (0% endo to 100% epi), sampled along 25
 equally spaced transmural rays per slice at sub-voxel steps; the global
-value averages per-slice means.
+value averages per-slice means.  The rays of a slice are one batch: an
+(n_rays, n_samples) grid of sample positions, one interpolation call
+over the wall samples, and each ray's OLS as segment sums (``bincount``
+with weights) over its samples, so no Python loop runs per ray.
 """
 
 from __future__ import annotations
@@ -78,13 +81,15 @@ def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
 
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
-    mag = np.abs(series.data)[mask.ravel(order="F")]
+    mag = np.abs(series.data[mask.ravel(order="F")])
     mag = np.maximum(mag, np.finfo(np.float64).eps)
     logs = np.log(mag)
     weights = mag ** 2
 
-    lhs = np.einsum("nk,vn,nl->vkl", design, weights, design)
-    rhs = np.einsum("nk,vn,vn->vk", design, weights, logs)
+    # normal equations as two GEMMs: row n of ``outer`` is d_n d_n^T
+    outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), 49)
+    lhs = (weights @ outer).reshape(-1, 7, 7)
+    rhs = (weights * logs) @ design
     theta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
 
     s0_v = np.exp(theta[:, 0])
@@ -227,58 +232,64 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None,
     first masked sample) to the epicardial boundary (100%, half a step
     after the last); anchoring the scale at the mask transitions keeps
     the voxelization error zero-mean.  Rays meeting fewer than 3
-    distinct masked voxels are skipped.
+    distinct masked voxels are skipped.  The regression prefers samples
+    whose interpolation weight falls wholly on masked voxels with a
+    finite HA; a ray with fewer than 3 of them falls back to every
+    sample with a finite value, and a ray with fewer than 3 of those is
+    skipped.
+
+    Each slice is one batch: the samples of all rays form an
+    (n_rays, n_samples) grid, so the distinct-voxel count is a row-wise
+    sort of voxel ids, the interpolation is one call over the wall
+    samples of the rays that pass, and each ray's two-pass OLS (means,
+    then centered sums) is a set of segment sums over its samples.
     """
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
     centers = _resolve_centers(lv_center, mask)
     angles = 2 * np.pi * np.arange(n_rays) / n_rays
+    cos_t, sin_t = np.cos(angles)[:, None], np.sin(angles)[:, None]
     slopes = np.full((nz, n_rays), np.nan)
     r2s = np.full((nz, n_rays), np.nan)
-    skipped = 0
     r_max = float(np.hypot(nx, ny))
     radii = np.arange(0.0, r_max, step)
     for z in range(nz):
         if not mask[:, :, z].any() or not np.isfinite(centers[z]).all():
-            skipped += n_rays
             continue
         cx, cy = centers[z]
-        for j, theta in enumerate(angles):
-            px = cx + radii * np.cos(theta)
-            py = cy + radii * np.sin(theta)
-            inb = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
-            px, py = px[inb], py[inb]
-            ix = np.rint(px).astype(int)
-            iy = np.rint(py).astype(int)
-            hit = mask[ix, iy, z]
-            if not hit.any():
-                skipped += 1
-                continue
-            sel = np.flatnonzero(hit)
-            first, last = sel[0], sel[-1]
-            if last == first:
-                skipped += 1
-                continue
-            if len(set(zip(ix[sel].tolist(), iy[sel].tolist()))) < 3:
-                skipped += 1
-                continue
-            r_sel = radii[inb][sel]
-            r_endo = r_sel[0] - step / 2.0
-            r_epi = r_sel[-1] + step / 2.0
-            td = 100.0 * (r_sel - r_endo) / (r_epi - r_endo)
-            values, coverage = _masked_bilinear(ha_map[:, :, z], mask[:, :, z],
-                                                px[sel], py[sel])
-            # prefer samples fully inside the wall; edge-only rays fall
-            # back to partially covered samples
-            ok = np.isfinite(values) & (coverage > 1.0 - 1e-9)
-            if np.count_nonzero(ok) < 3:
-                ok = np.isfinite(values)
-            if np.count_nonzero(ok) < 3:
-                skipped += 1
-                continue
-            slope, r2 = _ols_slope(td[ok], values[ok])
-            slopes[z, j] = slope
-            r2s[z, j] = r2
+        # a sample a step beyond the farthest image corner is outside
+        reach = np.hypot(max(cx, nx - 1 - cx), max(cy, ny - 1 - cy)) + step
+        r = radii[:np.searchsorted(radii, reach)]
+        px = cx + r * cos_t                         # (n_rays, n_samples)
+        py = cy + r * sin_t
+        inb = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
+        ix = np.where(inb, np.rint(px), 0).astype(int)
+        iy = np.where(inb, np.rint(py), 0).astype(int)
+        hit = inb & mask[ix, iy, z]
+        voxel = np.sort(np.where(hit, ix * ny + iy, -1), axis=1)
+        new = voxel >= 0
+        new[:, 1:] &= voxel[:, 1:] != voxel[:, :-1]
+        rays = np.flatnonzero(np.count_nonzero(new, axis=1) >= 3)
+        if not rays.size:
+            continue
+        hit = hit[rays]
+        first = np.argmax(hit, axis=1)
+        last = hit.shape[1] - 1 - np.argmax(hit[:, ::-1], axis=1)
+        r_endo = r[first] - step / 2.0
+        r_epi = r[last] + step / 2.0
+        seg, col = np.nonzero(hit)                 # samples grouped by ray
+        td = 100.0 * (r[col] - r_endo[seg]) / (r_epi[seg] - r_endo[seg])
+        values, coverage = _masked_bilinear(ha_map[:, :, z], mask[:, :, z],
+                                            px[rays[seg], col], py[rays[seg], col])
+        finite = np.isfinite(values)
+        full = finite & (coverage > 1.0 - 1e-9)
+        n_full = np.bincount(seg[full], minlength=rays.size)
+        ok = np.where((n_full >= 3)[seg], full, finite)
+        slope, r2 = _segment_ols(seg[ok], td[ok], values[ok], rays.size)
+        fitted = np.bincount(seg[ok], minlength=rays.size) >= 3
+        slopes[z, rays[fitted]] = slope[fitted]
+        r2s[z, rays[fitted]] = r2[fitted]
+    skipped = int(np.count_nonzero(np.isnan(slopes)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
         per_slice = np.nanmean(slopes, axis=1)
@@ -314,14 +325,26 @@ def _masked_bilinear(plane: np.ndarray, mask: np.ndarray,
     return values, wsum
 
 
-def _ols_slope(x: np.ndarray, y: np.ndarray) -> tuple[float, float]:
-    xm = x - x.mean()
-    ym = y - y.mean()
-    sxx = (xm * xm).sum()
-    slope = float((xm * ym).sum() / sxx) if sxx > 0 else 0.0
-    ss_res = float(((ym - slope * xm) ** 2).sum())
-    ss_tot = float((ym * ym).sum())
-    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+def _segment_ols(seg: np.ndarray, x: np.ndarray, y: np.ndarray,
+                 n_seg: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two-pass OLS slope and r^2 of y on x per segment id ``seg``.
+
+    A segment with zero spread in x has slope 0; with zero spread in y,
+    r^2 is 1 for an exact fit and 0 otherwise.
+    """
+    def total(w):
+        return np.bincount(seg, weights=w, minlength=n_seg)
+
+    with np.errstate(divide="ignore", invalid="ignore"):
+        count = total(None)
+        xm = x - (total(x) / count)[seg]
+        ym = y - (total(y) / count)[seg]
+        sxx = total(xm * xm)
+        slope = np.where(sxx > 0, total(xm * ym) / sxx, 0.0)
+        ss_res = total((ym - slope[seg] * xm) ** 2)
+        ss_tot = total(ym * ym)
+        r2 = np.where(ss_tot > 0, 1.0 - ss_res / ss_tot,
+                      np.where(ss_res == 0, 1.0, 0.0))
     return slope, r2
 
 
@@ -440,6 +463,6 @@ def save_tensors(path, field: TensorField) -> None:
 
 def load_tensors(path) -> TensorField:
     from .datamodel import read_container
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, kind="tensor_field")
     return TensorField(arrays["mask"], arrays["tensors"], arrays["s0"],
                        arrays["evals"], arrays["e1"], int(meta["n_clamped"]))

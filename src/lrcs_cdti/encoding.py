@@ -447,7 +447,7 @@ def save_kspace(path, d: KSpaceData) -> None:
 
 def load_kspace(path) -> KSpaceData:
     from .datamodel import _labels_from_json, read_container
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, kind="kspace")
     mask = SamplingMask(arrays["kept"], float(meta["R_nominal"]), int(meta["seed"]),
                         _labels_from_json(meta["column_labels"]))
     return KSpaceData(arrays["samples"].astype(np.complex128), mask,

@@ -310,7 +310,7 @@ def save_ground_truth(path, gt: GroundTruth) -> None:
 
 def load_ground_truth(path) -> GroundTruth:
     from .datamodel import _labels_from_json, read_container
-    arrays, meta = read_container(path)
+    arrays, meta = read_container(path, kind="ground_truth")
     cfg = PhantomConfig.from_json(meta["config"])
     labels = _labels_from_json(meta["column_labels"])
     dims = tuple(meta["spatial_dims"])

@@ -5,7 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrcs_cdti import cli, encoding, recon
+from lrcs_cdti import cli, dti, encoding, recon
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import phantom as ph
 
@@ -97,3 +97,47 @@ def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
     series = dm.load_series(tmp_path / "out")
     want = prelim.series.data
     np.testing.assert_allclose(series.data, want, atol=1e-6 * np.abs(want).max())
+
+
+@pytest.fixture(scope="module")
+def ground_truth(tmp_path_factory):
+    root = tmp_path_factory.mktemp("phantom")
+    params = root / "params.json"
+    params.write_text(json.dumps({"grid": [16, 16, 3], "r_endo": 3, "r_epi": 6,
+                                  "n_coils": 2, "seed": 1}))
+    assert cli.main(["phantom", "--params", str(params),
+                     "--out", str(root / "gt"), *FLAGS]) == 0
+    return root / "gt"
+
+
+@pytest.mark.parametrize("command, found, expected", [
+    (["fit", "--series", "{gt}", "--mask", "{gt}"], "ground_truth", "casorati_series"),
+    (["metrics", "--tensors", "{gt}"], "ground_truth", "tensor_field")])
+def test_wrong_container_kind_is_a_named_error(ground_truth, tmp_path, capsys,
+                                               command, found, expected):
+    argv = [a.format(gt=ground_truth) for a in command]
+    assert cli.main([*argv, "--out", str(tmp_path / "out"), *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{argv[0]}]: ")
+    assert str(ground_truth) in err
+    assert repr(found) in err and repr(expected) in err
+    assert "Traceback" not in err
+
+
+def test_fit_takes_the_mask_of_a_ground_truth(ground_truth, tmp_path):
+    gt = ph.load_ground_truth(ground_truth)
+    dm.save_series(tmp_path / "series", gt.clean_series)
+    assert cli.main(["fit", "--series", str(tmp_path / "series"),
+                     "--mask", str(ground_truth), "--out", str(tmp_path / "t"),
+                     *FLAGS]) == 0
+    field = dti.load_tensors(tmp_path / "t")
+    np.testing.assert_array_equal(field.mask, gt.myocardium_mask)
+
+
+def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
+    gt = ph.load_ground_truth(ground_truth)
+    dm.save_series(tmp_path / "series", gt.clean_series)
+    assert cli.main(["fit", "--series", str(tmp_path / "series"),
+                     "--mask", str(tmp_path / "series"), "--out", str(tmp_path / "t"),
+                     *FLAGS]) == 1
+    assert "no 'mask' array" in capsys.readouterr().err

@@ -149,6 +149,53 @@ class TestContainer:
         assert back.R_nominal == 2.0
         assert np.array_equal(back.kept, mask.kept)
 
+    def test_read_selected_names_only(self, tmp_path):
+        dm.write_container(tmp_path / "c", {"mask": np.ones((2, 3), bool),
+                                            "big": np.zeros((4, 4))},
+                           {"kind": "ground_truth"})
+        arrays, meta = dm.read_container(tmp_path / "c", names=("mask",))
+        assert list(arrays) == ["mask"]
+        assert arrays["mask"].all() and arrays["mask"].shape == (2, 3)
+        assert meta["kind"] == "ground_truth"
+
+    def test_selected_truncated_payload_raises(self, tmp_path):
+        dm.write_container(tmp_path / "c", {"mask": np.ones(8, bool),
+                                            "big": np.zeros(4)})
+        f = tmp_path / "c" / "mask.bin"
+        f.write_bytes(f.read_bytes()[:-1])
+        with pytest.raises(ValidationError, match="'mask': payload length mismatch"):
+            dm.read_container(tmp_path / "c", names=("mask",))
+
+    def test_unselected_payload_is_not_read(self, tmp_path):
+        dm.write_container(tmp_path / "c", {"mask": np.ones(8, bool),
+                                            "big": np.zeros(4)})
+        f = tmp_path / "c" / "big.bin"
+        f.write_bytes(f.read_bytes()[:-3])
+        arrays, _ = dm.read_container(tmp_path / "c", names=("mask",))
+        assert list(arrays) == ["mask"]
+        with pytest.raises(ValidationError, match="payload length mismatch"):
+            dm.read_container(tmp_path / "c")
+
+    def test_missing_selected_name(self, tmp_path):
+        dm.write_container(tmp_path / "c", {"x": np.zeros(2)})
+        with pytest.raises(ValidationError, match="no 'mask' array"):
+            dm.read_container(tmp_path / "c", names=("mask",))
+
+    def test_wrong_kind_names_both_kinds(self, tmp_path):
+        dm.save_phase(tmp_path / "p", dm.PhaseMap(np.ones((2, 3), complex)))
+        with pytest.raises(ValidationError,
+                           match="kind is 'phase_map', expected 'casorati_series'"):
+            dm.load_series(tmp_path / "p")
+        from lrcs_cdti import dti, encoding, phantom
+        for load in (dm.load_mask, dm.load_coils, encoding.load_kspace,
+                     dti.load_tensors, phantom.load_ground_truth):
+            with pytest.raises(ValidationError, match="'phase_map', expected"):
+                load(tmp_path / "p")
+        dm.save_mask(tmp_path / "m", dm.SamplingMask(
+            np.ones((8, 1, 4), bool), 1.0, 0, simple_labels()))
+        with pytest.raises(ValidationError, match="'sampling_mask', expected 'phase_map'"):
+            dm.load_phase(tmp_path / "m")
+
     def test_malformed_header(self, tmp_path):
         (tmp_path / "c").mkdir()
         (tmp_path / "c" / "header.json").write_text("{nope")

@@ -83,6 +83,37 @@ class TestFitTensors:
         assert rel[mask].max() < 1e-9
 
 
+    @pytest.mark.parametrize("n_averages", [1, 2])
+    def test_matches_einsum_normal_equations(self, truth, n_averages):
+        # a noisy phantom series; two averages repeat every design row
+        cfg, gt = truth
+        clean = gt.clean_series.data
+        n_b0 = int(gt.clean_series.b0_columns.sum())
+        data = np.hstack([clean[:, :n_b0]] * n_averages
+                         + [clean[:, n_b0:]] * n_averages)
+        rng = np.random.default_rng(n_averages)
+        sigma = 0.05 * np.abs(clean).max()
+        data = data + sigma * (rng.normal(size=data.shape)
+                               + 1j * rng.normal(size=data.shape))
+        labels = dm.make_labels(cfg.b_values, cfg.directions, n_averages=n_averages)
+        mask = gt.myocardium_mask
+        field = dti.fit_tensors(dm.CasoratiSeries(data, cfg.grid, labels), mask)
+
+        design = dti.design_matrix(labels)
+        mag = np.maximum(np.abs(data[mask.ravel(order="F")]), np.finfo(float).eps)
+        w = mag ** 2
+        lhs = np.einsum("nk,vn,nl->vkl", design, w, design)
+        rhs = np.einsum("nk,vn,vn->vk", design, w, np.log(mag))
+        theta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        voxels = mask.ravel(order="F")
+        s0 = field.s0.ravel(order="F")[voxels]
+        tensors = field.tensors.reshape((-1, 3, 3), order="F")[voxels]
+        np.testing.assert_allclose(s0, np.exp(theta[:, 0]), rtol=1e-12)
+        np.testing.assert_allclose(
+            tensors[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]], theta[:, 1:],
+            rtol=1e-12, atol=1e-12 * np.abs(theta[:, 1:]).max())
+
+
 class TestScalarMetrics:
     def test_stick_tensor(self):
         evals = np.zeros((1, 1, 1, 3))
@@ -220,6 +251,157 @@ class TestComputeHat:
         res = dti.compute_hat(ha, mask, lv_center=(8.0, 8.0))
         assert res.n_skipped == 25
         assert np.isnan(res.ray_slopes).all()
+
+
+def reference_compute_hat(ha_map, mask, lv_center=None, n_rays=25, step=0.1):
+    """Loop oracle: one ray at a time, the documented sampling rule
+    written out (the per-ray implementation the batched one replaced)."""
+    mask = np.asarray(mask, dtype=bool)
+    nx, ny, nz = mask.shape
+    centers = dti._resolve_centers(lv_center, mask)
+    angles = 2 * np.pi * np.arange(n_rays) / n_rays
+    slopes = np.full((nz, n_rays), np.nan)
+    r2s = np.full((nz, n_rays), np.nan)
+    skipped = 0
+    radii = np.arange(0.0, float(np.hypot(nx, ny)), step)
+    for z in range(nz):
+        if not mask[:, :, z].any() or not np.isfinite(centers[z]).all():
+            skipped += n_rays
+            continue
+        cx, cy = centers[z]
+        for j, theta in enumerate(angles):
+            px = cx + radii * np.cos(theta)
+            py = cy + radii * np.sin(theta)
+            inb = (px >= 0) & (px <= nx - 1) & (py >= 0) & (py <= ny - 1)
+            px, py = px[inb], py[inb]
+            ix = np.rint(px).astype(int)
+            iy = np.rint(py).astype(int)
+            sel = np.flatnonzero(mask[ix, iy, z])
+            if sel.size < 2 or len(set(zip(ix[sel].tolist(), iy[sel].tolist()))) < 3:
+                skipped += 1
+                continue
+            r_sel = radii[inb][sel]
+            r_endo = r_sel[0] - step / 2.0
+            r_epi = r_sel[-1] + step / 2.0
+            td = 100.0 * (r_sel - r_endo) / (r_epi - r_endo)
+            values, coverage = dti._masked_bilinear(ha_map[:, :, z], mask[:, :, z],
+                                                    px[sel], py[sel])
+            ok = np.isfinite(values) & (coverage > 1.0 - 1e-9)
+            if np.count_nonzero(ok) < 3:
+                ok = np.isfinite(values)
+            if np.count_nonzero(ok) < 3:
+                skipped += 1
+                continue
+            slopes[z, j], r2s[z, j] = reference_ols_slope(td[ok], values[ok])
+    return slopes, r2s, skipped
+
+
+def reference_ols_slope(x, y):
+    xm = x - x.mean()
+    ym = y - y.mean()
+    sxx = (xm * xm).sum()
+    slope = float((xm * ym).sum() / sxx) if sxx > 0 else 0.0
+    ss_res = float(((ym - slope * xm) ** 2).sum())
+    ss_tot = float((ym * ym).sum())
+    r2 = 1.0 - ss_res / ss_tot if ss_tot > 0 else (1.0 if ss_res == 0 else 0.0)
+    return slope, r2
+
+
+def assert_hat_matches_loop(ha_map, mask, **kwargs):
+    res = dti.compute_hat(ha_map, mask, **kwargs)
+    slopes, r2s, skipped = reference_compute_hat(ha_map, mask, **kwargs)
+    assert res.n_skipped == skipped
+    np.testing.assert_array_equal(np.isnan(res.ray_slopes), np.isnan(slopes))
+    np.testing.assert_array_equal(np.isnan(res.ray_r2), np.isnan(r2s))
+    np.testing.assert_allclose(res.ray_slopes, slopes, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(res.ray_r2, r2s, rtol=1e-12, atol=0)
+    return res
+
+
+@pytest.fixture(scope="module")
+def noisy_ha(truth):
+    """HA of a noisy fit of the phantom, with NaN holes in the wall."""
+    cfg, gt = truth
+    rng = np.random.default_rng(5)
+    data = gt.clean_series.data
+    sigma = 0.05 * np.abs(data).max()
+    noisy = gt.clean_series.with_data(
+        data + sigma * (rng.normal(size=data.shape) + 1j * rng.normal(size=data.shape)))
+    ha = dti.helix_angle(dti.fit_tensors(noisy, gt.myocardium_mask))
+    ha[gt.myocardium_mask & (rng.random(ha.shape) < 0.1)] = np.nan
+    return ha
+
+
+class TestHatAgainstLoop:
+    def test_phantom_with_center(self, truth):
+        cfg, gt = truth
+        res = assert_hat_matches_loop(gt.ha_map, gt.myocardium_mask,
+                                      lv_center=cfg.center)
+        assert res.n_skipped == 0
+
+    def test_phantom_mask_centroid(self, truth):
+        cfg, gt = truth
+        assert_hat_matches_loop(gt.ha_map, gt.myocardium_mask)
+
+    def test_noisy_fit_with_holes(self, truth, noisy_ha):
+        cfg, gt = truth
+        res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask)
+        assert np.isfinite(res.ray_slopes).all()
+
+    def test_coarse_step_fewer_rays(self, truth, noisy_ha):
+        cfg, gt = truth
+        res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask,
+                                      lv_center=cfg.center, step=0.25, n_rays=16)
+        assert res.ray_slopes.shape == (cfg.grid[2], 16)
+
+    def test_partly_covered_ray_falls_back(self):
+        # a one-voxel bar below the ray: every wall sample has weight on
+        # the unmasked row y=5, so only the fallback branch can fit ray 0
+        nx, ny = 32, 9
+        mask = np.zeros((nx, ny, 1), bool)
+        mask[4:25, 4, 0] = True
+        ha = np.where(mask, 10.0 - 0.9 * np.arange(nx)[:, None, None], np.nan)
+        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.3))
+        x0 = np.arange(0.0, np.hypot(nx, ny), 0.1) + 2.25
+        cov = dti._masked_bilinear(ha[:, :, 0], mask[:, :, 0], x0[x0 <= nx - 1],
+                                   np.full((x0 <= nx - 1).sum(), 4.3))[1]
+        assert (cov < 1.0 - 1e-9).all()
+        assert np.isfinite(res.ray_slopes[0, 0])
+
+    def test_two_finite_samples_skip_the_ray(self):
+        # HA is finite only at x=10, so at step 0.9 two samples of ray 0
+        # (x=9.45, 10.35) carry a value: too few for a fit
+        nx, ny = 32, 9
+        mask = np.zeros((nx, ny, 1), bool)
+        mask[4:25, 4, 0] = True
+        ha = np.full((nx, ny, 1), np.nan)
+        ha[10, 4, 0] = 5.0
+        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.0), step=0.9)
+        assert np.isnan(res.ray_slopes[0, 0])
+
+    def test_mask_filling_the_image(self):
+        # every ray leaves the image inside the wall, and voxel (0, 0) is
+        # masked: samples outside the image must not count as hits
+        mask = np.ones((9, 7, 2), bool)
+        ha = np.where(mask, np.add.outer(np.arange(9.0), np.arange(7.0))[..., None],
+                      np.nan)
+        res = assert_hat_matches_loop(ha, mask, lv_center=(5.2, 2.9))
+        assert res.n_skipped == 0
+
+    def test_empty_slice_skips_every_ray(self, truth):
+        cfg, gt = truth
+        mask = gt.myocardium_mask.copy()
+        mask[:, :, 1] = False
+        res = assert_hat_matches_loop(gt.ha_map, mask, lv_center=cfg.center)
+        assert res.n_skipped == 25
+        assert np.isnan(res.ray_slopes[1]).all()
+
+    def test_thin_mask(self):
+        mask = np.zeros((16, 16, 1), bool)
+        mask[10, 8, 0] = True
+        res = assert_hat_matches_loop(np.where(mask, 1.0, np.nan), mask,
+                                      lv_center=(8.0, 8.0))
+        assert res.n_skipped == 25
 
 
 class TestAha16:
