@@ -7,8 +7,11 @@ Conventions fixed here and relied on everywhere else:
   In numpy terms that is Fortran order over an ``(nx, ny, nz)`` array.
 * Casorati columns are diffusion encodings: b=0 columns first, then
   diffusion-weighted columns grouped by average, then direction.
-* Complex arithmetic is done in complex128; the container format stores
-  complex data as complex64 and real data as float32/float64.
+* Complex arithmetic is done in complex128, except inside the solver:
+  the encoding operators and the CG iterate are complex64 (see
+  ``encoding.EncodingModel``) and the solver returns complex128.  The
+  container format stores complex data as complex64 and real data as
+  float32/float64.
 
 Container format (the interchange for all CLI stages): a directory with
 ``header.json`` (UTF-8) plus one raw little-endian binary payload per

@@ -20,6 +20,12 @@ Layout conventions:
   a fully sampled column (F_y^H F_y = I), and R^H R with R the kept rows
   of F_y on an undersampled one.  Forward and adjoint keep the 2-D DFT
   because they map to and from the packed samples.
+* The operators compute in single precision: :class:`EncodingModel`
+  stores its fields as complex64 (``_sos`` as float32), and
+  ``forward_matrix``, ``adjoint_matrix`` and ``normal_matrix`` cast
+  their input to complex64 and return complex64.  ``fft2c``,
+  ``ifft2c``, ``coil_kspace`` and ``zero_fill`` stay in complex128, so
+  simulated k-space is double precision.
 * Full k-space grids are (C, N, nz, ny, nx): (coil, column, slice, line,
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
@@ -32,6 +38,7 @@ import os
 import warnings
 from dataclasses import dataclass
 from math import ceil
+from typing import ClassVar
 
 import numpy as np
 import scipy.fft as sfft
@@ -183,7 +190,14 @@ class EncodingModel:
     (nz, ny, nx), and per undersampled (column, slice) the kept rows of
     the unitary line DFT, ``_rows`` (N_part, nz, L, ny) zero-padded to
     the largest kept count L, with their conjugate transpose ``_rows_h``.
+
+    ``dtype`` is the arithmetic of every operator on the model: each
+    field is computed in double precision and stored once as complex64
+    (``_sos`` as float32).  Solvers take their working precision from
+    here.
     """
+
+    dtype: ClassVar[np.dtype] = np.dtype(np.complex64)
 
     coils: CoilMaps
     mask: SamplingMask
@@ -206,14 +220,15 @@ class EncodingModel:
         # in; (N, nz, ny, nx) phase
         a, kb = _centering_ramps(ny, nx)
         maps_a = np.ascontiguousarray(self.coils.maps.transpose(0, 3, 2, 1)) * a
-        object.__setattr__(self, "_maps_a", maps_a)
-        object.__setattr__(self, "_maps_a_conj", np.conj(maps_a))
-        object.__setattr__(self, "_kb", kb)
+        maps_a_conj = np.conj(maps_a)
+        object.__setattr__(self, "_maps_a", maps_a.astype(self.dtype))
+        object.__setattr__(self, "_maps_a_conj", maps_a_conj.astype(self.dtype))
+        object.__setattr__(self, "_kb", kb.astype(self.dtype))
         if self.phase is not None:
             phase_t = np.ascontiguousarray(_series_to_grid(self.phase.values,
                                                            (nx, ny, nz)))
-            object.__setattr__(self, "_phase_t", phase_t)
-            object.__setattr__(self, "_phase_t_conj", np.conj(phase_t))
+            object.__setattr__(self, "_phase_t", phase_t.astype(self.dtype))
+            object.__setattr__(self, "_phase_t_conj", np.conj(phase_t).astype(self.dtype))
         else:
             object.__setattr__(self, "_phase_t", None)
             object.__setattr__(self, "_phase_t_conj", None)
@@ -225,7 +240,8 @@ class EncodingModel:
         full, part = np.flatnonzero(is_full), np.flatnonzero(~is_full)
         object.__setattr__(self, "_full_cols", full)
         object.__setattr__(self, "_part_cols", part)
-        object.__setattr__(self, "_sos", (maps_a * self._maps_a_conj).real.sum(axis=0))
+        sos = (maps_a * maps_a_conj).real.sum(axis=0)
+        object.__setattr__(self, "_sos", sos.astype(np.finfo(self.dtype).dtype))
         n_rows = int(kept[:, :, part].sum(axis=0).max()) if part.size else 0
         rows = np.zeros((part.size, nz, n_rows, ny), dtype=np.complex128)
         iy = np.arange(ny)
@@ -234,9 +250,10 @@ class EncodingModel:
                 lines = np.flatnonzero(kept[:, z, n])
                 rows[i, z, :lines.size] = _unit_root(-np.outer(lines, iy), ny)
         rows /= np.sqrt(ny)
-        object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_rows", rows.astype(self.dtype))
         object.__setattr__(self, "_rows_h",
-                           np.ascontiguousarray(np.conj(rows).swapaxes(-1, -2)))
+                           np.ascontiguousarray(np.conj(rows).swapaxes(-1, -2),
+                                                dtype=self.dtype))
 
     @property
     def spatial_dims(self) -> tuple[int, int, int]:
@@ -344,8 +361,9 @@ def adjoint(model: EncodingModel, d: KSpaceData) -> CasoratiSeries:
 
 
 def forward_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
-    """Matrix-level forward for solver hot paths (returns packed samples)."""
-    vols = _series_to_grid(x, model.spatial_dims)
+    """Matrix-level forward for solver hot paths: packed complex64 samples
+    of any (M, N) input."""
+    vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
     if model._phase_t is not None:
         vols = vols * model._phase_t
     kgrid = sfft.fftn(model._maps_a[:, None] * vols[None], axes=(-2, -1),
@@ -355,9 +373,10 @@ def forward_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
 
 
 def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
+    """Matrix-level adjoint: packed samples -> (M, N) complex64."""
     nx, ny, nz = model.spatial_dims
     grid = np.zeros((model.coils.n_coils, model.n_columns, nz, ny, nx),
-                    dtype=np.complex128)
+                    dtype=model.dtype)
     grid.ravel()[model._flat_idx] = samples
     grid *= np.conj(model._kb)
     imgs = sfft.ifftn(grid, axes=(-2, -1), norm="ortho", workers=_workers)
@@ -373,17 +392,18 @@ def normal_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     A fully sampled column is ``_sos`` times P o X.  An undersampled one
     is, per coil, ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched
     matrix products over the kept lines) combined with conj(S_c a).
-    Both end with the conjugate phase.  Equal to
-    ``adjoint_matrix(model, forward_matrix(model, x))`` up to rounding.
+    Both end with the conjugate phase.  Computes and returns complex64;
+    equal to ``adjoint_matrix(model, forward_matrix(model, x))`` up to
+    float32 rounding.
     """
-    vols = _series_to_grid(x, model.spatial_dims)
+    vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
     if model._phase_t is not None:
         vols = vols * model._phase_t
-    out = np.empty(vols.shape, dtype=np.complex128)
+    out = np.empty(vols.shape, dtype=model.dtype)
     out[model._full_cols] = model._sos * vols[model._full_cols]
     # one coil at a time keeps the temporaries a coil's size
     vols_part = vols[model._part_cols]
-    combined = np.zeros(vols_part.shape, dtype=np.complex128)
+    combined = np.zeros(vols_part.shape, dtype=model.dtype)
     for maps_a, maps_a_conj in zip(model._maps_a, model._maps_a_conj):
         projected = model._rows_h @ (model._rows @ (maps_a * vols_part))
         projected *= maps_a_conj

@@ -18,6 +18,14 @@ iteration; the penalty is rho = lambda/alpha throughout.
 Method variants: CS_ONLY runs the same loop with an identity subspace
 and no phase map; LR_ONLY is the lambda = 0 limit, a pure CG solve of
 the subspace-constrained normal equations.
+
+Precision: the U update runs in the arithmetic of the encoding model
+(``EncodingModel.dtype``, complex64): A*(d), V, V V^H, the right-hand
+side, the CG iterate and the operator it applies.  The wavelet side
+(Psi U V, G, Y and the threshold) stays complex128, and
+:func:`admm_solve` returns U as complex128, so the phase map, subspace,
+tensor fit and containers see double precision.  The CG tolerance has a
+floor, ``CG_TOL_FLOOR``, that complex64 CG can reach.
 """
 
 from __future__ import annotations
@@ -47,6 +55,12 @@ class PhaseMode(str, Enum):
     PROPOSED = "proposed"
 
 
+# about 8 float32 epsilons: complex64 CG (EncodingModel.dtype) stalls
+# near here, so a smaller tolerance could only run to the step cap or
+# stagnate into the divergence check
+CG_TOL_FLOOR = 1e-6
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     lam: float = 0.0
@@ -55,7 +69,7 @@ class SolverConfig:
     max_iters: int = 25
     tol: float = 1e-9
     cg_max_iters: int = 15
-    cg_tol: float = 1e-8
+    cg_tol: float = 1e-6
     method: Method = Method.LRCS
 
     def __post_init__(self):
@@ -65,6 +79,10 @@ class SolverConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
+        if self.cg_tol < CG_TOL_FLOOR:
+            raise ValidationError(
+                f"cg_tol {self.cg_tol:g} is below {CG_TOL_FLOOR:g}, the smallest "
+                f"relative CG residual the complex64 solver arithmetic reaches")
         if self.method != Method.CS_ONLY and self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
 
@@ -106,7 +124,9 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
              max_iters: int) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients on a Hermitian positive (semi)definite system.
 
-    Returns (solution, iterations, relative residual).  Divergence
+    Works in the dtype of ``rhs`` and ``x0`` (complex64 in the ADMM);
+    the step scalars are Python floats.  Returns (solution, iterations,
+    relative residual).  Divergence
     (residual growing three consecutive iterations while sitting well
     above the best residual seen; plain CG residuals are allowed their
     usual non-monotone jitter) raises NumericalError with the residual
@@ -156,9 +176,10 @@ def _phase_model(model: EncodingModel, phase: PhaseMap | None) -> EncodingModel:
 
 def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                cfg: SolverConfig, spec: WaveletSpec) -> tuple[np.ndarray, RunReport]:
-    """Run the splitting loop; returns the spatial coefficients U (M x L)."""
+    """Run the splitting loop; returns the spatial coefficients U (M x L)
+    in complex128 (iterated in ``model.dtype``)."""
     t0 = time.perf_counter()
-    v = np.asarray(v_basis, dtype=np.complex128)
+    v = np.asarray(v_basis, dtype=model.dtype)
     identity_v = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
     vvh = v @ v.conj().T
     vh = v.conj().T
@@ -189,22 +210,20 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
 
     if cfg.lam == 0.0:
         report.stop_reason = "pure least squares (lambda = 0)"
-        report.wall_time_s = time.perf_counter() - t0
-        return u, report
+        return _finish(u, report, t0)
 
     bu = series_forward(expand(u), spec)
     alpha = float(np.abs(bu).max())
     if alpha == 0.0:
         report.stop_reason = "zero data"
-        report.wall_time_s = time.perf_counter() - t0
-        return u, report
+        return _finish(u, report, t0)
 
     y = np.zeros((u.shape[0], v.shape[1]), dtype=np.complex128)
     for k in range(cfg.max_iters):
         rho = cfg.lam / alpha
         z = bu + y / rho
         g = group_shrink(z, alpha)
-        back = series_adjoint(g - y / rho, spec)
+        back = series_adjoint(g - y / rho, spec).astype(model.dtype)
         rhs = a_star_d + (rho / 2.0) * (back if identity_v else back @ vh)
 
         if identity_v:
@@ -235,8 +254,13 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
             break
     else:
         report.stop_reason = f"iteration cap K = {cfg.max_iters}"
+    return _finish(u, report, t0)
+
+
+def _finish(u: np.ndarray, report: RunReport, t0: float) -> tuple[np.ndarray, RunReport]:
+    """Stamp the wall time; U leaves the solver in complex128."""
     report.wall_time_s = time.perf_counter() - t0
-    return u, report
+    return u.astype(np.complex128), report
 
 
 def reconstruct_cs_only(d: KSpaceData, model: EncodingModel,

@@ -51,7 +51,9 @@ def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccRe
     reconstruction).  r = (MS_R - MS_E) /
     (MS_R + (k-1) MS_E + (k/n)(MS_C - MS_E)).  The confidence interval
     follows the F-distribution bounds for this ICC form; only the point
-    estimate drives the qualitative band.
+    estimate drives the qualitative band.  The bounds rest on a
+    Satterthwaite df that can fall far below 1; when they then exclude
+    r itself, both are NaN and r is kept.
     """
     data = np.asarray(pairs, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -96,6 +98,8 @@ def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccRe
         else:
             ci_low = n * (ms_r - f_l * ms_e) / (f_l * spread + n * ms_r)
         ci_high = n * (f_u * ms_r - ms_e) / (spread + n * f_u * ms_r)
+        if not ci_low <= r <= ci_high:
+            ci_low = ci_high = float("nan")
     return IccResult(float(r), icc_band(float(r)), float(ci_low), float(ci_high))
 
 

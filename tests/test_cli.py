@@ -99,6 +99,18 @@ def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
     np.testing.assert_allclose(series.data, want, atol=1e-6 * np.abs(want).max())
 
 
+def test_recon_lambda_grid_with_the_default_solver_config(recon_inputs, tmp_path):
+    # no --iters: the grid and the solve run the default SolverConfig,
+    # whose CG tolerance complex64 arithmetic can reach
+    cfg, root = recon_inputs
+    assert cli.main(["recon", "--kspace", str(root / "kspace"),
+                     "--coils", str(root / "coils"), "--method", "lrcs",
+                     "--lambda-grid", "--out", str(tmp_path / "out"), *FLAGS]) == 0
+    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
+    assert report["stop_reason"] == "iteration cap K = 25"
+    assert np.isfinite(dm.load_series(tmp_path / "out").data).all()
+
+
 @pytest.fixture(scope="module")
 def ground_truth(tmp_path_factory):
     root = tmp_path_factory.mktemp("phantom")

@@ -6,6 +6,16 @@ from lrcs_cdti import encoding as enc
 from lrcs_cdti import phantom as ph
 from lrcs_cdti.errors import ValidationError
 
+# The operators compute in complex64 (EncodingModel.dtype, float32 eps
+# 1.19e-7).  Tolerances against double-precision references, each a
+# few times the largest spread measured on these tests' inputs:
+# one operator application, relative in norm (measured <= 1.64e-7)
+OP_RTOL = 5e-7
+# <A x, y> - <x, A* y> over ||A x|| ||y|| (measured <= 7.7e-9)
+DOT_RTOL = 3e-8
+# |Im <x, A*A x>| / |<x, A*A x>| (measured <= 4.1e-9)
+HERMITIAN_RTOL = 2e-8
+
 
 @pytest.fixture(scope="module")
 def small_phantom():
@@ -119,7 +129,8 @@ class TestForwardAdjoint:
         rng = np.random.default_rng(0)
         x = rng.normal(size=(nx * ny * nz, 1)) + 1j * rng.normal(size=(nx * ny * nz, 1))
         back = enc.adjoint_matrix(model, enc.forward_matrix(model, x))
-        assert np.linalg.norm(back - x) < 1e-12 * np.linalg.norm(x)
+        assert back.dtype == np.complex64
+        assert np.linalg.norm(back - x) < OP_RTOL * np.linalg.norm(x)
 
     def test_zero_roundtrip(self, small_phantom):
         cfg, gt = small_phantom
@@ -142,7 +153,7 @@ class TestForwardAdjoint:
             y = rng.normal(size=ax.shape) + 1j * rng.normal(size=ax.shape)
             lhs = np.vdot(ax, y)
             rhs = np.vdot(x, enc.adjoint_matrix(model, y))
-            assert abs(lhs - rhs) <= 1e-10 * np.linalg.norm(ax) * np.linalg.norm(y)
+            assert abs(lhs - rhs) <= DOT_RTOL * np.linalg.norm(ax) * np.linalg.norm(y)
 
     def test_single_sample_is_weighted_exponential(self):
         nx = ny = 8
@@ -175,9 +186,9 @@ class TestForwardAdjoint:
         model = enc.EncodingModel(gt.coils, mask, gt.phase)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(model.n_voxels, model.n_columns)) * (1 + 0j)
-        np.testing.assert_allclose(
-            enc.normal_matrix(model, x),
-            enc.adjoint_matrix(model, enc.forward_matrix(model, x)), rtol=1e-12)
+        want = enc.adjoint_matrix(model, enc.forward_matrix(model, x))
+        got = enc.normal_matrix(model, x)
+        assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
 
     def test_dim_mismatch(self, small_phantom):
         cfg, gt = small_phantom
@@ -251,7 +262,8 @@ class TestCenteredDft:
         for got, ref in ((enc.forward_matrix(model, x), y),
                          (enc.adjoint_matrix(model, y), ref_adjoint(y)),
                          (enc.normal_matrix(model, x), ref_adjoint(y))):
-            assert np.linalg.norm(got - ref) <= 1e-12 * np.linalg.norm(ref)
+            assert got.dtype == np.complex64
+            assert np.linalg.norm(got - ref) <= OP_RTOL * np.linalg.norm(ref)
 
     def test_adjoint_dot_product_odd_grid(self):
         model, rng = random_model(9, 7, nz=3, seed=11)
@@ -262,15 +274,25 @@ class TestCenteredDft:
             y = rng.normal(size=ax.shape) + 1j * rng.normal(size=ax.shape)
             lhs = np.vdot(ax, y)
             rhs = np.vdot(x, enc.adjoint_matrix(model, y))
-            assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(ax) * np.linalg.norm(y)
+            assert abs(lhs - rhs) <= DOT_RTOL * np.linalg.norm(ax) * np.linalg.norm(y)
+
+
+def reference_forward(model, x):
+    """A(x) in double precision: the complex128 k-space simulation
+    (``coil_kspace``, ``extract_samples``) with the model's coils, phase
+    and mask, none of the model's complex64 fields."""
+    series = dm.CasoratiSeries(x, model.spatial_dims, model.mask.column_labels)
+    kgrid = enc.coil_kspace(series, model.coils, model.phase)
+    return enc.extract_samples(kgrid, model.mask).samples
 
 
 def dense_normal(model):
-    """A^H A built column by column from forward_matrix, acting on the
-    C-order flattening of an (M, N) matrix."""
+    """Double-precision A^H A built column by column from
+    :func:`reference_forward`, acting on the C-order flattening of an
+    (M, N) matrix."""
     shape = (model.n_voxels, model.n_columns)
     eye = np.eye(shape[0] * shape[1], dtype=complex)
-    a = np.stack([enc.forward_matrix(model, e.reshape(shape)) for e in eye], axis=1)
+    a = np.stack([reference_forward(model, e.reshape(shape)) for e in eye], axis=1)
     return a.conj().T @ a
 
 
@@ -312,7 +334,9 @@ class TestNormalOperator:
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         want = (dense_normal(model) @ x.ravel()).reshape(shape)
         got = enc.normal_matrix(model, x)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert got.dtype == np.complex64
+        # measured 4.3e-8 (r1) to 9.0e-8 (phase), 7.6e-8 on the 8x8x2 case
+        assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
 
     def test_full_sampling_is_coil_sum_of_squares(self):
         model, rng = normal_case("r1")
@@ -322,7 +346,7 @@ class TestNormalOperator:
         sos = (np.abs(model.coils.maps) ** 2).sum(axis=0).reshape(-1, order="F")
         want = sos[:, None] * x
         got = enc.normal_matrix(model, x)
-        assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
+        assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
 
     def test_mixed_mask_splits_columns(self):
         model, _ = normal_case("even")
@@ -337,7 +361,7 @@ class TestNormalOperator:
         for _ in range(3):
             x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
             q = np.vdot(x, enc.normal_matrix(model, x))
-            assert abs(q.imag) <= 1e-12 * abs(q)
+            assert abs(q.imag) <= HERMITIAN_RTOL * abs(q)
             assert q.real >= 0
 
 

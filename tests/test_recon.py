@@ -60,6 +60,28 @@ class TestCsOnly:
         assert err < 1e-6
 
 
+class TestSolverPrecision:
+    def test_cg_tol_below_the_complex64_floor_is_a_named_error(self):
+        with pytest.raises(ValidationError, match="complex64"):
+            recon.SolverConfig(cg_tol=1e-8)
+        assert recon.SolverConfig(cg_tol=recon.CG_TOL_FLOOR).cg_tol == 1e-6
+
+    def test_solves_return_complex128(self, bench):
+        # the solver iterates in complex64; U and the series leave in complex128
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=2, seed=1)
+        assert model.dtype == np.complex64
+        lam = 1e-2 * recon.lambda_base(d, model)
+        v = recon.estimate_subspace(gt.clean_series, 3)
+        scfg = recon.SolverConfig(lam=lam, rank=3, max_iters=2)
+        results = [recon.reconstruct_cs_only(d, model, scfg),
+                   recon.reconstruct_lrcs(d, model, gt.phase, v, scfg),
+                   recon.reconstruct_lr_only(d, model, gt.phase, v, scfg)]
+        for res in results:
+            assert res.series.data.dtype == np.complex128
+        assert results[1].U.dtype == results[2].U.dtype == np.complex128
+
+
 class TestPhaseEstimate:
     def test_positive_real_gives_ones(self, bench):
         cfg, gt, labels, _ = bench
@@ -223,11 +245,13 @@ class TestExactRecovery:
         v = np.eye(n, dtype=complex)
         res = recon.reconstruct_lrcs(d, model, None, v,
                                      recon.SolverConfig(lam=0.0, rank=n))
-        # direct CG on the normal equations is the same computation
+        # direct CG on the normal equations is the same complex64
+        # computation, so the solve matches it exactly
+        scfg = recon.SolverConfig()
         rhs = enc.adjoint_matrix(model, d.samples)
         x, _, _ = recon.cg_solve(lambda u: enc.normal_matrix(model, u), rhs,
-                                 np.zeros_like(rhs), 1e-8, 15)
-        np.testing.assert_allclose(res.series.data, x, atol=1e-12)
+                                 np.zeros_like(rhs), scfg.cg_tol, scfg.cg_max_iters)
+        np.testing.assert_array_equal(res.series.data, x)
 
     def test_full_rank_subspace_equals_plain_least_squares(self, bench):
         cfg, gt, labels, kfull = bench
@@ -267,8 +291,13 @@ class TestAdmmBehavior:
         v = recon.estimate_subspace(gt.clean_series, 3)
         res = recon.reconstruct_lrcs(d, model, gt.phase, v,
                                      recon.SolverConfig(lam=lam, rank=3))
-        gaps = res.report.feasibility[-5:]
-        assert all(b < a for a, b in zip(gaps, gaps[1:]))
+        # ||Psi U V - G|| falls until it reaches the float32 resolution of
+        # ||Psi U V|| = ||U V|| (orthonormal wavelet), where complex64
+        # rounding sets a floor (measured 0.98-1.08 eps ||U V||)
+        floor = 2 * np.finfo(np.float32).eps * np.linalg.norm(res.U @ res.V)
+        gaps = res.report.feasibility[-8:]
+        assert gaps[0] > 5 * floor and gaps[-1] <= floor
+        assert all(b < a or b <= floor for a, b in zip(gaps, gaps[1:]))
 
     def test_normal_operator_is_hermitian_positive(self, bench):
         cfg, gt, labels, kfull = bench
@@ -280,7 +309,8 @@ class TestAdmmBehavior:
         hx = enc.normal_matrix(model, x)
         hy = enc.normal_matrix(model, y)
         assert np.vdot(x, hx).real > 0
-        assert np.vdot(y, hx) == pytest.approx(np.conj(np.vdot(x, hy)), rel=1e-10)
+        # complex64 operator: measured 6.5e-7 relative
+        assert np.vdot(y, hx) == pytest.approx(np.conj(np.vdot(x, hy)), rel=5e-6)
 
     def test_global_phase_equivariance(self, bench):
         cfg, gt, labels, kfull = bench
@@ -292,8 +322,9 @@ class TestAdmmBehavior:
         phi = np.exp(1j * 0.83)
         d2 = enc.KSpaceData(phi * d.samples, mask, d.spatial_dims, d.n_coils)
         res2 = recon.reconstruct_lrcs(d2, model, gt.phase, v, scfg)
+        # complex64 solver arithmetic: measured 7.0e-7 of the largest entry
         np.testing.assert_allclose(res2.series.data, phi * res1.series.data,
-                                   atol=1e-10 * np.abs(res1.series.data).max())
+                                   atol=5e-6 * np.abs(res1.series.data).max())
 
     def test_deterministic(self, bench):
         cfg, gt, labels, kfull = bench
