@@ -95,13 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _read_json(path, what: str) -> dict:
+    """The JSON object in ``path``.  Unreadable or malformed content is a
+    ValidationError naming the file; a missing file stays
+    FileNotFoundError."""
+    try:
+        obj = json.loads(Path(path).read_text())
+    except FileNotFoundError:
+        raise
+    except (OSError, ValueError) as exc:
+        raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{what} {path} does not hold a JSON object")
+    return obj
+
+
 def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
     """Fill unset (None) flags from the JSON config file, if given."""
     if getattr(args, "config", None):
-        try:
-            overrides = json.loads(Path(args.config).read_text())
-        except (OSError, json.JSONDecodeError) as exc:
-            raise ValidationError(f"cannot read config {args.config}: {exc}") from exc
+        overrides = _read_json(args.config, "config")
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if getattr(args, attr, None) is None:
@@ -121,13 +133,14 @@ def _setup(args: argparse.Namespace) -> None:
 
 
 def cmd_phantom(args) -> int:
-    params = {}
-    if args.params:
-        params = json.loads(Path(args.params).read_text())
+    params = _read_json(args.params, "params") if args.params else {}
     if args.seed is not None:
         params["seed"] = args.seed
-    cfg = phantom.PhantomConfig.from_json({**phantom.PhantomConfig().to_json(),
-                                           **params})
+    try:
+        cfg = phantom.PhantomConfig.from_json({**phantom.PhantomConfig().to_json(),
+                                               **params})
+    except ValidationError as exc:
+        raise ValidationError(f"params {args.params}: {exc}") from exc
     truth = phantom.build_phantom(cfg)
     phantom.save_ground_truth(args.out, truth)
     log.info("phantom written to %s", args.out)
@@ -252,10 +265,13 @@ def cmd_eval(args) -> int:
 
 
 def cmd_run(args) -> int:
-    plan_obj = json.loads(Path(args.plan).read_text())
+    plan_obj = _read_json(args.plan, "plan")
     if args.threads is not None and "threads" not in plan_obj:
         plan_obj["threads"] = args.threads
-    plan = pipeline.ExperimentPlan.from_json(plan_obj)
+    try:
+        plan = pipeline.ExperimentPlan.from_json(plan_obj)
+    except ValidationError as exc:
+        raise ValidationError(f"plan {args.plan}: {exc}") from exc
     result = pipeline.run_experiment(plan)
     n_fail = sum(1 for c in result["cells"] if not c.ok)
     log.info("experiment finished: %d cells, %d failed; outputs in %s",

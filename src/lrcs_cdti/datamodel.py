@@ -8,10 +8,10 @@ Conventions fixed here and relied on everywhere else:
 * Casorati columns are diffusion encodings: b=0 columns first, then
   diffusion-weighted columns grouped by average, then direction.
 * Complex arithmetic is done in complex128, except inside the solver:
-  the encoding operators and the CG iterate are complex64 (see
-  ``encoding.EncodingModel``) and the solver returns complex128.  The
-  container format stores complex data as complex64 and real data as
-  float32/float64.
+  the encoding operators and the whole ADMM loop, wavelet side
+  included, are complex64 (see ``encoding.EncodingModel``) and the
+  solver returns complex128.  The container format stores complex data
+  as complex64 and real data as float32/float64.
 
 Container format (the interchange for all CLI stages): a directory with
 ``header.json`` (UTF-8) plus one raw little-endian binary payload per
@@ -23,7 +23,7 @@ endianness, and free-form metadata such as ``column_labels``.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -249,6 +249,14 @@ class CoilMaps:
 # ---------------------------------------------------------------------------
 # Container I/O
 # ---------------------------------------------------------------------------
+
+def check_json_keys(cls, obj: dict) -> None:
+    """Reject keys of a JSON config that are not init fields of ``cls``."""
+    unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
+    if unknown:
+        raise ValidationError(f"unknown {cls.__name__} key(s): "
+                              f"{', '.join(map(repr, unknown))}")
+
 
 def _labels_to_json(labels: Iterable[ColumnLabel]) -> list:
     return [[lab.b_value, list(lab.direction), lab.average] for lab in labels]

@@ -1,7 +1,7 @@
 """8-bit binary PGM (P5) previews with explicit window/level.
 
 Values are mapped linearly from [lo, hi] to 0..255 and clipped; NaN
-renders as 0.  One image per slice, mid-slice by default.
+renders as 0.  :func:`write_map_previews` writes one image per slice.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from math import inf
 import numpy as np
 
 from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
-                        make_labels, reshape_to_casorati)
+                        check_json_keys, make_labels, reshape_to_casorati)
 from .dti import TensorField
 from .errors import ValidationError
 
@@ -114,6 +114,7 @@ class PhantomConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PhantomConfig":
+        check_json_keys(cls, obj)
         kwargs = dict(obj)
         if "grid" in kwargs:
             kwargs["grid"] = tuple(kwargs["grid"])

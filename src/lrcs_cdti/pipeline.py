@@ -54,7 +54,11 @@ class ExperimentPlan:
             recon.PhaseMode(p)
         if self.n_subjects < 1:
             raise ValidationError("need at least one subject")
+        dm.check_json_keys(phantom.PhantomConfig, self.base_config)
         object.__setattr__(self, "R_list", tuple(float(r) for r in self.R_list))
+        if any(r < 1 for r in self.R_list):
+            raise ValidationError(
+                f"R_list entries must be >= 1, got {list(self.R_list)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "phase_modes", tuple(self.phase_modes))
 
@@ -71,6 +75,7 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentPlan":
+        dm.check_json_keys(cls, obj)
         kwargs = dict(obj)
         for key in ("R_list", "methods", "phase_modes"):
             if key in kwargs:
@@ -219,10 +224,10 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                 try:
                     res = recon.recon(d, model, prelim, method, mode, art.rank,
                                       _solver_config(plan, lam=lam, rank=art.rank))
+                    cell.report = res.report.to_json()
                     cell.metrics = _series_metrics(
                         res.series, art.truth.myocardium_mask, cfg.center,
                         art.segmentation)
-                    cell.report = res.report.to_json()
                     cell.ok = True
                     if plan.save_arrays:
                         out = (Path(plan.output_dir) / f"subject{index:02d}"
@@ -281,13 +286,28 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             "stats": stats_rows}
 
 
+# how a cell was solved, from its RunReport; blank on reference rows
+# and on cells whose solve failed
+SOLVE_FIELDS = ("lambda", "stop_reason", "admm_iters", "cg_iters", "solve_s")
+
+
+def _solve_columns(report: dict) -> dict:
+    if not report:
+        return dict.fromkeys(SOLVE_FIELDS, "")
+    return {"lambda": report["lambda"], "stop_reason": report["stop_reason"],
+            "admm_iters": len(report["delta_u"]),
+            "cg_iters": sum(report["cg_iterations"]),
+            "solve_s": report["wall_time_s"]}
+
+
 def _write_summary(arts, errors, cells, out_root: Path) -> list[dict]:
     rows = []
     for i, (art, error) in enumerate(zip(arts, errors)):
         row = {"subject": i, "R": 1.0, "method": "reference", "phase_mode": "",
                "ok": art is not None, "rank": "", "hat": np.nan, "md": np.nan,
                "hat_bias": np.nan, "md_bias": np.nan,
-               "error": error.splitlines()[-1] if error else ""}
+               "error": error.splitlines()[-1] if error else "",
+               **_solve_columns({})}
         if art is not None:
             row.update(rank=art.rank, hat=art.reference_metrics.hat,
                        md=art.reference_metrics.md, hat_bias=0.0, md_bias=0.0)
@@ -298,7 +318,8 @@ def _write_summary(arts, errors, cells, out_root: Path) -> list[dict]:
                "phase_mode": c.phase_mode, "ok": c.ok,
                "rank": art.rank if art is not None else "",
                "hat": np.nan, "md": np.nan, "hat_bias": np.nan,
-               "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else ""}
+               "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else "",
+               **_solve_columns(c.report)}
         if c.ok:
             row["hat"] = c.metrics.hat
             row["md"] = c.metrics.md
@@ -308,7 +329,7 @@ def _write_summary(arts, errors, cells, out_root: Path) -> list[dict]:
                                                    c.metrics.md)
         rows.append(row)
     fields = ["subject", "R", "method", "phase_mode", "ok", "rank", "hat", "md",
-              "hat_bias", "md_bias", "error"]
+              "hat_bias", "md_bias", "error", *SOLVE_FIELDS]
     with open(out_root / "summary.csv", "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=fields)
         writer.writeheader()

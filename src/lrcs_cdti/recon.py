@@ -19,13 +19,14 @@ Method variants: CS_ONLY runs the same loop with an identity subspace
 and no phase map; LR_ONLY is the lambda = 0 limit, a pure CG solve of
 the subspace-constrained normal equations.
 
-Precision: the U update runs in the arithmetic of the encoding model
+Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, V V^H, the right-hand
-side, the CG iterate and the operator it applies.  The wavelet side
-(Psi U V, G, Y and the threshold) stays complex128, and
-:func:`admm_solve` returns U as complex128, so the phase map, subspace,
-tensor fit and containers see double precision.  The CG tolerance has a
-floor, ``CG_TOL_FLOOR``, that complex64 CG can reach.
+side, the CG iterate and the operator it applies, and on the wavelet
+side Psi U V, G and the dual (the transform and the shrink compute in
+their input's precision).  :func:`admm_solve` returns U as complex128,
+so the phase map, subspace, tensor fit and containers see double
+precision.  The CG tolerance has a floor, ``CG_TOL_FLOOR``, that
+complex64 CG can reach.
 """
 
 from __future__ import annotations
@@ -177,30 +178,47 @@ def _phase_model(model: EncodingModel, phase: PhaseMap | None) -> EncodingModel:
 def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                cfg: SolverConfig, spec: WaveletSpec) -> tuple[np.ndarray, RunReport]:
     """Run the splitting loop; returns the spatial coefficients U (M x L)
-    in complex128 (iterated in ``model.dtype``)."""
+    in complex128 (iterated in ``model.dtype``).
+
+    The iterate is U^T, (L, M) and C-contiguous, so X^T = V^T U^T is the
+    (N, nz, ny, nx) grid of :func:`normal_matrix` with no copy, and every
+    product with V is one (N x L)(L x M) or (L x N)(N x M) matrix
+    product.  The wavelet side transforms the L columns of U, not the N
+    of X: Psi(U V) = (Psi U) V and Psi^H(W) V^H = Psi^H(W V^H).  The dual
+    is kept scaled, W = Y / rho, and rescaled when rho changes.
+    """
     t0 = time.perf_counter()
     v = np.asarray(v_basis, dtype=model.dtype)
     identity_v = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
-    vvh = v @ v.conj().T
-    vh = v.conj().T
+    vt = np.ascontiguousarray(v.T)
+    v_conj = v.conj()
+    vh = v_conj.T
     report = RunReport(method=cfg.method.value, lam=cfg.lam, rank=v.shape[0])
 
+    def normal_t(xt):
+        return normal_matrix(model, xt.T).T
+
     if identity_v:
-        a_star_d = adjoint_matrix(model, d.samples)
+        a_star_d = adjoint_matrix(model, d.samples).T
+        apply_data = normal_t
 
-        def apply_data(u):
-            return normal_matrix(model, u)
+        def transform(ut):
+            return series_forward(ut.T, spec)
 
-        def expand(u):
-            return u
+        def back_project(w):
+            return series_adjoint(w, spec).T
     else:
-        a_star_d = adjoint_matrix(model, d.samples) @ vh
+        a_star_d = v_conj @ adjoint_matrix(model, d.samples).T
+        gram = v_conj @ vt
 
-        def apply_data(u):
-            return normal_matrix(model, u @ v) @ vh
+        def apply_data(ut):
+            return v_conj @ normal_t(vt @ ut)
 
-        def expand(u):
-            return u @ v
+        def transform(ut):
+            return series_forward(ut.T, spec) @ v
+
+        def back_project(w):
+            return series_adjoint(w @ vh, spec).T
 
     # U0: data-consistency-only solve
     u, cg_it, cg_res = cg_solve(apply_data, a_star_d, np.zeros_like(a_star_d),
@@ -212,43 +230,48 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.stop_reason = "pure least squares (lambda = 0)"
         return _finish(u, report, t0)
 
-    bu = series_forward(expand(u), spec)
+    bu = transform(u)
     alpha = float(np.abs(bu).max())
     if alpha == 0.0:
         report.stop_reason = "zero data"
         return _finish(u, report, t0)
 
-    y = np.zeros((u.shape[0], v.shape[1]), dtype=np.complex128)
+    w = np.zeros_like(bu)
+    rho_prev = None
     for k in range(cfg.max_iters):
         rho = cfg.lam / alpha
-        z = bu + y / rho
-        g = group_shrink(z, alpha)
-        back = series_adjoint(g - y / rho, spec).astype(model.dtype)
-        rhs = a_star_d + (rho / 2.0) * (back if identity_v else back @ vh)
+        if rho_prev is not None:
+            w *= rho_prev / rho
+        g = group_shrink(bu + w, alpha)
+        # the scaling pass also brings the back-projection to C order
+        rhs = np.multiply(back_project(g - w), rho / 2.0, order="C")
+        rhs += a_star_d
 
         if identity_v:
             def apply_h(x, _rho=rho):
                 return apply_data(x) + (_rho / 2.0) * x
         else:
             def apply_h(x, _rho=rho):
-                return apply_data(x) + (_rho / 2.0) * (x @ vvh)
+                return apply_data(x) + (_rho / 2.0) * (gram @ x)
 
         u_next, cg_it, cg_res = cg_solve(apply_h, rhs, u, cfg.cg_tol,
                                          cfg.cg_max_iters)
         if not np.isfinite(u_next).all():
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": k})
-        bu = series_forward(expand(u_next), spec)
-        y = y + rho * (bu - g)
+        bu = transform(u_next)
+        resid = bu - g
+        w += resid
         delta = float(np.linalg.norm(u_next - u))
         u = u_next
         report.delta_u.append(delta)
-        report.feasibility.append(float(np.linalg.norm(bu - g)))
+        report.feasibility.append(float(np.linalg.norm(resid)))
         report.alphas.append(alpha)
         report.rhos.append(rho)
         report.cg_iters.append(cg_it)
         report.cg_residuals.append(cg_res)
         alpha /= cfg.alpha_decay
+        rho_prev = rho
         if delta <= cfg.tol:
             report.stop_reason = f"delta_u <= tol at iteration {k + 1}"
             break
@@ -257,10 +280,12 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     return _finish(u, report, t0)
 
 
-def _finish(u: np.ndarray, report: RunReport, t0: float) -> tuple[np.ndarray, RunReport]:
-    """Stamp the wall time; U leaves the solver in complex128."""
+def _finish(ut: np.ndarray, report: RunReport,
+            t0: float) -> tuple[np.ndarray, RunReport]:
+    """Stamp the wall time; U leaves the solver as a C-ordered (M, L)
+    complex128 array."""
     report.wall_time_s = time.perf_counter() - t0
-    return u.astype(np.complex128), report
+    return np.ascontiguousarray(ut.T, dtype=np.complex128), report
 
 
 def reconstruct_cs_only(d: KSpaceData, model: EncodingModel,

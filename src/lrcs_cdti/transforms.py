@@ -13,7 +13,7 @@ g[m] (lowpass h, highpass g); the sums keep extents below 8, where the
 filter wraps more than once, periodic.  :class:`WaveletSpec` builds W for
 every (level, axis).  The filter bank copies the (M, K) Casorati matrix
 once in C order and views it as (nz, ny, nx, K), since m = x + nx (y + ny
-z), with complex entries as float64 pairs (nz, ny, nx, 2K).  Each level
+z), with complex entries as real pairs (nz, ny, nx, 2K).  Each level
 replaces its low-corner block by W applied along each active axis: one
 real matmul over all columns, real and imaginary parts together, batched
 over the axes in front of the active one.  The adjoint applies W^T with
@@ -21,6 +21,11 @@ levels and axes reversed.  At these extents (n <= 64) the dense product
 spends n multiply-adds per sample where the banded form spends 8, but one
 BLAS matmul per (level, axis) is faster than the 16 strided passes over
 memory of the banded form.
+
+The bank and the group shrink compute in the precision of their input:
+float32 and complex64 stay single (float32 pairs, W cast to float32),
+float64 and complex128 stay double, and any other input, integers
+included, is taken as float64.
 
 Groups are rows of the coefficient matrix: one group per transform-domain
 location, spanning all diffusion encodings.
@@ -107,18 +112,27 @@ class WaveletSpec:
         object.__setattr__(self, "plan", tuple(plan))
 
 
+_FLOAT_DTYPES = tuple(np.dtype(t) for t in
+                      (np.float32, np.float64, np.complex64, np.complex128))
+
+
+def _work_dtype(dtype: np.dtype) -> np.dtype:
+    """The input's own float or complex dtype; anything else as float64."""
+    return dtype if dtype in _FLOAT_DTYPES else np.result_type(dtype, np.float64)
+
+
 def _filter_bank(matrix: np.ndarray, spec: WaveletSpec, adjoint: bool) -> np.ndarray:
     """Analysis (or, with ``adjoint``, synthesis) of every column of an
-    (nx*ny*nz, K) Casorati matrix; returns a new array."""
+    (nx*ny*nz, K) Casorati matrix in the input's precision; returns a
+    new array."""
     nx, ny, nz = spec.dims
     arr = np.asarray(matrix)
     if arr.ndim != 2 or arr.shape[0] != nx * ny * nz:
         raise ValidationError(f"series shape {arr.shape} does not have "
                               f"{nx * ny * nz} rows for dims {spec.dims}")
-    out = np.array(arr, dtype=np.result_type(arr.dtype, np.float64), order="C")
-    vols = out.reshape(nz, ny, nx, arr.shape[1])
-    if np.iscomplexobj(out):
-        vols = vols.view(np.float64)
+    out = np.array(arr, dtype=_work_dtype(arr.dtype), order="C")
+    real = np.finfo(out.dtype).dtype
+    vols = out.reshape(nz, ny, nx, arr.shape[1]).view(real)
     for extent, axes in (reversed(spec.plan) if adjoint else spec.plan):
         block = (slice(0, extent[2]), slice(0, extent[1]), slice(0, extent[0]))
         cur = np.ascontiguousarray(vols[block])
@@ -126,7 +140,7 @@ def _filter_bank(matrix: np.ndarray, spec: WaveletSpec, adjoint: bool) -> np.nda
         for ax, w in (reversed(axes) if adjoint else axes):
             dim = 2 - ax                 # x, y, z are array axes 2, 1, 0
             lines = cur.reshape(math.prod(shape[:dim]), shape[dim], -1)
-            cur = np.matmul(w.T if adjoint else w, lines)
+            cur = np.matmul((w.T if adjoint else w).astype(real, copy=False), lines)
         vols[block] = cur.reshape(shape)
     return out
 
@@ -170,11 +184,15 @@ def group_l12_norm(coeffs: np.ndarray) -> float:
 
 def group_shrink(z: np.ndarray, alpha: float) -> np.ndarray:
     """Row-wise l2 soft threshold: shrink each group toward zero by alpha,
-    exactly zeroing groups at or below the threshold."""
+    exactly zeroing groups at or below the threshold.  Keeps the dtype
+    of float and complex input."""
     if alpha < 0:
         raise ValidationError(f"shrink threshold must be >= 0, got {alpha}")
     z = np.asarray(z)
-    norms = np.linalg.norm(z, axis=1)
+    z = np.ascontiguousarray(z, dtype=_work_dtype(z.dtype))
+    # complex rows as (re, im) pairs: one fused sum of squares per row
+    pairs = z.view(np.finfo(z.dtype).dtype)
+    norms = np.sqrt(np.einsum("ij,ij->i", pairs, pairs))
     with np.errstate(divide="ignore", invalid="ignore"):
         scale = np.where(norms > alpha, 1.0 - alpha / norms, 0.0)
-    return z * scale[:, None]
+    return z * scale.astype(norms.dtype, copy=False)[:, None]

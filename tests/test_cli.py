@@ -153,3 +153,32 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
                      "--mask", str(tmp_path / "series"), "--out", str(tmp_path / "t"),
                      *FLAGS]) == 1
     assert "no 'mask' array" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, content, message", [
+    ("run", "--plan", '{"n_subjects": 1, "bogus": 3}',
+     "unknown ExperimentPlan key(s): 'bogus'"),
+    ("run", "--plan", '{"n_subjects": 1,', "cannot read plan"),
+    ("run", "--plan", '{"n_subjects": 1, "R_list": [0.5], "output_dir": "{out}"}',
+     "R_list entries must be >= 1, got [0.5]"),
+    ("run", "--plan", '{"n_subjects": 1, "base_config": {"bogus": 1}, '
+     '"output_dir": "{out}"}', "unknown PhantomConfig key(s): 'bogus'"),
+    ("phantom", "--params", '{"grid": [16, 16, 3], "bogus": 3}',
+     "unknown PhantomConfig key(s): 'bogus'"),
+    ("phantom", "--params", "not json", "cannot read params"),
+])
+def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
+                                             content, message):
+    # rejected before any work: no study or ground truth is written
+    out = tmp_path / "out"
+    path = tmp_path / "input.json"
+    path.write_text(content.replace("{out}", str(out)))
+    argv = [command, flag, str(path), *FLAGS]
+    if command == "phantom":
+        argv += ["--out", str(out)]
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{command}]: ")
+    assert str(path) in err and message in err
+    assert "Traceback" not in err
+    assert not out.exists()
