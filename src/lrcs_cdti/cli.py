@@ -17,6 +17,7 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
+from typing import Literal
 
 import numpy as np
 
@@ -95,6 +96,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _command_parser(parser: argparse.ArgumentParser,
+                    command: str) -> argparse.ArgumentParser:
+    """The subparser of ``command``."""
+    sub = next(a for a in parser._actions
+               if isinstance(a, argparse._SubParsersAction))
+    return sub.choices[command]
+
+
 def _read_json(path, what: str) -> dict:
     """The JSON object in ``path``.  Unreadable or malformed content is a
     ValidationError naming the file; a missing file stays
@@ -110,15 +119,39 @@ def _read_json(path, what: str) -> dict:
     return obj
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill unset (None) flags from the JSON config file, if given."""
+def _merge_config(args: argparse.Namespace,
+                  parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill unset (None) flags from the JSON config file, if given.
+
+    A value must fit its flag (``parser`` is the command's own): one of
+    the choices, a number for a numeric flag, a boolean for a switch, a
+    string otherwise.  Keys that name no flag of the command are kept
+    and ignored, so one config can serve several commands.
+    """
     if getattr(args, "config", None):
         overrides = _read_json(args.config, "config")
+        actions = {a.dest: a for a in parser._actions}
         for key, value in overrides.items():
             attr = key.replace("-", "_")
             if getattr(args, attr, None) is None:
+                action = actions.get(attr)
+                if action is not None and value is not None:
+                    value = _config_value(action, value,
+                                          f"config {args.config} key {key!r}")
                 setattr(args, attr, value)
     return args
+
+
+def _config_value(action: argparse.Action, value, where: str):
+    """``value`` from a JSON config, checked against the flag it fills."""
+    if action.choices is not None:
+        hint = Literal[tuple(action.choices)]
+    elif action.nargs == 0:
+        hint = bool
+    else:
+        hint = action.type or str
+    dm.check_json_value(value, hint, where)
+    return action.type(value) if action.type else value
 
 
 def _setup(args: argparse.Namespace) -> None:
@@ -127,7 +160,12 @@ def _setup(args: argparse.Namespace) -> None:
                         format="%(levelname)s %(name)s: %(message)s")
     threads = args.threads
     if threads is None:
-        threads = int(os.environ.get("LRCS_CDTI_THREADS", "1"))
+        env = os.environ.get("LRCS_CDTI_THREADS", "1")
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValidationError(f"environment variable LRCS_CDTI_THREADS "
+                                  f"must be an integer, got {env!r}") from None
     encoding.set_fft_workers(threads)
     args.threads = threads
 
@@ -288,7 +326,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, _command_parser(parser, args.command))
         _setup(args)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

@@ -23,7 +23,11 @@ endianness, and free-form metadata such as ``column_labels``.
 from __future__ import annotations
 
 import json
+import numbers
+import types
+import typing
 from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -250,12 +254,60 @@ class CoilMaps:
 # Container I/O
 # ---------------------------------------------------------------------------
 
-def check_json_keys(cls, obj: dict) -> None:
-    """Reject keys of a JSON config that are not init fields of ``cls``."""
+def check_json(cls, obj: dict) -> None:
+    """Reject keys of a JSON config that are not init fields of the
+    dataclass ``cls``, and values whose JSON type does not fit the
+    field's annotation (see :func:`check_json_value`)."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} key(s): "
                               f"{', '.join(map(repr, unknown))}")
+    hints = typing.get_type_hints(cls)
+    for key, value in obj.items():
+        check_json_value(value, hints[key], f"{cls.__name__} key {key!r}")
+
+
+def check_json_value(value, hint, where: str) -> None:
+    """Reject a JSON value whose type does not fit the annotation
+    ``hint``: a list stands for a tuple, an integer for a float, an enum
+    member's value for the enum, and a boolean only for bool.  ``where``
+    names the value in the error."""
+    if not _json_fits(value, hint):
+        raise ValidationError(
+            f"{where} must be {_type_name(hint)}, got {json.dumps(value)}")
+
+
+def _json_fits(value, hint) -> bool:
+    origin, args = typing.get_origin(hint), typing.get_args(hint)
+    if origin in (typing.Union, types.UnionType):
+        return any(_json_fits(value, a) for a in args)
+    if origin is typing.Literal:
+        return value in args
+    if origin is tuple:
+        if not isinstance(value, (list, tuple)):
+            return False
+        if len(args) == 2 and args[1] is Ellipsis:
+            return all(_json_fits(v, args[0]) for v in value)
+        return len(value) == len(args) and all(map(_json_fits, value, args))
+    if isinstance(value, bool) and hint is not bool:
+        return False
+    if hint is int:
+        return isinstance(value, numbers.Integral)
+    if hint is float:
+        return isinstance(value, numbers.Real)
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return value in {m.value for m in hint}
+    if hint is type(None):
+        return value is None
+    return isinstance(value, origin or hint)
+
+
+def _type_name(hint) -> str:
+    if isinstance(hint, type) and issubclass(hint, Enum):
+        return "one of " + ", ".join(repr(m.value) for m in hint)
+    if typing.get_origin(hint) is typing.Literal:
+        return "one of " + ", ".join(map(repr, typing.get_args(hint)))
+    return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
 def _labels_to_json(labels: Iterable[ColumnLabel]) -> list:

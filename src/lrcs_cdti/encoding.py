@@ -20,6 +20,13 @@ Layout conventions:
   a fully sampled column (F_y^H F_y = I), and R^H R with R the kept rows
   of F_y on an undersampled one.  Forward and adjoint keep the 2-D DFT
   because they map to and from the packed samples.
+* A*A works on the undersampled columns in blocks of about
+  ``NORMAL_BLOCK_BYTES`` (256 KiB), so that the per-coil temporaries of
+  a block stay in L2.  The block count is
+  ceil(N_part * column bytes / NORMAL_BLOCK_BYTES), at most N_part,
+  split evenly: 2 columns a block on a 64x64x4 grid, 6 on 32x32x3.
+  Blocks keep each entry's operations and the coil summation order, so
+  the result does not depend on the block size.
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``forward_matrix``, ``adjoint_matrix`` and ``normal_matrix`` cast
@@ -49,6 +56,13 @@ from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
 from .errors import ValidationError
 
 N_CENTER_LINES = 4
+
+# Byte budget of one block of undersampled columns in normal_matrix.  A
+# block's coil product, its accumulator and the line products are a few
+# block-sized temporaries; at this size they and a coil's field stay in
+# L2, where whole-grid temporaries of a 64x64x4 series (1.5 MB each) do
+# not.
+NORMAL_BLOCK_BYTES = 256 * 1024
 
 _workers = max(1, min(4, os.cpu_count() or 1))
 
@@ -389,29 +403,55 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
 def normal_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     """A*(A(x)) with no DFT (see the module notes for the algebra).
 
-    A fully sampled column is ``_sos`` times P o X.  An undersampled one
-    is, per coil, ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched
-    matrix products over the kept lines) combined with conj(S_c a).
-    Both end with the conjugate phase.  Computes and returns complex64;
-    equal to ``adjoint_matrix(model, forward_matrix(model, x))`` up to
-    float32 rounding.
+    A fully sampled column is ``_sos`` times P o X.  The undersampled
+    columns run in blocks of about ``NORMAL_BLOCK_BYTES`` (see
+    :func:`_column_blocks`); per block the phase is applied, then per
+    coil ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched matrix
+    products over the kept lines) is combined with conj(S_c a) and
+    summed over the coils in coil order, then the conjugate phase.
+    Every entry sees the same operations in the same order for any
+    block size.  Computes and returns complex64; equal to
+    ``adjoint_matrix(model, forward_matrix(model, x))`` up to float32
+    rounding.
     """
     vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
-    if model._phase_t is not None:
-        vols = vols * model._phase_t
     out = np.empty(vols.shape, dtype=model.dtype)
-    out[model._full_cols] = model._sos * vols[model._full_cols]
-    # one coil at a time keeps the temporaries a coil's size
-    vols_part = vols[model._part_cols]
-    combined = np.zeros(vols_part.shape, dtype=model.dtype)
-    for maps_a, maps_a_conj in zip(model._maps_a, model._maps_a_conj):
-        projected = model._rows_h @ (model._rows @ (maps_a * vols_part))
-        projected *= maps_a_conj
-        combined += projected
-    out[model._part_cols] = combined
-    if model._phase_t is not None:
-        out *= model._phase_t_conj
+
+    def phased(cols):
+        if model._phase_t is None:
+            return vols[cols]
+        return vols[cols] * model._phase_t[cols]
+
+    def store(cols, v):
+        if model._phase_t_conj is not None:
+            v *= model._phase_t_conj[cols]
+        out[cols] = v
+
+    store(model._full_cols, model._sos * phased(model._full_cols))
+    part = model._part_cols
+    for lo, hi in _column_blocks(part.size, vols[0].nbytes):
+        cols = part[lo:hi]
+        if cols[-1] - cols[0] == hi - lo - 1:
+            # a run of columns: slicing takes views, where an index copies
+            cols = slice(cols[0], cols[-1] + 1)
+        v = phased(cols)
+        rows, rows_h = model._rows[lo:hi], model._rows_h[lo:hi]
+        combined = np.zeros(v.shape, dtype=model.dtype)
+        for maps_a, maps_a_conj in zip(model._maps_a, model._maps_a_conj):
+            projected = rows_h @ (rows @ (maps_a * v))
+            projected *= maps_a_conj
+            combined += projected
+        store(cols, combined)
     return _grid_to_series(out)
+
+
+def _column_blocks(n_cols: int, column_bytes: int) -> list[tuple[int, int]]:
+    """Bounds (lo, hi) of the blocks :func:`normal_matrix` splits
+    ``n_cols`` columns into: ceil(n_cols * column_bytes /
+    NORMAL_BLOCK_BYTES) blocks, at most one per column, sizes differing
+    by at most one."""
+    n = min(n_cols, ceil(n_cols * column_bytes / NORMAL_BLOCK_BYTES))
+    return [(b * n_cols // n, (b + 1) * n_cols // n) for b in range(n)]
 
 
 def coil_images(d: KSpaceData, column: int) -> np.ndarray:

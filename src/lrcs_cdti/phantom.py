@@ -18,7 +18,7 @@ from math import inf
 import numpy as np
 
 from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
-                        check_json_keys, make_labels, reshape_to_casorati)
+                        check_json, make_labels, reshape_to_casorati)
 from .dti import TensorField
 from .errors import ValidationError
 
@@ -114,8 +114,16 @@ class PhantomConfig:
 
     @classmethod
     def from_json(cls, obj: dict) -> "PhantomConfig":
-        check_json_keys(cls, obj)
+        return cls(**cls.json_kwargs(obj))
+
+    @classmethod
+    def json_kwargs(cls, obj: dict) -> dict:
+        """Constructor arguments from a JSON config, keys and value types
+        checked: lists become tuples, a null ``snr`` is noise-free."""
         kwargs = dict(obj)
+        if "snr" in kwargs and kwargs["snr"] is None:
+            kwargs["snr"] = inf
+        check_json(cls, kwargs)
         if "grid" in kwargs:
             kwargs["grid"] = tuple(kwargs["grid"])
         if kwargs.get("lv_center") is not None:
@@ -124,9 +132,7 @@ class PhantomConfig:
             kwargs["b_values"] = tuple(kwargs["b_values"])
         if "directions" in kwargs:
             kwargs["directions"] = tuple(tuple(g) for g in kwargs["directions"])
-        if kwargs.get("snr") is None:
-            kwargs["snr"] = inf
-        return cls(**kwargs)
+        return kwargs
 
 
 @dataclass(frozen=True)

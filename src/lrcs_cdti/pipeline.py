@@ -54,7 +54,12 @@ class ExperimentPlan:
             recon.PhaseMode(p)
         if self.n_subjects < 1:
             raise ValidationError("need at least one subject")
-        dm.check_json_keys(phantom.PhantomConfig, self.base_config)
+        # the base config's keys and value types, before any subject runs
+        phantom.PhantomConfig.json_kwargs(self.base_config)
+        dm.check_json(recon.SolverConfig, self.solver)
+        if {"lam", "rank"} & set(self.solver):
+            raise ValidationError("solver keys 'lam' and 'rank' are set per cell, "
+                                  "from lambda_scale and rank")
         object.__setattr__(self, "R_list", tuple(float(r) for r in self.R_list))
         if any(r < 1 for r in self.R_list):
             raise ValidationError(
@@ -75,7 +80,7 @@ class ExperimentPlan:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ExperimentPlan":
-        dm.check_json_keys(cls, obj)
+        dm.check_json(cls, obj)
         kwargs = dict(obj)
         for key in ("R_list", "methods", "phase_modes"):
             if key in kwargs:
@@ -211,14 +216,17 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                         d, model, _solver_config(plan, lam=lam, rank=len(labels)))
                 prepared[scheme] = (d, model, lam, prelim)
             except Exception:
-                prepared[scheme] = traceback.format_exc(limit=3)
+                prepared[scheme] = traceback.format_exc()
         for method in plan.methods:
             for mode in plan.phase_modes:
                 cell = CellResult(index, R, method, mode, ok=False)
                 results.append(cell)
+                out = (Path(plan.output_dir) / f"subject{index:02d}"
+                       / f"R{R:g}" / f"{method}_{mode}")
                 prep = prepared[scheme_of[mode]]
                 if isinstance(prep, str):
                     cell.error = prep
+                    _write_error(out, cell.error)
                     continue
                 d, model, lam, prelim = prep
                 try:
@@ -230,14 +238,20 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                         art.segmentation)
                     cell.ok = True
                     if plan.save_arrays:
-                        out = (Path(plan.output_dir) / f"subject{index:02d}"
-                               / f"R{R:g}" / f"{method}_{mode}")
                         dm.save_series(out / "recon", res.series)
                         (out / "run_report.json").write_text(
                             json.dumps(cell.report, indent=1))
                 except Exception:
-                    cell.error = traceback.format_exc(limit=3)
+                    cell.error = traceback.format_exc()
+                    _write_error(out, cell.error)
     return results
+
+
+def _write_error(directory: Path, error: str) -> None:
+    """The full traceback of a failure, as ``error.txt`` in ``directory``
+    (summary.csv keeps its last line)."""
+    directory.mkdir(parents=True, exist_ok=True)
+    (directory / "error.txt").write_text(error)
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
@@ -247,6 +261,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its
     reference row and on ``ok=False`` cells; the other subjects run on.
+    Every failure leaves its full traceback in ``error.txt``: in the
+    subject's directory when the preparation failed, else in the failed
+    cell's.
     """
     out_root = Path(plan.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
@@ -256,7 +273,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
         try:
             art = prepare_subject(plan, i)
         except Exception:
-            error = traceback.format_exc(limit=3)
+            error = traceback.format_exc()
+            _write_error(out_root / f"subject{i:02d}", error)
             cells = [CellResult(i, R, method, mode, ok=False, error=error)
                      for R in plan.R_list for method in plan.methods
                      for mode in plan.phase_modes]

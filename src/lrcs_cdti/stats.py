@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.stats import f as f_dist
+from scipy.special import fdtri
 
 from .errors import ValidationError
 
@@ -88,8 +88,10 @@ def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccRe
         b = 1.0 + (k * r * (n - 1)) / (n * (1.0 - r))
         v = (a * ms_c + b * ms_e) ** 2 / (
             (a * ms_c) ** 2 / (k - 1) + (b * ms_e) ** 2 / ((n - 1) * (k - 1)))
-        f_l = f_dist.ppf(1 - alpha / 2, n - 1, v)
-        f_u = f_dist.ppf(1 - alpha / 2, v, n - 1)
+        # F quantiles; fdtri is what scipy.stats.f.ppf evaluates, without
+        # the import cost of scipy.stats
+        f_l = fdtri(n - 1, v, 1 - alpha / 2)
+        f_u = fdtri(v, n - 1, 1 - alpha / 2)
         spread = k * ms_c + (k * n - k - n) * ms_e
         if np.isinf(f_l):
             # a tiny Satterthwaite df v puts the quantile at infinity:

@@ -1,5 +1,8 @@
 import csv
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -166,6 +169,14 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     ("phantom", "--params", '{"grid": [16, 16, 3], "bogus": 3}',
      "unknown PhantomConfig key(s): 'bogus'"),
     ("phantom", "--params", "not json", "cannot read params"),
+    ("run", "--plan", '{"n_subjects": "2", "output_dir": "{out}"}',
+     "ExperimentPlan key 'n_subjects' must be int, got \"2\""),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"max_iters": 2.5}, '
+     '"output_dir": "{out}"}', "SolverConfig key 'max_iters' must be int, got 2.5"),
+    ("phantom", "--params", '{"grid": 5}',
+     "PhantomConfig key 'grid' must be tuple[int, int, int], got 5"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"rank": 3}, "output_dir": "{out}"}',
+     "solver keys 'lam' and 'rank' are set per cell"),
 ])
 def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
                                              content, message):
@@ -182,3 +193,41 @@ def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
     assert str(path) in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("config, message", [
+    ({"threads": "x"}, "key 'threads' must be int, got \"x\""),
+    ({"seed": 1.5}, "key 'seed' must be int, got 1.5"),
+])
+def test_config_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, config,
+                                                         message):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    out = tmp_path / "gt"
+    assert cli.main(["phantom", "--out", str(out), "--config", str(path),
+                     "--log-level", "warning"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error [phantom]: ")
+    assert f"config {path} {message}" in err
+    assert not out.exists()
+
+
+def test_threads_variable_that_is_not_an_integer_is_a_named_error(tmp_path, capsys,
+                                                                  monkeypatch):
+    monkeypatch.setenv("LRCS_CDTI_THREADS", "abc")
+    out = tmp_path / "gt"
+    assert cli.main(["phantom", "--out", str(out), "--log-level", "warning"]) == 1
+    assert capsys.readouterr().err == (
+        "error [phantom]: environment variable LRCS_CDTI_THREADS must be an "
+        "integer, got 'abc'\n")
+    assert not out.exists()
+
+
+def test_import_leaves_scipy_stats_out():
+    # the ICC interval takes its F quantiles from scipy.special, so the
+    # CLI does not pay for importing scipy.stats
+    code = "import sys, lrcs_cdti.cli; print('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env=env, check=True)
+    assert done.stdout.strip() == "False"

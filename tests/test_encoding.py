@@ -300,7 +300,7 @@ def normal_case(name):
     """Small models for the normal-operator tests: (model, rng)."""
     labels = dm.make_labels([0, 500], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     nx, ny = {"even": (8, 8), "odd": (7, 9), "r1": (8, 8), "phase": (7, 8),
-              "lattice": (6, 16)}[name]
+              "lattice": (6, 16), "gap": (6, 8)}[name]
     nz = 2
     rng = np.random.default_rng(len(name) + nx * ny)
     shape = (3, nx, ny, nz)
@@ -316,9 +316,11 @@ def normal_case(name):
         kept[:, 1, 2] = False       # and one with an empty slice
         if name == "r1":
             kept[:] = True
+        if name == "gap":
+            kept[:, :, 2] = True    # a fully kept column between two others
         mask = dm.SamplingMask(kept, 2.0, 0, labels)
     phase = None
-    if name == "phase":
+    if name in ("phase", "gap"):
         phase = dm.PhaseMap(np.exp(1j * rng.normal(size=(nx * ny * nz, len(labels)))))
     return enc.EncodingModel(coils, mask, phase), rng
 
@@ -337,6 +339,39 @@ class TestNormalOperator:
         assert got.dtype == np.complex64
         # measured 4.3e-8 (r1) to 9.0e-8 (phase), 7.6e-8 on the 8x8x2 case
         assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("n_cols, column_bytes, blocks", [
+        (12, 64 * 64 * 4 * 8, [(0, 2), (2, 4), (4, 6), (6, 8), (8, 10), (10, 12)]),
+        (12, 32 * 32 * 3 * 8, [(0, 6), (6, 12)]),
+        (5, 100 * 1024, [(0, 2), (2, 5)]),
+        (3, 1024 * 1024, [(0, 1), (1, 2), (2, 3)]),     # columns over budget
+        (0, 1024, [])])
+    def test_column_blocks_split_evenly(self, n_cols, column_bytes, blocks):
+        assert enc._column_blocks(n_cols, column_bytes) == blocks
+
+    @pytest.mark.parametrize("name", ["even", "phase", "gap"])
+    @pytest.mark.parametrize("n_blocks", [2, 3])
+    def test_column_blocks_match_dense_normal_matrix(self, name, n_blocks,
+                                                     monkeypatch):
+        # these grids fit in one block at the default budget; 2 blocks
+        # split the 3 undersampled columns 1 + 2; "gap" has a fully kept
+        # column between undersampled ones, so its one block is not a
+        # run of columns
+        model, rng = normal_case(name)
+        shape = (model.n_voxels, model.n_columns)
+        x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+        one_block = enc.normal_matrix(model, x)
+        n_part = model._part_cols.size
+        column_bytes = model.n_voxels * model.dtype.itemsize
+        assert len(enc._column_blocks(n_part, column_bytes)) == 1
+        monkeypatch.setattr(enc, "NORMAL_BLOCK_BYTES",
+                            -(-n_part * column_bytes // n_blocks))
+        assert len(enc._column_blocks(n_part, column_bytes)) == min(n_blocks, n_part)
+        got = enc.normal_matrix(model, x)
+        want = (dense_normal(model) @ x.ravel()).reshape(shape)
+        assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
+        # each entry sees the same operations in the same order
+        np.testing.assert_array_equal(got, one_block)
 
     def test_full_sampling_is_coil_sum_of_squares(self):
         model, rng = normal_case("r1")
