@@ -11,8 +11,8 @@ from .errors import NumericalError, ValidationError
 from .phantom import GroundTruth, PhantomConfig, add_noise, build_phantom
 from .recon import (Method, PhaseMode, ReconResult, SolverConfig,
                     estimate_phase_lowres, estimate_phase_map,
-                    estimate_subspace, reconstruct_cs_only, reconstruct_lr_only,
-                    reconstruct_lrcs, select_lambda, select_rank)
+                    estimate_subspace, reconstruct_cs_only, reconstruct_lrcs,
+                    select_lambda, select_rank)
 from .transforms import (WaveletSpec, group_l12_norm, group_shrink,
                          wavelet_adjoint, wavelet_forward)
 

@@ -15,7 +15,6 @@ import json
 import logging
 import os
 import sys
-from dataclasses import replace
 from pathlib import Path
 from typing import Literal
 
@@ -96,12 +95,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _command_parser(parser: argparse.ArgumentParser,
-                    command: str) -> argparse.ArgumentParser:
-    """The subparser of ``command``."""
-    sub = next(a for a in parser._actions
-               if isinstance(a, argparse._SubParsersAction))
-    return sub.choices[command]
+def _flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
+    """The flags of ``parser`` by every name a config key may use: the
+    option name (``lambda-scale``) and the attribute (``lambda_scale``)."""
+    return {name: a for a in parser._actions
+            if not isinstance(a, (argparse._HelpAction, argparse._SubParsersAction))
+            for name in (a.dest, *(o.lstrip("-") for o in a.option_strings))}
 
 
 def _read_json(path, what: str) -> dict:
@@ -119,26 +118,40 @@ def _read_json(path, what: str) -> dict:
     return obj
 
 
+# values of the flags that neither the command line nor the config sets
+_DEFAULTS = {"sample": {"R": 1.0, "seed": 0, "scheme": "proposed"},
+             "recon": {"method": "lrcs", "phase": "proposed", "lambda_scale": 1e-2}}
+
+
 def _merge_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill unset (None) flags from the JSON config file, if given.
+    """Fill unset (None) flags of the command from the JSON config file,
+    if given, then from ``_DEFAULTS``.
 
-    A value must fit its flag (``parser`` is the command's own): one of
-    the choices, a number for a numeric flag, a boolean for a switch, a
-    string otherwise.  Keys that name no flag of the command are kept
-    and ignored, so one config can serve several commands.
+    Every key must name a flag of some command; keys of other commands
+    are ignored, so one config can serve several commands.  A value must
+    fit its flag: one of the choices, a number for a numeric flag, a
+    boolean for a switch, a string otherwise.
     """
-    if getattr(args, "config", None):
-        overrides = _read_json(args.config, "config")
-        actions = {a.dest: a for a in parser._actions}
-        for key, value in overrides.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                action = actions.get(attr)
-                if action is not None and value is not None:
-                    value = _config_value(action, value,
-                                          f"config {args.config} key {key!r}")
-                setattr(args, attr, value)
+    overrides = {} if args.config is None else _read_json(args.config, "config")
+    commands = next(a for a in parser._actions
+                    if isinstance(a, argparse._SubParsersAction)).choices
+    known = set().union(*map(_flags, commands.values()))
+    unknown = sorted(set(overrides) - known)
+    if unknown:
+        raise ValidationError(f"config {args.config}: key(s) "
+                              f"{', '.join(map(repr, unknown))} name no flag "
+                              f"of any command")
+    flags = _flags(commands[args.command])
+    for key, value in overrides.items():
+        action = flags.get(key)
+        if action is None or value is None or getattr(args, action.dest) is not None:
+            continue
+        setattr(args, action.dest,
+                _config_value(action, value, f"config {args.config} key {key!r}"))
+    for dest, value in _DEFAULTS.get(args.command, {}).items():
+        if getattr(args, dest) is None:
+            setattr(args, dest, value)
     return args
 
 
@@ -150,12 +163,12 @@ def _config_value(action: argparse.Action, value, where: str):
         hint = bool
     else:
         hint = action.type or str
-    dm.check_json_value(value, hint, where)
+    value = dm.json_value(value, hint, where)
     return action.type(value) if action.type else value
 
 
 def _setup(args: argparse.Namespace) -> None:
-    level = (args.log_level or "info").upper()
+    level = ("info" if args.log_level is None else args.log_level).upper()
     logging.basicConfig(level=getattr(logging, level),
                         format="%(levelname)s %(name)s: %(message)s")
     threads = args.threads
@@ -171,12 +184,11 @@ def _setup(args: argparse.Namespace) -> None:
 
 
 def cmd_phantom(args) -> int:
-    params = _read_json(args.params, "params") if args.params else {}
+    params = _read_json(args.params, "params") if args.params is not None else {}
     if args.seed is not None:
         params["seed"] = args.seed
     try:
-        cfg = phantom.PhantomConfig.from_json({**phantom.PhantomConfig().to_json(),
-                                               **params})
+        cfg = dm.config_from_json(phantom.PhantomConfig, params)
     except ValidationError as exc:
         raise ValidationError(f"params {args.params}: {exc}") from exc
     truth = phantom.build_phantom(cfg)
@@ -189,8 +201,7 @@ def cmd_sample(args) -> int:
     series = dm.load_series(args.series)
     _, ny, nz = series.spatial_dims
     mask = encoding.make_sampling_mask(
-        ny, nz, series.column_labels, R=args.R if args.R else 1.0,
-        seed=args.seed or 0, scheme=args.scheme or "proposed")
+        ny, nz, series.column_labels, R=args.R, seed=args.seed, scheme=args.scheme)
     dm.save_mask(args.out, mask)
     log.info("mask written to %s (R_true = %.4f)", args.out, mask.r_true)
     return 0
@@ -201,23 +212,12 @@ def cmd_recon(args) -> int:
     coils = dm.load_coils(args.coils)
     model = encoding.EncodingModel(coils, d.mask, None)
 
-    # one config for the grid search and the solve, so the winning
-    # candidate's solve is the preliminary
-    cfg = recon.SolverConfig(max_iters=args.iters or 25, rank=1)
-    prelim = None
-    if args.lam is not None:
-        lam = args.lam
-    elif args.lambda_grid:
-        lam, prelim, _ = recon.select_lambda(
-            d, model, recon.default_lambda_grid(d, model), cfg)
-    else:
-        scale = args.lambda_scale if args.lambda_scale is not None else 1e-2
-        lam = scale * recon.lambda_base(d, model)
-    cfg = replace(cfg, lam=lam)
-    if prelim is None:
-        prelim = recon.reconstruct_cs_only(d, model, cfg)
-    result = recon.recon(d, model, prelim, args.method or "lrcs",
-                         args.phase or "proposed", args.rank, cfg)
+    cfg = (recon.SolverConfig() if args.iters is None
+           else recon.SolverConfig(max_iters=args.iters))
+    # an absolute --lambda wins, then --lambda-grid, then the scale
+    cfg, prelim = recon.preliminary(d, model, cfg, lam=args.lam,
+                                    scale=None if args.lambda_grid else args.lambda_scale)
+    result = recon.recon(d, model, prelim, args.method, args.phase, args.rank, cfg)
     out = Path(args.out)
     dm.save_series(out, result.series)
     (out / "run_report.json").write_text(json.dumps(result.report.to_json(),
@@ -307,7 +307,7 @@ def cmd_run(args) -> int:
     if args.threads is not None and "threads" not in plan_obj:
         plan_obj["threads"] = args.threads
     try:
-        plan = pipeline.ExperimentPlan.from_json(plan_obj)
+        plan = dm.config_from_json(pipeline.ExperimentPlan, plan_obj)
     except ValidationError as exc:
         raise ValidationError(f"plan {args.plan}: {exc}") from exc
     result = pipeline.run_experiment(plan)
@@ -326,7 +326,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, _command_parser(parser, args.command))
+        args = _merge_config(args, parser)
         _setup(args)
         return _COMMANDS[args.command](args)
     except ValidationError as exc:

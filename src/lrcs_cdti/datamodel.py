@@ -26,8 +26,7 @@ import json
 import numbers
 import types
 import typing
-from dataclasses import dataclass, field, fields
-from enum import Enum
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -254,57 +253,76 @@ class CoilMaps:
 # Container I/O
 # ---------------------------------------------------------------------------
 
-def check_json(cls, obj: dict) -> None:
-    """Reject keys of a JSON config that are not init fields of the
-    dataclass ``cls``, and values whose JSON type does not fit the
-    field's annotation (see :func:`check_json_value`)."""
+def config_from_json(cls, obj: dict):
+    """The dataclass ``cls`` built from the JSON config ``obj``.
+
+    Every key must be an init field of ``cls``, and every value must fit
+    the field's annotation (see :func:`json_value`); lists become tuples
+    where the annotation is a tuple.  The constructor's own checks then
+    run on the values."""
     unknown = sorted(set(obj) - {f.name for f in fields(cls) if f.init})
     if unknown:
         raise ValidationError(f"unknown {cls.__name__} key(s): "
                               f"{', '.join(map(repr, unknown))}")
     hints = typing.get_type_hints(cls)
-    for key, value in obj.items():
-        check_json_value(value, hints[key], f"{cls.__name__} key {key!r}")
+    return cls(**{key: json_value(value, hints[key], f"{cls.__name__} key {key!r}")
+                  for key, value in obj.items()})
 
 
-def check_json_value(value, hint, where: str) -> None:
-    """Reject a JSON value whose type does not fit the annotation
-    ``hint``: a list stands for a tuple, an integer for a float, an enum
-    member's value for the enum, and a boolean only for bool.  ``where``
-    names the value in the error."""
-    if not _json_fits(value, hint):
+def config_to_json(obj) -> dict:
+    """The JSON config of the dataclass ``obj``, read back exactly by
+    :func:`config_from_json`."""
+    return asdict(obj)
+
+
+def json_value(value, hint, where: str):
+    """``value`` from a JSON document as the annotation ``hint``: a list
+    stands for a tuple and becomes one, an integer fits a float, and a
+    boolean fits only bool.  A value that does not fit is a
+    ValidationError naming ``where``."""
+    out = _from_json(value, hint)
+    if out is _MISFIT:
         raise ValidationError(
             f"{where} must be {_type_name(hint)}, got {json.dumps(value)}")
+    return out
 
 
-def _json_fits(value, hint) -> bool:
+_MISFIT = object()
+
+
+def _from_json(value, hint):
     origin, args = typing.get_origin(hint), typing.get_args(hint)
     if origin in (typing.Union, types.UnionType):
-        return any(_json_fits(value, a) for a in args)
+        for arg in args:
+            out = _from_json(value, arg)
+            if out is not _MISFIT:
+                return out
+        return _MISFIT
     if origin is typing.Literal:
-        return value in args
+        return value if value in args else _MISFIT
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
-            return False
+            return _MISFIT
         if len(args) == 2 and args[1] is Ellipsis:
-            return all(_json_fits(v, args[0]) for v in value)
-        return len(value) == len(args) and all(map(_json_fits, value, args))
+            args = (args[0],) * len(value)
+        elif len(value) != len(args):
+            return _MISFIT
+        out = tuple(map(_from_json, value, args))
+        return _MISFIT if _MISFIT in out else out
     if isinstance(value, bool) and hint is not bool:
-        return False
-    if hint is int:
-        return isinstance(value, numbers.Integral)
+        return _MISFIT
     if hint is float:
-        return isinstance(value, numbers.Real)
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return value in {m.value for m in hint}
-    if hint is type(None):
-        return value is None
-    return isinstance(value, origin or hint)
+        fits = isinstance(value, numbers.Real)
+    elif hint is int:
+        fits = isinstance(value, numbers.Integral)
+    elif hint is type(None):
+        fits = value is None
+    else:
+        fits = isinstance(value, origin or hint)
+    return value if fits else _MISFIT
 
 
 def _type_name(hint) -> str:
-    if isinstance(hint, type) and issubclass(hint, Enum):
-        return "one of " + ", ".join(repr(m.value) for m in hint)
     if typing.get_origin(hint) is typing.Literal:
         return "one of " + ", ".join(map(repr, typing.get_args(hint)))
     return hint.__name__ if isinstance(hint, type) else str(hint)

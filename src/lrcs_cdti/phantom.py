@@ -12,13 +12,14 @@ function of (config, seed).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from math import inf
 
 import numpy as np
 
 from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
-                        check_json, make_labels, reshape_to_casorati)
+                        config_from_json, config_to_json, make_labels,
+                        reshape_to_casorati)
 from .dti import TensorField
 from .errors import ValidationError
 
@@ -59,7 +60,7 @@ class PhantomConfig:
     b_values: tuple[float, ...] = (0.0, 1000.0)
     directions: tuple[tuple[float, float, float], ...] = DIRECTIONS_12
     n_coils: int = 4
-    snr: float = 12.0
+    snr: float | None = 12.0   # None: noise-free
     phase_order: int = 2
     phase_coef_range: float = PHASE_COEF_RANGE
     seed: int = 0
@@ -78,6 +79,10 @@ class PhantomConfig:
         if len(self.directions) < 6:
             raise ValidationError(
                 f"need >= 6 diffusion directions, got {len(self.directions)}")
+        if self.snr is not None and not 0 < self.snr < inf:
+            raise ValidationError(
+                f"snr must be positive and finite, or null for noise-free data, "
+                f"got {self.snr}")
         if self.phase_order < 0:
             raise ValidationError(f"phase_order must be >= 0, got {self.phase_order}")
         if self.phase_coef_range < 0:
@@ -98,41 +103,6 @@ class PhantomConfig:
     @property
     def column_labels(self) -> list[ColumnLabel]:
         return make_labels(self.b_values, self.directions)
-
-    def to_json(self) -> dict:
-        return {"grid": list(self.grid),
-                "lv_center": None if self.lv_center is None else list(self.lv_center),
-                "r_endo": self.r_endo, "r_epi": self.r_epi,
-                "ha_endo": self.ha_endo, "ha_epi": self.ha_epi,
-                "md_true": self.md_true, "fa_true": self.fa_true,
-                "b_values": list(self.b_values),
-                "directions": [list(g) for g in self.directions],
-                "n_coils": self.n_coils,
-                "snr": None if self.snr == inf else self.snr,
-                "phase_order": self.phase_order,
-                "phase_coef_range": self.phase_coef_range, "seed": self.seed}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PhantomConfig":
-        return cls(**cls.json_kwargs(obj))
-
-    @classmethod
-    def json_kwargs(cls, obj: dict) -> dict:
-        """Constructor arguments from a JSON config, keys and value types
-        checked: lists become tuples, a null ``snr`` is noise-free."""
-        kwargs = dict(obj)
-        if "snr" in kwargs and kwargs["snr"] is None:
-            kwargs["snr"] = inf
-        check_json(cls, kwargs)
-        if "grid" in kwargs:
-            kwargs["grid"] = tuple(kwargs["grid"])
-        if kwargs.get("lv_center") is not None:
-            kwargs["lv_center"] = tuple(kwargs["lv_center"])
-        if "b_values" in kwargs:
-            kwargs["b_values"] = tuple(kwargs["b_values"])
-        if "directions" in kwargs:
-            kwargs["directions"] = tuple(tuple(g) for g in kwargs["directions"])
-        return kwargs
 
 
 @dataclass(frozen=True)
@@ -312,13 +282,13 @@ def save_ground_truth(path, gt: GroundTruth) -> None:
          "spatial_dims": list(series.spatial_dims),
          "column_labels": _labels_to_json(series.column_labels),
          "hat_global": gt.hat_global,
-         "config": gt.config.to_json()})
+         "config": config_to_json(gt.config)})
 
 
 def load_ground_truth(path) -> GroundTruth:
     from .datamodel import _labels_from_json, read_container
     arrays, meta = read_container(path, kind="ground_truth")
-    cfg = PhantomConfig.from_json(meta["config"])
+    cfg = config_from_json(PhantomConfig, meta["config"])
     labels = _labels_from_json(meta["column_labels"])
     dims = tuple(meta["spatial_dims"])
     series = CasoratiSeries(arrays["clean"].astype(np.complex128), dims, labels)

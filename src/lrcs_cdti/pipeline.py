@@ -48,18 +48,22 @@ class ExperimentPlan:
     save_arrays: bool = True
 
     def __post_init__(self):
-        for m in self.methods:
-            recon.Method(m)
-        for p in self.phase_modes:
-            recon.PhaseMode(p)
+        try:
+            for m in self.methods:
+                recon.Method(m)
+            for p in self.phase_modes:
+                recon.PhaseMode(p)
+        except ValueError as exc:
+            raise ValidationError(str(exc)) from None
         if self.n_subjects < 1:
             raise ValidationError("need at least one subject")
-        # the base config's keys and value types, before any subject runs
-        phantom.PhantomConfig.json_kwargs(self.base_config)
-        dm.check_json(recon.SolverConfig, self.solver)
-        if {"lam", "rank"} & set(self.solver):
-            raise ValidationError("solver keys 'lam' and 'rank' are set per cell, "
-                                  "from lambda_scale and rank")
+        if self.rank is not None and self.rank < 1:
+            raise ValidationError(f"rank must be >= 1 or null, got {self.rank}")
+        # the base phantom and the solver settings, before any subject runs
+        self.base_phantom
+        self.solver_config
+        if "lam" in self.solver:
+            raise ValidationError("solver key 'lam' is set per cell, from lambda_scale")
         object.__setattr__(self, "R_list", tuple(float(r) for r in self.R_list))
         if any(r < 1 for r in self.R_list):
             raise ValidationError(
@@ -67,31 +71,18 @@ class ExperimentPlan:
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "phase_modes", tuple(self.phase_modes))
 
-    def to_json(self) -> dict:
-        return {"n_subjects": self.n_subjects, "master_seed": self.master_seed,
-                "R_list": list(self.R_list), "methods": list(self.methods),
-                "phase_modes": list(self.phase_modes), "output_dir": self.output_dir,
-                "ha_jitter_deg": self.ha_jitter_deg,
-                "md_jitter_frac": self.md_jitter_frac,
-                "geom_jitter_vox": self.geom_jitter_vox,
-                "base_config": self.base_config, "rank": self.rank,
-                "lambda_scale": self.lambda_scale, "solver": self.solver,
-                "threads": self.threads, "save_arrays": self.save_arrays}
+    @property
+    def base_phantom(self) -> phantom.PhantomConfig:
+        return dm.config_from_json(phantom.PhantomConfig, self.base_config)
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "ExperimentPlan":
-        dm.check_json(cls, obj)
-        kwargs = dict(obj)
-        for key in ("R_list", "methods", "phase_modes"):
-            if key in kwargs:
-                kwargs[key] = tuple(kwargs[key])
-        return cls(**kwargs)
+    @property
+    def solver_config(self) -> recon.SolverConfig:
+        return dm.config_from_json(recon.SolverConfig, self.solver)
 
 
 def subject_config(plan: ExperimentPlan, index: int) -> phantom.PhantomConfig:
     """Deterministic per-subject jitter of the base phantom."""
-    base = phantom.PhantomConfig.from_json(
-        {**phantom.PhantomConfig().to_json(), **plan.base_config})
+    base = plan.base_phantom
     rng = np.random.default_rng([plan.master_seed, index])
     g = plan.geom_jitter_vox
     return replace(
@@ -170,9 +161,8 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
     coil_maps = encoding.estimate_coil_maps(encoding.coil_images(d_full, 0))
     model_full = encoding.EncodingModel(coil_maps, full_mask, None)
     # at lambda = 0 the sparsity-only solve is plain least squares
-    solver = _solver_config(plan, lam=0.0, rank=len(labels))
-    ref = recon.reconstruct_cs_only(d_full, model_full,
-                                    replace(solver, cg_max_iters=30))
+    ref = recon.reconstruct_cs_only(
+        d_full, model_full, replace(plan.solver_config, lam=0.0, cg_max_iters=30))
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
@@ -184,10 +174,6 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
                             segmentation, knoisy)
 
 
-def _solver_config(plan: ExperimentPlan, lam: float, rank: int) -> recon.SolverConfig:
-    return recon.SolverConfig(lam=lam, rank=rank, **plan.solver)
-
-
 def run_subject_cells(plan: ExperimentPlan, index: int,
                       art: SubjectArtifacts) -> list[CellResult]:
     cfg = art.config
@@ -195,6 +181,7 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
     _, ny, nz = cfg.grid
     scheme_of = {mode: "lowres-lattice" if mode == "lowres" else "proposed"
                  for mode in plan.phase_modes}
+    solver = plan.solver_config
     results: list[CellResult] = []
     for R in plan.R_list:
         # one sampling pattern, weight and preliminary solve per scheme,
@@ -206,15 +193,8 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                     ny, nz, labels, R=R, seed=cfg.seed, scheme=scheme)
                 d = encoding.extract_samples(art.noisy_kspace, smask)
                 model = encoding.EncodingModel(art.coil_maps, smask, None)
-                if plan.lambda_scale is None:
-                    lam, prelim, _ = recon.select_lambda(
-                        d, model, recon.default_lambda_grid(d, model),
-                        _solver_config(plan, lam=0.0, rank=art.rank))
-                else:
-                    lam = plan.lambda_scale * recon.lambda_base(d, model)
-                    prelim = recon.reconstruct_cs_only(
-                        d, model, _solver_config(plan, lam=lam, rank=len(labels)))
-                prepared[scheme] = (d, model, lam, prelim)
+                prepared[scheme] = (d, model, *recon.preliminary(
+                    d, model, solver, scale=plan.lambda_scale))
             except Exception:
                 prepared[scheme] = traceback.format_exc()
         for method in plan.methods:
@@ -228,10 +208,9 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
                     cell.error = prep
                     _write_error(out, cell.error)
                     continue
-                d, model, lam, prelim = prep
+                d, model, scfg, prelim = prep
                 try:
-                    res = recon.recon(d, model, prelim, method, mode, art.rank,
-                                      _solver_config(plan, lam=lam, rank=art.rank))
+                    res = recon.recon(d, model, prelim, method, mode, art.rank, scfg)
                     cell.report = res.report.to_json()
                     cell.metrics = _series_metrics(
                         res.series, art.truth.myocardium_mask, cfg.center,
@@ -267,7 +246,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     """
     out_root = Path(plan.output_dir)
     out_root.mkdir(parents=True, exist_ok=True)
-    (out_root / "plan.json").write_text(json.dumps(plan.to_json(), indent=1))
+    (out_root / "plan.json").write_text(json.dumps(dm.config_to_json(plan), indent=1))
 
     def one_subject(i: int):
         try:

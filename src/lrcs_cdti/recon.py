@@ -15,9 +15,15 @@ updates U, and a dual ascent updates Y.  The threshold starts at the
 largest initial transform coefficient and decays by a fixed factor per
 iteration; the penalty is rho = lambda/alpha throughout.
 
-Method variants: CS_ONLY runs the same loop with an identity subspace
-and no phase map; LR_ONLY is the lambda = 0 limit, a pure CG solve of
-the subspace-constrained normal equations.
+Method variants differ only in V and lambda, so all three run this one
+loop: CS_ONLY (:func:`reconstruct_cs_only`) with the identity subspace
+V = I and no phase map, LRCS (:func:`reconstruct_lrcs`) with the
+estimated subspace and phase, and LR_ONLY as :func:`reconstruct_lrcs` at
+lambda = 0, where the loop stops after its first step, a CG solve of
+the subspace-constrained normal equations.  The rank is the row count
+of V, and the run report names the variant from V and lambda.  Every
+method starts from one preliminary solve (:func:`preliminary`), which
+also fixes the weight.
 
 Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, V V^H, the right-hand
@@ -73,14 +79,14 @@ CG_TOL_FLOOR = 1e-6
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """ADMM/CG settings.  The method is not a setting: it follows from the
+    subspace a solve is given and from ``lam`` (see :func:`admm_solve`)."""
+
     lam: float = 0.0
-    rank: int = 1
     alpha_decay: float = 1.55
     max_iters: int = 25
-    tol: float = 1e-9
     cg_max_iters: int = 15
     cg_tol: float = 1e-6
-    method: Method = Method.LRCS
 
     def __post_init__(self):
         if self.alpha_decay <= 1:
@@ -93,8 +99,6 @@ class SolverConfig:
             raise ValidationError(
                 f"cg_tol {self.cg_tol:g} is below {CG_TOL_FLOOR:g}, the smallest "
                 f"relative CG residual the complex64 solver arithmetic reaches")
-        if self.method != Method.CS_ONLY and self.rank < 1:
-            raise ValidationError(f"rank must be >= 1, got {self.rank}")
 
 
 @dataclass
@@ -191,10 +195,6 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     return x, max_iters, history[-1]
 
 
-def _phase_model(model: EncodingModel, phase: PhaseMap | None) -> EncodingModel:
-    return EncodingModel(model.coils, model.mask, phase)
-
-
 def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                cfg: SolverConfig, spec: WaveletSpec) -> tuple[np.ndarray, RunReport]:
     """Run the splitting loop; returns the spatial coefficients U (M x L)
@@ -206,6 +206,9 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     product.  The wavelet side transforms the L columns of U, not the N
     of X: Psi(U V) = (Psi U) V and Psi^H(W) V^H = Psi^H(W V^H).  The dual
     is kept scaled, W = Y / rho, and rescaled when rho changes.
+
+    The report names the variant the arguments make: cs for the identity
+    subspace, lr for lambda = 0, lrcs otherwise.
     """
     t0 = time.perf_counter()
     v = np.asarray(v_basis, dtype=model.dtype)
@@ -213,7 +216,9 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     vt = np.ascontiguousarray(v.T)
     v_conj = v.conj()
     vh = v_conj.T
-    report = RunReport(method=cfg.method.value, lam=cfg.lam, rank=v.shape[0])
+    variant = (Method.CS_ONLY if identity_v
+               else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
+    report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
 
     def normal_t(xt):
         return normal_matrix(model, xt.T).T
@@ -301,11 +306,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.cg_residuals.append(cg_res)
         alpha /= cfg.alpha_decay
         rho_prev = rho
-        if delta <= cfg.tol:
-            report.stop_reason = f"delta_u <= tol at iteration {k + 1}"
-            break
-    else:
-        report.stop_reason = f"iteration cap K = {cfg.max_iters}"
+    report.stop_reason = f"iteration cap K = {cfg.max_iters}"
     return _finish(u, report, t0)
 
 
@@ -325,21 +326,20 @@ def reconstruct_cs_only(d: KSpaceData, model: EncodingModel,
         raise ValidationError("CS-only reconstruction requires a phase-free model")
     n = model.n_columns
     spec = WaveletSpec(dims=model.spatial_dims)
-    v = np.eye(n, dtype=np.complex128)
-    run_cfg = replace(cfg, method=Method.CS_ONLY, rank=n)
-    u, report = admm_solve(d, model, v, run_cfg, spec)
+    u, report = admm_solve(d, model, np.eye(n, dtype=np.complex128), cfg, spec)
     series = CasoratiSeries(u, model.spatial_dims, d.column_labels)
     return ReconResult(series, report)
 
 
 def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None,
                      v_basis: np.ndarray, cfg: SolverConfig) -> ReconResult:
-    """Joint subspace + group-sparsity solve; returns X = P o (U V)."""
+    """Joint subspace + group-sparsity solve; returns X = P o (U V).  At
+    ``cfg.lam`` = 0 it is the subspace-constrained least squares of lr."""
     v = np.asarray(v_basis, dtype=np.complex128)
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise ValidationError("subspace basis V is rank deficient")
-    solve_model = _phase_model(model, phase)
+    solve_model = EncodingModel(model.coils, model.mask, phase)
     spec = WaveletSpec(dims=model.spatial_dims)
     u, report = admm_solve(d, solve_model, v, cfg, spec)
     x = u @ v
@@ -349,25 +349,18 @@ def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None
     return ReconResult(series, report, U=u, V=v)
 
 
-def reconstruct_lr_only(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None,
-                        v_basis: np.ndarray, cfg: SolverConfig) -> ReconResult:
-    """Subspace-constrained least squares: the lambda = 0 limit."""
-    return reconstruct_lrcs(d, model, phase, v_basis,
-                            replace(cfg, lam=0.0, method=Method.LR_ONLY))
-
-
 def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
           method: Method | str, mode: PhaseMode | str, rank: int | None,
           cfg: SolverConfig) -> ReconResult:
     """Run one reconstruction method from a shared preliminary solve.
 
-    ``prelim`` is the sparsity-only reconstruction of ``d``
-    (:func:`reconstruct_cs_only` with the weight in ``cfg``); CS_ONLY
-    returns it as is.  LR_ONLY and LRCS take the phase map of ``mode``
-    (none, the preliminary's own phase, or the low-resolution center
-    block), the rank ``rank`` (None selects the elbow of the
-    phase-corrected preliminary), the subspace of the preliminary's
-    magnitude, and solve with ``cfg`` at that rank.
+    ``prelim`` is the sparsity-only reconstruction of ``d`` at the weight
+    in ``cfg`` (see :func:`preliminary`); CS_ONLY returns it as is.
+    LR_ONLY and LRCS take the phase map of ``mode`` (none, the
+    preliminary's own phase, or the low-resolution center block), the
+    rank ``rank`` (None selects the elbow of the phase-corrected
+    preliminary) and the subspace of the preliminary's magnitude, and
+    solve with ``cfg``; LR_ONLY at lambda = 0.
     """
     method, mode = Method(method), PhaseMode(mode)
     if method == Method.CS_ONLY:
@@ -378,12 +371,12 @@ def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
         pmap = estimate_phase_map(prelim.series)
     else:
         pmap = estimate_phase_lowres(d, model)
-    rank = select_rank(prelim.series, pmap, override=rank)
+    if rank is None:
+        rank = select_rank(prelim.series, pmap)
     v = estimate_subspace(prelim.series, rank)
-    scfg = replace(cfg, rank=rank, method=method)
     if method == Method.LR_ONLY:
-        return reconstruct_lr_only(d, model, pmap, v, scfg)
-    return reconstruct_lrcs(d, model, pmap, v, scfg)
+        cfg = replace(cfg, lam=0.0)
+    return reconstruct_lrcs(d, model, pmap, v, cfg)
 
 
 def estimate_phase_map(series: CasoratiSeries) -> PhaseMap:
@@ -406,16 +399,13 @@ def estimate_subspace(series: CasoratiSeries, rank: int) -> np.ndarray:
     return vt[:rank].astype(np.complex128)
 
 
-def select_rank(series: CasoratiSeries, phase: PhaseMap | None = None,
-                override: int | None = None) -> int:
+def select_rank(series: CasoratiSeries, phase: PhaseMap | None = None) -> int:
     """Discrete elbow of the log-scale singular value curve of P* o X.
 
     The elbow is the largest positive second difference of log(sigma);
-    the result is clamped to [2, N-1].  ``override`` short-circuits.
+    the result is clamped to [2, N-1].
     """
     n = series.n_columns
-    if override is not None:
-        return int(override)
     x = series.data
     if phase is not None:
         x = np.conj(phase.values) * x
@@ -461,6 +451,26 @@ def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
     best = int(np.argmin(norms))
     return float(candidates[best]), results[best], \
         {"candidates": candidates, "norms": norms}
+
+
+def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
+                lam: float | None = None,
+                scale: float | None = None) -> tuple[SolverConfig, ReconResult]:
+    """The regularization weight and the sparsity-only preliminary solve
+    at it, which every method of :func:`recon` starts from.
+
+    The weight is ``lam`` if given, else ``scale`` x :func:`lambda_base`,
+    else the nuclear-norm choice of :func:`select_lambda` over
+    :func:`default_lambda_grid`, whose winning solve is the preliminary.
+    Returns ``cfg`` at that weight and the preliminary solve.
+    """
+    if lam is None and scale is None:
+        lam, prelim, _ = select_lambda(d, model, default_lambda_grid(d, model), cfg)
+        return replace(cfg, lam=lam), prelim
+    if lam is None:
+        lam = scale * lambda_base(d, model)
+    cfg = replace(cfg, lam=lam)
+    return cfg, reconstruct_cs_only(d, model, cfg)
 
 
 def estimate_phase_lowres(d: KSpaceData, model: EncodingModel,

@@ -94,7 +94,7 @@ def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
     d = encoding.load_kspace(root / "kspace")
     model = encoding.EncodingModel(dm.load_coils(root / "coils"), d.mask, None)
     lam, prelim, _ = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
-                                         recon.SolverConfig(max_iters=2, rank=1))
+                                         recon.SolverConfig(max_iters=2))
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["lambda"] == lam
     series = dm.load_series(tmp_path / "out")
@@ -176,7 +176,21 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     ("phantom", "--params", '{"grid": 5}',
      "PhantomConfig key 'grid' must be tuple[int, int, int], got 5"),
     ("run", "--plan", '{"n_subjects": 1, "solver": {"rank": 3}, "output_dir": "{out}"}',
-     "solver keys 'lam' and 'rank' are set per cell"),
+     "unknown SolverConfig key(s): 'rank'"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"method": "lr"}, '
+     '"output_dir": "{out}"}', "unknown SolverConfig key(s): 'method'"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"tol": 1e-6}, '
+     '"output_dir": "{out}"}', "unknown SolverConfig key(s): 'tol'"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"lam": 0.1}, '
+     '"output_dir": "{out}"}', "solver key 'lam' is set per cell"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"max_iters": 0}, '
+     '"output_dir": "{out}"}', "max_iters must be >= 1, got 0"),
+    ("run", "--plan", '{"n_subjects": 1, "rank": 0, "output_dir": "{out}"}',
+     "rank must be >= 1 or null, got 0"),
+    ("run", "--plan", '{"n_subjects": 1, "methods": ["lrx"], "output_dir": "{out}"}',
+     "'lrx' is not a valid Method"),
+    ("run", "--plan", '{"n_subjects": 1, "base_config": {"r_epi": 40}, '
+     '"output_dir": "{out}"}', "need 0 < r_endo < r_epi"),
 ])
 def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
                                              content, message):
@@ -210,6 +224,47 @@ def test_config_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, confi
     assert err.startswith("error [phantom]: ")
     assert f"config {path} {message}" in err
     assert not out.exists()
+
+
+def test_config_key_of_no_command_is_a_named_error(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 3, "sead": 3}))
+    out = tmp_path / "gt"
+    assert cli.main(["phantom", "--out", str(out), "--config", str(path),
+                     "--log-level", "warning"]) == 1
+    assert capsys.readouterr().err == (
+        f"error [phantom]: config {path}: key(s) 'sead' name no flag of any "
+        f"command\n")
+    assert not out.exists()
+
+
+def test_config_keys_of_other_commands_are_ignored(tmp_path):
+    # one config serves several commands: phantom takes its seed and
+    # leaves the keys of recon, sample and run alone
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": [16, 16, 3], "r_endo": 3, "r_epi": 6,
+                                  "n_coils": 2}))
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"seed": 4, "iters": 3, "lambda-scale": 0.1,
+                                "R": 2, "plan": "plan.json", "log_level": "warning"}))
+    assert cli.main(["phantom", "--params", str(params), "--out", str(tmp_path / "gt"),
+                     "--config", str(path)]) == 0
+    assert ph.load_ground_truth(tmp_path / "gt").config.seed == 4
+
+
+def test_zero_flag_values_are_values(ground_truth, recon_inputs, tmp_path, capsys):
+    # 0 is not "unset": each command rejects it with a named error
+    dm.save_series(tmp_path / "series", ph.load_ground_truth(ground_truth).clean_series)
+    _, root = recon_inputs
+    runs = [(["sample", "--series", str(tmp_path / "series"), "--R", "0"],
+             "acceleration factor must be >= 1, got 0.0"),
+            (["recon", "--kspace", str(root / "kspace"), "--coils", str(root / "coils"),
+              "--iters", "0"], "max_iters must be >= 1, got 0")]
+    for argv, message in runs:
+        out = tmp_path / argv[0]
+        assert cli.main([*argv, "--out", str(out), *FLAGS]) == 1
+        assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
+        assert not out.exists()
 
 
 def test_threads_variable_that_is_not_an_integer_is_a_named_error(tmp_path, capsys,

@@ -1,9 +1,13 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lrcs_cdti import datamodel as dm
+from lrcs_cdti import phantom as ph
+from lrcs_cdti import pipeline, recon
 from lrcs_cdti.errors import ValidationError
 
 
@@ -205,3 +209,45 @@ class TestContainer:
     def test_missing_header(self, tmp_path):
         with pytest.raises(ValidationError, match="missing container header"):
             dm.read_container(tmp_path / "nowhere")
+
+
+def _json_round_trip(cfg):
+    text = json.dumps(dm.config_to_json(cfg))
+    back = dm.config_from_json(type(cfg), json.loads(text))
+    assert back == cfg
+    assert json.dumps(dm.config_to_json(back)) == text
+
+
+class TestConfigCodec:
+    def test_solver_config_round_trip(self):
+        _json_round_trip(recon.SolverConfig())
+        _json_round_trip(recon.SolverConfig(lam=0.25, alpha_decay=1.2, max_iters=3,
+                                            cg_max_iters=4, cg_tol=1e-5))
+
+    def test_experiment_plan_round_trip(self, study):
+        plan, _ = study
+        _json_round_trip(pipeline.ExperimentPlan())
+        _json_round_trip(plan)
+
+    def test_lists_become_tuples_and_numbers_keep_their_type(self):
+        plan = dm.config_from_json(pipeline.ExperimentPlan,
+                                   {"R_list": [2, 4.5], "methods": ["cs"]})
+        assert plan.R_list == (2.0, 4.5) and plan.methods == ("cs",)
+        cfg = dm.config_from_json(ph.PhantomConfig, {"r_endo": 10, "lv_center": [31, 30]})
+        assert cfg.lv_center == (31, 30) and cfg.r_endo == 10
+        assert isinstance(cfg.r_endo, int)
+
+    @pytest.mark.parametrize("obj, message", [
+        ({"max_iters": True}, "SolverConfig key 'max_iters' must be int, got true"),
+        ({"lam": "1"}, "SolverConfig key 'lam' must be float, got \"1\""),
+        ({"rank": 3}, "unknown SolverConfig key(s): 'rank'"),
+    ])
+    def test_misfit_is_a_named_error(self, obj, message):
+        with pytest.raises(ValidationError) as exc:
+            dm.config_from_json(recon.SolverConfig, obj)
+        assert str(exc.value) == message
+
+    def test_tuple_length_and_element_types_are_checked(self):
+        for value in ([16, 16], [16, 16, 3.5], [16, 16, None]):
+            with pytest.raises(ValidationError, match="'grid' must be tuple"):
+                dm.config_from_json(ph.PhantomConfig, {"grid": value})

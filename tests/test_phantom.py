@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -30,9 +32,19 @@ class TestConfig:
             ph.PhantomConfig(directions=ph.DIRECTIONS_12[:5])
 
     def test_json_round_trip(self):
-        cfg = ph.PhantomConfig(grid=(32, 32, 4), r_endo=6, r_epi=12, snr=np.inf)
-        back = ph.PhantomConfig.from_json(cfg.to_json())
-        assert back == cfg
+        # default, noise-free, and with the LV center set
+        for cfg in (ph.PhantomConfig(),
+                    ph.PhantomConfig(grid=(32, 32, 4), r_endo=6, r_epi=12, snr=None),
+                    ph.PhantomConfig(lv_center=(31, 30.5))):
+            text = json.dumps(dm.config_to_json(cfg))
+            back = dm.config_from_json(ph.PhantomConfig, json.loads(text))
+            assert back == cfg
+            assert json.dumps(dm.config_to_json(back)) == text
+
+    def test_noise_free_is_null_not_infinity(self):
+        with pytest.raises(ValidationError, match="snr"):
+            ph.PhantomConfig(snr=np.inf)
+        assert dm.config_to_json(ph.PhantomConfig(snr=None))["snr"] is None
 
     def test_direction_table_is_unit_norm(self):
         g = np.array(ph.DIRECTIONS_12)

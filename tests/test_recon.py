@@ -73,10 +73,10 @@ class TestSolverPrecision:
         assert model.dtype == np.complex64
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
-        scfg = recon.SolverConfig(lam=lam, rank=3, max_iters=2)
+        scfg = recon.SolverConfig(lam=lam, max_iters=2)
         results = [recon.reconstruct_cs_only(d, model, scfg),
                    recon.reconstruct_lrcs(d, model, gt.phase, v, scfg),
-                   recon.reconstruct_lr_only(d, model, gt.phase, v, scfg)]
+                   recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))]
         for res in results:
             assert res.series.data.dtype == np.complex128
         assert results[1].U.dtype == results[2].U.dtype == np.complex128
@@ -98,7 +98,7 @@ class TestSolverPrecision:
         for name in ("series_forward", "series_adjoint", "group_shrink"):
             monkeypatch.setattr(recon, name, spy(getattr(recon, name)))
         v = recon.estimate_subspace(gt.clean_series, 3)
-        scfg = recon.SolverConfig(lam=lam, rank=3, max_iters=3)
+        scfg = recon.SolverConfig(lam=lam, max_iters=3)
         recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
         recon.reconstruct_cs_only(d, model, scfg)
         names = [name for name, _ in seen]
@@ -186,10 +186,6 @@ class TestSelectRank:
         series = dm.CasoratiSeries(x.astype(complex), (m, 1, 1), labels)
         assert recon.select_rank(series) == 2
 
-    def test_override(self, bench):
-        cfg, gt, labels, _ = bench
-        assert recon.select_rank(gt.clean_series, override=7) == 7
-
     def test_rank3_magnitude_with_phase(self, bench):
         cfg, gt, labels, _ = bench
         mag = np.abs(gt.clean_series.data)
@@ -250,10 +246,10 @@ class TestExactRecovery:
         x_true = gt.phase.values * gt.clean_series.data
         rank = true_rank(gt)
         scfg = recon.SolverConfig(lam=1e-12 * np.linalg.norm(d.samples),
-                                  rank=rank, cg_max_iters=40)
+                                  cg_max_iters=40)
         v = recon.estimate_subspace(gt.clean_series, rank)
         res_lrcs = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
-        res_lr = recon.reconstruct_lr_only(d, model, gt.phase, v, scfg)
+        res_lr = recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))
         res_cs = recon.reconstruct_cs_only(d, model, scfg)
         for res in (res_lrcs, res_lr, res_cs):
             err = np.linalg.norm(res.series.data - x_true) / np.linalg.norm(x_true)
@@ -269,7 +265,7 @@ class TestExactRecovery:
         n = len(labels)
         v = np.eye(n, dtype=complex)
         res = recon.reconstruct_lrcs(d, model, None, v,
-                                     recon.SolverConfig(lam=0.0, rank=n))
+                                     recon.SolverConfig(lam=0.0))
         # direct CG on the normal equations, iterating X^T (N, M) as the
         # solver does, is the same complex64 computation, so the solve
         # matches it exactly
@@ -283,9 +279,8 @@ class TestExactRecovery:
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=1)
         n = len(labels)
-        res_full = recon.reconstruct_lr_only(d, model, None, np.eye(n, dtype=complex),
-                                             recon.SolverConfig(lam=0.0, rank=n,
-                                                                cg_max_iters=40))
+        res_full = recon.reconstruct_lrcs(d, model, None, np.eye(n, dtype=complex),
+                                          recon.SolverConfig(lam=0.0, cg_max_iters=40))
         x_true = gt.phase.values * gt.clean_series.data
         err = np.linalg.norm(res_full.series.data - x_true) / np.linalg.norm(x_true)
         assert err < 1e-6
@@ -296,7 +291,7 @@ class TestAdmmBehavior:
         # phase-free noiseless instance isolates the undersampling error;
         # the measured value is pinned after the first run (0.0113)
         cfg = ph.PhantomConfig(grid=(32, 32, 2), r_endo=6, r_epi=12, seed=4,
-                               snr=np.inf, phase_coef_range=0.0)
+                               snr=None, phase_coef_range=0.0)
         gt = ph.build_phantom(cfg)
         labels = gt.clean_series.column_labels
         kfull = enc.coil_kspace(gt.clean_series, gt.coils, gt.phase)
@@ -316,7 +311,7 @@ class TestAdmmBehavior:
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
         res = recon.reconstruct_lrcs(d, model, gt.phase, v,
-                                     recon.SolverConfig(lam=lam, rank=3))
+                                     recon.SolverConfig(lam=lam))
         # ||Psi U V - G|| falls until it reaches the float32 resolution of
         # ||Psi U V|| = ||U V|| (orthonormal wavelet), where complex64
         # rounding sets a floor; Psi U V itself is complex64 and the CG
@@ -345,7 +340,7 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=2)
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 4)
-        scfg = recon.SolverConfig(lam=lam, rank=4, max_iters=8)
+        scfg = recon.SolverConfig(lam=lam, max_iters=8)
         res1 = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
         phi = np.exp(1j * 0.83)
         d2 = enc.KSpaceData(phi * d.samples, mask, d.spatial_dims, d.n_coils)
@@ -359,7 +354,7 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=2)
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 4)
-        scfg = recon.SolverConfig(lam=lam, rank=4, max_iters=6)
+        scfg = recon.SolverConfig(lam=lam, max_iters=6)
         a = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
         b = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
         np.testing.assert_array_equal(a.series.data, b.series.data)
@@ -369,7 +364,7 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2)
         v = np.ones((2, len(labels)), dtype=complex)
         with pytest.raises(ValidationError, match="rank deficient"):
-            recon.reconstruct_lrcs(d, model, None, v, recon.SolverConfig(lam=1.0, rank=2))
+            recon.reconstruct_lrcs(d, model, None, v, recon.SolverConfig(lam=1.0))
 
     def test_run_report_fields(self, bench):
         cfg, gt, labels, kfull = bench
@@ -377,7 +372,7 @@ class TestAdmmBehavior:
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
         res = recon.reconstruct_lrcs(d, model, None, v,
-                                     recon.SolverConfig(lam=lam, rank=3, max_iters=5))
+                                     recon.SolverConfig(lam=lam, max_iters=5))
         rep = res.report.to_json()
         assert len(rep["delta_u"]) == len(rep["alpha"]) == len(rep["rho"]) == 5
         assert rep["wall_time_s"] > 0
@@ -546,11 +541,11 @@ class TestResidualCarry:
         mask, d, model = make_model(gt, labels, kfull, R=4, seed=2)
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
-        scfg = recon.SolverConfig(lam=lam, rank=3, max_iters=12)
+        scfg = recon.SolverConfig(lam=lam, max_iters=12)
         if method == "cs":
             return recon.reconstruct_cs_only(d, model, scfg)
         if method == "lr":
-            return recon.reconstruct_lr_only(d, model, gt.phase, v, scfg)
+            return recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))
         return recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
 
     @pytest.mark.parametrize("method", ["cs", "lr", "lrcs"])
