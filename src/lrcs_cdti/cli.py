@@ -171,14 +171,16 @@ def _setup(args: argparse.Namespace) -> None:
     level = ("info" if args.log_level is None else args.log_level).upper()
     logging.basicConfig(level=getattr(logging, level),
                         format="%(levelname)s %(name)s: %(message)s")
-    threads = args.threads
+    threads, source = args.threads, "--threads"
     if threads is None:
         env = os.environ.get("LRCS_CDTI_THREADS", "1")
+        source = "environment variable LRCS_CDTI_THREADS"
         try:
             threads = int(env)
         except ValueError:
-            raise ValidationError(f"environment variable LRCS_CDTI_THREADS "
-                                  f"must be an integer, got {env!r}") from None
+            raise ValidationError(f"{source} must be an integer, got {env!r}") from None
+    if threads < 1:
+        raise ValidationError(f"{source} must be >= 1, got {threads}")
     encoding.set_fft_workers(threads)
     args.threads = threads
 

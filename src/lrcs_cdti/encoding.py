@@ -26,7 +26,15 @@ Layout conventions:
   ceil(N_part * column bytes / NORMAL_BLOCK_BYTES), at most N_part,
   split evenly: 2 columns a block on a 64x64x4 grid, 6 on 32x32x3.
   Blocks keep each entry's operations and the coil summation order, so
-  the result does not depend on the block size.
+  the result does not depend on the block size.  A block that is a run
+  of columns accumulates in the output itself, and every block reuses
+  one coil buffer and one kept-line buffer.
+* ``normal_matrix`` takes a diagonal shift s and returns (A*A + s I) x,
+  adding s x to each block after its conjugate phase, while the block
+  is still in cache: the ADMM's CG operator A*A + (rho/2) I costs one
+  call and no whole-grid pass for the shift.  The sum is the same
+  float32 operation as adding s x afterwards, so the result is
+  bit-equal to ``normal_matrix(model, x) + s * x``.
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``forward_matrix``, ``adjoint_matrix`` and ``normal_matrix`` cast
@@ -400,49 +408,78 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
     return _grid_to_series(combined)
 
 
-def normal_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
-    """A*(A(x)) with no DFT (see the module notes for the algebra).
+def normal_matrix(model: EncodingModel, x: np.ndarray,
+                  shift: float = 0.0) -> np.ndarray:
+    """(A*A + shift I) x with no DFT (see the module notes for the algebra).
 
     A fully sampled column is ``_sos`` times P o X.  The undersampled
     columns run in blocks of about ``NORMAL_BLOCK_BYTES`` (see
     :func:`_column_blocks`); per block the phase is applied, then per
     coil ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched matrix
-    products over the kept lines) is combined with conj(S_c a) and
-    summed over the coils in coil order, then the conjugate phase.
-    Every entry sees the same operations in the same order for any
-    block size.  Computes and returns complex64; equal to
-    ``adjoint_matrix(model, forward_matrix(model, x))`` up to float32
-    rounding.
+    products over the kept lines, through one reused coil buffer) is
+    combined with conj(S_c a) and summed over the coils in coil order,
+    then the conjugate phase.  Every entry sees the same operations in
+    the same order for any block size.  A block that is a run of
+    columns accumulates straight into the output.
+
+    ``shift`` x is added per block after the conjugate phase, while the
+    block is in cache, so the result is bit-equal to
+    ``normal_matrix(model, x) + shift * x`` for complex64 ``x``; the
+    ADMM applies its (rho/2) I shift here.  Computes and returns
+    complex64; equal to ``adjoint_matrix(model, forward_matrix(model,
+    x)) + shift x`` up to float32 rounding.
     """
     vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
     out = np.empty(vols.shape, dtype=model.dtype)
+    phase, phase_conj = model._phase_t, model._phase_t_conj
 
-    def phased(cols):
-        if model._phase_t is None:
-            return vols[cols]
-        return vols[cols] * model._phase_t[cols]
+    def finish(cols, acc):
+        # conjugate phase and shift of a block; acc is out[cols] for a run
+        if phase_conj is not None:
+            acc *= phase_conj[cols]
+        if shift:
+            acc += shift * vols[cols]
+        if not isinstance(cols, slice):
+            out[cols] = acc
 
-    def store(cols, v):
-        if model._phase_t_conj is not None:
-            v *= model._phase_t_conj[cols]
-        out[cols] = v
+    full = _run_or_index(model._full_cols)
+    acc = out[full]
+    v = vols[full] if phase is None else vols[full] * phase[full]
+    np.multiply(model._sos, v, out=acc)
+    finish(full, acc)
 
-    store(model._full_cols, model._sos * phased(model._full_cols))
     part = model._part_cols
-    for lo, hi in _column_blocks(part.size, vols[0].nbytes):
-        cols = part[lo:hi]
-        if cols[-1] - cols[0] == hi - lo - 1:
-            # a run of columns: slicing takes views, where an index copies
-            cols = slice(cols[0], cols[-1] + 1)
-        v = phased(cols)
+    blocks = _column_blocks(part.size, vols[0].nbytes)
+    n_max = max((hi - lo for lo, hi in blocks), default=0)
+    nz, ny, nx = vols.shape[1:]
+    coil_buf = np.empty((n_max, nz, ny, nx), dtype=model.dtype)
+    line_buf = np.empty((n_max, nz, model._rows.shape[2], nx), dtype=model.dtype)
+    for lo, hi in blocks:
+        cols = _run_or_index(part[lo:hi])
+        v = vols[cols] if phase is None else vols[cols] * phase[cols]
         rows, rows_h = model._rows[lo:hi], model._rows_h[lo:hi]
-        combined = np.zeros(v.shape, dtype=model.dtype)
-        for maps_a, maps_a_conj in zip(model._maps_a, model._maps_a_conj):
-            projected = rows_h @ (rows @ (maps_a * v))
-            projected *= maps_a_conj
-            combined += projected
-        store(cols, combined)
+        buf, lines = coil_buf[:hi - lo], line_buf[:hi - lo]
+        acc = out[cols]
+        for c, (maps_a, maps_a_conj) in enumerate(zip(model._maps_a,
+                                                      model._maps_a_conj)):
+            np.multiply(maps_a, v, out=buf)
+            np.matmul(rows, buf, out=lines)
+            np.matmul(rows_h, lines, out=buf)
+            if c == 0:
+                np.multiply(buf, maps_a_conj, out=acc)
+            else:
+                buf *= maps_a_conj
+                acc += buf
+        finish(cols, acc)
     return _grid_to_series(out)
+
+
+def _run_or_index(cols: np.ndarray) -> slice | np.ndarray:
+    """A slice for sorted column indices that form a run (basic indexing
+    takes views), else the indices."""
+    if cols.size and cols[-1] - cols[0] == cols.size - 1:
+        return slice(int(cols[0]), int(cols[-1]) + 1)
+    return cols
 
 
 def _column_blocks(n_cols: int, column_bytes: int) -> list[tuple[int, int]]:

@@ -59,6 +59,11 @@ class ExperimentPlan:
             raise ValidationError("need at least one subject")
         if self.rank is not None and self.rank < 1:
             raise ValidationError(f"rank must be >= 1 or null, got {self.rank}")
+        if self.geom_jitter_vox < 0:
+            raise ValidationError(
+                f"geom_jitter_vox must be >= 0, got {self.geom_jitter_vox}")
+        if self.threads < 1:
+            raise ValidationError(f"threads must be >= 1, got {self.threads}")
         # the base phantom and the solver settings, before any subject runs
         self.base_phantom
         self.solver_config

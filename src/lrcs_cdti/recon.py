@@ -15,6 +15,15 @@ updates U, and a dual ascent updates Y.  The threshold starts at the
 largest initial transform coefficient and decays by a fixed factor per
 iteration; the penalty is rho = lambda/alpha throughout.
 
+Every variant applies the CG operator as one shifted normal-operator
+call between two products with V,
+
+    H(U) = (A*A + (rho/2) I)(U V) V^H = (A* A + (rho/2) J) U,
+
+with the shift added inside :func:`normal_matrix`; for the identity V
+both products are skipped.  A CG step is that call plus in-place BLAS
+updates of the iterate and the residual.
+
 Method variants differ only in V and lambda, so all three run this one
 loop: CS_ONLY (:func:`reconstruct_cs_only`) with the identity subspace
 V = I and no phase map, LRCS (:func:`reconstruct_lrcs`) with the
@@ -26,10 +35,10 @@ method starts from one preliminary solve (:func:`preliminary`), which
 also fixes the weight.
 
 Precision: the whole loop runs in the arithmetic of the encoding model
-(``EncodingModel.dtype``, complex64): A*(d), V, V V^H, the right-hand
-side, the CG iterate and the operator it applies, and on the wavelet
-side Psi U V, G and the dual (the transform and the shrink compute in
-their input's precision).  :func:`admm_solve` returns U as complex128,
+(``EncodingModel.dtype``, complex64): A*(d), V, the right-hand side,
+the CG iterate and the operator it applies, and on the wavelet side
+Psi U V, G and the dual (the transform and the shrink compute in their
+input's precision).  :func:`admm_solve` returns U as complex128,
 so the phase map, subspace, tensor fit and containers see double
 precision.  The CG tolerance has a floor, ``CG_TOL_FLOOR``, that
 complex64 CG can reach.
@@ -39,9 +48,11 @@ handed the residual rhs - H x0 of its starting point instead of
 computing it: A*(d) for the U0 solve, which starts from zero, and for
 each ADMM solve the previous solve's final residual, carried to the new
 system as (rhs_k - rhs_{k-1}) + r - ((rho_k - rho_{k-1})/2) J(U), with
-rho = 0 for the U0 system.  The carried residual is recursive, so it
-drifts from a recomputed one by float32 rounding; on the R=6 phantom
-the drift stays below 3e-7 of ||rhs|| with no growth over iterations.
+rho = 0 for the U0 system and J(U) = U V V^H taken as the same two
+products with V that H applies.  The carried residual is recursive, so
+it drifts from a recomputed one by float32 rounding; on the R=6
+phantom the drift stays below 3e-7 of ||rhs|| with no growth over
+iterations.
 """
 
 from __future__ import annotations
@@ -49,6 +60,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -139,29 +151,46 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
              r: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients on a Hermitian positive (semi)definite system.
 
-    Works in the dtype of ``rhs`` and ``x0`` (complex64 in the ADMM);
-    the step scalars are Python floats.  Returns (solution, iterations,
-    relative residual); ``apply_h`` runs once per iteration.
+    Works in the BLAS precision of ``rhs`` and ``x0`` (complex64 in the
+    ADMM); the step scalars are Python floats.  Returns (solution,
+    iterations, relative residual); ``apply_h`` runs once per iteration.
+    The iterate and the residual are updated in place by BLAS axpy.
 
     ``r``, if given, is the initial residual rhs - H x0, known to the
     caller, so CG does not apply H to ``x0``.  CG then updates it in
     place as its own residual, and on every return leaves in it the
     residual rhs - H x of the returned x (recursively updated, so equal
     to a recomputed one up to rounding), ready to carry into the next
-    solve.  Divergence
+    solve.  It must be a writeable, C-contiguous array of the shape of
+    ``rhs`` in the working precision, which axpy can update in place;
+    anything else is a ValidationError.  Divergence
     (residual growing three consecutive iterations while sitting well
     above the best residual seen; plain CG residuals are allowed their
     usual non-monotone jitter) raises NumericalError with the residual
     history attached.
     """
+    # imported here: scipy.linalg costs about 65 ms and 5 MB to import,
+    # which commands that run no solve should not pay
+    from scipy.linalg import get_blas_funcs
+
+    axpy = get_blas_funcs("axpy", (rhs, x0))
+    if r is not None and not (r.dtype == axpy.dtype and r.shape == rhs.shape
+                              and r.flags.c_contiguous and r.flags.aligned
+                              and r.flags.writeable):
+        raise ValidationError(
+            f"CG residual must be a writeable C-contiguous {axpy.dtype} array "
+            f"of shape {rhs.shape}, got {r.dtype} {r.shape}")
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         if r is not None:
             r[...] = 0
         return np.zeros_like(rhs), 0, 0.0
-    x = x0.copy()
+    x = np.array(x0, dtype=axpy.dtype, order="C")
     if r is None:
-        r = rhs - apply_h(x)
+        r = np.ascontiguousarray(rhs - apply_h(x), dtype=axpy.dtype)
+    # flat views of arrays CG owns or has checked: axpy updates them in
+    # place (f2py would silently update a copy of anything else)
+    x_flat, r_flat = x.reshape(-1), r.reshape(-1)
     p = r.copy()
     rs = float(np.vdot(r, r).real)
     history = [np.sqrt(rs) / rhs_norm]
@@ -176,8 +205,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
             # numerically singular direction; stop at the current iterate
             return x, it, history[-1]
         step = rs / denom
-        x += step * p
-        r -= step * hp
+        axpy(p.reshape(-1), x_flat, a=step)
+        axpy(hp.reshape(-1), r_flat, a=-step)
         rs_new = float(np.vdot(r, r).real)
         history.append(np.sqrt(rs_new) / rhs_norm)
         if history[-1] > history[-2]:
@@ -203,9 +232,16 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     The iterate is U^T, (L, M) and C-contiguous, so X^T = V^T U^T is the
     (N, nz, ny, nx) grid of :func:`normal_matrix` with no copy, and every
     product with V is one (N x L)(L x M) or (L x N)(N x M) matrix
-    product.  The wavelet side transforms the L columns of U, not the N
-    of X: Psi(U V) = (Psi U) V and Psi^H(W) V^H = Psi^H(W V^H).  The dual
-    is kept scaled, W = Y / rho, and rescaled when rho changes.
+    product.  On the iterate, every variant's CG operator is
+    conj(V) (A*A + (rho/2) I)(V^T U^T), and J is conj(V) V^T U^T, the
+    same two products (see the module notes); with the identity V both
+    are skipped.  The wavelet side transforms the L columns of U, not the
+    N of X: Psi(U V) = (Psi U) V and Psi^H(W) V^H = Psi^H(W V^H).  The
+    dual is kept scaled, W = Y / rho, and rescaled when rho changes.
+
+    A non-finite iterate raises NumericalError with its iteration.  The
+    check reads ||U_next - U||, the step size the report records, which
+    is non-finite whenever U_next (or U) is.
 
     The report names the variant the arguments make: cs for the identity
     subspace, lr for lambda = 0, lrcs otherwise.
@@ -220,12 +256,11 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
     report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
 
-    def normal_t(xt):
-        return normal_matrix(model, xt.T).T
-
     if identity_v:
-        a_star_d = adjoint_matrix(model, d.samples).T
-        apply_data = normal_t
+        def expand(ut):
+            return ut
+
+        project = expand
 
         def transform(ut):
             return series_forward(ut.T, spec)
@@ -233,11 +268,11 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         def back_project(w):
             return series_adjoint(w, spec).T
     else:
-        a_star_d = v_conj @ adjoint_matrix(model, d.samples).T
-        gram = v_conj @ vt
+        def expand(ut):
+            return vt @ ut
 
-        def apply_data(ut):
-            return v_conj @ normal_t(vt @ ut)
+        def project(xt):
+            return v_conj @ xt
 
         def transform(ut):
             return series_forward(ut.T, spec) @ v
@@ -245,10 +280,15 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         def back_project(w):
             return series_adjoint(w @ vh, spec).T
 
+    def apply_h(ut, shift):
+        return project(normal_matrix(model, expand(ut).T, shift).T)
+
+    a_star_d = project(adjoint_matrix(model, d.samples).T)
     # U0: data-consistency-only solve from zero, whose residual is A*(d)
     r = a_star_d.copy()
-    u, cg_it, cg_res = cg_solve(apply_data, a_star_d, np.zeros_like(a_star_d),
-                                cfg.cg_tol, cfg.cg_max_iters, r=r)
+    u, cg_it, cg_res = cg_solve(partial(apply_h, shift=0.0), a_star_d,
+                                np.zeros_like(a_star_d), cfg.cg_tol,
+                                cfg.cg_max_iters, r=r)
     report.cg_iters.append(cg_it)
     report.cg_residuals.append(cg_res)
 
@@ -268,7 +308,9 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     # which has rho = 0
     rhs_prev, rho_sys = a_star_d, 0.0
     for k in range(cfg.max_iters):
-        rho = cfg.lam / alpha
+        # a Python float, so that a numpy lam cannot promote the loop's
+        # arrays out of the model's precision
+        rho = float(cfg.lam / alpha)
         if rho_prev is not None:
             w *= rho_prev / rho
         g = group_shrink(bu + w, alpha)
@@ -276,30 +318,26 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         rhs = np.multiply(back_project(g - w), rho / 2.0, order="C")
         rhs += a_star_d
 
-        if identity_v:
-            def apply_h(x, _rho=rho):
-                return apply_data(x) + (_rho / 2.0) * x
-        else:
-            def apply_h(x, _rho=rho):
-                return apply_data(x) + (_rho / 2.0) * (gram @ x)
-
         # carry the residual of u from the previous system to this one:
         # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u)
         r += rhs - rhs_prev
-        r -= ((rho - rho_sys) / 2.0) * (u if identity_v else gram @ u)
-        u_next, cg_it, cg_res = cg_solve(apply_h, rhs, u, cfg.cg_tol,
-                                         cfg.cg_max_iters, r=r)
+        r -= ((rho - rho_sys) / 2.0) * project(expand(u))
+        u_next, cg_it, cg_res = cg_solve(partial(apply_h, shift=rho / 2.0), rhs, u,
+                                         cfg.cg_tol, cfg.cg_max_iters, r=r)
         rhs_prev, rho_sys = rhs, rho
-        if not np.isfinite(u_next).all():
+        # u is spent: its buffer takes the step U_next - U, negated
+        u -= u_next
+        delta = float(np.linalg.norm(u))
+        if not np.isfinite(delta):
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": k})
-        bu = transform(u_next)
-        resid = bu - g
-        w += resid
-        delta = float(np.linalg.norm(u_next - u))
         u = u_next
+        bu = transform(u)
+        # g becomes the feasibility residual Psi U V - G
+        np.subtract(bu, g, out=g)
+        w += g
         report.delta_u.append(delta)
-        report.feasibility.append(float(np.linalg.norm(resid)))
+        report.feasibility.append(float(np.linalg.norm(g)))
         report.alphas.append(alpha)
         report.rhos.append(rho)
         report.cg_iters.append(cg_it)

@@ -191,6 +191,10 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      "'lrx' is not a valid Method"),
     ("run", "--plan", '{"n_subjects": 1, "base_config": {"r_epi": 40}, '
      '"output_dir": "{out}"}', "need 0 < r_endo < r_epi"),
+    ("run", "--plan", '{"n_subjects": 1, "geom_jitter_vox": -1, "output_dir": "{out}"}',
+     "geom_jitter_vox must be >= 0, got -1"),
+    ("run", "--plan", '{"n_subjects": 1, "threads": -3, "output_dir": "{out}"}',
+     "threads must be >= 1, got -3"),
 ])
 def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
                                              content, message):
@@ -278,11 +282,28 @@ def test_threads_variable_that_is_not_an_integer_is_a_named_error(tmp_path, caps
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flag, env, message", [
+    (["--threads", "0"], None, "--threads must be >= 1, got 0"),
+    ([], "0", "environment variable LRCS_CDTI_THREADS must be >= 1, got 0"),
+])
+def test_thread_count_below_one_is_a_named_error(tmp_path, capsys, monkeypatch, flag,
+                                                 env, message):
+    if env is not None:
+        monkeypatch.setenv("LRCS_CDTI_THREADS", env)
+    out = tmp_path / "gt"
+    assert cli.main(["phantom", "--out", str(out), *flag, "--log-level", "warning"]) == 1
+    assert capsys.readouterr().err == f"error [phantom]: {message}\n"
+    assert not out.exists()
+
+
 def test_import_leaves_scipy_stats_out():
     # the ICC interval takes its F quantiles from scipy.special, so the
-    # CLI does not pay for importing scipy.stats
-    code = "import sys, lrcs_cdti.cli; print('scipy.stats' in sys.modules)"
+    # CLI does not pay for importing scipy.stats; CG imports scipy.linalg
+    # (for BLAS axpy) on its first call, so commands that run no solve do
+    # not pay for that either
+    code = ("import sys, lrcs_cdti.cli; "
+            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     done = subprocess.run([sys.executable, "-c", code], capture_output=True,
                           text=True, env=env, check=True)
-    assert done.stdout.strip() == "False"
+    assert done.stdout.strip() == "False False"

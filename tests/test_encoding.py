@@ -373,6 +373,26 @@ class TestNormalOperator:
         # each entry sees the same operations in the same order
         np.testing.assert_array_equal(got, one_block)
 
+    @pytest.mark.parametrize("name, n_blocks", [("phase", 1), ("gap", 1),
+                                                ("even", 2), ("phase", 2)])
+    def test_shift_is_added_per_block(self, name, n_blocks, monkeypatch):
+        # n_blocks = 2 splits the 3 undersampled columns unevenly, 1 + 2
+        model, rng = normal_case(name)
+        shape = (model.n_voxels, model.n_columns)
+        x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+        n_part = model._part_cols.size
+        column_bytes = model.n_voxels * model.dtype.itemsize
+        monkeypatch.setattr(enc, "NORMAL_BLOCK_BYTES",
+                            -(-n_part * column_bytes // n_blocks))
+        assert len(enc._column_blocks(n_part, column_bytes)) == n_blocks
+        shift = 0.37
+        got = enc.normal_matrix(model, x, shift)
+        assert got.dtype == np.complex64
+        np.testing.assert_array_equal(got, enc.normal_matrix(model, x) + shift * x)
+        dense = dense_normal(model) + shift * np.eye(x.size)
+        want = (dense @ x.astype(complex).ravel()).reshape(shape)
+        assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
+
     def test_full_sampling_is_coil_sum_of_squares(self):
         model, rng = normal_case("r1")
         assert model._part_cols.size == 0

@@ -349,6 +349,31 @@ class TestAdmmBehavior:
         np.testing.assert_allclose(res2.series.data, phi * res1.series.data,
                                    atol=5e-6 * np.abs(res1.series.data).max())
 
+    @pytest.mark.parametrize("first_nan", [1, 16, 40])
+    def test_non_finite_iterate_is_a_named_error(self, bench, first_nan, monkeypatch):
+        # A*A turns NaN from call first_nan on; the solve holding that
+        # call (0 is U0, k >= 1 is ADMM iteration k - 1) returns a NaN
+        # iterate, which the loop rejects at once
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=4, seed=2)
+        scfg = recon.SolverConfig(lam=1e-2 * recon.lambda_base(d, model), max_iters=6)
+        cg_iters = recon.reconstruct_cs_only(d, model, scfg).report.cg_iters
+        solve = int(np.searchsorted(np.cumsum(cg_iters), first_nan))
+        assert first_nan <= sum(cg_iters)
+        calls = []
+        real = recon.normal_matrix
+
+        def poisoned(*args):
+            calls.append(1)
+            out = real(*args)
+            if len(calls) >= first_nan:
+                out[:] = np.nan
+            return out
+        monkeypatch.setattr(recon, "normal_matrix", poisoned)
+        with pytest.raises(NumericalError, match="NaN/Inf in ADMM iterate") as err:
+            recon.reconstruct_cs_only(d, model, scfg)
+        assert err.value.diagnostics == {"iteration": max(solve - 1, 0)}
+
     def test_deterministic(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=2)
@@ -533,6 +558,41 @@ class TestCg:
                 "zero_rhs": its == 0 and not got[0].any()}[path]
         exact = rhs.astype(complex) - mat.astype(complex) @ got[0].astype(complex)
         assert np.linalg.norm(r - exact) <= recon.CG_TOL_FLOOR * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
+    def test_updates_land_in_the_iterate_and_the_given_residual(self, dtype):
+        # BLAS axpy in either precision updates CG's iterate and the
+        # caller's residual themselves, not copies of them
+        rng = np.random.default_rng(4)
+        n = 12
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = (np.eye(n) + 0.3 * a @ a.conj().T / n).astype(dtype)
+        rhs = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))).astype(dtype)
+        tol = recon.CG_TOL_FLOOR if dtype == np.complex64 else 1e-12
+        r = rhs.copy()
+        x, its, res = recon.cg_solve(lambda v: mat @ v, rhs, np.zeros_like(rhs),
+                                     tol, 100, r=r)
+        assert x.dtype == dtype and 0 < its < 100 and res < tol
+        exact = rhs.astype(complex) - mat.astype(complex) @ x.astype(complex)
+        assert np.linalg.norm(exact) <= 2 * tol * np.linalg.norm(rhs)
+        assert np.linalg.norm(r - exact) <= tol * np.linalg.norm(rhs)
+
+    @pytest.mark.parametrize("bad", ["fortran", "strided", "dtype", "shape",
+                                     "readonly"])
+    def test_residual_axpy_cannot_update_is_a_named_error(self, bad):
+        rng = np.random.default_rng(5)
+        rhs = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
+        rhs = rhs.astype(np.complex64)
+        r = {"fortran": np.asfortranarray(rhs),
+             "strided": np.repeat(rhs, 2, axis=1)[:, ::2],
+             "dtype": rhs.astype(np.complex128),
+             "shape": rhs.reshape(4, 6).copy(),
+             "readonly": rhs.copy()}[bad]
+        if bad == "readonly":
+            r.flags.writeable = False
+        with pytest.raises(ValidationError, match="CG residual must be a writeable "
+                                                  "C-contiguous complex64 array"):
+            recon.cg_solve(lambda v: v, rhs, np.zeros_like(rhs), 1e-6, 10, r=r)
 
 
 class TestResidualCarry:
