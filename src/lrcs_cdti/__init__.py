@@ -10,9 +10,8 @@ from .encoding import (EncodingModel, KSpaceData, adjoint, estimate_coil_maps,
 from .errors import NumericalError, ValidationError
 from .phantom import GroundTruth, PhantomConfig, add_noise, build_phantom
 from .recon import (Method, PhaseMode, ReconResult, SolverConfig,
-                    estimate_phase_lowres, estimate_phase_map,
-                    estimate_subspace, reconstruct_cs_only, reconstruct_lrcs,
-                    select_lambda, select_rank)
+                    estimate_phase_map, estimate_subspace, reconstruct_cs_only,
+                    reconstruct_lrcs, select_lambda, select_rank)
 from .transforms import (WaveletSpec, group_l12_norm, group_shrink,
                          wavelet_adjoint, wavelet_forward)
 

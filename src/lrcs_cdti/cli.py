@@ -4,7 +4,7 @@ eval | run.
 All array inputs and outputs use the container format; configs are JSON;
 tables are CSV; previews are PGM.  Every flag can also be given in a
 JSON config file (--config); explicit command-line values win.  Exit
-codes: 0 success, 1 validation error, 2 numerical failure.
+codes: 0 success, 1 validation or usage error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--series", required=True,
                    help="series container supplying dims and column labels")
     p.add_argument("--R", type=float, default=None)
-    p.add_argument("--scheme", choices=["proposed", "lowres-lattice"], default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
 
@@ -119,7 +118,7 @@ def _read_json(path, what: str) -> dict:
 
 
 # values of the flags that neither the command line nor the config sets
-_DEFAULTS = {"sample": {"R": 1.0, "seed": 0, "scheme": "proposed"},
+_DEFAULTS = {"sample": {"R": 1.0, "seed": 0},
              "recon": {"method": "lrcs", "phase": "proposed", "lambda_scale": 1e-2}}
 
 
@@ -202,8 +201,8 @@ def cmd_phantom(args) -> int:
 def cmd_sample(args) -> int:
     series = dm.load_series(args.series)
     _, ny, nz = series.spatial_dims
-    mask = encoding.make_sampling_mask(
-        ny, nz, series.column_labels, R=args.R, seed=args.seed, scheme=args.scheme)
+    mask = encoding.make_sampling_mask(ny, nz, series.column_labels, R=args.R,
+                                       seed=args.seed)
     dm.save_mask(args.out, mask)
     log.info("mask written to %s (R_true = %.4f)", args.out, mask.r_true)
     return 0
@@ -326,7 +325,12 @@ _COMMANDS = {"phantom": cmd_phantom, "sample": cmd_sample, "recon": cmd_recon,
 
 def main(argv=None) -> int:
     parser = build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        # argparse has printed its message; its usage-error code, 2, would
+        # read as a numerical failure
+        return 1 if exc.code else 0
     try:
         args = _merge_config(args, parser)
         _setup(args)

@@ -126,33 +126,29 @@ def ifft2c(grid: np.ndarray) -> np.ndarray:
                                    workers=_workers)
 
 
-def center_line_block(n_pe: int, count: int = N_CENTER_LINES) -> np.ndarray:
-    """Indices of the ``count`` centermost phase-encode lines (DC at n_pe//2)."""
-    start = n_pe // 2 - count // 2
-    return np.arange(start, start + count)
+def center_line_block(n_pe: int) -> np.ndarray:
+    """Indices of the ``N_CENTER_LINES`` centermost phase-encode lines
+    (DC at n_pe//2)."""
+    start = n_pe // 2 - N_CENTER_LINES // 2
+    return np.arange(start, start + N_CENTER_LINES)
 
 
-def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float, seed: int,
-                       scheme: str = "proposed") -> SamplingMask:
+def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float,
+                       seed: int) -> SamplingMask:
     """Generate the per-(slice, column) phase-encode sampling pattern.
 
-    ``proposed``: per DW column and slice, keep ceil(n_pe/R) lines drawn
-    without replacement with probability proportional to a Gaussian
-    density centered at DC (sigma = n_pe/4, which leaves usable tail
-    density over outer k-space), always including the 4 centermost
-    lines; patterns differ per (slice, column) for incoherence.  ``lowres-lattice``: half of the line budget is a
-    contiguous block at the k-space center, the remainder a uniform
-    lattice over the outer lines, with one seed-derived lattice offset
-    shared by all slices and columns (regular sampling has no
-    incoherence to gain).  b=0 columns are always fully kept.  Masks are
-    reproducible from (seed, R, dims) alone.
+    Per DW column and slice, keep ceil(n_pe/R) lines drawn without
+    replacement with probability proportional to a Gaussian density
+    centered at DC (sigma = n_pe/4, which leaves usable tail density
+    over outer k-space), always including the 4 centermost lines;
+    patterns differ per (slice, column) for incoherence.  b=0 columns
+    are always fully kept.  Masks are reproducible from (seed, R, dims)
+    alone.
     """
     if R < 1:
         raise ValidationError(f"acceleration factor must be >= 1, got {R}")
     if n_pe < 8:
         raise ValidationError(f"need at least 8 phase-encode lines, got {n_pe}")
-    if scheme not in ("proposed", "lowres-lattice"):
-        raise ValidationError(f"unknown sampling scheme '{scheme}'")
     labels = tuple(column_labels)
     n_cols = len(labels)
     budget = ceil(n_pe / R)
@@ -166,7 +162,6 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float, seed: int,
     density = np.exp(-0.5 * ((lines - dc) / sigma) ** 2)
     center = center_line_block(n_pe)
 
-    lattice_offset = float(np.random.default_rng([seed, 23]).uniform(0, 1))
     kept = np.zeros((n_pe, nz, n_cols), dtype=bool)
     for k, lab in enumerate(labels):
         if lab.is_b0:
@@ -176,7 +171,7 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float, seed: int,
             col = np.zeros(n_pe, dtype=bool)
             if budget >= n_pe:
                 col[:] = True
-            elif scheme == "proposed":
+            else:
                 rng = np.random.default_rng([seed, k, z])
                 col[center] = True
                 candidates = lines[~col]
@@ -184,16 +179,6 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float, seed: int,
                 extra = rng.choice(candidates, size=budget - N_CENTER_LINES,
                                    replace=False, p=p / p.sum())
                 col[extra] = True
-            else:
-                n_center = max(budget // 2, N_CENTER_LINES)
-                block = center_line_block(n_pe, n_center)
-                col[block] = True
-                candidates = lines[~col]
-                n_rest = budget - n_center
-                if n_rest > 0:
-                    stride = len(candidates) / n_rest
-                    picks = ((lattice_offset + np.arange(n_rest)) * stride).astype(int)
-                    col[candidates[np.minimum(picks, len(candidates) - 1)]] = True
             kept[:, z, k] = col
     return SamplingMask(kept, float(R), int(seed), labels)
 

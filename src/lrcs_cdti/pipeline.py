@@ -5,8 +5,9 @@ modes, with reference metrics, per-cell reports, and cohort statistics.
 The reference for every subject is the least-squares reconstruction of
 the fully sampled noisy data (the noiseless truth is recorded alongside
 for oracle checks).  Coil maps are estimated once per subject from the
-fully sampled b=0 column and shared by all reconstructions, as is the
-regularization weight.
+fully sampled b=0 column and shared by all reconstructions.  Per
+acceleration factor, one sampling mask, regularization weight and
+preliminary solve are shared by every method and phase mode.
 """
 
 from __future__ import annotations
@@ -29,6 +30,10 @@ METRICS = ("hat", "md")
 
 @dataclass(frozen=True)
 class ExperimentPlan:
+    """A study: subjects x R x methods x phase modes.  A phase mode is a
+    :class:`recon.PhaseMode` value, ``proposed`` (the preliminary's
+    phase) or ``none`` (no correction); cs ignores it."""
+
     n_subjects: int = 6
     master_seed: int = 0
     R_list: tuple[float, ...] = (2.0, 6.0)
@@ -181,39 +186,32 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
 
 def run_subject_cells(plan: ExperimentPlan, index: int,
                       art: SubjectArtifacts) -> list[CellResult]:
+    """Every (R, method, phase mode) cell of one subject; a failed mask or
+    preliminary solve fails every cell of its R."""
     cfg = art.config
     labels = art.truth.clean_series.column_labels
     _, ny, nz = cfg.grid
-    scheme_of = {mode: "lowres-lattice" if mode == "lowres" else "proposed"
-                 for mode in plan.phase_modes}
     solver = plan.solver_config
     results: list[CellResult] = []
     for R in plan.R_list:
-        # one sampling pattern, weight and preliminary solve per scheme,
-        # shared by every cell that samples with it
-        prepared = {}
-        for scheme in dict.fromkeys(scheme_of.values()):
-            try:
-                smask = encoding.make_sampling_mask(
-                    ny, nz, labels, R=R, seed=cfg.seed, scheme=scheme)
-                d = encoding.extract_samples(art.noisy_kspace, smask)
-                model = encoding.EncodingModel(art.coil_maps, smask, None)
-                prepared[scheme] = (d, model, *recon.preliminary(
-                    d, model, solver, scale=plan.lambda_scale))
-            except Exception:
-                prepared[scheme] = traceback.format_exc()
+        try:
+            smask = encoding.make_sampling_mask(ny, nz, labels, R=R, seed=cfg.seed)
+            d = encoding.extract_samples(art.noisy_kspace, smask)
+            model = encoding.EncodingModel(art.coil_maps, smask, None)
+            scfg, prelim = recon.preliminary(d, model, solver, scale=plan.lambda_scale)
+            prep_error = ""
+        except Exception:
+            prep_error = traceback.format_exc()
         for method in plan.methods:
             for mode in plan.phase_modes:
                 cell = CellResult(index, R, method, mode, ok=False)
                 results.append(cell)
                 out = (Path(plan.output_dir) / f"subject{index:02d}"
                        / f"R{R:g}" / f"{method}_{mode}")
-                prep = prepared[scheme_of[mode]]
-                if isinstance(prep, str):
-                    cell.error = prep
+                if prep_error:
+                    cell.error = prep_error
                     _write_error(out, cell.error)
                     continue
-                d, model, scfg, prelim = prep
                 try:
                     res = recon.recon(d, model, prelim, method, mode, art.rank, scfg)
                     cell.report = res.report.to_json()

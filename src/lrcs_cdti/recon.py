@@ -65,8 +65,7 @@ from functools import partial
 import numpy as np
 
 from .datamodel import CasoratiSeries, PhaseMap
-from .encoding import (EncodingModel, KSpaceData, adjoint_matrix, ifft2c,
-                       normal_matrix, zero_fill)
+from .encoding import EncodingModel, KSpaceData, adjoint_matrix, normal_matrix
 from .errors import NumericalError, ValidationError
 from .transforms import WaveletSpec, group_shrink, series_adjoint, series_forward
 
@@ -79,7 +78,6 @@ class Method(str, Enum):
 
 class PhaseMode(str, Enum):
     NONE = "none"
-    LOWRES = "lowres"
     PROPOSED = "proposed"
 
 
@@ -241,7 +239,8 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
 
     A non-finite iterate raises NumericalError with its iteration.  The
     check reads ||U_next - U||, the step size the report records, which
-    is non-finite whenever U_next (or U) is.
+    is non-finite whenever U_next (or U) is; U0 is checked by its norm
+    before either early return, as iteration 0.
 
     The report names the variant the arguments make: cs for the identity
     subspace, lr for lambda = 0, lrcs otherwise.
@@ -291,6 +290,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                                 cfg.cg_max_iters, r=r)
     report.cg_iters.append(cg_it)
     report.cg_residuals.append(cg_res)
+    _check_finite(float(np.linalg.norm(u)), 0)
 
     if cfg.lam == 0.0:
         report.stop_reason = "pure least squares (lambda = 0)"
@@ -328,9 +328,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         # u is spent: its buffer takes the step U_next - U, negated
         u -= u_next
         delta = float(np.linalg.norm(u))
-        if not np.isfinite(delta):
-            raise NumericalError("NaN/Inf in ADMM iterate",
-                                 diagnostics={"iteration": k})
+        _check_finite(delta, k)
         u = u_next
         bu = transform(u)
         # g becomes the feasibility residual Psi U V - G
@@ -346,6 +344,13 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         rho_prev = rho
     report.stop_reason = f"iteration cap K = {cfg.max_iters}"
     return _finish(u, report, t0)
+
+
+def _check_finite(norm: float, iteration: int) -> None:
+    """The iterate whose norm (or step norm) is ``norm`` must be finite."""
+    if not np.isfinite(norm):
+        raise NumericalError("NaN/Inf in ADMM iterate",
+                             diagnostics={"iteration": iteration})
 
 
 def _finish(ut: np.ndarray, report: RunReport,
@@ -394,21 +399,16 @@ def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
 
     ``prelim`` is the sparsity-only reconstruction of ``d`` at the weight
     in ``cfg`` (see :func:`preliminary`); CS_ONLY returns it as is.
-    LR_ONLY and LRCS take the phase map of ``mode`` (none, the
-    preliminary's own phase, or the low-resolution center block), the
-    rank ``rank`` (None selects the elbow of the phase-corrected
-    preliminary) and the subspace of the preliminary's magnitude, and
-    solve with ``cfg``; LR_ONLY at lambda = 0.
+    LR_ONLY and LRCS take the phase map of ``mode`` (the preliminary's
+    own phase, or none for the uncorrected comparison), the rank
+    ``rank`` (None selects the elbow of the phase-corrected preliminary)
+    and the subspace of the preliminary's magnitude, and solve with
+    ``cfg``; LR_ONLY at lambda = 0.
     """
     method, mode = Method(method), PhaseMode(mode)
     if method == Method.CS_ONLY:
         return prelim
-    if mode == PhaseMode.NONE:
-        pmap = None
-    elif mode == PhaseMode.PROPOSED:
-        pmap = estimate_phase_map(prelim.series)
-    else:
-        pmap = estimate_phase_lowres(d, model)
+    pmap = None if mode == PhaseMode.NONE else estimate_phase_map(prelim.series)
     if rank is None:
         rank = select_rank(prelim.series, pmap)
     v = estimate_subspace(prelim.series, rank)
@@ -510,39 +510,3 @@ def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
     cfg = replace(cfg, lam=lam)
     return cfg, reconstruct_cs_only(d, model, cfg)
 
-
-def estimate_phase_lowres(d: KSpaceData, model: EncodingModel,
-                          min_center: int = 4) -> PhaseMap:
-    """Phase from a Hann-apodized zero-filled reconstruction of the
-    contiguous center k-space block (per slice and column)."""
-    nx, ny, nz = model.spatial_dims
-    dc = ny // 2
-    grid = zero_fill(d)
-    kept = d.mask.kept
-    n_cols = kept.shape[2]
-    window = np.zeros((n_cols, nz, ny))
-    for k in range(n_cols):
-        for z in range(nz):
-            lines = kept[:, z, k]
-            if not lines[dc]:
-                raise ValidationError(
-                    f"mask lacks a contiguous center block (column {k}, slice {z})")
-            lo = dc
-            while lo > 0 and lines[lo - 1]:
-                lo -= 1
-            hi = dc
-            while hi + 1 < ny and lines[hi + 1]:
-                hi += 1
-            length = hi - lo + 1
-            if length < min_center:
-                raise ValidationError(
-                    f"center block of {length} lines is too small "
-                    f"(column {k}, slice {z})")
-            window[k, z, lo:hi + 1] = np.hanning(length + 2)[1:-1]
-    apodized = grid * window[None, :, :, :, None]
-    imgs = ifft2c(apodized)
-    maps_t = model.coils.maps.transpose(0, 3, 2, 1)
-    combined = np.einsum("cnzyx,czyx->nzyx", imgs, np.conj(maps_t))
-    data = np.ascontiguousarray(combined.reshape((n_cols, -1)).T)
-    lowres = CasoratiSeries(data, model.spatial_dims, d.column_labels)
-    return estimate_phase_map(lowres)

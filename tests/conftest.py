@@ -10,7 +10,7 @@ def study(tmp_path_factory):
     out = tmp_path_factory.mktemp("study")
     plan = pipeline.ExperimentPlan(
         n_subjects=3, master_seed=0, R_list=(2.0,), methods=("lr", "cs", "lrcs"),
-        phase_modes=("proposed", "none", "lowres"), lambda_scale=1e-2, rank=7,
+        phase_modes=("proposed", "none"), lambda_scale=1e-2, rank=7,
         solver={"max_iters": 5, "cg_max_iters": 6}, threads=1, save_arrays=False,
         base_config={"grid": [32, 32, 3], "r_endo": 6, "r_epi": 12},
         output_dir=str(out))

@@ -47,7 +47,7 @@ def test_eval_skips_group_with_failed_cell(study, tmp_path):
                      "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 0
     groups = {(r["method"], r["phase_mode"]) for r in _read(tmp_path / "eval.csv")}
     assert ("lr", "none") not in groups
-    assert len(groups) == 8
+    assert len(groups) == 5
 
 
 @pytest.fixture(scope="module")
@@ -56,8 +56,7 @@ def recon_inputs(tmp_path_factory):
     gt = ph.build_phantom(cfg)
     labels = gt.clean_series.column_labels
     kgrid = encoding.coil_kspace(gt.clean_series, gt.coils, gt.phase)
-    mask = encoding.make_sampling_mask(16, 3, labels, R=2, seed=0,
-                                       scheme="lowres-lattice")
+    mask = encoding.make_sampling_mask(16, 3, labels, R=2, seed=0)
     root = tmp_path_factory.mktemp("recon_inputs")
     encoding.save_kspace(root / "kspace", encoding.extract_samples(kgrid, mask))
     dm.save_coils(root / "coils", gt.coils)
@@ -65,7 +64,7 @@ def recon_inputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize("method, phase, rank", [
-    ("lrcs", "proposed", None), ("lr", "lowres", "3"), ("cs", "none", None)])
+    ("lrcs", "proposed", None), ("lr", "none", "3"), ("cs", "none", None)])
 def test_recon_command_on_saved_containers(recon_inputs, tmp_path, method, phase, rank):
     cfg, root = recon_inputs
     argv = ["recon", "--kspace", str(root / "kspace"), "--coils", str(root / "coils"),
@@ -189,6 +188,8 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      "rank must be >= 1 or null, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "methods": ["lrx"], "output_dir": "{out}"}',
      "'lrx' is not a valid Method"),
+    ("run", "--plan", '{"n_subjects": 1, "phase_modes": ["lowres"], '
+     '"output_dir": "{out}"}', "'lowres' is not a valid PhaseMode"),
     ("run", "--plan", '{"n_subjects": 1, "base_config": {"r_epi": 40}, '
      '"output_dir": "{out}"}', "need 0 < r_endo < r_epi"),
     ("run", "--plan", '{"n_subjects": 1, "geom_jitter_vox": -1, "output_dir": "{out}"}',
@@ -213,21 +214,48 @@ def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("config, message", [
-    ({"threads": "x"}, "key 'threads' must be int, got \"x\""),
-    ({"seed": 1.5}, "key 'seed' must be int, got 1.5"),
+@pytest.mark.parametrize("config, message, command", [
+    ({"threads": "x"}, "key 'threads' must be int, got \"x\"", "phantom"),
+    ({"seed": 1.5}, "key 'seed' must be int, got 1.5", "phantom"),
+    ({"phase": "lowres"},
+     "key 'phase' must be one of 'none', 'proposed', got \"lowres\"", "recon"),
 ])
-def test_config_value_of_the_wrong_type_is_a_named_error(tmp_path, capsys, config,
-                                                         message):
+def test_config_value_of_the_wrong_type_is_a_named_error(recon_inputs, tmp_path,
+                                                         capsys, config, message,
+                                                         command):
+    _, root = recon_inputs
     path = tmp_path / "config.json"
     path.write_text(json.dumps(config))
-    out = tmp_path / "gt"
-    assert cli.main(["phantom", "--out", str(out), "--config", str(path),
+    out = tmp_path / "out"
+    argv = {"phantom": ["phantom"],
+            "recon": ["recon", "--kspace", str(root / "kspace"),
+                      "--coils", str(root / "coils")]}[command]
+    assert cli.main([*argv, "--out", str(out), "--config", str(path),
                      "--log-level", "warning"]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error [phantom]: ")
+    assert err.startswith(f"error [{command}]: ")
     assert f"config {path} {message}" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["recon", "--kspace", "k", "--coils", "c", "--phase", "lowres", "--out", "o"],
+     "argument --phase: invalid choice: 'lowres'"),
+    (["sample", "--series", "s", "--out", "o", "--scheme", "proposed"],
+     "unrecognized arguments: --scheme proposed"),
+    (["recon", "--kspace", "k", "--out", "o"],
+     "the following arguments are required: --coils"),
+], ids=["bad-choice", "removed-flag", "missing-required"])
+def test_usage_error_exits_one(capsys, argv, message):
+    assert cli.main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: lrcs-cdti ")
+    assert message in err
+
+
+def test_help_exits_zero(capsys):
+    assert cli.main(["recon", "--help"]) == 0
+    assert "--phase {none,proposed}" in capsys.readouterr().out
 
 
 def test_config_key_of_no_command_is_a_named_error(tmp_path, capsys):

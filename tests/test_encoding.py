@@ -82,22 +82,6 @@ class TestSamplingMask:
         with pytest.raises(ValidationError, match="cannot honor center lines"):
             enc.make_sampling_mask(64, 1, self.labels(), R=32, seed=0)
 
-    def test_lowres_lattice_center_block(self):
-        labels = self.labels()
-        mask = enc.make_sampling_mask(64, 2, labels, R=2, seed=3,
-                                      scheme="lowres-lattice")
-        dw = [k for k, lab in enumerate(labels) if not lab.is_b0]
-        for k in dw:
-            for z in range(2):
-                col = mask.kept[:, z, k]
-                assert col.sum() == 32
-                assert col[16:32 + 16].sum() >= 16  # contiguous center half
-                assert col[32 - 8:32 + 8].all()
-
-    def test_bad_scheme(self):
-        with pytest.raises(ValidationError, match="scheme"):
-            enc.make_sampling_mask(64, 1, self.labels(), R=2, seed=0, scheme="nope")
-
     def test_b0_always_full(self):
         labels = self.labels()
         mask = enc.make_sampling_mask(64, 2, labels, R=8, seed=5)
@@ -300,15 +284,18 @@ def normal_case(name):
     """Small models for the normal-operator tests: (model, rng)."""
     labels = dm.make_labels([0, 500], [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
     nx, ny = {"even": (8, 8), "odd": (7, 9), "r1": (8, 8), "phase": (7, 8),
-              "lattice": (6, 16), "gap": (6, 8)}[name]
+              "center4": (6, 16), "gap": (6, 8)}[name]
     nz = 2
     rng = np.random.default_rng(len(name) + nx * ny)
     shape = (3, nx, ny, nz)
     coils = dm.CoilMaps(rng.normal(size=shape) + 1j * rng.normal(size=shape),
                         np.ones((nx, ny, nz)))
-    if name == "lattice":
-        mask = enc.make_sampling_mask(ny, nz, labels, R=4, seed=2,
-                                      scheme="lowres-lattice")
+    if name == "center4":
+        # every undersampled (slice, column) keeps the same 4 center lines
+        kept = np.zeros((ny, nz, len(labels)), dtype=bool)
+        kept[:, :, 0] = True
+        kept[ny // 2 - 2:ny // 2 + 2] = True
+        mask = dm.SamplingMask(kept, 4.0, 2, labels)
     else:
         kept = rng.random((ny, nz, len(labels))) < 0.4
         kept[:, :, 0] = True        # fully kept b=0 column
@@ -325,7 +312,7 @@ def normal_case(name):
     return enc.EncodingModel(coils, mask, phase), rng
 
 
-NORMAL_CASES = ["even", "odd", "r1", "phase", "lattice"]
+NORMAL_CASES = ["even", "odd", "r1", "phase", "center4"]
 
 
 class TestNormalOperator:

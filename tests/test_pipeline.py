@@ -16,13 +16,10 @@ from lrcs_cdti.errors import NumericalError
 # absolute, 1.8e-6 relative; bit-identical under 1 and 2 BLAS
 # threads).
 PINNED = {
-    ("cs", "lowres"): (0.12019856527199572, 0.050050287486703905),
     ("cs", "none"): (0.14982960658948263, 0.0528445023901799),
     ("cs", "proposed"): (0.14982960658948263, 0.0528445023901799),
-    ("lr", "lowres"): (0.3360617540173851, 0.14562513182805298),
     ("lr", "none"): (0.6546173429552624, 0.2157340985054764),
     ("lr", "proposed"): (0.20974492018427981, 0.05350956716685514),
-    ("lrcs", "lowres"): (0.26742851189510225, 0.2247607410237077),
     ("lrcs", "none"): (0.6098284193013517, 0.30193298071867),
     ("lrcs", "proposed"): (0.2586318824563801, 0.05083685392390016),
 }
@@ -149,3 +146,26 @@ def test_failed_cell_writes_its_traceback(tmp_path, monkeypatch):
         assert text.rstrip().splitlines()[-1] == row["error"] \
             == "lrcs_cdti.errors.NumericalError: cs failed"
     assert len(list(tmp_path.rglob("error.txt"))) == 2
+
+
+def test_failed_preliminary_fails_every_cell_of_its_R(tmp_path, monkeypatch):
+    real = pipeline.recon.preliminary
+
+    def fail_at_r6(d, model, *args, **kwargs):
+        if d.mask.R_nominal == 6.0:
+            raise NumericalError("preliminary failed")
+        return real(d, model, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.recon, "preliminary", fail_at_r6)
+    plan = replace(_tiny_plan(tmp_path, 9), n_subjects=1, R_list=(2.0, 6.0),
+                   methods=("lr", "cs"), phase_modes=("proposed", "none"))
+    result = pipeline.run_experiment(plan)
+    assert {(c.R, c.ok) for c in result["cells"]} == {(2.0, True), (6.0, False)}
+    failed = [c for c in result["cells"] if not c.ok]
+    assert len(failed) == 4
+    for c in failed:
+        text = (tmp_path / "subject00" / "R6" / f"{c.method}_{c.phase_mode}"
+                / "error.txt").read_text()
+        assert text == c.error and "in fail_at_r6" in text
+        assert text.rstrip().endswith("NumericalError: preliminary failed")
+    assert len(list(tmp_path.rglob("error.txt"))) == 4

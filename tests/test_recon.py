@@ -20,9 +20,9 @@ def bench():
     return cfg, gt, labels, kfull
 
 
-def make_model(gt, labels, kfull, R, seed=0, scheme="proposed"):
+def make_model(gt, labels, kfull, R, seed=0):
     ny, nz = gt.clean_series.spatial_dims[1:]
-    mask = enc.make_sampling_mask(ny, nz, labels, R=R, seed=seed, scheme=scheme)
+    mask = enc.make_sampling_mask(ny, nz, labels, R=R, seed=seed)
     d = enc.extract_samples(kfull, mask)
     model = enc.EncodingModel(gt.coils, mask, None)
     return mask, d, model
@@ -374,6 +374,24 @@ class TestAdmmBehavior:
             recon.reconstruct_cs_only(d, model, scfg)
         assert err.value.diagnostics == {"iteration": max(solve - 1, 0)}
 
+    def test_non_finite_least_squares_solve_is_a_named_error(self, bench,
+                                                             monkeypatch):
+        # lr (lambda = 0) returns after the U0 solve, before any ADMM
+        # iteration could reject it
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=4, seed=2)
+        v = recon.estimate_subspace(gt.clean_series, 3)
+        real = recon.normal_matrix
+
+        def poisoned(*args):
+            out = real(*args)
+            out[:] = np.nan
+            return out
+        monkeypatch.setattr(recon, "normal_matrix", poisoned)
+        with pytest.raises(NumericalError, match="NaN/Inf in ADMM iterate") as err:
+            recon.reconstruct_lrcs(d, model, gt.phase, v, recon.SolverConfig(lam=0.0))
+        assert err.value.diagnostics == {"iteration": 0}
+
     def test_deterministic(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=2)
@@ -404,74 +422,6 @@ class TestAdmmBehavior:
         assert all(r == pytest.approx(lam / a) for r, a in zip(rep["rho"], rep["alpha"]))
         assert len(rep["cg_residual"]) == len(rep["cg_iterations"]) == 6
         assert all(np.isfinite(r) and r >= 0 for r in rep["cg_residual"])
-
-
-class TestLowResPhase:
-    def test_phase_free_phantom_gives_near_identity(self):
-        cfg = ph.PhantomConfig(phase_order=0, seed=8)
-        gt = ph.build_phantom(cfg)
-        kfull = enc.coil_kspace(gt.clean_series, gt.coils, None)
-        labels = gt.clean_series.column_labels
-        mask = enc.make_sampling_mask(64, 4, labels, R=2, seed=0,
-                                      scheme="lowres-lattice")
-        d = enc.extract_samples(kfull, mask)
-        model = enc.EncodingModel(gt.coils, mask, None)
-        pmap = recon.estimate_phase_lowres(d, model)
-        rows = gt.myocardium_mask.ravel(order="F")
-        ang = np.abs(np.angle(pmap.values[rows]))
-        assert np.median(ang) < 0.02
-
-    def test_smooth_phase_recovered(self):
-        cfg = ph.PhantomConfig(grid=(32, 32, 2), r_endo=6, r_epi=12,
-                               phase_order=1, phase_coef_range=1.5, seed=9)
-        gt = ph.build_phantom(cfg)
-        labels = gt.clean_series.column_labels
-        kfull = enc.coil_kspace(gt.clean_series, gt.coils, gt.phase)
-        mask = enc.make_sampling_mask(32, 2, labels, R=2, seed=1,
-                                      scheme="lowres-lattice")
-        d = enc.extract_samples(kfull, mask)
-        model = enc.EncodingModel(gt.coils, mask, None)
-        pmap = recon.estimate_phase_lowres(d, model)
-        rows = gt.myocardium_mask.ravel(order="F")
-        dw = ~gt.clean_series.b0_columns
-        err = np.angle(pmap.values * np.conj(gt.phase.values))[rows][:, dw]
-        assert np.median(np.abs(err)) < 0.1
-
-    def test_high_order_phase_worse_than_proposed(self):
-        cfg = ph.PhantomConfig(grid=(32, 32, 2), r_endo=6, r_epi=12,
-                               phase_order=4, phase_coef_range=6.0, seed=10)
-        gt = ph.build_phantom(cfg)
-        labels = gt.clean_series.column_labels
-        kfull = enc.coil_kspace(gt.clean_series, gt.coils, gt.phase)
-        mask = enc.make_sampling_mask(32, 2, labels, R=2, seed=2,
-                                      scheme="lowres-lattice")
-        d = enc.extract_samples(kfull, mask)
-        model = enc.EncodingModel(gt.coils, mask, None)
-        p_low = recon.estimate_phase_lowres(d, model)
-        lam = 1e-3 * recon.lambda_base(d, model)
-        prelim = recon.reconstruct_cs_only(d, model, recon.SolverConfig(lam=lam))
-        p_prop = recon.estimate_phase_map(prelim.series)
-        rows = gt.myocardium_mask.ravel(order="F")
-        dw = ~gt.clean_series.b0_columns
-
-        def med_err(p):
-            ang = np.angle(p.values * np.conj(gt.phase.values))[rows][:, dw]
-            return np.median(np.abs(ang))
-        assert med_err(p_prop) < med_err(p_low)
-
-    def test_missing_center_block_rejected(self, bench):
-        cfg, gt, labels, kfull = bench
-        ny, nz = 32, 2
-        kept = np.zeros((ny, nz, len(labels)), dtype=bool)
-        kept[:8], kept[-8:] = True, True   # edges only, no center
-        for k, lab in enumerate(labels):
-            if lab.is_b0:
-                kept[:, :, k] = True
-        mask = dm.SamplingMask(kept, 4.0, 0, labels)
-        d = enc.extract_samples(kfull, mask)
-        model = enc.EncodingModel(gt.coils, mask, None)
-        with pytest.raises(ValidationError, match="center block"):
-            recon.estimate_phase_lowres(d, model)
 
 
 class TestCg:
