@@ -15,6 +15,31 @@ value averages per-slice means.  The rays of a slice are one batch: an
 (n_rays, n_samples) grid of sample positions, one interpolation call
 over the wall samples, and each ray's OLS as segment sums (``bincount``
 with weights) over its samples, so no Python loop runs per ray.
+
+The tensor fit calls no LAPACK routine per voxel on its common path;
+both of its kernels are arithmetic on length-V arrays, V the masked
+voxels.  The 7 x 7 normal equations D^T W D theta = D^T W ln|s| come
+from one (28 x N)(N x V) GEMM (the 28 unique entries) and are solved by
+a Cholesky factorization unrolled over those 28 entries.  The
+eigenvalues follow Smith's trigonometric form ("Eigenvalues of a
+symmetric 3 x 3 matrix", CACM 1961): with q = tr T / 3, p^2 =
+||T - qI||_F^2 / 6 and cos(3 phi) = det(T - qI) / (2 p^3),
+lambda_1 = q + 2p cos(phi), lambda_3 = q + 2p cos(phi + 2 pi / 3) and
+lambda_2 = tr T - lambda_1 - lambda_3.  e1 is the longest cross product
+of two rows of T - lambda_1 I (Kopp, "Efficient numerical
+diagonalization of hermitian 3 x 3 matrices", IJMPC 2008).  Near
+lambda_2 = lambda_3, as in the phantom's axisymmetric tensors, the
+trigonometric lambda_2 and lambda_3 keep only half their digits
+(5.7e-9 relative error measured), so the reported eigenvalues are those
+of T in an orthonormal frame (e1, u, w): lambda_1 = e1^T T e1, and the
+(u, w) block's pair in closed form.  Near lambda_1 = lambda_2 the
+trigonometric lambda_1, and with it e1, lose digits the same way, so a
+voxel whose lambda_1 - lambda_2 is at most ``EIG_GAP`` (1e-3) of
+max|lambda| takes ``np.linalg.eigh``'s output instead: isotropic and
+zero tensors, and lambda_1 ~ lambda_2.  Against ``eigh`` the eigenvalues
+agree within 1e-12 max|lambda|, and e1 within 1e-6 rad up to sign; the
+Cholesky solution agrees with LU's to the condition of the diagonally
+scaled normal matrix, and its residual is at rounding level.
 """
 
 from __future__ import annotations
@@ -25,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .datamodel import CasoratiSeries, ColumnLabel
-from .errors import ValidationError
+from .errors import NumericalError, ValidationError
 
 
 @dataclass(frozen=True)
@@ -60,12 +85,37 @@ def design_matrix(labels) -> np.ndarray:
     return np.array(rows)
 
 
+# theta's row of each tensor entry (design columns: ln s0, Dxx, Dyy,
+# Dzz, Dxy, Dxz, Dyz)
+_TENSOR_ROWS = np.array([[1, 4, 5], [4, 2, 6], [5, 6, 3]])
+# lambda_1 - lambda_2 at or below this share of max|lambda| goes to eigh
+EIG_GAP = 1e-3
+
+
 def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
     """Weighted log-linear least-squares tensor fit per masked voxel.
 
     Magnitudes are floored at machine epsilon before the log; weights are
     the squared magnitudes (repeated averages just contribute repeated
-    design rows).
+    design rows).  Both kernels run over all masked voxels at once (see
+    the module notes):
+
+    - normal equations: a Cholesky factorization of each 7 x 7 SPD
+      matrix, one length-V array per entry; the solution agrees with
+      ``np.linalg.solve`` to the condition of the diagonally scaled
+      matrix.
+    - eigensystem: closed form where lambda_1 - lambda_2 >
+      ``EIG_GAP`` max|lambda| (1e-3), with eigenvalues within
+      1e-12 max|lambda| and e1 within 1e-6 rad (up to sign) of
+      ``np.linalg.eigh``'s; elsewhere (isotropic and zero tensors,
+      lambda_1 ~ lambda_2) ``eigh`` itself, so those voxels keep its
+      output bit for bit.
+
+    Errors: a NaN/Inf sample inside the mask (samples outside it are
+    never read) raises NumericalError with the count of such samples,
+    before any arithmetic; a normal matrix with a non-positive (or NaN)
+    Cholesky pivot, i.e. weights that leave it numerically singular,
+    raises NumericalError with the count of such voxels.
     """
     labels = series.column_labels
     n_b0 = sum(lab.is_b0 for lab in labels)
@@ -81,33 +131,29 @@ def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
 
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
-    mag = np.abs(series.data[mask.ravel(order="F")])
-    mag = np.maximum(mag, np.finfo(np.float64).eps)
+    samples = series.data[mask.ravel(order="F")]
+    n_bad = samples.size - np.count_nonzero(np.isfinite(samples))
+    if n_bad:
+        raise NumericalError(
+            f"tensor fit: {n_bad} non-finite sample(s) of {samples.size} "
+            f"in the masked series")
+    mag = np.maximum(np.abs(samples), np.finfo(np.float64).eps)
     logs = np.log(mag)
     weights = mag ** 2
 
-    # normal equations as two GEMMs: row n of ``outer`` is d_n d_n^T
-    outer = (design[:, :, None] * design[:, None, :]).reshape(len(design), 49)
-    lhs = (weights @ outer).reshape(-1, 7, 7)
-    rhs = (weights * logs) @ design
-    theta = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+    # the 28 unique entries of D^T W D as one GEMM, one row per entry
+    rows, cols = np.tril_indices(7)
+    lhs = (design[:, rows] * design[:, cols]).T @ weights.T
+    rhs = design.T @ (weights * logs).T
+    theta = _cholesky_solve(lhs, rhs)
 
-    s0_v = np.exp(theta[:, 0])
-    dxx, dyy, dzz, dxy, dxz, dyz = theta[:, 1:7].T
-    tensors_v = np.empty((theta.shape[0], 3, 3))
-    tensors_v[:, 0, 0] = dxx
-    tensors_v[:, 1, 1] = dyy
-    tensors_v[:, 2, 2] = dzz
-    tensors_v[:, 0, 1] = tensors_v[:, 1, 0] = dxy
-    tensors_v[:, 0, 2] = tensors_v[:, 2, 0] = dxz
-    tensors_v[:, 1, 2] = tensors_v[:, 2, 1] = dyz
-
-    evals_v, evecs_v = np.linalg.eigh(tensors_v)
-    evals_v = evals_v[:, ::-1]
-    evecs_v = evecs_v[:, :, ::-1]
+    s0_v = np.exp(theta[0])
+    # (3, 3, V): each tensor entry a contiguous length-V array
+    tensors_c = theta[_TENSOR_ROWS]
+    evals_v, e1_v = _eigensystem(tensors_c)
+    tensors_v = tensors_c.transpose(2, 0, 1)
     n_clamped = int(np.count_nonzero((evals_v < 0).any(axis=1)))
     evals_v = np.clip(evals_v, 0.0, None)
-    e1_v = evecs_v[:, :, 0]
     flip = e1_v[:, 2] < 0
     tie = e1_v[:, 2] == 0
     flip |= tie & ((e1_v[:, 0] < 0) | ((e1_v[:, 0] == 0) & (e1_v[:, 1] < 0)))
@@ -124,6 +170,100 @@ def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
                        evals=scatter(evals_v, (3,)),
                        e1=scatter(e1_v, (3,)),
                        n_clamped=n_clamped)
+
+
+def _cholesky_solve(lhs: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """Solve V SPD systems A x = b by Cholesky, one length-V array per entry.
+
+    ``lhs`` (n(n+1)/2, V) holds the lower triangles in ``np.tril_indices``
+    order, ``rhs`` is (n, V); returns x as (n, V).  A pivot that is not
+    positive (or NaN) raises NumericalError.
+    """
+    n = rhs.shape[0]
+    fac = [[None] * n for _ in range(n)]
+    for j in range(n):
+        for i in range(j, n):
+            acc = lhs[i * (i + 1) // 2 + j].copy()
+            for k in range(j):
+                acc -= fac[i][k] * fac[j][k]
+            if i > j:
+                acc /= fac[j][j]
+            else:
+                bad = ~(acc > 0)
+                if bad.any():
+                    raise NumericalError(
+                        f"tensor fit: normal matrix not positive definite at "
+                        f"{np.count_nonzero(bad)} voxel(s) (pivot {j})")
+                np.sqrt(acc, out=acc)
+            fac[i][j] = acc
+    y = []
+    for i in range(n):
+        acc = rhs[i].copy()
+        for k in range(i):
+            acc -= fac[i][k] * y[k]
+        y.append(acc / fac[i][i])
+    x = [None] * n
+    for i in reversed(range(n)):
+        acc = y[i]
+        for k in range(i + 1, n):
+            acc -= fac[k][i] * x[k]
+        x[i] = acc / fac[i][i]
+    return np.array(x)
+
+
+def _eigensystem(t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Descending eigenvalues (V, 3) and top eigenvectors (V, 3) of
+    symmetric tensors given as (3, 3, V); e1's sign is left to the caller.
+
+    The closed form runs on every voxel (module notes); where the top
+    eigenvalue is not separated its output is replaced by that of
+    ``np.linalg.eigh``, bit for bit.
+    """
+    q = (t[0, 0] + t[1, 1] + t[2, 2]) / 3
+    ax, ay, az = t[0, 0] - q, t[1, 1] - q, t[2, 2] - q
+    xy, xz, yz = t[0, 1], t[0, 2], t[1, 2]
+    p = np.sqrt((ax * ax + ay * ay + az * az
+                 + 2 * (xy * xy + xz * xz + yz * yz)) / 6)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        # det(T - qI) / (2 p^3) = cos(3 phi); NaN where p = 0
+        det = (ax * (ay * az - yz * yz) - xy * (xy * az - yz * xz)
+               + xz * (xy * yz - ay * xz))
+        phi = np.arccos(np.clip(det / (2 * p ** 3), -1.0, 1.0)) / 3
+        top = q + 2 * p * np.cos(phi)
+        low = q + 2 * p * np.cos(phi + 2 * np.pi / 3)
+        mid = 3 * q - top - low
+        sep = top - mid > EIG_GAP * np.maximum(np.abs(top), np.abs(low))
+
+        # e1: the longest cross product of two rows of T - lambda_1 I
+        m = t - top * np.eye(3)[:, :, None]
+        ra, rb = m[[0, 0, 1]], m[[1, 2, 2]]          # rows (0, 1), (0, 2), (1, 2)
+        nxt, prv = [1, 2, 0], [2, 0, 1]
+        cand = ra[:, nxt] * rb[:, prv] - ra[:, prv] * rb[:, nxt]
+        norm2 = np.einsum("ckv,ckv->cv", cand, cand)
+        best = np.argmax(norm2, axis=0)
+        n = np.choose(best, cand) / np.sqrt(np.choose(best, norm2))
+        # the eigenvalues are those of T in the orthonormal frame (n, u, w):
+        # lambda_1 = n^T T n, and the (u, w) block is diagonalized in
+        # closed form; the branchless frame is from Duff et al.,
+        # "Building an orthonormal basis, revisited" (JCGT 2017)
+        sign = np.where(n[2] < 0, -1.0, 1.0)
+        a = -1.0 / (sign + n[2])
+        b = n[0] * n[1] * a
+        u = np.array([1 + sign * n[0] ** 2 * a, sign * b, -sign * n[0]])
+        w = np.array([b, sign + n[1] ** 2 * a, -n[1]])
+        tw = np.einsum("ijv,jv->iv", t, w)
+        uu = np.einsum("iv,iv->v", u, np.einsum("ijv,jv->iv", t, u))
+        ww = np.einsum("iv,iv->v", w, tw)
+        uw = np.einsum("iv,iv->v", u, tw)
+        half = np.hypot((uu - ww) / 2, uw)
+        evals = np.stack([np.einsum("iv,iv->v", n, np.einsum("ijv,jv->iv", t, n)),
+                          (uu + ww) / 2 + half, (uu + ww) / 2 - half], axis=1)
+        e1 = n.T.copy()
+    if not sep.all():
+        lam, vec = np.linalg.eigh(t[:, :, ~sep].transpose(2, 0, 1))
+        evals[~sep] = lam[:, ::-1]
+        e1[~sep] = vec[:, :, 2]
+    return evals, e1
 
 
 def mean_diffusivity(field: TensorField) -> np.ndarray:

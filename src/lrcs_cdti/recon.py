@@ -144,6 +144,10 @@ class ReconResult:
     V: np.ndarray | None = None
 
 
+class _NonFiniteCG(NumericalError):
+    """CG met a NaN/Inf; admm_solve reports it as a non-finite iterate."""
+
+
 def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
              max_iters: int,
              r: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
@@ -165,7 +169,9 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     (residual growing three consecutive iterations while sitting well
     above the best residual seen; plain CG residuals are allowed their
     usual non-monotone jitter) raises NumericalError with the residual
-    history attached.
+    history attached, and so does a NaN/Inf residual or curvature
+    p^H H p, at the step that meets it, so a non-finite operator costs
+    one call, not ``max_iters``.
     """
     # imported here: scipy.linalg costs about 65 ms and 5 MB to import,
     # which commands that run no solve should not pay
@@ -192,6 +198,12 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     p = r.copy()
     rs = float(np.vdot(r, r).real)
     history = [np.sqrt(rs) / rhs_norm]
+
+    def non_finite(it):
+        return _NonFiniteCG(f"NaN/Inf in CG at iteration {it}",
+                            diagnostics={"residuals": history, "iteration": it})
+    if not np.isfinite(rs):
+        raise non_finite(0)
     best = history[0]
     grows = 0
     for it in range(max_iters):
@@ -199,6 +211,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
             return x, it, history[-1]
         hp = apply_h(p)
         denom = float(np.vdot(p, hp).real)
+        if not np.isfinite(denom):
+            raise non_finite(it)
         if denom <= 0:
             # numerically singular direction; stop at the current iterate
             return x, it, history[-1]
@@ -207,6 +221,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
         axpy(hp.reshape(-1), r_flat, a=-step)
         rs_new = float(np.vdot(r, r).real)
         history.append(np.sqrt(rs_new) / rhs_norm)
+        if not np.isfinite(rs_new):
+            raise non_finite(it)
         if history[-1] > history[-2]:
             grows += 1
             if grows >= 3 and history[-1] > 10.0 * best:
@@ -240,7 +256,9 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     A non-finite iterate raises NumericalError with its iteration.  The
     check reads ||U_next - U||, the step size the report records, which
     is non-finite whenever U_next (or U) is; U0 is checked by its norm
-    before either early return, as iteration 0.
+    before either early return, as iteration 0.  A CG solve that meets a
+    NaN/Inf stops there and raises the same error for its iteration, with
+    CG's own error (and its residual history) as the cause.
 
     The report names the variant the arguments make: cs for the identity
     subspace, lr for lambda = 0, lrcs otherwise.
@@ -282,12 +300,18 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     def apply_h(ut, shift):
         return project(normal_matrix(model, expand(ut).T, shift).T)
 
+    def solve(iteration, shift, rhs, x0, r):
+        try:
+            return cg_solve(partial(apply_h, shift=shift), rhs, x0,
+                            cfg.cg_tol, cfg.cg_max_iters, r=r)
+        except _NonFiniteCG as exc:
+            raise NumericalError("NaN/Inf in ADMM iterate",
+                                 diagnostics={"iteration": iteration}) from exc
+
     a_star_d = project(adjoint_matrix(model, d.samples).T)
     # U0: data-consistency-only solve from zero, whose residual is A*(d)
     r = a_star_d.copy()
-    u, cg_it, cg_res = cg_solve(partial(apply_h, shift=0.0), a_star_d,
-                                np.zeros_like(a_star_d), cfg.cg_tol,
-                                cfg.cg_max_iters, r=r)
+    u, cg_it, cg_res = solve(0, 0.0, a_star_d, np.zeros_like(a_star_d), r)
     report.cg_iters.append(cg_it)
     report.cg_residuals.append(cg_res)
     _check_finite(float(np.linalg.norm(u)), 0)
@@ -322,8 +346,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u)
         r += rhs - rhs_prev
         r -= ((rho - rho_sys) / 2.0) * project(expand(u))
-        u_next, cg_it, cg_res = cg_solve(partial(apply_h, shift=rho / 2.0), rhs, u,
-                                         cfg.cg_tol, cfg.cg_max_iters, r=r)
+        u_next, cg_it, cg_res = solve(k, rho / 2.0, rhs, u, r)
         rhs_prev, rho_sys = rhs, rho
         # u is spent: its buffer takes the step U_next - U, negated
         u -= u_next

@@ -148,6 +148,22 @@ def test_fit_takes_the_mask_of_a_ground_truth(ground_truth, tmp_path):
     np.testing.assert_array_equal(field.mask, gt.myocardium_mask)
 
 
+def test_fit_of_a_non_finite_series_is_a_numerical_failure(ground_truth, tmp_path,
+                                                           capsys):
+    gt = ph.load_ground_truth(ground_truth)
+    data = gt.clean_series.data.copy()
+    inside = np.flatnonzero(gt.myocardium_mask.ravel(order="F"))
+    data[inside[0], 2] = np.nan
+    dm.save_series(tmp_path / "series", gt.clean_series.with_data(data))
+    assert cli.main(["fit", "--series", str(tmp_path / "series"),
+                     "--mask", str(ground_truth), "--out", str(tmp_path / "t"),
+                     *FLAGS]) == 2
+    err = capsys.readouterr().err
+    assert err == (f"numerical failure [fit]: tensor fit: 1 non-finite sample(s) "
+                   f"of {inside.size * data.shape[1]} in the masked series\n")
+    assert not (tmp_path / "t").exists()
+
+
 def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     gt = ph.load_ground_truth(ground_truth)
     dm.save_series(tmp_path / "series", gt.clean_series)

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import dti
 from lrcs_cdti import phantom as ph
-from lrcs_cdti.errors import ValidationError
+from lrcs_cdti.errors import NumericalError, ValidationError
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +112,180 @@ class TestFitTensors:
         np.testing.assert_allclose(
             tensors[:, [0, 1, 2, 0, 0, 1], [0, 1, 2, 1, 2, 2]], theta[:, 1:],
             rtol=1e-12, atol=1e-12 * np.abs(theta[:, 1:]).max())
+
+
+def eigh_reference(t):
+    """Descending eigenvalues and top eigenvectors of (3, 3, V) tensors by
+    LAPACK, the way fit_tensors computed them before its closed form."""
+    lam, vec = np.linalg.eigh(t.transpose(2, 0, 1))
+    return lam[:, ::-1], vec[:, :, 2]
+
+
+def angle_between(a, b):
+    """Angle (rad) between the lines through a and b, row by row."""
+    return np.arctan2(np.linalg.norm(np.cross(a, b), axis=1),
+                      np.abs(np.einsum("vk,vk->v", a, b)))
+
+
+def random_rotations(rng, n):
+    q, r = np.linalg.qr(rng.normal(size=(n, 3, 3)))
+    return q * np.sign(np.einsum("vkk->vk", r))[:, None, :]
+
+
+def tensor_batch(seed):
+    """(3, 3, V) tensors of every kind the fit meets, and which of them
+    have a top eigenvalue that is not separated."""
+    rng = np.random.default_rng(seed)
+    n = 40
+    scale = 10.0 ** rng.uniform(-8, 3, size=n)
+    sym = rng.normal(size=(n, 3, 3))
+    random = (sym + sym.transpose(0, 2, 1)) * scale[:, None, None]   # indefinite too
+    lam = np.sort(rng.normal(size=(n, 3)), axis=1)[:, ::-1] * scale[:, None]
+    prolate = lam.copy()
+    prolate[:, 2] = prolate[:, 1]                                    # l2 = l3
+    oblate = lam.copy()
+    oblate[:, 0] = oblate[:, 1]                                      # l1 = l2
+    # l1 - l2 from 1e-6 to 1e-1 of max|l|, across the eigh threshold
+    near = np.sort(np.abs(lam), axis=1)[:, ::-1]
+    near[:, 0] = near[:, 1] * (1 + 10.0 ** rng.uniform(-6, -1, size=n))
+    rot = random_rotations(rng, 3 * n)
+
+    def rotate(q, diag):
+        return np.einsum("vij,vj,vkj->vik", q, diag, q)
+    isotropic = np.eye(3) * rng.normal(size=(n, 1, 1)) * scale[:, None, None]
+    batch = np.concatenate([random, rotate(rot[:n], prolate),
+                            rotate(rot[n:2 * n], oblate), rotate(rot[2 * n:], near),
+                            isotropic, np.zeros((2, 3, 3))])
+    degenerate = np.zeros(len(batch), bool)
+    degenerate[2 * n:3 * n] = degenerate[4 * n:] = True
+    return np.ascontiguousarray(batch.transpose(1, 2, 0)), degenerate
+
+
+def assert_matches_eigh(t, degenerate=None):
+    evals, e1 = dti._eigensystem(t)
+    ref_evals, ref_e1 = eigh_reference(t)
+    scale = np.abs(ref_evals).max(axis=1)
+    assert (np.abs(evals - ref_evals) <= 1e-12 * scale[:, None]).all()
+    assert (np.diff(evals, axis=1) <= 0).all()
+    exact = (evals == ref_evals).all(axis=1) & (e1 == ref_e1).all(axis=1)
+    gap = ref_evals[:, 0] - ref_evals[:, 1]
+    # eigh's own output wherever the top eigenvalue is not separated
+    assert exact[gap <= 0.5 * dti.EIG_GAP * scale].all()
+    if degenerate is not None:
+        assert exact[degenerate].all()
+    assert (angle_between(e1, ref_e1)[~exact] <= 1e-6).all()
+    return exact
+
+
+def normal_system(design, weights, logs):
+    """(V, 7, 7) normal matrices and (V, 7) right-hand sides by einsum."""
+    return (np.einsum("nk,vn,nl->vkl", design, weights, design),
+            np.einsum("nk,vn,vn->vk", design, weights, logs))
+
+
+def packed_lower(full):
+    rows, cols = np.tril_indices(full.shape[-1])
+    return np.ascontiguousarray(full[:, rows, cols].T)
+
+
+def noisy_phantom_series(gt, snr, seed):
+    data = gt.clean_series.data
+    sigma = np.abs(data).max() / snr
+    rng = np.random.default_rng(seed)
+    return gt.clean_series.with_data(
+        data + sigma * (rng.normal(size=data.shape) + 1j * rng.normal(size=data.shape)))
+
+
+class TestFitKernels:
+    """The closed-form eigensystem and the batched Cholesky against the
+    LAPACK calls they replace."""
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_eigensystem_matches_eigh(self, seed):
+        t, degenerate = tensor_batch(seed)
+        exact = assert_matches_eigh(t, degenerate)
+        assert not exact[:40].all()          # the closed form did run
+
+    @given(st.integers(0, 2 ** 31 - 1))
+    @settings(max_examples=5, deadline=None, derandomize=True)
+    def test_noisy_phantom_fit_matches_eigh(self, truth, seed):
+        cfg, gt = truth
+        field = dti.fit_tensors(noisy_phantom_series(gt, 8.0, seed),
+                                gt.myocardium_mask)
+        mask = field.mask
+        t = np.ascontiguousarray(field.tensors[mask].transpose(1, 2, 0))
+        assert_matches_eigh(t)
+        evals, _ = dti._eigensystem(t)
+        ref_evals, ref_e1 = eigh_reference(t)
+        assert field.n_clamped == np.count_nonzero((ref_evals < 0).any(axis=1))
+        np.testing.assert_array_equal(field.evals[mask], np.clip(evals, 0, None))
+        assert (field.e1[mask][:, 2] >= 0).all()
+        assert (angle_between(field.e1[mask], ref_e1) <= 1e-6).all()
+
+    def test_cholesky_matches_solve_on_phantom_normal_matrices(self, truth):
+        cfg, gt = truth
+        series = noisy_phantom_series(gt, 8.0, 0)
+        mag = np.maximum(np.abs(series.data[gt.myocardium_mask.ravel(order="F")]),
+                         np.finfo(float).eps)
+        lhs, rhs = normal_system(dti.design_matrix(series.column_labels),
+                                 mag ** 2, np.log(mag))
+        want = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        got = dti._cholesky_solve(packed_lower(lhs), np.ascontiguousarray(rhs.T)).T
+        np.testing.assert_allclose(got[:, 0], want[:, 0], rtol=0,
+                                   atol=1e-12 * np.abs(want[:, 0]).max())
+        np.testing.assert_allclose(got[:, 1:], want[:, 1:], rtol=0,
+                                   atol=1e-12 * np.abs(want[:, 1:]).max())
+
+    def test_cholesky_with_a_1e12_weight_range(self):
+        # ill-conditioned systems: agreement with solve is bounded by the
+        # condition of the diagonally scaled matrix (van der Sluis), and
+        # the residual is at rounding level
+        rng = np.random.default_rng(3)
+        design = dti.design_matrix(ph.PhantomConfig().column_labels)
+        weights = 10.0 ** rng.uniform(-6, 6, size=(500, len(design)))
+        lhs, rhs = normal_system(design, weights,
+                                 rng.normal(size=weights.shape))
+        want = np.linalg.solve(lhs, rhs[..., None])[..., 0]
+        got = dti._cholesky_solve(packed_lower(lhs), np.ascontiguousarray(rhs.T)).T
+        eps = np.finfo(float).eps
+        s = np.sqrt(np.einsum("vkk->vk", lhs))
+        kappa = np.linalg.cond(lhs / s[:, :, None] / s[:, None, :])
+        assert kappa.max() > 1e9
+        forward = (np.linalg.norm(s * (got - want), axis=1)
+                   / np.linalg.norm(s * want, axis=1))
+        assert (forward <= 10 * eps * kappa).all()
+        backward = (np.linalg.norm(np.einsum("vkl,vl->vk", lhs, got) - rhs, axis=1)
+                    / (np.linalg.norm(lhs, axis=(1, 2)) * np.linalg.norm(got, axis=1)))
+        assert (backward <= 10 * eps).all()
+
+    @pytest.mark.parametrize("bad", [-1.0, np.nan])
+    def test_non_positive_pivot_is_a_named_error(self, bad):
+        full = np.stack([np.eye(7)] * 3)
+        full[1, 4, 4] = bad
+        with pytest.raises(NumericalError,
+                           match=r"not positive definite at 1 voxel\(s\) \(pivot 4\)"):
+            dti._cholesky_solve(packed_lower(full), np.ones((7, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_non_finite_masked_sample_is_a_named_error(self, truth, bad):
+        cfg, gt = truth
+        mask = gt.myocardium_mask
+        data = gt.clean_series.data.copy()
+        inside = np.flatnonzero(mask.ravel(order="F"))
+        data[inside[7], 3] = bad
+        data[inside[9], :2] = bad
+        n = inside.size * data.shape[1]
+        with pytest.raises(NumericalError,
+                           match=rf"^tensor fit: 3 non-finite sample\(s\) of {n} "):
+            dti.fit_tensors(gt.clean_series.with_data(data), mask)
+
+    def test_non_finite_sample_outside_the_mask_is_ignored(self, truth, fitted):
+        cfg, gt = truth
+        data = gt.clean_series.data.copy()
+        data[np.flatnonzero(~gt.myocardium_mask.ravel(order="F"))[0]] = np.nan
+        field = dti.fit_tensors(gt.clean_series.with_data(data), gt.myocardium_mask)
+        np.testing.assert_array_equal(field.evals, fitted.evals)
 
 
 class TestScalarMetrics:

@@ -1,4 +1,5 @@
 import csv
+import re
 from dataclasses import replace
 from pathlib import Path
 
@@ -146,6 +147,28 @@ def test_failed_cell_writes_its_traceback(tmp_path, monkeypatch):
         assert text.rstrip().splitlines()[-1] == row["error"] \
             == "lrcs_cdti.errors.NumericalError: cs failed"
     assert len(list(tmp_path.rglob("error.txt"))) == 2
+
+
+def test_non_finite_reconstruction_fails_its_cell_by_name(tmp_path, monkeypatch):
+    real = pipeline.recon.recon
+
+    def nan_series(*args):
+        result = real(*args)
+        data = result.series.data.copy()
+        data[:, 1] = np.nan
+        return replace(result, series=result.series.with_data(data))
+
+    monkeypatch.setattr(pipeline.recon, "recon", nan_series)
+    plan = replace(_tiny_plan(tmp_path, 9), n_subjects=1)
+    result = pipeline.run_experiment(plan)
+    [row] = [r for r in result["summary"] if r["method"] == "cs"]
+    assert row["ok"] is False
+    text = (tmp_path / "subject00" / "R2" / "cs_proposed" / "error.txt").read_text()
+    assert "in fit_tensors" in text
+    last = text.rstrip().splitlines()[-1]
+    assert last == row["error"]
+    assert re.fullmatch(r"lrcs_cdti\.errors\.NumericalError: tensor fit: \d+ "
+                        r"non-finite sample\(s\) of \d+ in the masked series", last)
 
 
 def test_failed_preliminary_fails_every_cell_of_its_R(tmp_path, monkeypatch):

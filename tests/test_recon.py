@@ -392,6 +392,31 @@ class TestAdmmBehavior:
             recon.reconstruct_lrcs(d, model, gt.phase, v, recon.SolverConfig(lam=0.0))
         assert err.value.diagnostics == {"iteration": 0}
 
+    def test_non_finite_operator_stops_the_solve_at_once(self, bench, monkeypatch):
+        # A*A turns NaN on its third call, inside the U0 solve: CG stops
+        # at that call, not after cg_max_iters, and its error is the cause
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=4, seed=2)
+        scfg = recon.SolverConfig(lam=1e-2 * recon.lambda_base(d, model), max_iters=6)
+        calls = []
+        real = recon.normal_matrix
+
+        def poisoned(*args):
+            calls.append(1)
+            out = real(*args)
+            if len(calls) >= 3:
+                out[:] = np.nan
+            return out
+        monkeypatch.setattr(recon, "normal_matrix", poisoned)
+        with pytest.raises(NumericalError, match="NaN/Inf in ADMM iterate") as err:
+            recon.reconstruct_cs_only(d, model, scfg)
+        assert len(calls) == 3 and err.value.diagnostics == {"iteration": 0}
+        cause = err.value.__cause__
+        assert isinstance(cause, NumericalError)
+        assert str(cause) == "NaN/Inf in CG at iteration 2"
+        assert len(cause.diagnostics["residuals"]) == 3
+        assert np.isfinite(cause.diagnostics["residuals"]).all()
+
     def test_deterministic(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=2)
@@ -439,6 +464,24 @@ class TestCg:
         with pytest.raises(NumericalError) as err:
             recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-12, 500)
         assert "residuals" in err.value.diagnostics
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("carried", [False, True], ids=["x0", "carried_r"])
+    def test_non_finite_operator_raises_after_one_call(self, bad, carried):
+        # NaN compares false with everything, so neither the curvature
+        # test nor the divergence test would stop CG before max_iters
+        calls = []
+
+        def apply_h(x):
+            calls.append(1)
+            return np.full_like(x, bad)
+        rhs = np.ones((6, 2), dtype=np.complex64)
+        r = rhs.copy() if carried else None
+        with pytest.raises(NumericalError, match="NaN/Inf in CG at iteration 0") as err:
+            recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-6, 15, r=r)
+        assert len(calls) == 1
+        assert err.value.diagnostics["iteration"] == 0
+        assert len(err.value.diagnostics["residuals"]) == 1
 
     def test_zero_rhs(self):
         x, its, res = recon.cg_solve(lambda x: x, np.zeros((4, 1), dtype=complex),
