@@ -192,10 +192,6 @@ class SamplingMask:
         object.__setattr__(self, "column_labels", tuple(self.column_labels))
 
     @property
-    def n_pe(self) -> int:
-        return self.kept.shape[0]
-
-    @property
     def r_true(self) -> float:
         """Effective acceleration: total lines / kept lines."""
         return self.kept.size / int(np.count_nonzero(self.kept))
@@ -353,8 +349,9 @@ def write_container(path, arrays: dict[str, np.ndarray], metadata: dict | None =
                 f"array '{name}': unsupported dtype {arr.dtype}; "
                 f"supported: {sorted(_DTYPES)}")
         dtype_name = _DTYPE_NAMES[arr.dtype]
-        payload = np.asfortranarray(arr.astype(_DTYPES[dtype_name], copy=False))
-        (path / f"{name}.bin").write_bytes(payload.tobytes(order="F"))
+        # tobytes(order="F") is the one copy, whatever the input's layout
+        (path / f"{name}.bin").write_bytes(
+            arr.astype(_DTYPES[dtype_name], copy=False).tobytes(order="F"))
         entries[name] = {
             "file": f"{name}.bin",
             "dims": list(arr.shape),
@@ -449,19 +446,6 @@ def load_mask(path) -> SamplingMask:
     arrays, meta = read_container(path, kind="sampling_mask")
     return SamplingMask(arrays["kept"], float(meta["R_nominal"]), int(meta["seed"]),
                         _labels_from_json(meta["column_labels"]))
-
-
-def save_phase(path, phase: PhaseMap) -> None:
-    # float64 re/im keeps the unit-magnitude invariant through the round trip
-    write_container(path, {"real": np.real(phase.values).astype(np.float64),
-                           "imag": np.imag(phase.values).astype(np.float64)},
-                    {"kind": "phase_map"})
-
-
-def load_phase(path) -> PhaseMap:
-    arrays, _ = read_container(path, kind="phase_map")
-    return PhaseMap(arrays["real"].astype(np.float64)
-                    + 1j * arrays["imag"].astype(np.float64))
 
 
 def save_coils(path, coils: CoilMaps) -> None:

@@ -130,6 +130,9 @@ def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
             f"rank-deficient DTI design; directions: {sorted(dw_dirs)}")
 
     mask = np.asarray(mask, dtype=bool)
+    if mask.shape != series.spatial_dims:
+        raise ValidationError(f"mask shape {mask.shape} does not match the series "
+                              f"grid {series.spatial_dims}")
     nx, ny, nz = mask.shape
     samples = series.data[mask.ravel(order="F")]
     n_bad = samples.size - np.count_nonzero(np.isfinite(samples))
@@ -496,9 +499,6 @@ class AhaSegmentation:
     band_of_slice: tuple[str, ...]
     reference_angle: float
 
-    def segment_mask(self, segment: int) -> np.ndarray:
-        return self.segments == segment
-
 
 BANDS = ("basal", "mid", "apical")
 # first segment id, sector width (deg) and sector count of each band
@@ -514,7 +514,7 @@ def aha_sector(angle_deg, band: str, reference_angle: float = 0.0) -> np.ndarray
     return first + np.minimum((rel / width).astype(int), count - 1)
 
 
-def segment_aha16(mask: np.ndarray, lv_center=None, slice_bands=None,
+def segment_aha16(mask: np.ndarray, lv_center=None,
                   reference_angle: float = 0.0) -> AhaSegmentation:
     """Assign AHA segment ids 1..16 to masked voxels.
 
@@ -525,22 +525,15 @@ def segment_aha16(mask: np.ndarray, lv_center=None, slice_bands=None,
     """
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
-    if slice_bands is None:
-        if nz < 3:
-            raise ValidationError(f"AHA segmentation needs >= 3 slices, got {nz}")
-        base, rem = divmod(nz, 3)
-        sizes = [base + (1 if i < rem else 0) for i in range(3)]
-        slice_bands = []
-        for band, size in zip(BANDS, sizes):
-            slice_bands.extend([band] * size)
-    else:
-        slice_bands = list(slice_bands)
-        if len(slice_bands) != nz or any(b not in BANDS for b in slice_bands):
-            raise ValidationError(f"bad slice_bands {slice_bands}")
+    if nz < 3:
+        raise ValidationError(f"AHA segmentation needs >= 3 slices, got {nz}")
+    base, rem = divmod(nz, 3)
+    sizes = [base + (1 if i < rem else 0) for i in range(3)]
+    slice_bands = []
+    for band, size in zip(BANDS, sizes):
+        slice_bands.extend([band] * size)
     for band in BANDS:
         band_slices = [z for z, b in enumerate(slice_bands) if b == band]
-        if not band_slices:
-            raise ValidationError(f"empty band '{band}'")
         if not any(mask[:, :, z].any() for z in band_slices):
             raise ValidationError(f"band '{band}' contains no masked voxels")
 

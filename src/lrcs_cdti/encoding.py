@@ -1,6 +1,10 @@
 """Forward signal model: coil-weighted Fourier encoding with line-based
 undersampling, plus sampling-pattern generation.
 
+The forward model A is the complex128 simulation, :func:`coil_kspace`
+then :func:`extract_samples`.  The solver applies only A*
+(:func:`adjoint_matrix`) and A*A (:func:`normal_matrix`).
+
 Layout conventions:
 
 * Image volumes are (nx, ny, nz).  The two in-plane axes are transformed
@@ -18,8 +22,8 @@ Layout conventions:
   A*A = sum_c (S_c a)^H F_y^H M F_y (S_c a) per (column, slice), with
   F_y the plain unitary DFT along the lines: the coil sum of squares on
   a fully sampled column (F_y^H F_y = I), and R^H R with R the kept rows
-  of F_y on an undersampled one.  Forward and adjoint keep the 2-D DFT
-  because they map to and from the packed samples.
+  of F_y on an undersampled one.  The adjoint keeps the 2-D DFT because
+  it maps from the packed samples.
 * A*A works on the undersampled columns in blocks of about
   ``NORMAL_BLOCK_BYTES`` (256 KiB), so that the per-coil temporaries of
   a block stay in L2.  The block count is
@@ -37,10 +41,10 @@ Layout conventions:
   bit-equal to ``normal_matrix(model, x) + s * x``.
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
-  ``forward_matrix``, ``adjoint_matrix`` and ``normal_matrix`` cast
-  their input to complex64 and return complex64.  ``fft2c``,
-  ``ifft2c``, ``coil_kspace`` and ``zero_fill`` stay in complex128, so
-  simulated k-space is double precision.
+  ``adjoint_matrix`` and ``normal_matrix`` cast their input to
+  complex64 and return complex64.  ``fft2c``, ``ifft2c`` and
+  ``coil_kspace`` stay in complex128, so simulated k-space is double
+  precision.
 * Full k-space grids are (C, N, nz, ny, nx): (coil, column, slice, line,
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
@@ -71,6 +75,10 @@ N_CENTER_LINES = 4
 # L2, where whole-grid temporaries of a 64x64x4 series (1.5 MB each) do
 # not.
 NORMAL_BLOCK_BYTES = 256 * 1024
+
+# coil maps: in-plane smoothing width (voxels), support share of peak RSS
+COIL_SMOOTH_SIGMA = 2.0
+COIL_SUPPORT_FRACTION = 0.05
 
 _workers = max(1, min(4, os.cpu_count() or 1))
 
@@ -187,10 +195,12 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float,
 class EncodingModel:
     """Coil maps + sampling mask + optional phase map; immutable.
 
+    The solver's view of the forward model: the operators A*
+    (:func:`adjoint_matrix`) and A*A (:func:`normal_matrix`) run on it.
     Construction precomputes the transposed coil fields times the
     image-space ramp ``a`` of the centered DFT, the k-space ramp
-    ``kappa b``, the transposed phase field and the flat gather indices
-    of the kept samples, so forward/adjoint are pure and cheap to call
+    ``kappa b``, the transposed phase field and the flat scatter indices
+    of the kept samples, so the operators are pure and cheap to call
     concurrently.  For :func:`normal_matrix` it adds the indices of the
     fully sampled columns (``_full_cols``) and of the others
     (``_part_cols``), the coil sum of squares ``_sos`` = sum_c |S_c a|^2
@@ -321,7 +331,8 @@ def _bool_grid_mask(mask: SamplingMask, n_coils: int, nx: int) -> np.ndarray:
 
 def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
                 phase: PhaseMap | None = None) -> np.ndarray:
-    """Fully sampled multi-coil k-space grid (C, N, nz, ny, nx)."""
+    """Fully sampled multi-coil k-space grid (C, N, nz, ny, nx) of
+    ``series``, in complex128: the forward model before the mask."""
     nx, ny, nz = coils.spatial_dims
     vols = _series_to_grid(series.data, (nx, ny, nz))
     if phase is not None:
@@ -335,48 +346,6 @@ def extract_samples(kgrid: np.ndarray, mask: SamplingMask) -> KSpaceData:
     n_coils, _, nz, ny, nx = kgrid.shape
     samples = np.ascontiguousarray(kgrid)[_bool_grid_mask(mask, n_coils, nx)]
     return KSpaceData(samples, mask, (nx, ny, nz), n_coils)
-
-
-def zero_fill(d: KSpaceData) -> np.ndarray:
-    """Scatter packed samples back onto a zeroed full grid."""
-    nx, ny, nz = d.spatial_dims
-    n_cols = len(d.column_labels)
-    grid = np.zeros((d.n_coils, n_cols, nz, ny, nx), dtype=np.complex128)
-    grid.ravel()[np.flatnonzero(_bool_grid_mask(d.mask, d.n_coils, nx))] = d.samples
-    return grid
-
-
-def forward(model: EncodingModel, series: CasoratiSeries) -> KSpaceData:
-    """d = mask(F S [P o X]): coil-weight, 2-D unitary DFT, keep lines."""
-    if series.spatial_dims != model.spatial_dims:
-        raise ValidationError(
-            f"series dims {series.spatial_dims} != model dims {model.spatial_dims}")
-    if series.n_columns != model.n_columns:
-        raise ValidationError(
-            f"series has {series.n_columns} columns, model {model.n_columns}")
-    samples = forward_matrix(model, series.data)
-    nx, ny, nz = model.spatial_dims
-    return KSpaceData(samples, model.mask, (nx, ny, nz), model.coils.n_coils)
-
-
-def adjoint(model: EncodingModel, d: KSpaceData) -> CasoratiSeries:
-    """Exact adjoint of :func:`forward`: zero-fill, inverse DFT, conjugate
-    coil combination, conjugate phase."""
-    data = adjoint_matrix(model, d.samples)
-    return CasoratiSeries(np.ascontiguousarray(data), model.spatial_dims,
-                          d.column_labels)
-
-
-def forward_matrix(model: EncodingModel, x: np.ndarray) -> np.ndarray:
-    """Matrix-level forward for solver hot paths: packed complex64 samples
-    of any (M, N) input."""
-    vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
-    if model._phase_t is not None:
-        vols = vols * model._phase_t
-    kgrid = sfft.fftn(model._maps_a[:, None] * vols[None], axes=(-2, -1),
-                      norm="ortho", workers=_workers)
-    kgrid *= model._kb
-    return kgrid.reshape(-1)[model._flat_idx]
 
 
 def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
@@ -411,8 +380,9 @@ def normal_matrix(model: EncodingModel, x: np.ndarray,
     block is in cache, so the result is bit-equal to
     ``normal_matrix(model, x) + shift * x`` for complex64 ``x``; the
     ADMM applies its (rho/2) I shift here.  Computes and returns
-    complex64; equal to ``adjoint_matrix(model, forward_matrix(model,
-    x)) + shift x`` up to float32 rounding.
+    complex64; equal to A*(A x) + shift x, with A the complex128
+    simulation (:func:`coil_kspace`, :func:`extract_samples`), up to
+    float32 rounding.
     """
     vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
     out = np.empty(vols.shape, dtype=model.dtype)
@@ -476,23 +446,14 @@ def _column_blocks(n_cols: int, column_bytes: int) -> list[tuple[int, int]]:
     return [(b * n_cols // n, (b + 1) * n_cols // n) for b in range(n)]
 
 
-def coil_images(d: KSpaceData, column: int) -> np.ndarray:
-    """Per-coil zero-filled images (C, nx, ny, nz) of one column."""
-    grid = zero_fill(d)
-    imgs = ifft2c(grid[:, column])
-    return imgs.transpose(0, 3, 2, 1)
-
-
-def estimate_coil_maps(b0_coil_images: np.ndarray,
-                       smooth_sigma: float = 2.0,
-                       support_fraction: float = 0.05) -> CoilMaps:
-    """Sensitivity maps from fully sampled b=0 coil images.
+def estimate_coil_maps(b0_coil_images: np.ndarray) -> CoilMaps:
+    """Sensitivity maps from fully sampled b=0 coil images (C, nx, ny, nz).
 
     Each coil image is divided by the root-sum-of-squares combination,
-    low-pass filtered in-plane (Gaussian, sigma in voxels), and zeroed
-    outside the support (RSS below ``support_fraction`` of its max).
-    Degenerate support (fewer than 1% of voxels) yields all-zero maps
-    with a warning.
+    low-pass filtered in-plane (Gaussian, ``COIL_SMOOTH_SIGMA`` voxels),
+    and zeroed outside the support (RSS below ``COIL_SUPPORT_FRACTION``
+    of its max).  Degenerate support (fewer than 1% of voxels) yields
+    all-zero maps with a warning.
     """
     imgs = np.asarray(b0_coil_images, dtype=np.complex128)
     if imgs.ndim != 4:
@@ -501,13 +462,13 @@ def estimate_coil_maps(b0_coil_images: np.ndarray,
     peak = float(rss.max())
     if peak == 0.0:
         raise ValidationError("all-zero coil images")
-    support = rss >= support_fraction * peak
+    support = rss >= COIL_SUPPORT_FRACTION * peak
     if np.count_nonzero(support) < 0.01 * support.size:
         warnings.warn("coil-map support nearly empty; returning zero maps")
         return CoilMaps(np.zeros_like(imgs), rss)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(support[None], imgs / rss[None], 0.0)
-    sig = (0.0, smooth_sigma, smooth_sigma, 0.0)
+    sig = (0.0, COIL_SMOOTH_SIGMA, COIL_SMOOTH_SIGMA, 0.0)
     maps = gaussian_filter(raw.real, sigma=sig, mode="nearest") \
         + 1j * gaussian_filter(raw.imag, sigma=sig, mode="nearest")
     maps = np.where(support[None], maps, 0.0)

@@ -37,10 +37,9 @@ WINDOWS = {
 }
 
 
-def write_map_previews(out_dir, kind: str, volume: np.ndarray,
-                       window: tuple[float, float] | None = None) -> list[Path]:
-    """One PGM per slice named ``<kind>_z<k>.pgm``."""
-    lo, hi = window if window is not None else WINDOWS[kind]
+def write_map_previews(out_dir, kind: str, volume: np.ndarray) -> list[Path]:
+    """One PGM per slice named ``<kind>_z<k>.pgm``, windowed by ``WINDOWS``."""
+    lo, hi = WINDOWS[kind]
     out_dir = Path(out_dir)
     paths = []
     for z in range(volume.shape[2]):

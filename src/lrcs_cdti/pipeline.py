@@ -168,7 +168,9 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
     knoisy = phantom.add_noise(kclean, cfg.snr, phantom.mean_s0(gt), seed=cfg.seed)
     full_mask = encoding.make_sampling_mask(ny, nz, labels, R=1, seed=cfg.seed)
     d_full = encoding.extract_samples(knoisy, full_mask)
-    coil_maps = encoding.estimate_coil_maps(encoding.coil_images(d_full, 0))
+    # knoisy is the full grid: the b=0 column's coil images need no zero fill
+    b0_images = encoding.ifft2c(knoisy[:, 0]).transpose(0, 3, 2, 1)
+    coil_maps = encoding.estimate_coil_maps(b0_images)
     model_full = encoding.EncodingModel(coil_maps, full_mask, None)
     # at lambda = 0 the sparsity-only solve is plain least squares
     ref = recon.reconstruct_cs_only(

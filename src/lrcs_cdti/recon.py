@@ -523,8 +523,13 @@ def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
     The weight is ``lam`` if given, else ``scale`` x :func:`lambda_base`,
     else the nuclear-norm choice of :func:`select_lambda` over
     :func:`default_lambda_grid`, whose winning solve is the preliminary.
-    Returns ``cfg`` at that weight and the preliminary solve.
+    Returns ``cfg`` at that weight and the preliminary solve.  K-space
+    of another grid or coil count than the coil maps is a ValidationError.
     """
+    if d.spatial_dims != model.spatial_dims or d.n_coils != model.coils.n_coils:
+        raise ValidationError(
+            f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
+            f"coil maps of grid {model.spatial_dims} with {model.coils.n_coils}")
     if lam is None and scale is None:
         lam, prelim, _ = select_lambda(d, model, default_lambda_grid(d, model), cfg)
         return replace(cfg, lam=lam), prelim

@@ -1,6 +1,6 @@
-"""Evaluation battery: normalized bias, two-way mixed-model ICC with the
-four-band qualitative scale, exact Wilcoxon signed-rank tests, and the
-16-segment regional p-map.
+"""Evaluation battery: normalized bias, two-way mixed-model ICC (the point
+estimate and its four-band qualitative scale, as ``stats.csv`` reports
+them), exact Wilcoxon signed-rank tests, and the 16-segment regional p-map.
 
 The Wilcoxon p-value is exact: it enumerates the full sign-assignment
 distribution of the rank-sum statistic (dynamic programming over the
@@ -14,11 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import fdtri
 
 from .errors import ValidationError
 
 ICC_BANDS = ((0.75, "Excellent"), (0.60, "Good"), (0.40, "Fair"))
+# a regional p-map segment is significant below this p
+SIGNIFICANCE = 0.05
 
 
 def normalized_bias(h_ref: float, h_rec: float) -> float:
@@ -39,21 +40,17 @@ def icc_band(r: float) -> str:
 class IccResult:
     r: float
     band: str
-    ci_low: float
-    ci_high: float
     defined: bool = True
 
 
-def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccResult:
+def icc_absolute_agreement(pairs: np.ndarray) -> IccResult:
     """Single-measure absolute-agreement ICC from a two-way ANOVA.
 
     ``pairs`` is (n_subjects, k_raters); here k = 2 (reference,
     reconstruction).  r = (MS_R - MS_E) /
-    (MS_R + (k-1) MS_E + (k/n)(MS_C - MS_E)).  The confidence interval
-    follows the F-distribution bounds for this ICC form; only the point
-    estimate drives the qualitative band.  The bounds rest on a
-    Satterthwaite df that can fall far below 1; when they then exclude
-    r itself, both are NaN and r is kept.
+    (MS_R + (k-1) MS_E + (k/n)(MS_C - MS_E)), and its band follows
+    ``ICC_BANDS``.  No variance, or a zero denominator, gives r = NaN
+    with ``defined`` False.
     """
     data = np.asarray(pairs, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -69,40 +66,15 @@ def icc_absolute_agreement(pairs: np.ndarray, confidence: float = 0.95) -> IccRe
     ss_cols = float(n * ((col_means - grand) ** 2).sum())
     ss_err = ss_total - ss_rows - ss_cols
     if ss_total == 0:
-        return IccResult(float("nan"), "Undefined", float("nan"), float("nan"),
-                         defined=False)
+        return IccResult(float("nan"), "Undefined", defined=False)
     ms_r = ss_rows / (n - 1)
     ms_c = ss_cols / (k - 1)
     ms_e = ss_err / ((n - 1) * (k - 1))
     denom = ms_r + (k - 1) * ms_e + (k / n) * (ms_c - ms_e)
     if denom == 0:
-        return IccResult(float("nan"), "Undefined", float("nan"), float("nan"),
-                         defined=False)
-    r = (ms_r - ms_e) / denom
-
-    # McGraw & Wong (1996) interval for ICC(A,1)
-    alpha = 1.0 - confidence
-    ci_low = ci_high = float("nan")
-    if ms_e > 0 and abs(1.0 - r) > 1e-15:
-        a = (k * r) / (n * (1.0 - r))
-        b = 1.0 + (k * r * (n - 1)) / (n * (1.0 - r))
-        v = (a * ms_c + b * ms_e) ** 2 / (
-            (a * ms_c) ** 2 / (k - 1) + (b * ms_e) ** 2 / ((n - 1) * (k - 1)))
-        # F quantiles; fdtri is what scipy.stats.f.ppf evaluates, without
-        # the import cost of scipy.stats
-        f_l = fdtri(n - 1, v, 1 - alpha / 2)
-        f_u = fdtri(v, n - 1, 1 - alpha / 2)
-        spread = k * ms_c + (k * n - k - n) * ms_e
-        if np.isinf(f_l):
-            # a tiny Satterthwaite df v puts the quantile at infinity:
-            # take the f_l -> inf limit of the bound
-            ci_low = -n * ms_e / spread
-        else:
-            ci_low = n * (ms_r - f_l * ms_e) / (f_l * spread + n * ms_r)
-        ci_high = n * (f_u * ms_r - ms_e) / (spread + n * f_u * ms_r)
-        if not ci_low <= r <= ci_high:
-            ci_low = ci_high = float("nan")
-    return IccResult(float(r), icc_band(float(r)), float(ci_low), float(ci_high))
+        return IccResult(float("nan"), "Undefined", defined=False)
+    r = float((ms_r - ms_e) / denom)
+    return IccResult(r, icc_band(r))
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -165,9 +137,10 @@ def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> WilcoxonResult:
     return WilcoxonResult(float(min(p, Fraction(1))), w_plus, n)
 
 
-def regional_pmap(ref_segments: np.ndarray, rec_segments: np.ndarray,
-                  alpha: float = 0.05) -> list[tuple[float, bool]]:
-    """Per-AHA-segment Wilcoxon across subjects: 16 (p, significant) rows.
+def regional_pmap(ref_segments: np.ndarray,
+                  rec_segments: np.ndarray) -> list[tuple[float, bool]]:
+    """Per-AHA-segment Wilcoxon across subjects: 16 (p, significant) rows,
+    significant below ``SIGNIFICANCE``.
 
     Inputs are (16, n_subjects) tables of regional values.
     """
@@ -182,7 +155,7 @@ def regional_pmap(ref_segments: np.ndarray, rec_segments: np.ndarray,
     out = []
     for s in range(16):
         res = wilcoxon_signed_rank(ref_segments[s], rec_segments[s])
-        out.append((res.p, res.p < alpha))
+        out.append((res.p, res.p < SIGNIFICANCE))
     return out
 
 

@@ -145,24 +145,6 @@ def _filter_bank(matrix: np.ndarray, spec: WaveletSpec, adjoint: bool) -> np.nda
     return out
 
 
-def wavelet_forward(volume: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Multi-level separable analysis; same shape out as in."""
-    vol = np.asarray(volume)
-    if vol.shape != spec.dims:
-        raise ValidationError(f"volume shape {vol.shape} != spec dims {spec.dims}")
-    col = vol.reshape((-1, 1), order="F")
-    return _filter_bank(col, spec, adjoint=False).reshape(spec.dims, order="F")
-
-
-def wavelet_adjoint(coeffs: np.ndarray, spec: WaveletSpec) -> np.ndarray:
-    """Adjoint of the orthonormal analysis: exact inverse."""
-    arr = np.asarray(coeffs)
-    if arr.shape != spec.dims:
-        raise ValidationError(f"coefficient shape {arr.shape} != spec dims {spec.dims}")
-    col = arr.reshape((-1, 1), order="F")
-    return _filter_bank(col, spec, adjoint=True).reshape(spec.dims, order="F")
-
-
 def series_forward(matrix: np.ndarray, spec: WaveletSpec) -> np.ndarray:
     """Apply the transform to each column of an M x K Casorati-layout matrix."""
     return _filter_bank(matrix, spec, adjoint=False)

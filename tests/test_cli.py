@@ -164,6 +164,36 @@ def test_fit_of_a_non_finite_series_is_a_numerical_failure(ground_truth, tmp_pat
     assert not (tmp_path / "t").exists()
 
 
+def test_fit_mask_of_another_grid_is_a_named_error(ground_truth, tmp_path, capsys):
+    gt = ph.load_ground_truth(ground_truth)
+    dm.save_series(tmp_path / "series", gt.clean_series)
+    wide = ph.PhantomConfig(grid=(20, 16, 3), r_endo=3, r_epi=6, n_coils=2, seed=1)
+    ph.save_ground_truth(tmp_path / "wide", ph.build_phantom(wide))
+    assert cli.main(["fit", "--series", str(tmp_path / "series"),
+                     "--mask", str(tmp_path / "wide"), "--out", str(tmp_path / "t"),
+                     *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error [fit]: mask shape (20, 16, 3) does not match the series "
+                   "grid (16, 16, 3)\n")
+    assert not (tmp_path / "t").exists()
+
+
+@pytest.mark.parametrize("shape, found", [((2, 20, 16, 3), "(20, 16, 3) with 2"),
+                                          ((3, 16, 16, 3), "(16, 16, 3) with 3")])
+def test_recon_with_coils_of_another_grid_is_a_named_error(recon_inputs, tmp_path,
+                                                           capsys, shape, found):
+    cfg, root = recon_inputs
+    dm.save_coils(tmp_path / "coils", dm.CoilMaps(np.ones(shape, complex),
+                                                  np.ones(shape[1:])))
+    assert cli.main(["recon", "--kspace", str(root / "kspace"),
+                     "--coils", str(tmp_path / "coils"),
+                     "--out", str(tmp_path / "out"), *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err == ("error [recon]: k-space of grid (16, 16, 3) with 2 coil(s) does "
+                   f"not match coil maps of grid {found}\n")
+    assert not (tmp_path / "out").exists()
+
+
 def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     gt = ph.load_ground_truth(ground_truth)
     dm.save_series(tmp_path / "series", gt.clean_series)

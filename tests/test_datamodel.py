@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -100,6 +101,17 @@ class TestContainer:
             assert np.array_equal(back[name], arr)
             assert back[name].tobytes(order="F") == arr.tobytes(order="F")
 
+    def test_non_contiguous_array_round_trips_bit_exact(self, tmp_path):
+        # the layout fit_tensors returns: a C-ordered (V, 3, 3) array
+        # reshaped x fastest, neither C- nor F-contiguous
+        rng = np.random.default_rng(5)
+        arr = rng.normal(size=(6 * 5 * 4, 3, 3)).reshape((6, 5, 4, 3, 3), order="F")
+        assert not (arr.flags.c_contiguous or arr.flags.f_contiguous)
+        dm.write_container(tmp_path / "c", {"t": arr})
+        assert (tmp_path / "c" / "t.bin").read_bytes() == arr.tobytes(order="F")
+        back, _ = dm.read_container(tmp_path / "c")
+        np.testing.assert_array_equal(back["t"], arr)
+
     def test_float64_ieee_bytes(self, tmp_path):
         dm.write_container(tmp_path / "c", {"x": np.array([13.0 / 4.0])})
         payload = (tmp_path / "c" / "x.bin").read_bytes()
@@ -125,23 +137,29 @@ class TestContainer:
             dm.write_container(tmp_path / "c", {"x": np.zeros(2, dtype=np.complex128)})
 
     def test_phase_map_invariant_checked_on_read(self, tmp_path):
-        dm.save_phase(tmp_path / "p", dm.PhaseMap(np.exp(1j * np.ones((2, 3)))))
-        # corrupt one entry to magnitude 0.5
-        arrays, _ = dm.read_container(tmp_path / "p")
-        bad = np.array(arrays["real"], copy=True)
-        bad[0, 0] = 0.5
-        dm.write_container(tmp_path / "p", {"real": bad,
-                                            "imag": np.zeros_like(bad)},
-                           {"kind": "phase_map"})
+        cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2)
+        ph.save_ground_truth(tmp_path / "gt", ph.build_phantom(cfg))
+        # entry (0, 0) is in the phase-free b=0 column: real 1, imag 0;
+        # corrupt it to magnitude 0.5
+        f = tmp_path / "gt" / "phase_real.bin"
+        real = np.frombuffer(f.read_bytes(), dtype="<f8").copy()
+        assert real[0] == 1.0
+        real[0] = 0.5
+        f.write_bytes(real.tobytes())
         with pytest.raises(ValidationError, match="unit magnitude"):
-            dm.load_phase(tmp_path / "p")
+            ph.load_ground_truth(tmp_path / "gt")
 
     def test_phase_round_trip_preserves_invariant(self, tmp_path):
+        # the ground truth stores the phase as float64 re/im: a random
+        # phase reads back bit-exact and passes the 1e-12 magnitude check
+        cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2)
+        gt = ph.build_phantom(cfg)
         rng = np.random.default_rng(4)
-        phase = dm.PhaseMap(np.exp(1j * rng.uniform(-np.pi, np.pi, size=(6, 5))))
-        dm.save_phase(tmp_path / "p", phase)
-        back = dm.load_phase(tmp_path / "p")
-        np.testing.assert_array_equal(back.values, phase.values)
+        phase = dm.PhaseMap.from_angles(rng.uniform(-np.pi, np.pi,
+                                                    size=gt.phase.values.shape))
+        ph.save_ground_truth(tmp_path / "gt", replace(gt, phase=phase))
+        back = ph.load_ground_truth(tmp_path / "gt")
+        np.testing.assert_array_equal(back.phase.values, phase.values)
 
     def test_mask_round_trip_preserves_seed(self, tmp_path):
         labels = simple_labels()
@@ -186,19 +204,21 @@ class TestContainer:
             dm.read_container(tmp_path / "c", names=("mask",))
 
     def test_wrong_kind_names_both_kinds(self, tmp_path):
-        dm.save_phase(tmp_path / "p", dm.PhaseMap(np.ones((2, 3), complex)))
-        with pytest.raises(ValidationError,
-                           match="kind is 'phase_map', expected 'casorati_series'"):
-            dm.load_series(tmp_path / "p")
-        from lrcs_cdti import dti, encoding, phantom
-        for load in (dm.load_mask, dm.load_coils, encoding.load_kspace,
-                     dti.load_tensors, phantom.load_ground_truth):
-            with pytest.raises(ValidationError, match="'phase_map', expected"):
-                load(tmp_path / "p")
         dm.save_mask(tmp_path / "m", dm.SamplingMask(
             np.ones((8, 1, 4), bool), 1.0, 0, simple_labels()))
-        with pytest.raises(ValidationError, match="'sampling_mask', expected 'phase_map'"):
-            dm.load_phase(tmp_path / "m")
+        with pytest.raises(ValidationError,
+                           match="kind is 'sampling_mask', expected 'casorati_series'"):
+            dm.load_series(tmp_path / "m")
+        from lrcs_cdti import dti, encoding
+        for load in (dm.load_coils, encoding.load_kspace, dti.load_tensors,
+                     ph.load_ground_truth):
+            with pytest.raises(ValidationError, match="'sampling_mask', expected"):
+                load(tmp_path / "m")
+        dm.save_series(tmp_path / "s", dm.CasoratiSeries(
+            np.ones((8, 4), complex), (2, 2, 2), simple_labels()))
+        with pytest.raises(ValidationError,
+                           match="'casorati_series', expected 'sampling_mask'"):
+            dm.load_mask(tmp_path / "s")
 
     def test_malformed_header(self, tmp_path):
         (tmp_path / "c").mkdir()

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -279,6 +281,14 @@ class TestFitKernels:
         with pytest.raises(NumericalError,
                            match=rf"^tensor fit: 3 non-finite sample\(s\) of {n} "):
             dti.fit_tensors(gt.clean_series.with_data(data), mask)
+
+    @pytest.mark.parametrize("shape", [(64, 64, 3), (64, 4, 64)])
+    def test_mask_of_another_grid_is_a_named_error(self, truth, shape):
+        # (64, 4, 64) has the series' voxel count, laid out differently
+        cfg, gt = truth
+        with pytest.raises(ValidationError, match=re.escape(
+                f"mask shape {shape} does not match the series grid (64, 64, 4)")):
+            dti.fit_tensors(gt.clean_series, np.ones(shape, dtype=bool))
 
     def test_non_finite_sample_outside_the_mask_is_ignored(self, truth, fitted):
         cfg, gt = truth

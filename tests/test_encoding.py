@@ -11,7 +11,8 @@ from lrcs_cdti.errors import ValidationError
 # few times the largest spread measured on these tests' inputs:
 # one operator application, relative in norm (measured <= 1.64e-7)
 OP_RTOL = 5e-7
-# <A x, y> - <x, A* y> over ||A x|| ||y|| (measured <= 7.7e-9)
+# <A x, y> - <x, A* y> over ||A x|| ||y||, A x simulated in complex128
+# (measured <= 5.4e-9)
 DOT_RTOL = 3e-8
 # |Im <x, A*A x>| / |<x, A*A x>| (measured <= 4.1e-9)
 HERMITIAN_RTOL = 2e-8
@@ -25,6 +26,15 @@ def small_phantom():
 
 def uniform_coil(dims):
     return dm.CoilMaps(np.ones((1,) + dims, dtype=np.complex128), np.ones(dims))
+
+
+def reference_forward(model, x):
+    """A(x) in double precision: the complex128 k-space simulation
+    (``coil_kspace``, ``extract_samples``) with the model's coils, phase
+    and mask, none of the model's complex64 fields."""
+    series = dm.CasoratiSeries(x, model.spatial_dims, model.mask.column_labels)
+    kgrid = enc.coil_kspace(series, model.coils, model.phase)
+    return enc.extract_samples(kgrid, model.mask).samples
 
 
 class TestSamplingMask:
@@ -100,7 +110,7 @@ class TestForwardAdjoint:
         x = np.zeros((nx * ny, 1), dtype=complex)
         vol = x.reshape((nx, ny, 1, 1), order="F")
         vol[nx // 2, ny // 2, 0, 0] = 1.0
-        d = enc.forward_matrix(model, x)
+        d = reference_forward(model, x)
         np.testing.assert_allclose(np.abs(d), 1 / np.sqrt(nx * ny), atol=1e-14)
         np.testing.assert_allclose(d.imag, 0, atol=1e-14)
 
@@ -112,7 +122,7 @@ class TestForwardAdjoint:
         model = enc.EncodingModel(coils, mask, None)
         rng = np.random.default_rng(0)
         x = rng.normal(size=(nx * ny * nz, 1)) + 1j * rng.normal(size=(nx * ny * nz, 1))
-        back = enc.adjoint_matrix(model, enc.forward_matrix(model, x))
+        back = enc.adjoint_matrix(model, reference_forward(model, x))
         assert back.dtype == np.complex64
         assert np.linalg.norm(back - x) < OP_RTOL * np.linalg.norm(x)
 
@@ -122,7 +132,7 @@ class TestForwardAdjoint:
         mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2], labels, R=2, seed=1)
         model = enc.EncodingModel(gt.coils, mask, gt.phase)
         x = np.zeros((model.n_voxels, model.n_columns), dtype=complex)
-        assert np.all(enc.adjoint_matrix(model, enc.forward_matrix(model, x)) == 0)
+        assert np.all(enc.adjoint_matrix(model, reference_forward(model, x)) == 0)
 
     def test_adjoint_dot_product(self, small_phantom):
         cfg, gt = small_phantom
@@ -133,7 +143,7 @@ class TestForwardAdjoint:
         m, n = model.n_voxels, model.n_columns
         for _ in range(5):
             x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-            ax = enc.forward_matrix(model, x)
+            ax = reference_forward(model, x)
             y = rng.normal(size=ax.shape) + 1j * rng.normal(size=ax.shape)
             lhs = np.vdot(ax, y)
             rhs = np.vdot(x, enc.adjoint_matrix(model, y))
@@ -150,19 +160,6 @@ class TestForwardAdjoint:
         img = enc.adjoint_matrix(model, d)
         np.testing.assert_allclose(np.abs(img), 1 / np.sqrt(nx * ny), atol=1e-14)
 
-    def test_series_level_api(self, small_phantom):
-        cfg, gt = small_phantom
-        labels = gt.clean_series.column_labels
-        mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2], labels, R=2, seed=4)
-        model = enc.EncodingModel(gt.coils, mask, gt.phase)
-        d = enc.forward(model, gt.clean_series)
-        assert d.samples.ndim == 1
-        nx = cfg.grid[0]
-        assert d.samples.size == gt.coils.n_coils * nx * mask.kept.sum()
-        back = enc.adjoint(model, d)
-        assert back.spatial_dims == cfg.grid
-        assert back.column_labels == labels
-
     def test_normal_equals_forward_adjoint(self, small_phantom):
         cfg, gt = small_phantom
         labels = gt.clean_series.column_labels
@@ -170,7 +167,7 @@ class TestForwardAdjoint:
         model = enc.EncodingModel(gt.coils, mask, gt.phase)
         rng = np.random.default_rng(8)
         x = rng.normal(size=(model.n_voxels, model.n_columns)) * (1 + 0j)
-        want = enc.adjoint_matrix(model, enc.forward_matrix(model, x))
+        want = enc.adjoint_matrix(model, reference_forward(model, x))
         got = enc.normal_matrix(model, x)
         assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
 
@@ -243,8 +240,10 @@ class TestCenteredDft:
         shape = (model.n_voxels, n_cols)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         y = ref_forward(x)
-        for got, ref in ((enc.forward_matrix(model, x), y),
-                         (enc.adjoint_matrix(model, y), ref_adjoint(y)),
+        # the simulation is A in double precision
+        got = reference_forward(model, x)
+        assert np.linalg.norm(got - y) <= 1e-12 * np.linalg.norm(y)
+        for got, ref in ((enc.adjoint_matrix(model, y), ref_adjoint(y)),
                          (enc.normal_matrix(model, x), ref_adjoint(y))):
             assert got.dtype == np.complex64
             assert np.linalg.norm(got - ref) <= OP_RTOL * np.linalg.norm(ref)
@@ -254,20 +253,11 @@ class TestCenteredDft:
         m, n = model.n_voxels, model.n_columns
         for _ in range(3):
             x = rng.normal(size=(m, n)) + 1j * rng.normal(size=(m, n))
-            ax = enc.forward_matrix(model, x)
+            ax = reference_forward(model, x)
             y = rng.normal(size=ax.shape) + 1j * rng.normal(size=ax.shape)
             lhs = np.vdot(ax, y)
             rhs = np.vdot(x, enc.adjoint_matrix(model, y))
             assert abs(lhs - rhs) <= DOT_RTOL * np.linalg.norm(ax) * np.linalg.norm(y)
-
-
-def reference_forward(model, x):
-    """A(x) in double precision: the complex128 k-space simulation
-    (``coil_kspace``, ``extract_samples``) with the model's coils, phase
-    and mask, none of the model's complex64 fields."""
-    series = dm.CasoratiSeries(x, model.spatial_dims, model.mask.column_labels)
-    kgrid = enc.coil_kspace(series, model.coils, model.phase)
-    return enc.extract_samples(kgrid, model.mask).samples
 
 
 def dense_normal(model):
@@ -412,11 +402,8 @@ class TestCoilMapEstimation:
         # desk-scale grid: the fixed smoothing width is calibrated there
         cfg = ph.PhantomConfig(seed=3)
         gt = ph.build_phantom(cfg)
-        labels = gt.clean_series.column_labels
-        mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2], labels, R=1, seed=0)
         kfull = enc.coil_kspace(gt.clean_series, gt.coils, None)
-        d = enc.extract_samples(kfull, mask)
-        b0 = enc.coil_images(d, 0)
+        b0 = enc.ifft2c(kfull[:, 0]).transpose(0, 3, 2, 1)
         est = enc.estimate_coil_maps(b0)
         combined = (np.conj(est.maps) * b0).sum(axis=0)
         rss = np.sqrt((np.abs(b0) ** 2).sum(axis=0))

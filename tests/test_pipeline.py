@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrcs_cdti import pipeline
+from lrcs_cdti import encoding, pipeline
 from lrcs_cdti.errors import NumericalError
 
 # Mean bias over the three subjects of the ``study`` fixture, per
@@ -39,6 +39,22 @@ def test_dispatch_covers_every_method_and_phase_mode(study):
     assert len(cells) == plan.n_subjects * len(combos)
     reports = {(c.method, c.report["method"]) for c in result["cells"]}
     assert reports == {("lr", "lr"), ("cs", "cs"), ("lrcs", "lrcs")}
+
+
+def test_coil_maps_come_from_the_zero_filled_b0_column(study):
+    _, result = study
+    for art in result["artifacts"]:
+        _, ny, nz = art.config.grid
+        mask = encoding.make_sampling_mask(ny, nz, art.truth.clean_series.column_labels,
+                                           R=1, seed=art.config.seed)
+        d = encoding.extract_samples(art.noisy_kspace, mask)
+        kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
+        grid = np.zeros(art.noisy_kspace.shape, dtype=complex)
+        grid[np.broadcast_to(kept, grid.shape)] = d.samples
+        want = encoding.estimate_coil_maps(
+            encoding.ifft2c(grid[:, 0]).transpose(0, 3, 2, 1))
+        np.testing.assert_array_equal(art.coil_maps.maps, want.maps)
+        np.testing.assert_array_equal(art.coil_maps.normalization, want.normalization)
 
 
 def test_biases_pinned(study):

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -237,6 +238,30 @@ class TestSelectLambda:
         fresh = recon.reconstruct_cs_only(d, model, replace(scfg, lam=lam))
         np.testing.assert_array_equal(result.series.data, fresh.series.data)
         assert result.report.to_json()["delta_u"] == fresh.report.to_json()["delta_u"]
+
+
+class TestPreliminary:
+    @pytest.mark.parametrize("weight", [{"lam": 1.0}, {"scale": 1e-2}, {}],
+                             ids=["lambda", "scale", "grid-search"])
+    @pytest.mark.parametrize("coils, found", [
+        (lambda c: dm.CoilMaps(c.maps[:, :30], c.normalization[:30]),
+         "(30, 32, 2) with 4"),
+        (lambda c: dm.CoilMaps(c.maps[:3], c.normalization), "(32, 32, 2) with 3")],
+        ids=["grid", "coil-count"])
+    def test_kspace_of_other_coil_maps_is_a_named_error(self, bench, monkeypatch,
+                                                        coils, found, weight):
+        cfg, gt, labels, kfull = bench
+        mask, d, _ = make_model(gt, labels, kfull, R=2)
+        model = enc.EncodingModel(coils(gt.coils), mask, None)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+        monkeypatch.setattr(recon, "admm_solve", no_solve)
+        monkeypatch.setattr(recon, "adjoint_matrix", no_solve)
+        with pytest.raises(ValidationError, match=re.escape(
+                "k-space of grid (32, 32, 2) with 4 coil(s) does not match "
+                f"coil maps of grid {found}")):
+            recon.preliminary(d, model, recon.SolverConfig(), **weight)
 
 
 class TestExactRecovery:
