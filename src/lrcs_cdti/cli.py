@@ -31,7 +31,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
-                        help="bound on internal parallelism "
+                        help="threads of the run command's subject pool when "
+                             "the plan sets none; other commands run on one "
                              "(default: LRCS_CDTI_THREADS or 1)")
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"])
@@ -168,8 +169,10 @@ def _config_value(action: argparse.Action, value, where: str):
 
 def _setup(args: argparse.Namespace) -> None:
     level = ("info" if args.log_level is None else args.log_level).upper()
-    logging.basicConfig(level=getattr(logging, level),
-                        format="%(levelname)s %(name)s: %(message)s")
+    logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    # basicConfig sets no level once the root logger has a handler, as on
+    # a second call in one process
+    logging.getLogger().setLevel(level)
     threads, source = args.threads, "--threads"
     if threads is None:
         env = os.environ.get("LRCS_CDTI_THREADS", "1")
@@ -180,7 +183,6 @@ def _setup(args: argparse.Namespace) -> None:
             raise ValidationError(f"{source} must be an integer, got {env!r}") from None
     if threads < 1:
         raise ValidationError(f"{source} must be >= 1, got {threads}")
-    encoding.set_fft_workers(threads)
     args.threads = threads
 
 

@@ -45,6 +45,13 @@ Layout conventions:
   complex64 and return complex64.  ``fft2c``, ``ifft2c`` and
   ``coil_kspace`` stay in complex128, so simulated k-space is double
   precision.
+* The module needs numpy alone.  The 2-D DFTs are ``numpy.fft`` passes
+  in place (:func:`_fft2_inplace`; numpy >= 2.0 keeps complex64, where
+  1.x computes it in complex128), on the calling thread, and the coil
+  maps' smoothing is a separable numpy Gaussian
+  (:func:`_gaussian_smooth`).  Both reproduce the scipy routines they
+  replaced bit for bit, apart from the complex64 adjoint's scaling off
+  a 64x64 grid (about 1 ulp).
 * Full k-space grids are (C, N, nz, ny, nx): (coil, column, slice, line,
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
@@ -53,15 +60,12 @@ Layout conventions:
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 from math import ceil
 from typing import ClassVar
 
 import numpy as np
-import scipy.fft as sfft
-from scipy.ndimage import gaussian_filter
 
 from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
                         SamplingMask)
@@ -80,17 +84,10 @@ NORMAL_BLOCK_BYTES = 256 * 1024
 COIL_SMOOTH_SIGMA = 2.0
 COIL_SUPPORT_FRACTION = 0.05
 
-_workers = max(1, min(4, os.cpu_count() or 1))
-
-
-def set_fft_workers(n: int) -> None:
-    """Bound FFT batch parallelism (results are identical for any value)."""
-    global _workers
-    _workers = max(1, int(n))
-
-
 def get_fft_workers() -> int:
-    return _workers
+    """Threads of one FFT call: always 1 (``numpy.fft`` runs on the
+    calling thread)."""
+    return 1
 
 
 _QUARTER_TURNS = np.array([1.0, 1.0j, -1.0, -1.0j])
@@ -121,17 +118,47 @@ def _centering_ramps(ny: int, nx: int) -> tuple[np.ndarray, np.ndarray]:
     return a, kb
 
 
+def _fft2_inplace(grid: np.ndarray, inverse: bool = False) -> None:
+    """Unitary 2-D DFT (inverse DFT) of ``grid`` over its trailing (line,
+    readout) axes, in place: the lines, then the readout.
+
+    complex128 runs both passes unscaled and multiplies by
+    1/sqrt(ny nx), rounded from long double, between them, as
+    pocketfft's n-D transform does, so the result is bit-equal to
+    ``scipy.fft.fftn``/``ifftn`` with ``norm="ortho"``.  complex64
+    scales each pass by its own 1/sqrt(n): numpy runs an unscaled
+    complex64 pass in complex128 through a whole-grid temporary.  That
+    is bit-equal to scipy on a 64x64 grid (both factors powers of two)
+    and about 1 ulp off elsewhere.
+    """
+    fft = np.fft.ifft if inverse else np.fft.fft
+    if grid.dtype == np.complex64:
+        fft(grid, axis=-2, norm="ortho", out=grid)
+        fft(grid, axis=-1, norm="ortho", out=grid)
+        return
+    unscaled = "forward" if inverse else "backward"
+    fft(grid, axis=-2, norm=unscaled, out=grid)
+    grid *= float(1 / np.sqrt(np.longdouble(grid.shape[-2] * grid.shape[-1])))
+    fft(grid, axis=-1, norm=unscaled, out=grid)
+
+
 def fft2c(grid: np.ndarray) -> np.ndarray:
-    """Centered unitary 2-D DFT over the trailing (line, readout) axes."""
+    """Centered unitary 2-D DFT over the trailing (line, readout) axes,
+    in complex128."""
     a, kb = _centering_ramps(*grid.shape[-2:])
-    return kb * sfft.fftn(a * grid, axes=(-2, -1), norm="ortho", workers=_workers)
+    out = a * grid
+    _fft2_inplace(out)
+    # kb on the left, as in kb * out: complex products with FMA are not
+    # commutative in their rounding
+    return np.multiply(kb, out, out=out)
 
 
 def ifft2c(grid: np.ndarray) -> np.ndarray:
     """Inverse (= adjoint) of :func:`fft2c`."""
     a, kb = _centering_ramps(*grid.shape[-2:])
-    return np.conj(a) * sfft.ifftn(np.conj(kb) * grid, axes=(-2, -1), norm="ortho",
-                                   workers=_workers)
+    out = np.conj(kb) * grid
+    _fft2_inplace(out, inverse=True)
+    return np.multiply(np.conj(a), out, out=out)
 
 
 def center_line_block(n_pe: int) -> np.ndarray:
@@ -355,8 +382,8 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
                     dtype=model.dtype)
     grid.ravel()[model._flat_idx] = samples
     grid *= np.conj(model._kb)
-    imgs = sfft.ifftn(grid, axes=(-2, -1), norm="ortho", workers=_workers)
-    combined = np.einsum("cnzyx,czyx->nzyx", imgs, model._maps_a_conj)
+    _fft2_inplace(grid, inverse=True)
+    combined = np.einsum("cnzyx,czyx->nzyx", grid, model._maps_a_conj)
     if model._phase_t is not None:
         combined *= model._phase_t_conj
     return _grid_to_series(combined)
@@ -468,11 +495,40 @@ def estimate_coil_maps(b0_coil_images: np.ndarray) -> CoilMaps:
         return CoilMaps(np.zeros_like(imgs), rss)
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(support[None], imgs / rss[None], 0.0)
-    sig = (0.0, COIL_SMOOTH_SIGMA, COIL_SMOOTH_SIGMA, 0.0)
-    maps = gaussian_filter(raw.real, sigma=sig, mode="nearest") \
-        + 1j * gaussian_filter(raw.imag, sigma=sig, mode="nearest")
+    maps = _gaussian_smooth(raw.real, COIL_SMOOTH_SIGMA, axes=(1, 2)) \
+        + 1j * _gaussian_smooth(raw.imag, COIL_SMOOTH_SIGMA, axes=(1, 2))
     maps = np.where(support[None], maps, 0.0)
     return CoilMaps(maps, rss)
+
+
+def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.ndarray:
+    """Separable Gaussian smoothing of the real array ``x`` along ``axes``
+    in turn, with edge values extended past the border.
+
+    Per axis: taps exp(-x^2 / 2 sigma^2) out to radius int(4 sigma + 0.5),
+    normalized to sum 1; out = x w_0, then out += (x[-j] + x[+j]) w_j for
+    j from the radius down to 1.  That is the kernel, the operation order
+    and the float64 arithmetic of ``scipy.ndimage.gaussian_filter`` with
+    ``mode="nearest"``, so the result is bit-equal to it.
+    """
+    radius = int(4 * sigma + 0.5)
+    offsets = np.arange(-radius, radius + 1)
+    taps = np.exp(-0.5 / (sigma * sigma) * offsets ** 2)
+    taps = (taps / taps.sum())[radius:]
+    for axis in axes:
+        n = x.shape[axis]
+        pad = [(0, 0)] * x.ndim
+        pad[axis] = (radius, radius)
+        padded = np.moveaxis(np.pad(x, pad, mode="edge"), axis, 0)
+
+        def shifted(j):
+            return padded[radius + j:radius + j + n]
+
+        out = shifted(0) * taps[0]
+        for j in range(radius, 0, -1):
+            out += (shifted(-j) + shifted(j)) * taps[j]
+        x = np.moveaxis(out, 0, axis)
+    return x
 
 
 def save_kspace(path, d: KSpaceData) -> None:

@@ -173,8 +173,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     p^H H p, at the step that meets it, so a non-finite operator costs
     one call, not ``max_iters``.
     """
-    # imported here: scipy.linalg costs about 65 ms and 5 MB to import,
-    # which commands that run no solve should not pay
+    # imported here: nothing else loads scipy, and scipy.linalg costs
+    # about 0.3 s to import, which commands that run no solve should not pay
     from scipy.linalg import get_blas_funcs
 
     axpy = get_blas_funcs("axpy", (rhs, x0))

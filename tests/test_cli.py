@@ -1,5 +1,6 @@
 import csv
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -370,14 +371,56 @@ def test_thread_count_below_one_is_a_named_error(tmp_path, capsys, monkeypatch, 
     assert not out.exists()
 
 
-def test_import_leaves_scipy_stats_out():
-    # the ICC interval takes its F quantiles from scipy.special, so the
-    # CLI does not pay for importing scipy.stats; CG imports scipy.linalg
-    # (for BLAS axpy) on its first call, so commands that run no solve do
-    # not pay for that either
-    code = ("import sys, lrcs_cdti.cli; "
-            "print('scipy.stats' in sys.modules, 'scipy.linalg' in sys.modules)")
+def test_import_leaves_scipy_stats_out(study, ground_truth, recon_inputs, tmp_path):
+    # encoding transforms with numpy.fft and smooths with a numpy
+    # Gaussian, so the CLI and every command that runs no solve load no
+    # scipy module; CG imports scipy.linalg (for BLAS axpy) on its first
+    # call, and that pulls in none of scipy.fft, ndimage, special, stats
+    plan, _ = study
+    _, root = recon_inputs
+    dm.save_series(tmp_path / "series", ph.load_ground_truth(ground_truth).clean_series)
+    commands = [
+        ["phantom", "--out", str(tmp_path / "gt")],
+        ["fit", "--series", str(tmp_path / "series"), "--mask", str(ground_truth),
+         "--out", str(tmp_path / "tensors")],
+        ["metrics", "--tensors", str(tmp_path / "tensors"), "--out", str(tmp_path / "m")],
+        ["eval", "--summary", str(Path(plan.output_dir) / "summary.csv"),
+         "--out", str(tmp_path / "eval.csv")],
+        ["recon", "--kspace", str(root / "kspace"), "--coils", str(root / "coils"),
+         "--iters", "1", "--out", str(tmp_path / "recon")]]
+    code = ("import json, sys\n"
+            "from lrcs_cdti import cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "loaded = [scipy_modules()]\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert cli.main(argv) == 0, argv\n"
+            "    loaded.append(scipy_modules())\n"
+            "print(json.dumps(loaded))\n")
+    argvs = [[*argv, *FLAGS] for argv in commands]
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                          text=True, env=env, check=True)
-    assert done.stdout.strip() == "False False"
+    done = subprocess.run([sys.executable, "-c", code, json.dumps(argvs)],
+                          capture_output=True, text=True, env=env, check=True)
+    *no_solve, after_recon = json.loads(done.stdout)
+    assert no_solve == [[]] * 5   # import, phantom, fit, metrics, eval
+    assert "scipy.linalg" in after_recon
+    for name in ("scipy.fft", "scipy.ndimage", "scipy.special", "scipy.stats"):
+        assert name not in after_recon
+
+
+def test_log_level_is_set_on_every_call(tmp_path):
+    # logging.basicConfig sets no level once the root logger has a
+    # handler, so a second call in one process must set it itself
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": [16, 16, 3], "r_endo": 3, "r_epi": 6,
+                                  "n_coils": 2}))
+    root = logging.getLogger()
+    before = root.level
+    try:
+        for level in ("warning", "debug"):
+            assert cli.main(["phantom", "--params", str(params),
+                             "--out", str(tmp_path / level), "--threads", "1",
+                             "--log-level", level]) == 0
+            assert root.level == getattr(logging, level.upper())
+    finally:
+        root.setLevel(before)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.fft as sfft
+from scipy.ndimage import gaussian_filter
 
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import encoding as enc
@@ -16,6 +18,10 @@ OP_RTOL = 5e-7
 DOT_RTOL = 3e-8
 # |Im <x, A*A x>| / |<x, A*A x>| (measured <= 4.1e-9)
 HERMITIAN_RTOL = 2e-8
+# A* against the same steps with scipy.fft's 2-D transform, relative in
+# norm: numpy scales each axis of a complex64 pass by its own 1/sqrt(n),
+# scipy the whole transform by 1/sqrt(ny nx) (measured <= 1.5e-7)
+SCIPY_ADJ_RTOL = 5e-7
 
 
 @pytest.fixture(scope="module")
@@ -395,6 +401,86 @@ class TestNormalOperator:
             q = np.vdot(x, enc.normal_matrix(model, x))
             assert abs(q.imag) <= HERMITIAN_RTOL * abs(q)
             assert q.real >= 0
+
+
+def scipy_fft2_inplace(grid, inverse=False):
+    """The unitary 2-D transform of ``encoding._fft2_inplace`` by scipy.fft."""
+    fft = sfft.ifftn if inverse else sfft.fftn
+    grid[...] = fft(grid, axes=(-2, -1), norm="ortho")
+
+
+# in-plane sizes (ny, nx) of the numpy.fft checks: even, odd and mixed
+FFT_GRIDS = [(64, 64), (32, 32), (20, 24), (31, 33), (30, 30), (8, 8), (5, 7)]
+
+
+class TestScipyOracle:
+    """numpy.fft and the numpy Gaussian against the scipy routines they
+    replaced; scipy is the oracle here only."""
+
+    @pytest.mark.parametrize("ny, nx", FFT_GRIDS)
+    def test_fft2c_and_ifft2c_are_bit_equal_to_scipy(self, ny, nx):
+        rng = np.random.default_rng(ny * nx)
+        grid = rng.normal(size=(3, 2, ny, nx)) + 1j * rng.normal(size=(3, 2, ny, nx))
+        a, kb = enc._centering_ramps(ny, nx)
+        want = kb * sfft.fftn(a * grid, axes=(-2, -1), norm="ortho")
+        want_inv = np.conj(a) * sfft.ifftn(np.conj(kb) * grid, axes=(-2, -1),
+                                           norm="ortho")
+        assert np.array_equal(enc.fft2c(grid), want)
+        assert np.array_equal(enc.ifft2c(grid), want_inv)
+
+    @pytest.mark.parametrize("nx, ny", [(64, 64), *IN_PLANE])
+    def test_adjoint_matches_scipy(self, nx, ny, monkeypatch):
+        model, rng = random_model(nx, ny, seed=nx + ny)
+        n = model._flat_idx.size
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        got = enc.adjoint_matrix(model, y)
+        monkeypatch.setattr(enc, "_fft2_inplace", scipy_fft2_inplace)
+        want = enc.adjoint_matrix(model, y)
+        if (nx, ny) == (64, 64):
+            # both per-axis factors are 1/8, exact in float32
+            assert np.array_equal(got, want)
+        else:
+            assert np.linalg.norm(got - want) <= SCIPY_ADJ_RTOL * np.linalg.norm(want)
+
+    @pytest.mark.parametrize("shape", [(4, 64, 64, 4), (4, 32, 32, 3), (2, 20, 24, 3),
+                                       (3, 7, 9, 2), (2, 9, 5, 3), (2, 1, 6, 1),
+                                       (1, 1, 1, 1)])
+    @pytest.mark.parametrize("sigma", [2.0, 0.7])
+    def test_gaussian_is_bit_equal_to_scipy(self, shape, sigma):
+        # (2, 9, 5, 3): an in-plane axis shorter than the radius (8 at
+        # sigma 2), so the edge extension reaches past the far border
+        x = np.random.default_rng(sum(shape)).normal(size=shape)
+        want = gaussian_filter(x, sigma=(0.0, sigma, sigma, 0.0), mode="nearest")
+        assert np.array_equal(enc._gaussian_smooth(x, sigma, axes=(1, 2)), want)
+
+    def test_coil_maps_on_phantom_are_bit_equal_to_scipy(self, monkeypatch):
+        gt = ph.build_phantom(ph.PhantomConfig(seed=3))
+        b0 = enc.ifft2c(enc.coil_kspace(gt.clean_series, gt.coils, None)[:, 0])
+        b0 = b0.transpose(0, 3, 2, 1)
+        assert b0.shape == (4, 64, 64, 4)
+        got = enc.estimate_coil_maps(b0)
+
+        def scipy_smooth(x, sigma, axes):
+            sig = [sigma if axis in axes else 0.0 for axis in range(x.ndim)]
+            return gaussian_filter(x, sigma=sig, mode="nearest")
+
+        monkeypatch.setattr(enc, "_gaussian_smooth", scipy_smooth)
+        want = enc.estimate_coil_maps(b0)
+        assert np.array_equal(got.maps, want.maps)
+        assert np.array_equal(got.normalization, want.normalization)
+
+    def test_precision_of_each_transform(self):
+        # numpy.fft keeps complex64 from numpy 2.0 (1.x computes it in
+        # complex128), so A* stays in the model's precision
+        model, rng = random_model(8, 6)
+        n = model._flat_idx.size
+        y = rng.normal(size=n) + 1j * rng.normal(size=n)
+        assert enc.adjoint_matrix(model, y).dtype == np.complex64
+        assert enc.adjoint_matrix(model, y.astype(np.complex64)).dtype == np.complex64
+        grid = rng.normal(size=(2, 6, 8)) + 1j * rng.normal(size=(2, 6, 8))
+        for g in (grid, grid.astype(np.complex64)):
+            assert enc.fft2c(g).dtype == np.complex128
+            assert enc.ifft2c(g).dtype == np.complex128
 
 
 class TestCoilMapEstimation:
