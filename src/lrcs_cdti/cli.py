@@ -15,6 +15,7 @@ import json
 import logging
 import os
 import sys
+from functools import partial
 from pathlib import Path
 from typing import Literal
 
@@ -279,27 +280,40 @@ def cmd_metrics(args) -> int:
     return 0
 
 
+def _csv_value(path, index: int, row: dict, column: str, convert=str):
+    """``row[column]`` of the CSV file ``path`` as ``convert`` makes it; a
+    missing or unreadable value is a ValidationError naming the file, the
+    column and the row (``index``, counted from 1 below the header)."""
+    where = f"{path} row {index}, column {column!r}"
+    value = row.get(column)
+    if value is None:
+        raise ValidationError(f"{where}: no value")
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValidationError(
+            f"{where}: cannot read {value!r} as {convert.__name__}") from None
+
+
 def cmd_eval(args) -> int:
     """Cohort statistics from a run's summary.csv; the table carries no
     regional values, so no p-maps are written."""
     with open(args.summary, newline="") as fh:
         rows = list(csv.DictReader(fh))
-
-    def metrics(row):
-        if row["ok"] not in ("True", "true"):
-            return None
-        return pipeline.SubjectMetrics(float(row["hat"]), float(row["md"]),
-                                       None, None)
-
-    refs = {int(r["subject"]): metrics(r) for r in rows
-            if r["method"] == "reference"}
-    groups = {}
-    for row in rows:
-        if row["method"] == "reference":
-            continue
-        subject = int(row["subject"])
-        key = (float(row["R"]), row["method"], row["phase_mode"])
-        groups.setdefault(key, {})[subject] = (refs.get(subject), metrics(row))
+    refs, cells = {}, {}
+    for i, row in enumerate(rows, start=1):
+        value = partial(_csv_value, args.summary, i, row)
+        subject = value("subject", int)
+        metrics = (pipeline.SubjectMetrics(value("hat", float), value("md", float),
+                                           None, None)
+                   if value("ok") in ("True", "true") else None)
+        if value("method") == "reference":
+            refs[subject] = metrics
+        else:
+            key = (value("R", float), value("method"), value("phase_mode"))
+            cells.setdefault(key, {})[subject] = metrics
+    groups = {key: {s: (refs.get(s), m) for s, m in by_subject.items()}
+              for key, by_subject in cells.items()}
     out_rows = pipeline.write_stats(groups, Path(args.out))
     log.info("evaluation written to %s (%d rows)", args.out, len(out_rows))
     return 0

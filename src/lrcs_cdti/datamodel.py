@@ -122,10 +122,6 @@ class CasoratiSeries:
         object.__setattr__(self, "column_labels", tuple(self.column_labels))
 
     @property
-    def n_voxels(self) -> int:
-        return self.data.shape[0]
-
-    @property
     def n_columns(self) -> int:
         return self.data.shape[1]
 

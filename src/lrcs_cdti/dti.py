@@ -69,10 +69,6 @@ class TensorField:
     e1: np.ndarray             # (nx, ny, nz, 3) unit
     n_clamped: int = 0
 
-    @property
-    def spatial_dims(self) -> tuple[int, int, int]:
-        return tuple(int(v) for v in self.mask.shape)
-
 
 def design_matrix(labels) -> np.ndarray:
     """Log-linear DTI design: columns (ln s0, Dxx, Dyy, Dzz, Dxy, Dxz, Dyz)."""
@@ -356,10 +352,8 @@ class HatResult:
 
     ray_slopes: np.ndarray        # (nz, n_rays), deg per %TD, NaN for skipped
     ray_r2: np.ndarray            # (nz, n_rays)
-    per_slice: np.ndarray         # (nz,)
-    global_hat: float
+    global_hat: float             # mean over slices of the per-slice mean slope
     ray_angles: np.ndarray        # (n_rays,), radians
-    centers: np.ndarray           # (nz, 2)
     n_skipped: int
 
 
@@ -435,9 +429,8 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None,
     skipped = int(np.count_nonzero(np.isnan(slopes)))
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        per_slice = np.nanmean(slopes, axis=1)
-        global_hat = float(np.nanmean(per_slice))
-    return HatResult(slopes, r2s, per_slice, global_hat, angles, centers, skipped)
+        global_hat = float(np.nanmean(np.nanmean(slopes, axis=1)))
+    return HatResult(slopes, r2s, global_hat, angles, skipped)
 
 
 def _masked_bilinear(plane: np.ndarray, mask: np.ndarray,

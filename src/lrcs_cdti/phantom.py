@@ -74,8 +74,12 @@ class PhantomConfig:
         if not (self.ha_endo > 0 > self.ha_epi):
             raise ValidationError(
                 f"need ha_endo > 0 > ha_epi, got {self.ha_endo}, {self.ha_epi}")
+        if not self.md_true > 0:
+            raise ValidationError(f"md_true must be positive, got {self.md_true}")
         if not (0 <= self.fa_true < 1):
             raise ValidationError(f"fa_true must be in [0, 1), got {self.fa_true}")
+        if self.n_coils < 1:
+            raise ValidationError(f"n_coils must be >= 1, got {self.n_coils}")
         if len(self.directions) < 6:
             raise ValidationError(
                 f"need >= 6 diffusion directions, got {len(self.directions)}")

@@ -373,8 +373,9 @@ def write_stats(groups: dict, stats_path: Path) -> list[dict]:
                          "metric": metric,
                          "bias_mean": summary.bias_mean,
                          "bias_std": summary.bias_std,
-                         "icc": summary.icc.r, "icc_band": summary.icc.band,
-                         "p": summary.wilcoxon.p})
+                         "icc": summary.icc,
+                         "icc_band": stats.icc_band(summary.icc),
+                         "p": summary.p})
             reg_ref = [getattr(p[0], f"regional_{metric}") for p in pairs]
             reg_rec = [getattr(p[1], f"regional_{metric}") for p in pairs]
             if all(r is not None and np.isfinite(r).all()

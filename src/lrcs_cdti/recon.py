@@ -103,17 +103,23 @@ class SolverConfig:
             raise ValidationError(f"alpha_decay must exceed 1, got {self.alpha_decay}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
+        if self.cg_max_iters < 1:
+            raise ValidationError(f"cg_max_iters must be >= 1, got {self.cg_max_iters}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
         if self.cg_tol < CG_TOL_FLOOR:
             raise ValidationError(
                 f"cg_tol {self.cg_tol:g} is below {CG_TOL_FLOOR:g}, the smallest "
                 f"relative CG residual the complex64 solver arithmetic reaches")
+        if self.cg_tol >= 1:
+            # a relative tolerance of 1 or more asks CG for no reduction
+            raise ValidationError(f"cg_tol must be below 1, got {self.cg_tol:g}")
 
 
 @dataclass
 class RunReport:
-    """Per-iteration solver accounting, serializable to the run-report JSON."""
+    """Per-iteration solver accounting, serializable to the run-report JSON.
+    An iteration's penalty rho is ``lam`` over its threshold in ``alphas``."""
 
     method: str
     lam: float
@@ -121,7 +127,6 @@ class RunReport:
     delta_u: list = field(default_factory=list)
     feasibility: list = field(default_factory=list)
     alphas: list = field(default_factory=list)
-    rhos: list = field(default_factory=list)
     cg_iters: list = field(default_factory=list)
     cg_residuals: list = field(default_factory=list)
     stop_reason: str = ""
@@ -130,7 +135,7 @@ class RunReport:
     def to_json(self) -> dict:
         return {"method": self.method, "lambda": self.lam, "rank": self.rank,
                 "delta_u": self.delta_u, "feasibility": self.feasibility,
-                "alpha": self.alphas, "rho": self.rhos,
+                "alpha": self.alphas,
                 "cg_iterations": self.cg_iters, "cg_residual": self.cg_residuals,
                 "stop_reason": self.stop_reason,
                 "wall_time_s": self.wall_time_s}
@@ -140,8 +145,6 @@ class RunReport:
 class ReconResult:
     series: CasoratiSeries
     report: RunReport
-    U: np.ndarray | None = None
-    V: np.ndarray | None = None
 
 
 class _NonFiniteCG(NumericalError):
@@ -360,7 +363,6 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.delta_u.append(delta)
         report.feasibility.append(float(np.linalg.norm(g)))
         report.alphas.append(alpha)
-        report.rhos.append(rho)
         report.cg_iters.append(cg_it)
         report.cg_residuals.append(cg_res)
         alpha /= cfg.alpha_decay
@@ -412,7 +414,7 @@ def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None
     if phase is not None:
         x = phase.values * x
     series = CasoratiSeries(x, model.spatial_dims, d.column_labels)
-    return ReconResult(series, report, U=u, V=v)
+    return ReconResult(series, report)
 
 
 def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
@@ -492,12 +494,12 @@ def default_lambda_grid(d: KSpaceData, model: EncodingModel) -> list[float]:
 
 
 def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
-                  cfg: SolverConfig) -> tuple[float, ReconResult, dict]:
+                  cfg: SolverConfig) -> tuple[float, ReconResult]:
     """Pick the candidate whose preliminary reconstruction maximizes
     low-rankness of the phase-corrected image (minimal nuclear norm).
 
-    Returns the weight, its :func:`reconstruct_cs_only` result with
-    ``cfg`` at that weight, and the candidates with their nuclear norms.
+    Returns the weight and its :func:`reconstruct_cs_only` result with
+    ``cfg`` at that weight.
     """
     candidates = list(candidates)
     if not candidates:
@@ -510,8 +512,7 @@ def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
         norms.append(float(np.linalg.svd(corrected, compute_uv=False).sum()))
         results.append(result)
     best = int(np.argmin(norms))
-    return float(candidates[best]), results[best], \
-        {"candidates": candidates, "norms": norms}
+    return float(candidates[best]), results[best]
 
 
 def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
@@ -531,7 +532,7 @@ def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
             f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
             f"coil maps of grid {model.spatial_dims} with {model.coils.n_coils}")
     if lam is None and scale is None:
-        lam, prelim, _ = select_lambda(d, model, default_lambda_grid(d, model), cfg)
+        lam, prelim = select_lambda(d, model, default_lambda_grid(d, model), cfg)
         return replace(cfg, lam=lam), prelim
     if lam is None:
         lam = scale * lambda_base(d, model)

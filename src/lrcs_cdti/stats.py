@@ -1,6 +1,7 @@
-"""Evaluation battery: normalized bias, two-way mixed-model ICC (the point
-estimate and its four-band qualitative scale, as ``stats.csv`` reports
-them), exact Wilcoxon signed-rank tests, and the 16-segment regional p-map.
+"""Evaluation battery: the statistics ``stats.csv`` reports per method
+and R, each a plain number (normalized bias, two-way absolute-agreement
+ICC with NaN where undefined, exact Wilcoxon signed-rank p), the ICC's
+qualitative band, and the 16-segment regional p-map.
 
 The Wilcoxon p-value is exact: it enumerates the full sign-assignment
 distribution of the rank-sum statistic (dynamic programming over the
@@ -30,27 +31,22 @@ def normalized_bias(h_ref: float, h_rec: float) -> float:
 
 
 def icc_band(r: float) -> str:
+    """The qualitative band of an ICC; ``Undefined`` for NaN."""
+    if np.isnan(r):
+        return "Undefined"
     for threshold, name in ICC_BANDS:
         if r >= threshold:
             return name
     return "Poor"
 
 
-@dataclass(frozen=True)
-class IccResult:
-    r: float
-    band: str
-    defined: bool = True
-
-
-def icc_absolute_agreement(pairs: np.ndarray) -> IccResult:
+def icc_absolute_agreement(pairs: np.ndarray) -> float:
     """Single-measure absolute-agreement ICC from a two-way ANOVA.
 
     ``pairs`` is (n_subjects, k_raters); here k = 2 (reference,
     reconstruction).  r = (MS_R - MS_E) /
-    (MS_R + (k-1) MS_E + (k/n)(MS_C - MS_E)), and its band follows
-    ``ICC_BANDS``.  No variance, or a zero denominator, gives r = NaN
-    with ``defined`` False.
+    (MS_R + (k-1) MS_E + (k/n)(MS_C - MS_E)).  No variance, or a zero
+    denominator, gives NaN.
     """
     data = np.asarray(pairs, dtype=float)
     if data.ndim != 2 or data.shape[1] < 2:
@@ -66,15 +62,14 @@ def icc_absolute_agreement(pairs: np.ndarray) -> IccResult:
     ss_cols = float(n * ((col_means - grand) ** 2).sum())
     ss_err = ss_total - ss_rows - ss_cols
     if ss_total == 0:
-        return IccResult(float("nan"), "Undefined", defined=False)
+        return float("nan")
     ms_r = ss_rows / (n - 1)
     ms_c = ss_cols / (k - 1)
     ms_e = ss_err / ((n - 1) * (k - 1))
     denom = ms_r + (k - 1) * ms_e + (k / n) * (ms_c - ms_e)
     if denom == 0:
-        return IccResult(float("nan"), "Undefined", defined=False)
-    r = float((ms_r - ms_e) / denom)
-    return IccResult(r, icc_band(r))
+        return float("nan")
+    return float((ms_r - ms_e) / denom)
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
@@ -92,20 +87,12 @@ def _midranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-@dataclass(frozen=True)
-class WilcoxonResult:
-    p: float
-    w_plus: float
-    n_used: int
-    all_zero: bool = False
-
-
-def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> WilcoxonResult:
-    """Exact two-sided Wilcoxon signed-rank test on paired values.
+def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> float:
+    """Exact two-sided Wilcoxon signed-rank p on paired values.
 
     Zero differences are discarded; ties get midranks.  The two-sided p
     doubles the smaller exact tail of the sign-assignment distribution
-    and caps at 1.
+    and caps at 1; with no nonzero difference it is 1.
     """
     ref = np.asarray(ref, dtype=float)
     rec = np.asarray(rec, dtype=float)
@@ -114,7 +101,7 @@ def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> WilcoxonResult:
     diffs = rec - ref
     diffs = diffs[diffs != 0]
     if diffs.size == 0:
-        return WilcoxonResult(1.0, 0.0, 0, all_zero=True)
+        return 1.0
     n = diffs.size
     ranks = _midranks(np.abs(diffs))
     w_plus = float(ranks[diffs > 0].sum())
@@ -134,7 +121,7 @@ def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> WilcoxonResult:
     lower = int(sum(counts[:w2 + 1]))
     upper = int(sum(counts[w2:]))
     p = 2 * Fraction(min(lower, upper), denom)
-    return WilcoxonResult(float(min(p, Fraction(1))), w_plus, n)
+    return float(min(p, Fraction(1)))
 
 
 def regional_pmap(ref_segments: np.ndarray,
@@ -154,27 +141,27 @@ def regional_pmap(ref_segments: np.ndarray,
         raise ValidationError("missing segment data in regional tables")
     out = []
     for s in range(16):
-        res = wilcoxon_signed_rank(ref_segments[s], rec_segments[s])
-        out.append((res.p, res.p < SIGNIFICANCE))
+        p = wilcoxon_signed_rank(ref_segments[s], rec_segments[s])
+        out.append((p, p < SIGNIFICANCE))
     return out
 
 
 @dataclass(frozen=True)
 class StatsResults:
-    """Per-(method, R, metric) summary across subjects."""
+    """Per-(method, R, metric) summary across subjects: a stats.csv row."""
 
-    biases: np.ndarray
     bias_mean: float
     bias_std: float
-    icc: IccResult
-    wilcoxon: WilcoxonResult
+    icc: float
+    p: float
 
 
 def summarize(ref_values: np.ndarray, rec_values: np.ndarray) -> StatsResults:
     ref_values = np.asarray(ref_values, dtype=float)
     rec_values = np.asarray(rec_values, dtype=float)
     biases = np.array([normalized_bias(a, b) for a, b in zip(ref_values, rec_values)])
-    icc = icc_absolute_agreement(np.column_stack([ref_values, rec_values]))
-    wil = wilcoxon_signed_rank(ref_values, rec_values)
-    return StatsResults(biases, float(biases.mean()), float(biases.std(ddof=1))
-                        if len(biases) > 1 else 0.0, icc, wil)
+    return StatsResults(
+        float(biases.mean()),
+        float(biases.std(ddof=1)) if len(biases) > 1 else 0.0,
+        icc_absolute_agreement(np.column_stack([ref_values, rec_values])),
+        wilcoxon_signed_rank(ref_values, rec_values))

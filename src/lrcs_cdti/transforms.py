@@ -92,7 +92,6 @@ class WaveletSpec:
 
     dims: tuple[int, int, int]
     levels: int = 4
-    levels_per_axis: tuple[int, int, int] = field(init=False)
     plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
@@ -108,7 +107,6 @@ class WaveletSpec:
             for ax in active:
                 cur[ax] //= 2
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "levels_per_axis", per_axis)
         object.__setattr__(self, "plan", tuple(plan))
 
 

@@ -51,6 +51,33 @@ def test_eval_skips_group_with_failed_cell(study, tmp_path):
     assert len(groups) == 5
 
 
+@pytest.mark.parametrize("column, value, message", [
+    ("ok", None, "row 1, column 'ok': no value"),
+    ("hat", "abc", "row 2, column 'hat': cannot read 'abc' as float"),
+], ids=["missing-column", "non-numeric"])
+def test_eval_of_a_bad_summary_is_a_named_error(study, tmp_path, capsys, column,
+                                                value, message):
+    # value None drops the column; else it replaces the second row's entry
+    plan, _ = study
+    rows = _read(Path(plan.output_dir) / "summary.csv")
+    if value is None:
+        for row in rows:
+            del row[column]
+    else:
+        rows[1][column] = value
+    summary = tmp_path / "summary.csv"
+    with open(summary, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+    assert cli.main(["eval", "--summary", str(summary),
+                     "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [eval]: {summary} {message}")
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval.csv").exists()
+
+
 @pytest.fixture(scope="module")
 def recon_inputs(tmp_path_factory):
     cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2, seed=1)
@@ -93,8 +120,8 @@ def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
                      "--out", str(tmp_path / "out"), *FLAGS]) == 0
     d = encoding.load_kspace(root / "kspace")
     model = encoding.EncodingModel(dm.load_coils(root / "coils"), d.mask, None)
-    lam, prelim, _ = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
-                                         recon.SolverConfig(max_iters=2))
+    lam, prelim = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
+                                      recon.SolverConfig(max_iters=2))
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["lambda"] == lam
     series = dm.load_series(tmp_path / "out")
@@ -231,6 +258,12 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      '"output_dir": "{out}"}', "solver key 'lam' is set per cell"),
     ("run", "--plan", '{"n_subjects": 1, "solver": {"max_iters": 0}, '
      '"output_dir": "{out}"}', "max_iters must be >= 1, got 0"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"cg_max_iters": 0}, '
+     '"output_dir": "{out}"}', "cg_max_iters must be >= 1, got 0"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"cg_tol": 1.5}, '
+     '"output_dir": "{out}"}', "cg_tol must be below 1, got 1.5"),
+    ("phantom", "--params", '{"md_true": -1e-3}', "md_true must be positive"),
+    ("phantom", "--params", '{"n_coils": 0}', "n_coils must be >= 1, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 0, "output_dir": "{out}"}',
      "rank must be >= 1 or null, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "methods": ["lrx"], "output_dir": "{out}"}',

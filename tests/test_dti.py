@@ -651,8 +651,8 @@ class TestAha16:
         slopes = np.arange(hat.ray_slopes.size, dtype=float).reshape(
             hat.ray_slopes.shape)
         slopes[0, 3] = np.nan
-        hat = dti.HatResult(slopes, hat.ray_r2, hat.per_slice, hat.global_hat,
-                            hat.ray_angles, hat.centers, hat.n_skipped)
+        hat = dti.HatResult(slopes, hat.ray_r2, hat.global_hat, hat.ray_angles,
+                            hat.n_skipped)
         expected = {}
         for z, band in enumerate(seg.band_of_slice):
             width, first = (90.0, 13) if band == "apical" else \

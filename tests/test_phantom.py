@@ -31,6 +31,15 @@ class TestConfig:
         with pytest.raises(ValidationError, match="directions"):
             ph.PhantomConfig(directions=ph.DIRECTIONS_12[:5])
 
+    @pytest.mark.parametrize("params, message", [
+        ({"md_true": -1e-3}, "md_true must be positive, got -0.001"),
+        ({"md_true": 0}, "md_true must be positive, got 0"),
+        ({"n_coils": 0}, "n_coils must be >= 1, got 0"),
+    ])
+    def test_non_physical_diffusivity_or_no_coil_rejected(self, params, message):
+        with pytest.raises(ValidationError, match=message):
+            dm.config_from_json(ph.PhantomConfig, params)
+
     def test_json_round_trip(self):
         # default, noise-free, and with the LV center set
         for cfg in (ph.PhantomConfig(),

@@ -84,6 +84,21 @@ def test_stats_rows_and_pmaps(study):
     assert len(list(out.glob("pmap_*.csv"))) == 2 * len(PINNED)
 
 
+def test_stats_csv_of_a_group_with_no_variance(tmp_path):
+    # every subject has the same reference and reconstruction values: the
+    # ICC is undefined and no difference is left for the Wilcoxon test
+    same = pipeline.SubjectMetrics(0.5, 1e-3, None, None)
+    groups = {(2.0, "lrcs", "proposed"): {s: (same, same) for s in range(3)}}
+    rows = pipeline.write_stats(groups, tmp_path / "stats.csv")
+    with open(tmp_path / "stats.csv", newline="") as fh:
+        written = list(csv.DictReader(fh))
+    assert len(rows) == len(written) == 2
+    for row in written:
+        assert (row["bias_mean"], row["bias_std"]) == ("0.0", "0.0")
+        assert (row["icc"], row["icc_band"], row["p"]) == ("nan", "Undefined", "1.0")
+    assert not list(tmp_path.glob("pmap_*.csv"))
+
+
 def test_summary_says_how_each_cell_was_solved(study):
     plan, result = study
     with open(Path(plan.output_dir) / "summary.csv", newline="") as fh:

@@ -1,7 +1,16 @@
-"""Every public top-level function of ``lrcs_cdti`` has a use in the
-program itself: the package or the benchmark harness in ``perfbench/``.
-Tests do not count, so a function that only tests call fails here
-unless it is allowed below, with its reason."""
+"""Every public top-level function of ``lrcs_cdti``, and every public
+attribute of its public classes, has a use in the program itself: the
+package or the benchmark harness in ``perfbench/``.  Tests do not count,
+so a function or attribute that only tests use fails here unless it is
+allowed below, with its reason.
+
+The attributes of a class are its dataclass (annotated) fields, its
+properties and its methods.  One counts as used when the program reads
+an attribute of that name, ``obj.name`` or ``getattr(obj, "name")``, on
+any object: the scan does not know the type of ``obj``.  So an attribute
+that shares its name with one that is read elsewhere passes even when
+nothing reads it; that hid the unread ``TensorField.spatial_dims`` behind
+``CasoratiSeries.spatial_dims`` and ``EncodingModel.spatial_dims``."""
 
 import ast
 from pathlib import Path
@@ -22,6 +31,23 @@ ALLOWED = {
     ("transforms", "group_l12_norm"):
         "the penalty ||Psi U V||_{1,2} that ROADMAP item 5 adds to the run report",
 }
+
+# (module, class, attribute): why it stays without a reader the scan sees
+ALLOWED_ATTRIBUTES = {
+    ("encoding", "EncodingModel", "n_voxels"):
+        "perfbench/tests/test_layertrace.py sizes its test series by it",
+    ("pipeline", "SubjectMetrics", "regional_md"):
+        "write_stats reads it as getattr(pair, f'regional_{metric}')",
+}
+
+
+def _sources() -> list[Path]:
+    return [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+
+
+def _program() -> list[Path]:
+    """The package modules and the harness modules of ``perfbench/``."""
+    return _sources() + sorted((ROOT / "perfbench").glob("*.py"))
 
 
 def _references(path: Path, modules: set[str]) -> set[tuple[str, str]]:
@@ -63,16 +89,71 @@ def unreferenced_functions() -> set[tuple[str, str]]:
     """Public top-level functions of the package that no module of the
     package (re-exports in ``__init__`` aside) and no harness module of
     ``perfbench/`` refers to."""
-    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources = _sources()
     modules = {p.stem for p in sources}
     defined = {(p.stem, node.name) for p in sources
                for node in ast.parse(p.read_text()).body
                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")}
     used = set()
-    for path in sources + sorted((ROOT / "perfbench").glob("*.py")):
+    for path in _program():
         used |= _references(path, modules)
     return defined - used
 
 
+def public_attributes() -> set[tuple[str, str, str]]:
+    """(module, class, attribute) for the annotated fields, properties and
+    methods of the package's public top-level classes."""
+    out = set()
+    for path in _sources():
+        for cls in ast.parse(path.read_text()).body:
+            if not isinstance(cls, ast.ClassDef) or cls.name.startswith("_"):
+                continue
+            for node in cls.body:
+                if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                    name = node.target.id
+                elif isinstance(node, ast.FunctionDef):
+                    name = node.name
+                else:
+                    continue
+                if not name.startswith("_"):
+                    out.add((path.stem, cls.name, name))
+    return out
+
+
+def read_attribute_names() -> set[str]:
+    """Names the program reads as attributes: ``obj.name`` in a load and
+    ``getattr(obj, "name", ...)`` with a literal name."""
+    names = set()
+    for path in _program():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                names.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+                    and node.func.id == "getattr" and len(node.args) >= 2 \
+                    and isinstance(node.args[1], ast.Constant):
+                names.add(node.args[1].value)
+    return names
+
+
+def unread_attributes() -> set[tuple[str, str, str]]:
+    names = read_attribute_names()
+    return {attr for attr in public_attributes() if attr[2] not in names}
+
+
 def test_every_public_function_runs_in_the_program():
     assert unreferenced_functions() == set(ALLOWED)
+
+
+def test_every_public_attribute_is_read_in_the_program():
+    assert unread_attributes() == set(ALLOWED_ATTRIBUTES)
+
+
+def test_the_scan_sees_fields_properties_and_methods():
+    found = public_attributes()
+    assert ("recon", "ReconResult", "series") in found          # field
+    assert ("recon", "SolverConfig", "cg_tol") in found         # field with default
+    assert ("datamodel", "CasoratiSeries", "n_columns") in found  # property
+    assert ("recon", "RunReport", "to_json") in found           # method
+    assert ("datamodel", "PhaseMap", "from_angles") in found    # classmethod
+    assert not any(name.startswith("_") for _, _, name in found)
+    assert not any(cls.startswith("_") for _, cls, _ in found)

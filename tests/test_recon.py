@@ -9,6 +9,7 @@ from lrcs_cdti import encoding as enc
 from lrcs_cdti import phantom as ph
 from lrcs_cdti import recon
 from lrcs_cdti.errors import NumericalError, ValidationError
+from lrcs_cdti.transforms import WaveletSpec
 
 
 @pytest.fixture(scope="module")
@@ -67,6 +68,18 @@ class TestSolverPrecision:
             recon.SolverConfig(cg_tol=1e-8)
         assert recon.SolverConfig(cg_tol=recon.CG_TOL_FLOOR).cg_tol == 1e-6
 
+    @pytest.mark.parametrize("key, value, message", [
+        ("cg_max_iters", 0, "cg_max_iters must be >= 1, got 0"),
+        ("cg_max_iters", -2, "cg_max_iters must be >= 1, got -2"),
+        ("cg_tol", 1.0, "cg_tol must be below 1, got 1"),
+        ("cg_tol", 2.5, "cg_tol must be below 1, got 2.5"),
+    ])
+    def test_cg_settings_that_stop_cg_before_its_first_step_are_rejected(
+            self, key, value, message):
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            dm.config_from_json(recon.SolverConfig, {key: value})
+        assert recon.SolverConfig(cg_max_iters=1, cg_tol=0.99).cg_max_iters == 1
+
     def test_solves_return_complex128(self, bench):
         # the solver iterates in complex64; U and the series leave in complex128
         cfg, gt, labels, kfull = bench
@@ -80,7 +93,10 @@ class TestSolverPrecision:
                    recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))]
         for res in results:
             assert res.series.data.dtype == np.complex128
-        assert results[1].U.dtype == results[2].U.dtype == np.complex128
+        for basis in (np.eye(len(labels)), v):
+            u, _ = recon.admm_solve(d, model, basis, scfg,
+                                    WaveletSpec(dims=model.spatial_dims))
+            assert u.dtype == np.complex128
 
 
     def test_wavelet_side_runs_in_the_model_dtype(self, bench, monkeypatch):
@@ -200,7 +216,7 @@ class TestSelectRank:
         cfg, gt, labels, _ = bench
         n = gt.clean_series.n_columns
         lo = recon.select_rank(gt.clean_series.with_data(
-            np.outer(np.abs(np.random.default_rng(0).normal(size=gt.clean_series.n_voxels)),
+            np.outer(np.abs(np.random.default_rng(0).normal(size=gt.clean_series.data.shape[0])),
                      np.ones(n)).astype(complex)))
         assert 2 <= lo <= n - 1
 
@@ -209,10 +225,10 @@ class TestSelectLambda:
     def test_single_candidate_passthrough(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2)
-        lam, result, info = recon.select_lambda(d, model, [0.123],
-                                                recon.SolverConfig(lam=0.0))
+        lam, result = recon.select_lambda(d, model, [0.123],
+                                          recon.SolverConfig(lam=0.0))
         assert lam == 0.123
-        assert result.report.lam == 0.123 and len(info["norms"]) == 1
+        assert result.report.lam == 0.123
 
     def test_empty_rejected(self, bench):
         cfg, gt, labels, kfull = bench
@@ -224,9 +240,13 @@ class TestSelectLambda:
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
         grid = recon.default_lambda_grid(d, model)
-        lam, _, info = recon.select_lambda(d, model, grid,
-                                           recon.SolverConfig(lam=0.0, max_iters=8))
-        norms = info["norms"]
+        scfg = recon.SolverConfig(lam=0.0, max_iters=8)
+        lam, _ = recon.select_lambda(d, model, grid, scfg)
+        norms = []
+        for candidate in grid:
+            x = recon.reconstruct_cs_only(d, model, replace(scfg, lam=candidate)).series
+            corrected = np.conj(recon.estimate_phase_map(x).values) * x.data
+            norms.append(np.linalg.svd(corrected, compute_uv=False).sum())
         assert lam == grid[int(np.argmin(norms))]
 
     def test_returns_the_winning_solve(self, bench):
@@ -234,7 +254,7 @@ class TestSelectLambda:
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
         grid = recon.default_lambda_grid(d, model)
         scfg = recon.SolverConfig(lam=0.0, max_iters=4)
-        lam, result, _ = recon.select_lambda(d, model, grid, scfg)
+        lam, result = recon.select_lambda(d, model, grid, scfg)
         fresh = recon.reconstruct_cs_only(d, model, replace(scfg, lam=lam))
         np.testing.assert_array_equal(result.series.data, fresh.series.data)
         assert result.report.to_json()["delta_u"] == fresh.report.to_json()["delta_u"]
@@ -341,8 +361,9 @@ class TestAdmmBehavior:
         # ||Psi U V|| = ||U V|| (orthonormal wavelet), where complex64
         # rounding sets a floor; Psi U V itself is complex64 and the CG
         # residual is carried across solves (measured 2.62, 2.20, 3.38,
-        # 2.47 eps ||U V|| over the last four iterations)
-        floor = 3.4 * np.finfo(np.float32).eps * np.linalg.norm(res.U @ res.V)
+        # 2.47 eps ||U V|| over the last four iterations); the series is
+        # P o (U V) with |P| = 1, so its norm is ||U V||
+        floor = 3.4 * np.finfo(np.float32).eps * np.linalg.norm(res.series.data)
         gaps = res.report.feasibility[-8:]
         assert gaps[0] > 5 * floor and gaps[-1] <= floor
         assert all(b < a or b <= floor for a, b in zip(gaps, gaps[1:]))
@@ -464,12 +485,15 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=6)
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
-        res = recon.reconstruct_lrcs(d, model, None, v,
-                                     recon.SolverConfig(lam=lam, max_iters=5))
-        rep = res.report.to_json()
-        assert len(rep["delta_u"]) == len(rep["alpha"]) == len(rep["rho"]) == 5
+        scfg = recon.SolverConfig(lam=lam, max_iters=5)
+        rep = recon.reconstruct_lrcs(d, model, None, v, scfg).report.to_json()
+        assert len(rep["delta_u"]) == len(rep["alpha"]) == 5
         assert rep["wall_time_s"] > 0
-        assert all(r == pytest.approx(lam / a) for r, a in zip(rep["rho"], rep["alpha"]))
+        # the penalty rho = lambda/alpha grows by the decay factor each iteration
+        rho = [rep["lambda"] / a for a in rep["alpha"]]
+        assert rep["lambda"] == lam and "rho" not in rep
+        assert all(b == pytest.approx(scfg.alpha_decay * a)
+                   for a, b in zip(rho, rho[1:]))
         assert len(rep["cg_residual"]) == len(rep["cg_iterations"]) == 6
         assert all(np.isfinite(r) and r >= 0 for r in rep["cg_residual"])
 

@@ -9,6 +9,12 @@ from lrcs_cdti.errors import ValidationError
 RNG = np.random.default_rng(7)
 
 
+def levels_per_axis(spec):
+    """How many levels of the spec's plan transform each axis."""
+    return tuple(sum(any(a == ax for a, _ in axes) for _, axes in spec.plan)
+                 for ax in range(3))
+
+
 def reference_analysis_1d(x, h, g):
     """Dense-matrix periodic filter bank, built independently of the
     production code path (explicit loops over output taps)."""
@@ -65,8 +71,8 @@ class TestWavelet:
 
     def test_levels_per_axis(self):
         spec = tr.WaveletSpec(dims=(64, 64, 4))
-        assert spec.levels_per_axis == (4, 4, 2)
-        assert tr.WaveletSpec(dims=(48, 6, 1)).levels_per_axis == (4, 1, 0)
+        assert levels_per_axis(spec) == (4, 4, 2)
+        assert levels_per_axis(tr.WaveletSpec(dims=(48, 6, 1))) == (4, 1, 0)
 
     def test_zero_maps_to_zero(self):
         spec = tr.WaveletSpec(dims=(16, 16, 2))
@@ -94,7 +100,7 @@ class TestWavelet:
         w = tr.series_forward(np.full((64 * 64 * 4, 1), 2.5), spec)
         w = w.reshape(spec.dims, order="F")
         approx = tuple(slice(0, d // 2 ** lv)
-                       for d, lv in zip(spec.dims, spec.levels_per_axis))
+                       for d, lv in zip(spec.dims, levels_per_axis(spec)))
         detail = w.copy()
         detail[approx] = 0.0
         assert np.abs(detail).max() < 1e-10
