@@ -1,5 +1,12 @@
-"""Command-line interface: phantom | sample | recon | fit | metrics |
+"""Command-line interface: phantom | simulate | recon | fit | metrics |
 eval | run.
+
+The stages compose: ``phantom`` writes a ground truth; ``simulate``
+turns it into the undersampled noisy k-space and estimated coil maps
+that ``recon`` reads; ``fit`` takes the reconstruction and the ground
+truth's mask to tensors, and ``metrics`` takes the tensors to HA/MD/FA
+maps and the HAT table.  ``run`` is the whole chain over a cohort, and
+``eval`` recomputes its statistics from ``summary.csv``.
 
 All array inputs and outputs use the container format; configs are JSON;
 tables are CSV; previews are PGM.  Every flag can also be given in a
@@ -30,7 +37,6 @@ log = logging.getLogger("lrcs_cdti")
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", help="JSON file with defaults for any flag")
-    parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--threads", type=int, default=None,
                         help="threads of the run command's subject pool when "
                              "the plan sets none; other commands run on one "
@@ -49,13 +55,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("phantom", help="build the synthetic LV phantom")
     p.add_argument("--params", help="PhantomConfig JSON file")
     p.add_argument("--out", required=True, help="ground-truth container directory")
+    p.add_argument("--seed", type=int, default=None,
+                   help="phantom seed, which also seeds the noise and the masks "
+                        "of simulate (default: the params' seed)")
     _add_common(p)
 
-    p = sub.add_parser("sample", help="generate a sampling mask")
-    p.add_argument("--series", required=True,
-                   help="series container supplying dims and column labels")
-    p.add_argument("--R", type=float, default=None)
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("simulate", help="noisy undersampled k-space and coil maps")
+    p.add_argument("--truth", required=True, help="ground-truth container")
+    p.add_argument("--R", type=float, default=None, help="acceleration (default 1)")
+    p.add_argument("--out", required=True, help="directory for kspace/ and coils/")
     _add_common(p)
 
     p = sub.add_parser("recon", help="reconstruct undersampled k-space")
@@ -120,7 +128,7 @@ def _read_json(path, what: str) -> dict:
 
 
 # values of the flags that neither the command line nor the config sets
-_DEFAULTS = {"sample": {"R": 1.0, "seed": 0},
+_DEFAULTS = {"simulate": {"R": 1.0},
              "recon": {"method": "lrcs", "phase": "proposed", "lambda_scale": 1e-2}}
 
 
@@ -201,18 +209,21 @@ def cmd_phantom(args) -> int:
     return 0
 
 
-def cmd_sample(args) -> int:
-    series = dm.load_series(args.series)
-    _, ny, nz = series.spatial_dims
-    mask = encoding.make_sampling_mask(ny, nz, series.column_labels, R=args.R,
-                                       seed=args.seed)
-    dm.save_mask(args.out, mask)
-    log.info("mask written to %s (R_true = %.4f)", args.out, mask.r_true)
+def cmd_simulate(args) -> int:
+    truth = phantom.load_ground_truth(args.truth)
+    kspace, coils = pipeline.acquire(truth)
+    d = pipeline.undersample(truth, kspace, args.R)
+    encoding.save_kspace(Path(args.out) / "kspace", d)
+    dm.save_coils(Path(args.out) / "coils", coils)
+    log.info("k-space and coils written to %s (R_true = %.4f)", args.out, d.mask.r_true)
     return 0
 
 
 def cmd_recon(args) -> int:
     d = encoding.load_kspace(args.kspace)
+    n_columns = len(d.column_labels)
+    if args.rank is not None and not 1 <= args.rank <= n_columns:
+        raise ValidationError(f"--rank must be in [1, {n_columns}], got {args.rank}")
     coils = dm.load_coils(args.coils)
     model = encoding.EncodingModel(coils, d.mask, None)
 
@@ -334,7 +345,7 @@ def cmd_run(args) -> int:
     return 0
 
 
-_COMMANDS = {"phantom": cmd_phantom, "sample": cmd_sample, "recon": cmd_recon,
+_COMMANDS = {"phantom": cmd_phantom, "simulate": cmd_simulate, "recon": cmd_recon,
              "fit": cmd_fit, "metrics": cmd_metrics, "eval": cmd_eval,
              "run": cmd_run}
 

@@ -320,13 +320,26 @@ def _type_name(hint) -> str:
     return hint.__name__ if isinstance(hint, type) else str(hint)
 
 
-def _labels_to_json(labels: Iterable[ColumnLabel]) -> list:
+# column labels in a container header: [b value, [gx, gy, gz], average] each
+LABELS_JSON = tuple[tuple[float, tuple[float, float, float], int], ...]
+
+
+def labels_to_json(labels: Iterable[ColumnLabel]) -> list:
     return [[lab.b_value, list(lab.direction), lab.average] for lab in labels]
 
 
-def _labels_from_json(entries) -> tuple[ColumnLabel, ...]:
+def labels_from_json(entries: LABELS_JSON) -> tuple[ColumnLabel, ...]:
     return tuple(ColumnLabel(float(b), tuple(float(v) for v in g), int(a))
                  for b, g, a in entries)
+
+
+def header_value(obj: dict, key: str, hint, where: str):
+    """``obj[key]`` from a container header as the annotation ``hint``
+    (see :func:`json_value`).  A missing key or a value that does not fit
+    is a ValidationError naming ``where`` and the key."""
+    if not isinstance(obj, dict) or key not in obj:
+        raise ValidationError(f"{where}: no key {key!r}")
+    return json_value(obj[key], hint, f"{where} key {key!r}")
 
 
 def write_container(path, arrays: dict[str, np.ndarray], metadata: dict | None = None) -> None:
@@ -370,10 +383,11 @@ def read_container(path, names: Sequence[str] | None = None,
     """Read a container directory; validates payload sizes against the header.
 
     ``names`` selects the arrays to read (default: every array); the
-    payloads of the others are not opened.  ``kind``, when given, must
-    equal the header's metadata ``kind``: every typed loader passes its
-    own, so a container of another kind fails with a named error before
-    any payload is read.
+    header entries and payloads of the others are not read.  Each read
+    entry must hold ``file``, ``dims`` and ``dtype``.  ``kind``, when
+    given, must equal the header's metadata ``kind``: every typed loader
+    passes its own, so a container of another kind fails with a named
+    error before any payload is read.
     """
     path = Path(path)
     header_path = path / "header.json"
@@ -383,24 +397,24 @@ def read_container(path, names: Sequence[str] | None = None,
         header = json.loads(header_path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ValidationError(f"malformed header {header_path}: {exc}") from exc
-    if header.get("format") != CONTAINER_FORMAT:
+    if not isinstance(header, dict) or header.get("format") != CONTAINER_FORMAT:
         raise ValidationError(f"{header_path}: not a {CONTAINER_FORMAT} header")
-    metadata = header.get("metadata", {})
+    metadata = json_value(header.get("metadata", {}), dict, f"{header_path} metadata")
     if kind is not None and metadata.get("kind") != kind:
         raise ValidationError(
             f"{path}: container kind is {metadata.get('kind')!r}, "
             f"expected {kind!r}")
-    entries = header.get("arrays", {})
+    entries = json_value(header.get("arrays", {}), dict, f"{header_path} arrays")
     arrays = {}
     for name in entries if names is None else names:
         if name not in entries:
             raise ValidationError(f"{path}: no '{name}' array in container")
-        entry = entries[name]
-        dtype_name = entry["dtype"]
+        entry, where = entries[name], f"{header_path} array {name!r}"
+        dtype_name = header_value(entry, "dtype", str, where)
         if dtype_name not in _DTYPES:
             raise ValidationError(f"array '{name}': unsupported dtype {dtype_name}")
-        dims = tuple(int(v) for v in entry["dims"])
-        raw = (path / entry["file"]).read_bytes()
+        dims = header_value(entry, "dims", tuple[int, ...], where)
+        raw = (path / header_value(entry, "file", str, where)).read_bytes()
         dtype = _DTYPES[dtype_name]
         expected = int(np.prod(dims)) * dtype.itemsize
         if len(raw) != expected:
@@ -419,29 +433,16 @@ def save_series(path, series: CasoratiSeries) -> None:
     write_container(path, {"data": _to_storage_complex(series.data)},
                     {"kind": "casorati_series",
                      "spatial_dims": list(series.spatial_dims),
-                     "column_labels": _labels_to_json(series.column_labels)})
+                     "column_labels": labels_to_json(series.column_labels)})
 
 
 def load_series(path) -> CasoratiSeries:
     arrays, meta = read_container(path, kind="casorati_series")
-    return CasoratiSeries(arrays["data"].astype(np.complex128),
-                          tuple(meta["spatial_dims"]),
-                          _labels_from_json(meta["column_labels"]))
-
-
-def save_mask(path, mask: SamplingMask) -> None:
-    write_container(path, {"kept": mask.kept},
-                    {"kind": "sampling_mask",
-                     "R_nominal": mask.R_nominal,
-                     "seed": mask.seed,
-                     "r_true": mask.r_true,
-                     "column_labels": _labels_to_json(mask.column_labels)})
-
-
-def load_mask(path) -> SamplingMask:
-    arrays, meta = read_container(path, kind="sampling_mask")
-    return SamplingMask(arrays["kept"], float(meta["R_nominal"]), int(meta["seed"]),
-                        _labels_from_json(meta["column_labels"]))
+    where = f"{path} metadata"
+    return CasoratiSeries(
+        arrays["data"].astype(np.complex128),
+        header_value(meta, "spatial_dims", tuple[int, int, int], where),
+        labels_from_json(header_value(meta, "column_labels", LABELS_JSON, where)))
 
 
 def save_coils(path, coils: CoilMaps) -> None:

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import CasoratiSeries, ColumnLabel
+from .datamodel import CasoratiSeries, header_value, read_container, write_container
 from .errors import NumericalError, ValidationError
 
 
@@ -577,7 +577,6 @@ def regional_hat(hat: HatResult, seg: AhaSegmentation) -> np.ndarray:
 
 
 def save_tensors(path, field: TensorField) -> None:
-    from .datamodel import write_container
     write_container(path,
                     {"tensors": field.tensors.astype(np.float64),
                      "s0": field.s0.astype(np.float64),
@@ -588,7 +587,7 @@ def save_tensors(path, field: TensorField) -> None:
 
 
 def load_tensors(path) -> TensorField:
-    from .datamodel import read_container
     arrays, meta = read_container(path, kind="tensor_field")
     return TensorField(arrays["mask"], arrays["tensors"], arrays["s0"],
-                       arrays["evals"], arrays["e1"], int(meta["n_clamped"]))
+                       arrays["evals"], arrays["e1"],
+                       header_value(meta, "n_clamped", int, f"{path} metadata"))

@@ -67,8 +67,9 @@ from typing import ClassVar
 
 import numpy as np
 
-from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
-                        SamplingMask)
+from .datamodel import (LABELS_JSON, CasoratiSeries, CoilMaps, ColumnLabel,
+                        PhaseMap, SamplingMask, header_value, labels_from_json,
+                        labels_to_json, read_container, write_container)
 from .errors import ValidationError
 
 N_CENTER_LINES = 4
@@ -532,7 +533,6 @@ def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.n
 
 
 def save_kspace(path, d: KSpaceData) -> None:
-    from .datamodel import _labels_to_json, write_container
     write_container(path,
                     {"samples": d.samples.astype(np.complex64),
                      "kept": d.mask.kept},
@@ -541,13 +541,16 @@ def save_kspace(path, d: KSpaceData) -> None:
                      "n_coils": d.n_coils,
                      "R_nominal": d.mask.R_nominal,
                      "seed": d.mask.seed,
-                     "column_labels": _labels_to_json(d.mask.column_labels)})
+                     "column_labels": labels_to_json(d.mask.column_labels)})
 
 
 def load_kspace(path) -> KSpaceData:
-    from .datamodel import _labels_from_json, read_container
     arrays, meta = read_container(path, kind="kspace")
-    mask = SamplingMask(arrays["kept"], float(meta["R_nominal"]), int(meta["seed"]),
-                        _labels_from_json(meta["column_labels"]))
+    where = f"{path} metadata"
+    mask = SamplingMask(
+        arrays["kept"], float(header_value(meta, "R_nominal", float, where)),
+        header_value(meta, "seed", int, where),
+        labels_from_json(header_value(meta, "column_labels", LABELS_JSON, where)))
     return KSpaceData(arrays["samples"].astype(np.complex128), mask,
-                      tuple(meta["spatial_dims"]), int(meta["n_coils"]))
+                      header_value(meta, "spatial_dims", tuple[int, int, int], where),
+                      header_value(meta, "n_coils", int, where))

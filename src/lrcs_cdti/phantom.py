@@ -17,9 +17,10 @@ from math import inf
 
 import numpy as np
 
-from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
-                        config_from_json, config_to_json, make_labels,
-                        reshape_to_casorati)
+from .datamodel import (LABELS_JSON, CasoratiSeries, CoilMaps, ColumnLabel,
+                        PhaseMap, config_from_json, config_to_json, header_value,
+                        labels_from_json, labels_to_json, make_labels,
+                        read_container, reshape_to_casorati, write_container)
 from .dti import TensorField
 from .errors import ValidationError
 
@@ -266,7 +267,6 @@ def mean_s0(gt: GroundTruth) -> float:
 
 
 def save_ground_truth(path, gt: GroundTruth) -> None:
-    from .datamodel import _labels_to_json, write_container
     series = gt.clean_series
     write_container(
         path,
@@ -284,17 +284,21 @@ def save_ground_truth(path, gt: GroundTruth) -> None:
          "s0": gt.tensors.s0.astype(np.float64)},
         {"kind": "ground_truth",
          "spatial_dims": list(series.spatial_dims),
-         "column_labels": _labels_to_json(series.column_labels),
+         "column_labels": labels_to_json(series.column_labels),
          "hat_global": gt.hat_global,
          "config": config_to_json(gt.config)})
 
 
 def load_ground_truth(path) -> GroundTruth:
-    from .datamodel import _labels_from_json, read_container
     arrays, meta = read_container(path, kind="ground_truth")
-    cfg = config_from_json(PhantomConfig, meta["config"])
-    labels = _labels_from_json(meta["column_labels"])
-    dims = tuple(meta["spatial_dims"])
+    where = f"{path} metadata"
+    config = header_value(meta, "config", dict, where)
+    try:
+        cfg = config_from_json(PhantomConfig, config)
+    except ValidationError as exc:
+        raise ValidationError(f"{where} key 'config': {exc}") from None
+    labels = labels_from_json(header_value(meta, "column_labels", LABELS_JSON, where))
+    dims = header_value(meta, "spatial_dims", tuple[int, int, int], where)
     series = CasoratiSeries(arrays["clean"].astype(np.complex128), dims, labels)
     mask = arrays["mask"]
     tf = TensorField(mask=mask, tensors=arrays["tensors"], s0=arrays["s0"],
@@ -304,6 +308,6 @@ def load_ground_truth(path) -> GroundTruth:
     coils = CoilMaps(arrays["coil_maps"].astype(np.complex128),
                      arrays["coil_norm"].astype(np.float64))
     return GroundTruth(tensors=tf, ha_map=arrays["ha_map"],
-                       hat_global=float(meta["hat_global"]),
+                       hat_global=float(header_value(meta, "hat_global", float, where)),
                        md_map=arrays["md_map"], myocardium_mask=mask,
                        clean_series=series, phase=phase, coils=coils, config=cfg)

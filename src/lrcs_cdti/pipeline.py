@@ -70,7 +70,10 @@ class ExperimentPlan:
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
         # the base phantom and the solver settings, before any subject runs
-        self.base_phantom
+        n_columns = len(self.base_phantom.column_labels)
+        if self.rank is not None and self.rank > n_columns:
+            raise ValidationError(
+                f"rank {self.rank} exceeds the column count {n_columns}")
         self.solver_config
         if "lam" in self.solver:
             raise ValidationError("solver key 'lam' is set per cell, from lambda_scale")
@@ -159,19 +162,33 @@ class SubjectArtifacts:
     noisy_kspace: np.ndarray
 
 
+def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
+    """The noisy full k-space grid (C, N, nz, ny, nx) of ``truth``, noise
+    seeded by the phantom, and the coil maps of its b=0 column."""
+    cfg = truth.config
+    kclean = encoding.coil_kspace(truth.clean_series, truth.coils, truth.phase)
+    knoisy = phantom.add_noise(kclean, cfg.snr, phantom.mean_s0(truth), seed=cfg.seed)
+    # knoisy is the full grid: the b=0 column's coil images need no zero fill
+    b0_images = encoding.ifft2c(knoisy[:, 0]).transpose(0, 3, 2, 1)
+    return knoisy, encoding.estimate_coil_maps(b0_images)
+
+
+def undersample(truth: phantom.GroundTruth, kspace: np.ndarray,
+                R: float) -> encoding.KSpaceData:
+    """The samples of ``kspace`` that the mask of acceleration ``R``,
+    seeded by the phantom, keeps."""
+    _, _, nz, ny, _ = kspace.shape
+    mask = encoding.make_sampling_mask(ny, nz, truth.clean_series.column_labels, R=R,
+                                       seed=truth.config.seed)
+    return encoding.extract_samples(kspace, mask)
+
+
 def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
-    labels = gt.clean_series.column_labels
-    _, ny, nz = cfg.grid
-    kclean = encoding.coil_kspace(gt.clean_series, gt.coils, gt.phase)
-    knoisy = phantom.add_noise(kclean, cfg.snr, phantom.mean_s0(gt), seed=cfg.seed)
-    full_mask = encoding.make_sampling_mask(ny, nz, labels, R=1, seed=cfg.seed)
-    d_full = encoding.extract_samples(knoisy, full_mask)
-    # knoisy is the full grid: the b=0 column's coil images need no zero fill
-    b0_images = encoding.ifft2c(knoisy[:, 0]).transpose(0, 3, 2, 1)
-    coil_maps = encoding.estimate_coil_maps(b0_images)
-    model_full = encoding.EncodingModel(coil_maps, full_mask, None)
+    knoisy, coil_maps = acquire(gt)
+    d_full = undersample(gt, knoisy, 1)
+    model_full = encoding.EncodingModel(coil_maps, d_full.mask, None)
     # at lambda = 0 the sparsity-only solve is plain least squares
     ref = recon.reconstruct_cs_only(
         d_full, model_full, replace(plan.solver_config, lam=0.0, cg_max_iters=30))
@@ -191,15 +208,12 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
     """Every (R, method, phase mode) cell of one subject; a failed mask or
     preliminary solve fails every cell of its R."""
     cfg = art.config
-    labels = art.truth.clean_series.column_labels
-    _, ny, nz = cfg.grid
     solver = plan.solver_config
     results: list[CellResult] = []
     for R in plan.R_list:
         try:
-            smask = encoding.make_sampling_mask(ny, nz, labels, R=R, seed=cfg.seed)
-            d = encoding.extract_samples(art.noisy_kspace, smask)
-            model = encoding.EncodingModel(art.coil_maps, smask, None)
+            d = undersample(art.truth, art.noisy_kspace, R)
+            model = encoding.EncodingModel(art.coil_maps, d.mask, None)
             scfg, prelim = recon.preliminary(d, model, solver, scale=plan.lambda_scale)
             prep_error = ""
         except Exception:

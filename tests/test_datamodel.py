@@ -149,6 +149,18 @@ class TestContainer:
         with pytest.raises(ValidationError, match="unit magnitude"):
             ph.load_ground_truth(tmp_path / "gt")
 
+    def test_ground_truth_config_error_names_the_container(self, tmp_path):
+        cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2)
+        ph.save_ground_truth(tmp_path / "gt", ph.build_phantom(cfg))
+        header_path = tmp_path / "gt" / "header.json"
+        header = json.loads(header_path.read_text())
+        header["metadata"]["config"]["bogus"] = 1
+        header_path.write_text(json.dumps(header))
+        with pytest.raises(ValidationError) as exc:
+            ph.load_ground_truth(tmp_path / "gt")
+        assert str(exc.value) == (f"{tmp_path / 'gt'} metadata key 'config': "
+                                  f"unknown PhantomConfig key(s): 'bogus'")
+
     def test_phase_round_trip_preserves_invariant(self, tmp_path):
         # the ground truth stores the phase as float64 re/im: a random
         # phase reads back bit-exact and passes the 1e-12 magnitude check
@@ -160,16 +172,6 @@ class TestContainer:
         ph.save_ground_truth(tmp_path / "gt", replace(gt, phase=phase))
         back = ph.load_ground_truth(tmp_path / "gt")
         np.testing.assert_array_equal(back.phase.values, phase.values)
-
-    def test_mask_round_trip_preserves_seed(self, tmp_path):
-        labels = simple_labels()
-        kept = np.ones((8, 1, len(labels)), dtype=bool)
-        mask = dm.SamplingMask(kept, 2.0, seed=1234, column_labels=labels)
-        dm.save_mask(tmp_path / "m", mask)
-        back = dm.load_mask(tmp_path / "m")
-        assert back.seed == 1234
-        assert back.R_nominal == 2.0
-        assert np.array_equal(back.kept, mask.kept)
 
     def test_read_selected_names_only(self, tmp_path):
         dm.write_container(tmp_path / "c", {"mask": np.ones((2, 3), bool),
@@ -204,21 +206,20 @@ class TestContainer:
             dm.read_container(tmp_path / "c", names=("mask",))
 
     def test_wrong_kind_names_both_kinds(self, tmp_path):
-        dm.save_mask(tmp_path / "m", dm.SamplingMask(
-            np.ones((8, 1, 4), bool), 1.0, 0, simple_labels()))
+        dm.save_coils(tmp_path / "c", dm.CoilMaps(np.ones((1, 2, 2, 2), complex),
+                                                  np.ones((2, 2, 2))))
         with pytest.raises(ValidationError,
-                           match="kind is 'sampling_mask', expected 'casorati_series'"):
-            dm.load_series(tmp_path / "m")
+                           match="kind is 'coil_maps', expected 'casorati_series'"):
+            dm.load_series(tmp_path / "c")
         from lrcs_cdti import dti, encoding
-        for load in (dm.load_coils, encoding.load_kspace, dti.load_tensors,
-                     ph.load_ground_truth):
-            with pytest.raises(ValidationError, match="'sampling_mask', expected"):
-                load(tmp_path / "m")
+        for load in (encoding.load_kspace, dti.load_tensors, ph.load_ground_truth):
+            with pytest.raises(ValidationError, match="'coil_maps', expected"):
+                load(tmp_path / "c")
         dm.save_series(tmp_path / "s", dm.CasoratiSeries(
             np.ones((8, 4), complex), (2, 2, 2), simple_labels()))
         with pytest.raises(ValidationError,
-                           match="'casorati_series', expected 'sampling_mask'"):
-            dm.load_mask(tmp_path / "s")
+                           match="'casorati_series', expected 'coil_maps'"):
+            dm.load_coils(tmp_path / "s")
 
     def test_malformed_header(self, tmp_path):
         (tmp_path / "c").mkdir()

@@ -523,6 +523,8 @@ class TestKSpaceContainer:
         d = enc.extract_samples(kfull, mask)
         enc.save_kspace(tmp_path / "k", d)
         back = enc.load_kspace(tmp_path / "k")
+        assert (back.mask.seed, back.mask.R_nominal) == (1, 2.0)
+        assert back.column_labels == labels
         assert back.n_coils == d.n_coils
         assert back.spatial_dims == d.spatial_dims
         assert np.array_equal(back.mask.kept, d.mask.kept)

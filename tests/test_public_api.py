@@ -20,14 +20,6 @@ PACKAGE = ROOT / "src" / "lrcs_cdti"
 
 # (module, function): why it stays without a caller in the program
 ALLOWED = {
-    ("datamodel", "load_mask"):
-        "reads the sampling_mask container that `cli sample` writes",
-    ("datamodel", "save_coils"):
-        "writes the coil_maps container that `cli recon --coils` reads",
-    ("encoding", "save_kspace"):
-        "writes the kspace container that `cli recon --kspace` reads",
-    ("phantom", "load_ground_truth"):
-        "reads the ground_truth container that `cli phantom` writes",
     ("transforms", "group_l12_norm"):
         "the penalty ||Psi U V||_{1,2} that ROADMAP item 5 adds to the run report",
 }
