@@ -10,8 +10,10 @@ maps and the HAT table.  ``run`` is the whole chain over a cohort, and
 
 All array inputs and outputs use the container format; configs are JSON;
 tables are CSV; previews are PGM.  Every flag can also be given in a
-JSON config file (--config); explicit command-line values win.  Exit
-codes: 0 success, 1 validation or usage error, 2 numerical failure.
+JSON config file (--config); explicit command-line values win.
+``--threads`` (default 1) sizes the subject pool of ``run`` when the
+plan sets no ``threads``.  Exit codes: 0 success, 1 validation or usage
+error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ import argparse
 import csv
 import json
 import logging
-import os
 import sys
 from functools import partial
 from pathlib import Path
@@ -40,7 +41,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--threads", type=int, default=None,
                         help="threads of the run command's subject pool when "
                              "the plan sets none; other commands run on one "
-                             "(default: LRCS_CDTI_THREADS or 1)")
+                             "(default 1)")
     parser.add_argument("--log-level", default=None,
                         choices=["debug", "info", "warning", "error"])
 
@@ -182,17 +183,10 @@ def _setup(args: argparse.Namespace) -> None:
     # basicConfig sets no level once the root logger has a handler, as on
     # a second call in one process
     logging.getLogger().setLevel(level)
-    threads, source = args.threads, "--threads"
-    if threads is None:
-        env = os.environ.get("LRCS_CDTI_THREADS", "1")
-        source = "environment variable LRCS_CDTI_THREADS"
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValidationError(f"{source} must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ValidationError(f"{source} must be >= 1, got {threads}")
-    args.threads = threads
+    if args.threads is None:
+        args.threads = 1
+    if args.threads < 1:
+        raise ValidationError(f"--threads must be >= 1, got {args.threads}")
 
 
 def cmd_phantom(args) -> int:
@@ -332,8 +326,7 @@ def cmd_eval(args) -> int:
 
 def cmd_run(args) -> int:
     plan_obj = _read_json(args.plan, "plan")
-    if args.threads is not None and "threads" not in plan_obj:
-        plan_obj["threads"] = args.threads
+    plan_obj.setdefault("threads", args.threads)
     try:
         plan = dm.config_from_json(pipeline.ExperimentPlan, plan_obj)
     except ValidationError as exc:

@@ -59,22 +59,17 @@ class ColumnLabel(NamedTuple):
         return self.b_value == 0.0
 
 
-def make_labels(b_values: Sequence[float], directions: Sequence[Sequence[float]],
-                n_averages: int = 1) -> list[ColumnLabel]:
-    """Build the canonical column ordering: b=0 columns first, then DW
-    columns grouped by average then direction."""
-    labels = []
-    for a in range(n_averages):
-        for b in b_values:
-            if b == 0:
-                labels.append(ColumnLabel(0.0, (0.0, 0.0, 0.0), a))
-    for a in range(n_averages):
-        for b in b_values:
-            if b == 0:
-                continue
-            for g in directions:
-                gx, gy, gz = (float(v) for v in g)
-                labels.append(ColumnLabel(float(b), (gx, gy, gz), a))
+def make_labels(b_values: Sequence[float],
+                directions: Sequence[Sequence[float]]) -> list[ColumnLabel]:
+    """Build the canonical column ordering of one average: b=0 columns
+    first, then DW columns by b value, then direction."""
+    labels = [ColumnLabel(0.0, (0.0, 0.0, 0.0), 0) for b in b_values if b == 0]
+    for b in b_values:
+        if b == 0:
+            continue
+        for g in directions:
+            gx, gy, gz = (float(v) for v in g)
+            labels.append(ColumnLabel(float(b), (gx, gy, gz), 0))
     return labels
 
 
@@ -216,21 +211,15 @@ class PhaseMap:
 
 @dataclass(frozen=True)
 class CoilMaps:
-    """Coil sensitivity maps (C, nx, ny, nz) plus root-sum-of-squares field."""
+    """Coil sensitivity maps (C, nx, ny, nz)."""
 
     maps: np.ndarray
-    normalization: np.ndarray
 
     def __post_init__(self):
         maps = np.asarray(self.maps)
-        norm = np.asarray(self.normalization)
         if maps.ndim != 4:
             raise ValidationError(f"coil maps must be (C, nx, ny, nz), got {maps.shape}")
-        if norm.shape != maps.shape[1:]:
-            raise ValidationError(
-                f"normalization shape {norm.shape} does not match grid {maps.shape[1:]}")
         object.__setattr__(self, "maps", maps)
-        object.__setattr__(self, "normalization", norm)
 
     @property
     def n_coils(self) -> int:
@@ -446,12 +435,10 @@ def load_series(path) -> CasoratiSeries:
 
 
 def save_coils(path, coils: CoilMaps) -> None:
-    write_container(path, {"maps": _to_storage_complex(coils.maps),
-                           "normalization": coils.normalization.astype(np.float64)},
+    write_container(path, {"maps": _to_storage_complex(coils.maps)},
                     {"kind": "coil_maps"})
 
 
 def load_coils(path) -> CoilMaps:
-    arrays, _ = read_container(path, kind="coil_maps")
-    return CoilMaps(arrays["maps"].astype(np.complex128),
-                    arrays["normalization"].astype(np.float64))
+    arrays, _ = read_container(path, names=("maps",), kind="coil_maps")
+    return CoilMaps(arrays["maps"].astype(np.complex128))

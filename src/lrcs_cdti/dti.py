@@ -9,12 +9,16 @@ circumferential component is >= 0; HA = atan2(longitudinal,
 circumferential) in (-90, 90] degrees.
 
 Helix angle transmurality (HAT) is the ordinary least-squares slope of
-HA versus transmural depth (0% endo to 100% epi), sampled along 25
-equally spaced transmural rays per slice at sub-voxel steps; the global
-value averages per-slice means.  The rays of a slice are one batch: an
-(n_rays, n_samples) grid of sample positions, one interpolation call
-over the wall samples, and each ray's OLS as segment sums (``bincount``
-with weights) over its samples, so no Python loop runs per ray.
+HA versus transmural depth (0% endo to 100% epi), sampled along
+``N_RAYS`` (25) equally spaced transmural rays per slice every
+``RAY_STEP`` (0.1) voxels; the global value averages per-slice means.
+The rays of a slice are one batch: an (n_rays, n_samples) grid of
+sample positions, one interpolation call over the wall samples, and
+each ray's OLS as segment sums (``bincount`` with weights) over its
+samples, so no Python loop runs per ray.
+
+AHA 16-segment sectors run counterclockwise from 0 degrees, the +x axis
+of the image, about the LV center of each slice.
 
 The tensor fit calls no LAPACK routine per voxel on its common path;
 both of its kernels are arithmetic on length-V arrays, V the masked
@@ -346,9 +350,15 @@ def helix_angle(field: TensorField, lv_center=None) -> np.ndarray:
     return ha
 
 
+# the transmural rays cast per slice, and the spacing (voxels) of the
+# samples along each
+N_RAYS = 25
+RAY_STEP = 0.1
+
+
 @dataclass(frozen=True)
 class HatResult:
-    """Transmural regression output: 25 rays per slice."""
+    """Transmural regression output: ``N_RAYS`` rays per slice."""
 
     ray_slopes: np.ndarray        # (nz, n_rays), deg per %TD, NaN for skipped
     ray_r2: np.ndarray            # (nz, n_rays)
@@ -357,12 +367,11 @@ class HatResult:
     n_skipped: int
 
 
-def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None,
-                n_rays: int = 25, step: float = 0.1) -> HatResult:
+def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None) -> HatResult:
     """Per-ray OLS slope of HA versus transmural depth.
 
-    Rays are cast from the LV center at ``n_rays`` equally spaced angles.
-    Each ray is sampled every ``step`` voxels; a sample belongs to the
+    Rays are cast from the LV center at ``N_RAYS`` equally spaced angles.
+    Each ray is sampled every ``RAY_STEP`` voxels; a sample belongs to the
     wall if its nearest voxel is masked, and carries the HA interpolated
     bilinearly over the masked in-plane neighbors.  %TD runs linearly in
     arc length from the endocardial boundary (0%, half a step before the
@@ -384,6 +393,7 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None,
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
     centers = _resolve_centers(lv_center, mask)
+    n_rays, step = N_RAYS, RAY_STEP
     angles = 2 * np.pi * np.arange(n_rays) / n_rays
     cos_t, sin_t = np.cos(angles)[:, None], np.sin(angles)[:, None]
     slopes = np.full((nz, n_rays), np.nan)
@@ -490,7 +500,6 @@ class AhaSegmentation:
 
     segments: np.ndarray          # (nx, ny, nz) int, 0 outside mask
     band_of_slice: tuple[str, ...]
-    reference_angle: float
 
 
 BANDS = ("basal", "mid", "apical")
@@ -498,22 +507,21 @@ BANDS = ("basal", "mid", "apical")
 _SECTORS = {"basal": (1, 60.0, 6), "mid": (7, 60.0, 6), "apical": (13, 90.0, 4)}
 
 
-def aha_sector(angle_deg, band: str, reference_angle: float = 0.0) -> np.ndarray:
+def aha_sector(angle_deg, band: str) -> np.ndarray:
     """AHA segment id of in-plane angles (degrees, counterclockwise) in
     slice band ``band``: six 60-deg sectors (basal 1-6, mid 7-12) or four
-    90-deg sectors (apical 13-16), starting at ``reference_angle``."""
+    90-deg sectors (apical 13-16), starting at 0 deg (the +x axis)."""
     first, width, count = _SECTORS[band]
-    rel = np.mod(np.asarray(angle_deg, dtype=float) - reference_angle, 360.0)
+    rel = np.mod(np.asarray(angle_deg, dtype=float), 360.0)
     return first + np.minimum((rel / width).astype(int), count - 1)
 
 
-def segment_aha16(mask: np.ndarray, lv_center=None,
-                  reference_angle: float = 0.0) -> AhaSegmentation:
+def segment_aha16(mask: np.ndarray, lv_center=None) -> AhaSegmentation:
     """Assign AHA segment ids 1..16 to masked voxels.
 
     Slices split into basal/mid/apical thirds (extra slices assigned
     basal-first, slice 0 being most basal); angular sectors of 60 deg
-    (basal, mid) or 90 deg (apical) start at ``reference_angle`` and run
+    (basal, mid) or 90 deg (apical) start at 0 deg, the +x axis, and run
     counterclockwise.
     """
     mask = np.asarray(mask, dtype=bool)
@@ -540,9 +548,9 @@ def segment_aha16(mask: np.ndarray, lv_center=None,
             continue
         cx, cy = centers[z]
         theta = np.degrees(np.arctan2(ys - cy, xs - cx))
-        seg = aha_sector(theta, slice_bands[z], reference_angle)
+        seg = aha_sector(theta, slice_bands[z])
         segments[:, :, z] = np.where(m, seg, 0)
-    return AhaSegmentation(segments, tuple(slice_bands), float(reference_angle))
+    return AhaSegmentation(segments, tuple(slice_bands))
 
 
 def regional_means(values: np.ndarray, seg: AhaSegmentation) -> np.ndarray:
@@ -567,7 +575,7 @@ def regional_hat(hat: HatResult, seg: AhaSegmentation) -> np.ndarray:
     for z, band in enumerate(seg.band_of_slice):
         slopes = hat.ray_slopes[z]
         ok = np.isfinite(slopes)
-        ids = aha_sector(angles[ok], band, seg.reference_angle) - 1
+        ids = aha_sector(angles[ok], band) - 1
         np.add.at(sums, ids, slopes[ok])
         np.add.at(counts, ids, 1)
     out = np.full(16, np.nan)

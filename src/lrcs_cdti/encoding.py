@@ -493,13 +493,12 @@ def estimate_coil_maps(b0_coil_images: np.ndarray) -> CoilMaps:
     support = rss >= COIL_SUPPORT_FRACTION * peak
     if np.count_nonzero(support) < 0.01 * support.size:
         warnings.warn("coil-map support nearly empty; returning zero maps")
-        return CoilMaps(np.zeros_like(imgs), rss)
+        return CoilMaps(np.zeros_like(imgs))
     with np.errstate(divide="ignore", invalid="ignore"):
         raw = np.where(support[None], imgs / rss[None], 0.0)
     maps = _gaussian_smooth(raw.real, COIL_SMOOTH_SIGMA, axes=(1, 2)) \
         + 1j * _gaussian_smooth(raw.imag, COIL_SMOOTH_SIGMA, axes=(1, 2))
-    maps = np.where(support[None], maps, 0.0)
-    return CoilMaps(maps, rss)
+    return CoilMaps(np.where(support[None], maps, 0.0))
 
 
 def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.ndarray:

@@ -241,8 +241,7 @@ def _simulate_coils(cfg: PhantomConfig) -> CoilMaps:
                         + np.sin(theta) * (ys - ny / 2) / ny) + theta / 2.0
         plane = mag * np.exp(1j * ramp)
         maps[c] = plane[:, :, None]
-    rss = np.sqrt((np.abs(maps) ** 2).sum(axis=0))
-    return CoilMaps(maps, rss)
+    return CoilMaps(maps)
 
 
 def add_noise(kspace: np.ndarray, snr: float, s0_mean: float, seed: int) -> np.ndarray:
@@ -274,7 +273,6 @@ def save_ground_truth(path, gt: GroundTruth) -> None:
          "phase_real": np.real(gt.phase.values).astype(np.float64),
          "phase_imag": np.imag(gt.phase.values).astype(np.float64),
          "coil_maps": gt.coils.maps.astype(np.complex64),
-         "coil_norm": gt.coils.normalization.astype(np.float64),
          "ha_map": gt.ha_map.astype(np.float64),
          "md_map": gt.md_map.astype(np.float64),
          "mask": gt.myocardium_mask,
@@ -305,8 +303,7 @@ def load_ground_truth(path) -> GroundTruth:
                      evals=arrays["evals"], e1=arrays["e1"])
     phase = PhaseMap(arrays["phase_real"].astype(np.float64)
                      + 1j * arrays["phase_imag"].astype(np.float64))
-    coils = CoilMaps(arrays["coil_maps"].astype(np.complex128),
-                     arrays["coil_norm"].astype(np.float64))
+    coils = CoilMaps(arrays["coil_maps"].astype(np.complex128))
     return GroundTruth(tensors=tf, ha_map=arrays["ha_map"],
                        hat_global=float(header_value(meta, "hat_global", float, where)),
                        md_map=arrays["md_map"], myocardium_mask=mask,

@@ -64,6 +64,9 @@ class ExperimentPlan:
             raise ValidationError("need at least one subject")
         if self.rank is not None and self.rank < 1:
             raise ValidationError(f"rank must be >= 1 or null, got {self.rank}")
+        if self.lambda_scale is not None and self.lambda_scale < 0:
+            raise ValidationError(
+                f"lambda_scale must be >= 0 or null, got {self.lambda_scale}")
         if self.geom_jitter_vox < 0:
             raise ValidationError(
                 f"geom_jitter_vox must be >= 0, got {self.geom_jitter_vox}")

@@ -13,7 +13,8 @@ soft-threshold updates G, a conjugate-gradient solve of
 
 updates U, and a dual ascent updates Y.  The threshold starts at the
 largest initial transform coefficient and decays by a fixed factor per
-iteration; the penalty is rho = lambda/alpha throughout.
+iteration (``ALPHA_DECAY``); the penalty is rho = lambda/alpha
+throughout.
 
 Every variant applies the CG operator as one shifted normal-operator
 call between two products with V,
@@ -40,8 +41,8 @@ the CG iterate and the operator it applies, and on the wavelet side
 Psi U V, G and the dual (the transform and the shrink compute in their
 input's precision).  :func:`admm_solve` returns U as complex128,
 so the phase map, subspace, tensor fit and containers see double
-precision.  The CG tolerance has a floor, ``CG_TOL_FLOOR``, that
-complex64 CG can reach.
+precision.  Every CG solve stops at the relative residual ``CG_TOL``,
+about the smallest that complex64 CG reaches.
 
 Residual carrying: every A*A call in the solver is a CG step.  CG is
 handed the residual rhs - H x0 of its starting point instead of
@@ -81,10 +82,11 @@ class PhaseMode(str, Enum):
     PROPOSED = "proposed"
 
 
-# about 8 float32 epsilons: complex64 CG (EncodingModel.dtype) stalls
-# near here, so a smaller tolerance could only run to the step cap or
-# stagnate into the divergence check
-CG_TOL_FLOOR = 1e-6
+# the factor by which the ADMM threshold alpha falls per iteration
+ALPHA_DECAY = 1.55
+# the relative residual at which CG stops: about 8 float32 epsilons,
+# near where complex64 CG (EncodingModel.dtype) stalls
+CG_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -93,27 +95,16 @@ class SolverConfig:
     subspace a solve is given and from ``lam`` (see :func:`admm_solve`)."""
 
     lam: float = 0.0
-    alpha_decay: float = 1.55
     max_iters: int = 25
     cg_max_iters: int = 15
-    cg_tol: float = 1e-6
 
     def __post_init__(self):
-        if self.alpha_decay <= 1:
-            raise ValidationError(f"alpha_decay must exceed 1, got {self.alpha_decay}")
         if self.max_iters < 1:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.cg_max_iters < 1:
             raise ValidationError(f"cg_max_iters must be >= 1, got {self.cg_max_iters}")
         if self.lam < 0:
             raise ValidationError(f"lambda must be >= 0, got {self.lam}")
-        if self.cg_tol < CG_TOL_FLOOR:
-            raise ValidationError(
-                f"cg_tol {self.cg_tol:g} is below {CG_TOL_FLOOR:g}, the smallest "
-                f"relative CG residual the complex64 solver arithmetic reaches")
-        if self.cg_tol >= 1:
-            # a relative tolerance of 1 or more asks CG for no reduction
-            raise ValidationError(f"cg_tol must be below 1, got {self.cg_tol:g}")
 
 
 @dataclass
@@ -152,8 +143,7 @@ class _NonFiniteCG(NumericalError):
 
 
 def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
-             max_iters: int,
-             r: np.ndarray | None = None) -> tuple[np.ndarray, int, float]:
+             max_iters: int, r: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients on a Hermitian positive (semi)definite system.
 
     Works in the BLAS precision of ``rhs`` and ``x0`` (complex64 in the
@@ -161,14 +151,14 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     iterations, relative residual); ``apply_h`` runs once per iteration.
     The iterate and the residual are updated in place by BLAS axpy.
 
-    ``r``, if given, is the initial residual rhs - H x0, known to the
-    caller, so CG does not apply H to ``x0``.  CG then updates it in
-    place as its own residual, and on every return leaves in it the
-    residual rhs - H x of the returned x (recursively updated, so equal
-    to a recomputed one up to rounding), ready to carry into the next
-    solve.  It must be a writeable, C-contiguous array of the shape of
-    ``rhs`` in the working precision, which axpy can update in place;
-    anything else is a ValidationError.  Divergence
+    ``r`` is the initial residual rhs - H x0, known to the caller, so CG
+    does not apply H to ``x0``.  CG updates it in place as its own
+    residual, and on every return leaves in it the residual rhs - H x of
+    the returned x (recursively updated, so equal to a recomputed one up
+    to rounding), ready to carry into the next solve.  It must be a
+    writeable, C-contiguous array of the shape of ``rhs`` in the working
+    precision, which axpy can update in place; anything else is a
+    ValidationError.  Divergence
     (residual growing three consecutive iterations while sitting well
     above the best residual seen; plain CG residuals are allowed their
     usual non-monotone jitter) raises NumericalError with the residual
@@ -181,20 +171,16 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     from scipy.linalg import get_blas_funcs
 
     axpy = get_blas_funcs("axpy", (rhs, x0))
-    if r is not None and not (r.dtype == axpy.dtype and r.shape == rhs.shape
-                              and r.flags.c_contiguous and r.flags.aligned
-                              and r.flags.writeable):
+    if not (r.dtype == axpy.dtype and r.shape == rhs.shape
+            and r.flags.c_contiguous and r.flags.aligned and r.flags.writeable):
         raise ValidationError(
             f"CG residual must be a writeable C-contiguous {axpy.dtype} array "
             f"of shape {rhs.shape}, got {r.dtype} {r.shape}")
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
-        if r is not None:
-            r[...] = 0
+        r[...] = 0
         return np.zeros_like(rhs), 0, 0.0
     x = np.array(x0, dtype=axpy.dtype, order="C")
-    if r is None:
-        r = np.ascontiguousarray(rhs - apply_h(x), dtype=axpy.dtype)
     # flat views of arrays CG owns or has checked: axpy updates them in
     # place (f2py would silently update a copy of anything else)
     x_flat, r_flat = x.reshape(-1), r.reshape(-1)
@@ -306,7 +292,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     def solve(iteration, shift, rhs, x0, r):
         try:
             return cg_solve(partial(apply_h, shift=shift), rhs, x0,
-                            cfg.cg_tol, cfg.cg_max_iters, r=r)
+                            CG_TOL, cfg.cg_max_iters, r)
         except _NonFiniteCG as exc:
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": iteration}) from exc
@@ -365,7 +351,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.alphas.append(alpha)
         report.cg_iters.append(cg_it)
         report.cg_residuals.append(cg_res)
-        alpha /= cfg.alpha_decay
+        alpha /= ALPHA_DECAY
         rho_prev = rho
     report.stop_reason = f"iteration cap K = {cfg.max_iters}"
     return _finish(u, report, t0)

@@ -58,11 +58,15 @@ SYM4_DEC_LO = np.array([
 SYM4_DEC_HI = ((-1.0) ** np.arange(8)) * SYM4_DEC_LO[::-1]
 
 
-def _axis_levels(extent: int, levels: int) -> int:
-    """Largest feasible decomposition depth: each level halves the extent
-    and requires it even."""
+# the decomposition depth asked of every axis
+WAVELET_LEVELS = 4
+
+
+def _axis_levels(extent: int) -> int:
+    """Largest feasible decomposition depth up to ``WAVELET_LEVELS``: each
+    level halves the extent and requires it even."""
     out = 0
-    while out < levels and extent >= 2 and extent % 2 == 0:
+    while out < WAVELET_LEVELS and extent >= 2 and extent % 2 == 0:
         extent //= 2
         out += 1
     return out
@@ -82,8 +86,8 @@ def _analysis_matrix(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class WaveletSpec:
-    """Transform configuration: dims (nx, ny, nz) and the requested depth;
-    the depth actually used per axis follows from the dims.
+    """Transform configuration for dims (nx, ny, nz): the depth used per
+    axis is ``WAVELET_LEVELS`` where the extent allows it, less where not.
 
     ``plan`` holds, per level, the (nx, ny, nz) extent of the block the
     level transforms and its active axes, each with that extent's
@@ -91,14 +95,13 @@ class WaveletSpec:
     """
 
     dims: tuple[int, int, int]
-    levels: int = 4
     plan: tuple = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         dims = tuple(int(v) for v in self.dims)
         if any(v < 1 for v in dims):
             raise ValidationError(f"zero-sized axis in dims {dims}")
-        per_axis = tuple(_axis_levels(v, self.levels) for v in dims)
+        per_axis = tuple(_axis_levels(v) for v in dims)
         plan, cur = [], list(dims)
         for level in range(max(per_axis)):
             active = [ax for ax in range(3) if level < per_axis[ax]]

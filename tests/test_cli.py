@@ -299,8 +299,7 @@ def test_fit_mask_of_another_grid_is_a_named_error(ground_truth, tmp_path, capsy
 def test_recon_with_coils_of_another_grid_is_a_named_error(recon_inputs, tmp_path,
                                                            capsys, shape, found):
     cfg, root = recon_inputs
-    dm.save_coils(tmp_path / "coils", dm.CoilMaps(np.ones(shape, complex),
-                                                  np.ones(shape[1:])))
+    dm.save_coils(tmp_path / "coils", dm.CoilMaps(np.ones(shape, complex)))
     assert cli.main(["recon", "--kspace", str(root / "kspace"),
                      "--coils", str(tmp_path / "coils"),
                      "--out", str(tmp_path / "out"), *FLAGS]) == 1
@@ -348,8 +347,12 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      '"output_dir": "{out}"}', "max_iters must be >= 1, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "solver": {"cg_max_iters": 0}, '
      '"output_dir": "{out}"}', "cg_max_iters must be >= 1, got 0"),
-    ("run", "--plan", '{"n_subjects": 1, "solver": {"cg_tol": 1.5}, '
-     '"output_dir": "{out}"}', "cg_tol must be below 1, got 1.5"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"cg_tol": 1e-6}, '
+     '"output_dir": "{out}"}', "unknown SolverConfig key(s): 'cg_tol'"),
+    ("run", "--plan", '{"n_subjects": 1, "solver": {"alpha_decay": 1.2}, '
+     '"output_dir": "{out}"}', "unknown SolverConfig key(s): 'alpha_decay'"),
+    ("run", "--plan", '{"n_subjects": 1, "lambda_scale": -0.01, "output_dir": "{out}"}',
+     "lambda_scale must be >= 0 or null, got -0.01"),
     ("phantom", "--params", '{"md_true": -1e-3}', "md_true must be positive"),
     ("phantom", "--params", '{"n_coils": 0}', "n_coils must be >= 1, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 0, "output_dir": "{out}"}',
@@ -468,25 +471,15 @@ def test_zero_flag_values_are_values(ground_truth, recon_inputs, tmp_path, capsy
         assert not out.exists()
 
 
-def test_threads_variable_that_is_not_an_integer_is_a_named_error(tmp_path, capsys,
-                                                                  monkeypatch):
-    monkeypatch.setenv("LRCS_CDTI_THREADS", "abc")
-    out = tmp_path / "gt"
-    assert cli.main(["phantom", "--out", str(out), "--log-level", "warning"]) == 1
-    assert capsys.readouterr().err == (
-        "error [phantom]: environment variable LRCS_CDTI_THREADS must be an "
-        "integer, got 'abc'\n")
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("flag, env, message", [
+@pytest.mark.parametrize("flag, config, message", [
     (["--threads", "0"], None, "--threads must be >= 1, got 0"),
-    ([], "0", "environment variable LRCS_CDTI_THREADS must be >= 1, got 0"),
+    ([], {"threads": 0}, "--threads must be >= 1, got 0"),
 ])
-def test_thread_count_below_one_is_a_named_error(tmp_path, capsys, monkeypatch, flag,
-                                                 env, message):
-    if env is not None:
-        monkeypatch.setenv("LRCS_CDTI_THREADS", env)
+def test_thread_count_below_one_is_a_named_error(tmp_path, capsys, flag, config,
+                                                 message):
+    if config is not None:
+        (tmp_path / "config.json").write_text(json.dumps(config))
+        flag = ["--config", str(tmp_path / "config.json")]
     out = tmp_path / "gt"
     assert cli.main(["phantom", "--out", str(out), *flag, "--log-level", "warning"]) == 1
     assert capsys.readouterr().err == f"error [phantom]: {message}\n"

@@ -97,7 +97,10 @@ class TestFitTensors:
         sigma = 0.05 * np.abs(clean).max()
         data = data + sigma * (rng.normal(size=data.shape)
                                + 1j * rng.normal(size=data.shape))
-        labels = dm.make_labels(cfg.b_values, cfg.directions, n_averages=n_averages)
+        one = dm.make_labels(cfg.b_values, cfg.directions)
+        labels = ([lab._replace(average=a) for a in range(n_averages) for lab in one[:n_b0]]
+                  + [lab._replace(average=a) for a in range(n_averages)
+                     for lab in one[n_b0:]])
         mask = gt.myocardium_mask
         field = dti.fit_tensors(dm.CasoratiSeries(data, cfg.grid, labels), mask)
 
@@ -398,7 +401,7 @@ class TestComputeHat:
         mask = np.zeros((nx, ny, 1), bool)
         cx, cy = 2.25, 4.0
         mask[4:25, 4, 0] = True
-        step = 0.1
+        step = dti.RAY_STEP
         radii = np.arange(0.0, np.hypot(nx, ny), step)
         hit = np.flatnonzero((np.rint(cx + radii) >= 4) & (np.rint(cx + radii) <= 24))
         lo = radii[hit[0]] - step / 2
@@ -407,7 +410,7 @@ class TestComputeHat:
         ha = np.full((nx, ny, 1), np.nan)
         ha[:, 4, 0] = 10.0 + c1 * np.arange(nx, dtype=float)
         expected = c1 * (hi - lo) / 100.0
-        res = dti.compute_hat(ha, mask, lv_center=(cx, cy), step=step)
+        res = dti.compute_hat(ha, mask, lv_center=(cx, cy))
         assert res.ray_slopes[0, 0] == pytest.approx(expected, abs=1e-10)
         assert res.ray_r2[0, 0] == pytest.approx(1.0, abs=1e-12)
 
@@ -491,9 +494,10 @@ def reference_ols_slope(x, y):
     return slope, r2
 
 
-def assert_hat_matches_loop(ha_map, mask, **kwargs):
-    res = dti.compute_hat(ha_map, mask, **kwargs)
-    slopes, r2s, skipped = reference_compute_hat(ha_map, mask, **kwargs)
+def assert_hat_matches_loop(ha_map, mask, lv_center=None):
+    res = dti.compute_hat(ha_map, mask, lv_center)
+    slopes, r2s, skipped = reference_compute_hat(ha_map, mask, lv_center,
+                                                 dti.N_RAYS, dti.RAY_STEP)
     assert res.n_skipped == skipped
     np.testing.assert_array_equal(np.isnan(res.ray_slopes), np.isnan(slopes))
     np.testing.assert_array_equal(np.isnan(res.ray_r2), np.isnan(r2s))
@@ -532,10 +536,12 @@ class TestHatAgainstLoop:
         res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask)
         assert np.isfinite(res.ray_slopes).all()
 
-    def test_coarse_step_fewer_rays(self, truth, noisy_ha):
+    def test_coarse_step_fewer_rays(self, truth, noisy_ha, monkeypatch):
         cfg, gt = truth
+        monkeypatch.setattr(dti, "N_RAYS", 16)
+        monkeypatch.setattr(dti, "RAY_STEP", 0.25)
         res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask,
-                                      lv_center=cfg.center, step=0.25, n_rays=16)
+                                      lv_center=cfg.center)
         assert res.ray_slopes.shape == (cfg.grid[2], 16)
 
     def test_partly_covered_ray_falls_back(self):
@@ -552,15 +558,16 @@ class TestHatAgainstLoop:
         assert (cov < 1.0 - 1e-9).all()
         assert np.isfinite(res.ray_slopes[0, 0])
 
-    def test_two_finite_samples_skip_the_ray(self):
+    def test_two_finite_samples_skip_the_ray(self, monkeypatch):
         # HA is finite only at x=10, so at step 0.9 two samples of ray 0
         # (x=9.45, 10.35) carry a value: too few for a fit
+        monkeypatch.setattr(dti, "RAY_STEP", 0.9)
         nx, ny = 32, 9
         mask = np.zeros((nx, ny, 1), bool)
         mask[4:25, 4, 0] = True
         ha = np.full((nx, ny, 1), np.nan)
         ha[10, 4, 0] = 5.0
-        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.0), step=0.9)
+        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.0))
         assert np.isnan(res.ray_slopes[0, 0])
 
     def test_mask_filling_the_image(self):
@@ -603,7 +610,7 @@ class TestAha16:
 
     def test_first_sector_membership(self):
         mask = np.ones((9, 9, 3), bool)
-        seg = dti.segment_aha16(mask, lv_center=(4.0, 4.0), reference_angle=0.0)
+        seg = dti.segment_aha16(mask, lv_center=(4.0, 4.0))
         # voxel at +30 degrees (basal slice 0): x=4+2, y=4+2*tan(30)
         x, y = 6, 4 + int(round(2 * np.tan(np.radians(30))))
         assert seg.segments[x, y, 0] == 1
@@ -645,8 +652,7 @@ class TestAha16:
 
     def test_regional_hat_matches_explicit_sector_loop(self, truth):
         cfg, gt = truth
-        seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center,
-                                reference_angle=20.0)
+        seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
         hat = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
         slopes = np.arange(hat.ray_slopes.size, dtype=float).reshape(
             hat.ray_slopes.shape)
@@ -659,7 +665,7 @@ class TestAha16:
                 (60.0, 1 if band == "basal" else 7)
             for j, theta in enumerate(hat.ray_angles):
                 if np.isfinite(slopes[z, j]):
-                    rel = (np.degrees(theta) - 20.0) % 360.0
+                    rel = np.degrees(theta) % 360.0
                     s = first + min(int(rel // width), int(360 / width) - 1)
                     expected.setdefault(s, []).append(slopes[z, j])
         got = dti.regional_hat(hat, seg)

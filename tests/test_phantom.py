@@ -164,8 +164,7 @@ class TestNoise:
         nx = ny = 64
         labels = dm.make_labels([0], [])
         img = np.ones((nx * ny, 1), dtype=complex)
-        coils = dm.CoilMaps(np.ones((1, nx, ny, 1), dtype=complex),
-                            np.ones((nx, ny, 1)))
+        coils = dm.CoilMaps(np.ones((1, nx, ny, 1), dtype=complex))
         series = dm.CasoratiSeries(img, (nx, ny, 1), labels)
         k = enc.coil_kspace(series, coils, None)
         snr = 12.0

@@ -10,7 +10,20 @@ an attribute of that name, ``obj.name`` or ``getattr(obj, "name")``, on
 any object: the scan does not know the type of ``obj``.  So an attribute
 that shares its name with one that is read elsewhere passes even when
 nothing reads it; that hid the unread ``TensorField.spatial_dims`` behind
-``CasoratiSeries.spatial_dims`` and ``EncodingModel.spatial_dims``."""
+``CasoratiSeries.spatial_dims`` and ``EncodingModel.spatial_dims``.
+
+Every setting, too, has a second value in use: each defaulted parameter
+of a public top-level function, and each init field with a plain default
+of a public dataclass, is given a value somewhere in the program.  A
+value counts as given by a keyword of that name in any call, by a
+positional argument at its position in a call to a function or class of
+that name, or by an attribute store of that name.  A setting the program
+never changes is a constant in all but name, and should be one.  Fields
+with a ``default_factory`` (containers filled in place), ``init=False``
+fields and ``ClassVar``s are not settings.  The JSON configs are exempt:
+the fields of ``PhantomConfig``, ``ExperimentPlan`` and ``SolverConfig``
+are the keys of the user's params and plan files, which
+``config_from_json`` passes as ``cls(**obj)``."""
 
 import ast
 from pathlib import Path
@@ -31,6 +44,14 @@ ALLOWED_ATTRIBUTES = {
     ("pipeline", "SubjectMetrics", "regional_md"):
         "write_stats reads it as getattr(pair, f'regional_{metric}')",
 }
+
+# (module, function or class, parameter or field): why the program keeps
+# it a setting although it never sets it
+ALLOWED_SETTINGS = {}
+
+# the JSON configs, whose fields the user sets (see the module notes)
+CONFIG_CLASSES = {("phantom", "PhantomConfig"), ("pipeline", "ExperimentPlan"),
+                  ("recon", "SolverConfig")}
 
 
 def _sources() -> list[Path]:
@@ -132,6 +153,82 @@ def unread_attributes() -> set[tuple[str, str, str]]:
     return {attr for attr in public_attributes() if attr[2] not in names}
 
 
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and isinstance(d.func, ast.Name)
+               and d.func.id == "dataclass" for d in cls.decorator_list)
+
+
+def _init_field(node: ast.AnnAssign) -> tuple[bool, bool]:
+    """(whether the field is a parameter of the dataclass's __init__,
+    whether it is one with a plain default): a ClassVar and an
+    ``init=False`` field are no parameter, and a ``default_factory``
+    field has no plain default."""
+    if "ClassVar" in ast.unparse(node.annotation):
+        return False, False
+    value = node.value
+    if not (isinstance(value, ast.Call) and isinstance(value.func, ast.Name)
+            and value.func.id == "field"):
+        return True, value is not None
+    kw = {k.arg: k.value for k in value.keywords}
+    if isinstance(kw.get("init"), ast.Constant) and kw["init"].value is False:
+        return False, False
+    return True, "default" in kw
+
+
+def settings() -> dict[tuple[str, str, str], int | None]:
+    """The defaulted parameters of the package's public top-level functions
+    and the plain-default init fields of its public dataclasses (the JSON
+    configs aside), as (module, function or class, name), each with its
+    position in the call (None for a keyword-only parameter)."""
+    out = {}
+    for path in _sources():
+        for node in ast.parse(path.read_text()).body:
+            if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                a = node.args
+                positional = a.posonlyargs + a.args
+                first = len(positional) - len(a.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    out[(path.stem, node.name, arg.arg)] = i
+                for arg, default in zip(a.kwonlyargs, a.kw_defaults):
+                    if default is not None:
+                        out[(path.stem, node.name, arg.arg)] = None
+            elif isinstance(node, ast.ClassDef) and not node.name.startswith("_") \
+                    and _is_dataclass(node) \
+                    and (path.stem, node.name) not in CONFIG_CLASSES:
+                index = 0
+                for stmt in node.body:
+                    if not (isinstance(stmt, ast.AnnAssign)
+                            and isinstance(stmt.target, ast.Name)):
+                        continue
+                    init, plain_default = _init_field(stmt)
+                    if plain_default:
+                        out[(path.stem, node.name, stmt.target.id)] = index
+                    index += init
+    return out
+
+
+def unset_settings() -> set[tuple[str, str, str]]:
+    """Settings the program never gives a value: no call passes a keyword
+    of that name, no call to a function or class of that name passes
+    an argument at its position, and no statement stores an attribute of
+    that name.  Like the scans above, this one goes by name alone."""
+    keywords, stores, positional = set(), set(), {}
+    for path in _program():
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                keywords.update(k.arg for k in node.keywords if k.arg)
+                func = node.func
+                name = (func.id if isinstance(func, ast.Name)
+                        else func.attr if isinstance(func, ast.Attribute) else None)
+                positional[name] = max(positional.get(name, 0), len(node.args))
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                stores.add(node.attr)
+    return {key for key, index in settings().items()
+            if key[2] not in keywords and key[2] not in stores
+            and not (index is not None and positional.get(key[1], 0) > index)}
+
+
 def test_every_public_function_runs_in_the_program():
     assert unreferenced_functions() == set(ALLOWED)
 
@@ -140,10 +237,28 @@ def test_every_public_attribute_is_read_in_the_program():
     assert unread_attributes() == set(ALLOWED_ATTRIBUTES)
 
 
+def test_every_setting_is_set_in_the_program():
+    assert unset_settings() == set(ALLOWED_SETTINGS)
+
+
+def test_the_setting_scan_sees_parameters_and_init_fields():
+    found = settings()
+    assert found[("recon", "preliminary", "scale")] == 4         # parameter
+    assert found[("encoding", "EncodingModel", "phase")] == 2    # dataclass field
+    assert found[("dti", "TensorField", "n_clamped")] == 5
+    for exempt in [("recon", "RunReport", "delta_u"),            # default_factory
+                   ("encoding", "EncodingModel", "dtype"),       # ClassVar
+                   ("transforms", "WaveletSpec", "plan"),        # init=False
+                   ("recon", "SolverConfig", "max_iters"),       # JSON config
+                   ("pipeline", "ExperimentPlan", "threads"),
+                   ("phantom", "PhantomConfig", "snr")]:
+        assert exempt not in found
+
+
 def test_the_scan_sees_fields_properties_and_methods():
     found = public_attributes()
     assert ("recon", "ReconResult", "series") in found          # field
-    assert ("recon", "SolverConfig", "cg_tol") in found         # field with default
+    assert ("recon", "SolverConfig", "cg_max_iters") in found   # field with default
     assert ("datamodel", "CasoratiSeries", "n_columns") in found  # property
     assert ("recon", "RunReport", "to_json") in found           # method
     assert ("datamodel", "PhaseMap", "from_angles") in found    # classmethod

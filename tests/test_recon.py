@@ -1,5 +1,5 @@
 import re
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -63,22 +63,25 @@ class TestCsOnly:
 
 
 class TestSolverPrecision:
-    def test_cg_tol_below_the_complex64_floor_is_a_named_error(self):
-        with pytest.raises(ValidationError, match="complex64"):
-            recon.SolverConfig(cg_tol=1e-8)
-        assert recon.SolverConfig(cg_tol=recon.CG_TOL_FLOOR).cg_tol == 1e-6
+    def test_cg_tol_and_alpha_decay_are_constants(self):
+        # the CG tolerance and the threshold decay are fixed, so a solver
+        # config that sets either names the key
+        assert [f.name for f in fields(recon.SolverConfig)] == [
+            "lam", "max_iters", "cg_max_iters"]
+        for key, value in (("cg_tol", recon.CG_TOL), ("alpha_decay", recon.ALPHA_DECAY)):
+            with pytest.raises(ValidationError,
+                               match=re.escape(f"unknown SolverConfig key(s): '{key}'")):
+                dm.config_from_json(recon.SolverConfig, {key: value})
 
     @pytest.mark.parametrize("key, value, message", [
         ("cg_max_iters", 0, "cg_max_iters must be >= 1, got 0"),
         ("cg_max_iters", -2, "cg_max_iters must be >= 1, got -2"),
-        ("cg_tol", 1.0, "cg_tol must be below 1, got 1"),
-        ("cg_tol", 2.5, "cg_tol must be below 1, got 2.5"),
     ])
     def test_cg_settings_that_stop_cg_before_its_first_step_are_rejected(
             self, key, value, message):
         with pytest.raises(ValidationError, match=re.escape(message)):
             dm.config_from_json(recon.SolverConfig, {key: value})
-        assert recon.SolverConfig(cg_max_iters=1, cg_tol=0.99).cg_max_iters == 1
+        assert recon.SolverConfig(cg_max_iters=1).cg_max_iters == 1
 
     def test_solves_return_complex128(self, bench):
         # the solver iterates in complex64; U and the series leave in complex128
@@ -264,9 +267,8 @@ class TestPreliminary:
     @pytest.mark.parametrize("weight", [{"lam": 1.0}, {"scale": 1e-2}, {}],
                              ids=["lambda", "scale", "grid-search"])
     @pytest.mark.parametrize("coils, found", [
-        (lambda c: dm.CoilMaps(c.maps[:, :30], c.normalization[:30]),
-         "(30, 32, 2) with 4"),
-        (lambda c: dm.CoilMaps(c.maps[:3], c.normalization), "(32, 32, 2) with 3")],
+        (lambda c: dm.CoilMaps(c.maps[:, :30]), "(30, 32, 2) with 4"),
+        (lambda c: dm.CoilMaps(c.maps[:3]), "(32, 32, 2) with 3")],
         ids=["grid", "coil-count"])
     def test_kspace_of_other_coil_maps_is_a_named_error(self, bench, monkeypatch,
                                                         coils, found, weight):
@@ -314,10 +316,11 @@ class TestExactRecovery:
         # direct CG on the normal equations, iterating X^T (N, M) as the
         # solver does, is the same complex64 computation, so the solve
         # matches it exactly
-        scfg = recon.SolverConfig()
         rhs = enc.adjoint_matrix(model, d.samples).T
+        # the residual of the zero start is rhs itself, in C order
         xt, _, _ = recon.cg_solve(lambda u: enc.normal_matrix(model, u.T).T, rhs,
-                                  np.zeros_like(rhs), scfg.cg_tol, scfg.cg_max_iters)
+                                  np.zeros_like(rhs), recon.CG_TOL,
+                                  recon.SolverConfig().cg_max_iters, rhs.copy())
         np.testing.assert_array_equal(res.series.data, xt.T)
 
     def test_full_rank_subspace_equals_plain_least_squares(self, bench):
@@ -492,7 +495,7 @@ class TestAdmmBehavior:
         # the penalty rho = lambda/alpha grows by the decay factor each iteration
         rho = [rep["lambda"] / a for a in rep["alpha"]]
         assert rep["lambda"] == lam and "rho" not in rep
-        assert all(b == pytest.approx(scfg.alpha_decay * a)
+        assert all(b == pytest.approx(recon.ALPHA_DECAY * a)
                    for a, b in zip(rho, rho[1:]))
         assert len(rep["cg_residual"]) == len(rep["cg_iterations"]) == 6
         assert all(np.isfinite(r) and r >= 0 for r in rep["cg_residual"])
@@ -510,8 +513,9 @@ class TestCg:
         def apply_h(x):
             return mat @ x
         rhs = rng.normal(size=(8, 1)) + 0j
+        x0 = np.zeros_like(rhs)
         with pytest.raises(NumericalError) as err:
-            recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-12, 500)
+            recon.cg_solve(apply_h, rhs, x0, 1e-12, 500, rhs - apply_h(x0))
         assert "residuals" in err.value.diagnostics
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -525,17 +529,22 @@ class TestCg:
             calls.append(1)
             return np.full_like(x, bad)
         rhs = np.ones((6, 2), dtype=np.complex64)
-        r = rhs.copy() if carried else None
+        x0 = np.zeros_like(rhs)
+        # x0: the caller forms the residual of x0 with the operator, and
+        # CG finds it non-finite; carried_r: a finite carried residual,
+        # and CG's first product is non-finite
+        r = rhs.copy() if carried else rhs - apply_h(x0)
         with pytest.raises(NumericalError, match="NaN/Inf in CG at iteration 0") as err:
-            recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-6, 15, r=r)
+            recon.cg_solve(apply_h, rhs, x0, 1e-6, 15, r)
         assert len(calls) == 1
         assert err.value.diagnostics["iteration"] == 0
         assert len(err.value.diagnostics["residuals"]) == 1
 
     def test_zero_rhs(self):
-        x, its, res = recon.cg_solve(lambda x: x, np.zeros((4, 1), dtype=complex),
-                                     np.ones((4, 1), dtype=complex), 1e-8, 10)
-        assert np.all(x == 0) and its == 0
+        rhs, x0 = np.zeros((4, 1), dtype=complex), np.ones((4, 1), dtype=complex)
+        r = rhs - x0
+        x, its, res = recon.cg_solve(lambda x: x, rhs, x0, 1e-8, 10, r)
+        assert np.all(x == 0) and its == 0 and not r.any()
 
     def test_solves_spd_system(self):
         rng = np.random.default_rng(1)
@@ -545,7 +554,8 @@ class TestCg:
 
         def apply_h(x):
             return mat @ x
-        x, its, res = recon.cg_solve(apply_h, rhs, np.zeros_like(rhs), 1e-10, 100)
+        x0 = np.zeros_like(rhs)
+        x, its, res = recon.cg_solve(apply_h, rhs, x0, 1e-10, 100, rhs - apply_h(x0))
         assert np.linalg.norm(mat @ x - rhs) < 1e-8 * np.linalg.norm(rhs)
 
     def test_inputs_not_modified(self):
@@ -555,15 +565,16 @@ class TestCg:
         rhs = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         x0 = rng.normal(size=(10, 2)) + 1j * rng.normal(size=(10, 2))
         rhs_before, x0_before = rhs.copy(), x0.copy()
-        x, its, _ = recon.cg_solve(lambda v: mat @ v, rhs, x0, 1e-10, 100)
+        x, its, _ = recon.cg_solve(lambda v: mat @ v, rhs, x0, 1e-10, 100, rhs - mat @ x0)
         assert its > 0 and x is not x0
         np.testing.assert_array_equal(rhs, rhs_before)
         np.testing.assert_array_equal(x0, x0_before)
 
     @pytest.mark.parametrize("path", ["tol", "cap", "singular", "zero_rhs"])
     def test_given_residual_replaces_the_first_product(self, path):
-        # complex64, as in the ADMM; on every return path the residual
-        # handed in is left as the residual of the returned x
+        # complex64, as in the ADMM; CG never applies H to x0, and on
+        # every return path the residual handed in is left as the
+        # residual of the returned x
         rng = np.random.default_rng(3)
         n = 16
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -587,19 +598,16 @@ class TestCg:
             return mat @ x
         r = rhs - apply_h(x0)
         calls.clear()
-        want = recon.cg_solve(apply_h, rhs, x0, recon.CG_TOL_FLOOR, cap)
-        calls_without = len(calls)
-        calls.clear()
-        got = recon.cg_solve(apply_h, rhs, x0, recon.CG_TOL_FLOOR, cap, r=r)
-        np.testing.assert_array_equal(got[0], want[0])
-        assert got[1:] == want[1:]
-        assert calls_without - len(calls) == (0 if path == "zero_rhs" else 1)
+        got = recon.cg_solve(apply_h, rhs, x0, recon.CG_TOL, cap, r)
         its, res = got[1:]
-        assert {"tol": 0 < its < cap and res < recon.CG_TOL_FLOOR,
+        # one product per step, and one more for the zero-curvature step
+        # that stops the singular system
+        assert len(calls) == its + (path == "singular")
+        assert {"tol": 0 < its < cap and res < recon.CG_TOL,
                 "cap": its == cap, "singular": its == 0,
                 "zero_rhs": its == 0 and not got[0].any()}[path]
         exact = rhs.astype(complex) - mat.astype(complex) @ got[0].astype(complex)
-        assert np.linalg.norm(r - exact) <= recon.CG_TOL_FLOOR * np.linalg.norm(rhs)
+        assert np.linalg.norm(r - exact) <= recon.CG_TOL * np.linalg.norm(rhs)
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_updates_land_in_the_iterate_and_the_given_residual(self, dtype):
@@ -610,7 +618,7 @@ class TestCg:
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
         mat = (np.eye(n) + 0.3 * a @ a.conj().T / n).astype(dtype)
         rhs = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))).astype(dtype)
-        tol = recon.CG_TOL_FLOOR if dtype == np.complex64 else 1e-12
+        tol = recon.CG_TOL if dtype == np.complex64 else 1e-12
         r = rhs.copy()
         x, its, res = recon.cg_solve(lambda v: mat @ v, rhs, np.zeros_like(rhs),
                                      tol, 100, r=r)
@@ -667,18 +675,18 @@ class TestResidualCarry:
     def test_carried_residual_matches_a_recomputed_one(self, bench, method,
                                                        monkeypatch):
         # on the way in (carried across systems) and on the way out
-        # (updated by CG), within CG_TOL_FLOOR ||rhs||
+        # (updated by CG), within CG_TOL ||rhs||
         drifts = []
         real = recon.cg_solve
 
-        def checked(apply_h, rhs, x0, tol, max_iters, r=None):
+        def checked(apply_h, rhs, x0, tol, max_iters, r):
             def drift(x):
                 return np.linalg.norm(r - (rhs - apply_h(x))) / np.linalg.norm(rhs)
             drifts.append(drift(x0))
-            out = real(apply_h, rhs, x0, tol, max_iters, r=r)
+            out = real(apply_h, rhs, x0, tol, max_iters, r)
             drifts.append(drift(out[0]))
             return out
         monkeypatch.setattr(recon, "cg_solve", checked)
         report = self.run(bench, method).report
         assert len(drifts) == 2 * len(report.cg_iters) == 26
-        assert max(drifts) <= recon.CG_TOL_FLOOR
+        assert max(drifts) <= recon.CG_TOL
