@@ -1,8 +1,9 @@
 """Command-line interface: phantom | simulate | recon | fit | metrics |
 eval | run.
 
-The stages compose: ``phantom`` writes a ground truth; ``simulate``
-turns it into the undersampled noisy k-space and estimated coil maps
+The stages compose: ``phantom`` writes a ground truth (its phantom
+config and myocardium mask); ``simulate`` rebuilds the phantom from it
+and turns it into the undersampled noisy k-space and estimated coil maps
 that ``recon`` reads; ``fit`` takes the reconstruction and the ground
 truth's mask to tensors, and ``metrics`` takes the tensors to HA/MD/FA
 maps and the HAT table.  ``run`` is the whole chain over a cohort, and

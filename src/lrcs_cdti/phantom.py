@@ -7,7 +7,10 @@ are axially symmetric (l2 = l3) with eigenvalues chosen in closed form
 from the target MD and FA.  Diffusion-weighted columns carry a smooth
 random per-slice polynomial phase (eddy-current surrogate); coil maps
 are Gaussian-bump magnitudes with linear phase.  Everything is a pure
-function of (config, seed).
+function of the config, seed included, so a saved ground truth holds
+the config and the myocardium mask alone, and loading one rebuilds the
+rest with ``build_phantom``.  A ``GroundTruth`` edited with ``replace``
+saves as the phantom of its config: the edit is not stored.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from math import inf
 
 import numpy as np
 
-from .datamodel import (LABELS_JSON, CasoratiSeries, CoilMaps, ColumnLabel,
-                        PhaseMap, config_from_json, config_to_json, header_value,
-                        labels_from_json, labels_to_json, make_labels,
+from .datamodel import (CasoratiSeries, CoilMaps, ColumnLabel, PhaseMap,
+                        config_from_json, config_to_json, header_value, make_labels,
                         read_container, reshape_to_casorati, write_container)
 from .dti import TensorField
 from .errors import ValidationError
@@ -95,6 +97,9 @@ class PhantomConfig:
                 f"phase_coef_range must be >= 0, got {self.phase_coef_range}")
         object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
         object.__setattr__(self, "b_values", tuple(float(b) for b in self.b_values))
+        if self.b_values.count(0.0) != 1:
+            raise ValidationError(
+                f"b_values must hold 0 exactly once, got {list(self.b_values)}")
         object.__setattr__(self, "directions",
                            tuple(tuple(float(v) for v in g) for g in self.directions))
 
@@ -113,7 +118,6 @@ class PhantomConfig:
 @dataclass(frozen=True)
 class GroundTruth:
     tensors: TensorField
-    ha_map: np.ndarray             # degrees, NaN outside mask
     hat_global: float              # deg per %TD, exact slope of the profile
     md_map: np.ndarray             # mm^2/s
     myocardium_mask: np.ndarray
@@ -144,7 +148,6 @@ def build_phantom(cfg: PhantomConfig) -> GroundTruth:
 
     td = np.clip((r - cfg.r_endo) / (cfg.r_epi - cfg.r_endo), 0.0, 1.0)
     ha_plane = cfg.ha_endo + (cfg.ha_epi - cfg.ha_endo) * td
-    ha_map = np.where(mask, np.repeat(ha_plane[:, :, None], nz, axis=2), np.nan)
 
     # local frame and primary eigenvector
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -190,7 +193,7 @@ def build_phantom(cfg: PhantomConfig) -> GroundTruth:
 
     md_map = np.where(mask, cfg.md_true, 0.0)
     hat_global = (cfg.ha_epi - cfg.ha_endo) / 100.0
-    return GroundTruth(tensors=tensor_field, ha_map=ha_map, hat_global=hat_global,
+    return GroundTruth(tensors=tensor_field, hat_global=hat_global,
                        md_map=md_map, myocardium_mask=mask, clean_series=clean,
                        phase=phase, coils=coils, config=cfg)
 
@@ -266,45 +269,27 @@ def mean_s0(gt: GroundTruth) -> float:
 
 
 def save_ground_truth(path, gt: GroundTruth) -> None:
-    series = gt.clean_series
-    write_container(
-        path,
-        {"clean": series.data.astype(np.complex64),
-         "phase_real": np.real(gt.phase.values).astype(np.float64),
-         "phase_imag": np.imag(gt.phase.values).astype(np.float64),
-         "coil_maps": gt.coils.maps.astype(np.complex64),
-         "ha_map": gt.ha_map.astype(np.float64),
-         "md_map": gt.md_map.astype(np.float64),
-         "mask": gt.myocardium_mask,
-         "tensors": gt.tensors.tensors.astype(np.float64),
-         "evals": gt.tensors.evals.astype(np.float64),
-         "e1": gt.tensors.e1.astype(np.float64),
-         "s0": gt.tensors.s0.astype(np.float64)},
-        {"kind": "ground_truth",
-         "spatial_dims": list(series.spatial_dims),
-         "column_labels": labels_to_json(series.column_labels),
-         "hat_global": gt.hat_global,
-         "config": config_to_json(gt.config)})
+    """Write ``gt`` as its config plus its myocardium mask, the array that
+    ``fit --mask`` reads.  The rest is ``build_phantom(gt.config)``, so a
+    field of ``gt`` that differs from it is not saved."""
+    write_container(path, {"mask": gt.myocardium_mask},
+                    {"kind": "ground_truth", "config": config_to_json(gt.config)})
 
 
 def load_ground_truth(path) -> GroundTruth:
-    arrays, meta = read_container(path, kind="ground_truth")
+    """``build_phantom`` of the config stored at ``path``.  Only the config
+    and the mask are read, so containers that also hold the other fields
+    load too; a stored mask that differs from the built one is an
+    error."""
+    arrays, meta = read_container(path, names=("mask",), kind="ground_truth")
     where = f"{path} metadata"
     config = header_value(meta, "config", dict, where)
     try:
         cfg = config_from_json(PhantomConfig, config)
     except ValidationError as exc:
         raise ValidationError(f"{where} key 'config': {exc}") from None
-    labels = labels_from_json(header_value(meta, "column_labels", LABELS_JSON, where))
-    dims = header_value(meta, "spatial_dims", tuple[int, int, int], where)
-    series = CasoratiSeries(arrays["clean"].astype(np.complex128), dims, labels)
-    mask = arrays["mask"]
-    tf = TensorField(mask=mask, tensors=arrays["tensors"], s0=arrays["s0"],
-                     evals=arrays["evals"], e1=arrays["e1"])
-    phase = PhaseMap(arrays["phase_real"].astype(np.float64)
-                     + 1j * arrays["phase_imag"].astype(np.float64))
-    coils = CoilMaps(arrays["coil_maps"].astype(np.complex128))
-    return GroundTruth(tensors=tf, ha_map=arrays["ha_map"],
-                       hat_global=float(header_value(meta, "hat_global", float, where)),
-                       md_map=arrays["md_map"], myocardium_mask=mask,
-                       clean_series=series, phase=phase, coils=coils, config=cfg)
+    gt = build_phantom(cfg)
+    if not np.array_equal(arrays["mask"], gt.myocardium_mask):
+        raise ValidationError(
+            f"{path}: the stored mask differs from the mask of its config")
+    return gt

@@ -173,8 +173,8 @@ def test_wrong_container_kind_is_a_named_error(ground_truth, tmp_path, capsys,
 def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
     # phantom -> simulate -> recon -> fit -> metrics on the subject of a
     # one-subject plan gives the plan's cells up to the complex64 storage
-    # of the containers in between (measured: at most 4.5e-7 relative on
-    # HAT and 1.6e-7 on MD; a mask seed off by one moves lr's HAT by 29%)
+    # of the containers in between (measured: at most 6.5e-6 relative on
+    # HAT and 1.4e-7 on MD; a mask seed off by one moves lr's HAT by 29%)
     plan = pipeline.ExperimentPlan(
         n_subjects=1, R_list=(4.0,), methods=("lr", "cs", "lrcs"),
         phase_modes=("proposed",), rank=7, lambda_scale=1e-2, save_arrays=False,
@@ -187,9 +187,17 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
     assert cli.main(["phantom", "--params", str(params), "--out", str(gt), *FLAGS]) == 0
     assert cli.main(["simulate", "--truth", str(gt), "--R", "4", "--out", str(sim),
                      *FLAGS]) == 0
+    # simulate starts from the pipeline's own k-space and coil maps, up to
+    # their complex64 storage
+    truth = ph.build_phantom(cfg)
+    kspace, coils = pipeline.acquire(truth)
+    np.testing.assert_array_equal(
+        encoding.load_kspace(sim / "kspace").samples,
+        pipeline.undersample(truth, kspace, 4).samples.astype(np.complex64))
+    np.testing.assert_array_equal(dm.load_coils(sim / "coils").maps,
+                                  coils.maps.astype(np.complex64))
     # metrics centres HA on the mask centroid, the pipeline on cfg.center
-    mask = ph.load_ground_truth(gt).myocardium_mask
-    assert (dti.mask_centroids(mask) == cfg.center).all()
+    assert (dti.mask_centroids(truth.myocardium_mask) == cfg.center).all()
     for method in plan.methods:
         recon_dir, tensors, metrics = (tmp_path / method / stage
                                        for stage in ("recon", "tensors", "metrics"))
@@ -207,6 +215,20 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
         want = cells[method].metrics
         assert abs(hat - want.hat) <= 1e-4 * abs(want.hat), method
         assert abs(md - want.md) <= 1e-5 * abs(want.md), method
+
+
+def test_simulate_of_a_truth_whose_mask_is_not_its_configs(ground_truth, tmp_path,
+                                                            capsys):
+    gt = tmp_path / "gt"
+    ph.save_ground_truth(gt, ph.load_ground_truth(ground_truth))
+    f = gt / "mask.bin"
+    f.write_bytes((~np.frombuffer(f.read_bytes(), dtype=bool)).tobytes())
+    assert cli.main(["simulate", "--truth", str(gt), "--R", "2",
+                     "--out", str(tmp_path / "sim"), *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [simulate]: {gt}: ")
+    assert "mask" in err and "Traceback" not in err
+    assert not (tmp_path / "sim").exists()
 
 
 def _drop_spatial_dims(header):
@@ -355,6 +377,10 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      "lambda_scale must be >= 0 or null, got -0.01"),
     ("phantom", "--params", '{"md_true": -1e-3}', "md_true must be positive"),
     ("phantom", "--params", '{"n_coils": 0}', "n_coils must be >= 1, got 0"),
+    ("phantom", "--params", '{"b_values": [1000]}',
+     "b_values must hold 0 exactly once, got [1000.0]"),
+    ("run", "--plan", '{"n_subjects": 1, "base_config": {"b_values": [0, 0, 1000]}, '
+     '"output_dir": "{out}"}', "b_values must hold 0 exactly once, got [0.0, 0.0, 1000.0]"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 0, "output_dir": "{out}"}',
      "rank must be >= 1 or null, got 0"),
     ("run", "--plan", '{"n_subjects": 1, "methods": ["lrx"], "output_dir": "{out}"}',

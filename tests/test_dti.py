@@ -18,6 +18,13 @@ def truth():
 
 
 @pytest.fixture(scope="module")
+def true_ha(truth):
+    # the HA map of the phantom's own tensors
+    cfg, gt = truth
+    return dti.helix_angle(gt.tensors, lv_center=cfg.center)
+
+
+@pytest.fixture(scope="module")
 def fitted(truth):
     cfg, gt = truth
     return dti.fit_tensors(gt.clean_series, gt.myocardium_mask)
@@ -420,15 +427,15 @@ class TestComputeHat:
         res = dti.compute_hat(const, gt.myocardium_mask, lv_center=cfg.center)
         assert abs(res.global_hat) < 1e-12
 
-    def test_phantom_slope_within_two_percent(self, truth):
+    def test_phantom_slope_within_two_percent(self, truth, true_ha):
         cfg, gt = truth
-        res = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
+        res = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
         assert res.global_hat == pytest.approx(gt.hat_global, rel=0.02)
         assert res.n_skipped == 0
 
-    def test_ray_r2_above_invariant_threshold(self, truth):
+    def test_ray_r2_above_invariant_threshold(self, truth, true_ha):
         cfg, gt = truth
-        res = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
+        res = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
         assert np.nanmin(res.ray_r2) > 0.999
 
     def test_thin_mask_rays_skipped(self):
@@ -521,15 +528,15 @@ def noisy_ha(truth):
 
 
 class TestHatAgainstLoop:
-    def test_phantom_with_center(self, truth):
+    def test_phantom_with_center(self, truth, true_ha):
         cfg, gt = truth
-        res = assert_hat_matches_loop(gt.ha_map, gt.myocardium_mask,
+        res = assert_hat_matches_loop(true_ha, gt.myocardium_mask,
                                       lv_center=cfg.center)
         assert res.n_skipped == 0
 
-    def test_phantom_mask_centroid(self, truth):
+    def test_phantom_mask_centroid(self, truth, true_ha):
         cfg, gt = truth
-        assert_hat_matches_loop(gt.ha_map, gt.myocardium_mask)
+        assert_hat_matches_loop(true_ha, gt.myocardium_mask)
 
     def test_noisy_fit_with_holes(self, truth, noisy_ha):
         cfg, gt = truth
@@ -579,11 +586,11 @@ class TestHatAgainstLoop:
         res = assert_hat_matches_loop(ha, mask, lv_center=(5.2, 2.9))
         assert res.n_skipped == 0
 
-    def test_empty_slice_skips_every_ray(self, truth):
+    def test_empty_slice_skips_every_ray(self, truth, true_ha):
         cfg, gt = truth
         mask = gt.myocardium_mask.copy()
         mask[:, :, 1] = False
-        res = assert_hat_matches_loop(gt.ha_map, mask, lv_center=cfg.center)
+        res = assert_hat_matches_loop(true_ha, mask, lv_center=cfg.center)
         assert res.n_skipped == 25
         assert np.isnan(res.ray_slopes[1]).all()
 
@@ -650,10 +657,10 @@ class TestAha16:
         assert present.sum() >= 14
         np.testing.assert_allclose(means[present], 2.5)
 
-    def test_regional_hat_matches_explicit_sector_loop(self, truth):
+    def test_regional_hat_matches_explicit_sector_loop(self, truth, true_ha):
         cfg, gt = truth
         seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
-        hat = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
+        hat = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
         slopes = np.arange(hat.ray_slopes.size, dtype=float).reshape(
             hat.ray_slopes.shape)
         slopes[0, 3] = np.nan

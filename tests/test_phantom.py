@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields, is_dataclass
 
 import numpy as np
 import pytest
@@ -40,6 +41,11 @@ class TestConfig:
         with pytest.raises(ValidationError, match=message):
             dm.config_from_json(ph.PhantomConfig, params)
 
+    @pytest.mark.parametrize("b_values", [[1000], [0, 0, 1000], []])
+    def test_b_values_hold_one_b0(self, b_values):
+        with pytest.raises(ValidationError, match="b_values must hold 0 exactly once"):
+            dm.config_from_json(ph.PhantomConfig, {"b_values": b_values})
+
     def test_json_round_trip(self):
         # default, noise-free, and with the LV center set
         for cfg in (ph.PhantomConfig(),
@@ -76,7 +82,8 @@ class TestGroundTruth:
             & gt.myocardium_mask
         assert mid.any()
         # td = 0.5 -> HA = 0 within the sub-voxel radius tolerance
-        assert np.nanmax(np.abs(gt.ha_map[mid])) < 120 * 0.2 / 12 + 1e-9
+        ha = dti.helix_angle(gt.tensors, lv_center=cfg.center)
+        assert np.nanmax(np.abs(ha[mid])) < 120 * 0.2 / 12 + 1e-9
 
     def test_hat_global_slope(self):
         cfg = ph.PhantomConfig(ha_endo=60.0, ha_epi=-60.0)
@@ -96,7 +103,8 @@ class TestGroundTruth:
 
     def test_ray_regression_r2(self, default_truth):
         cfg, gt = default_truth
-        res = dti.compute_hat(gt.ha_map, gt.myocardium_mask, lv_center=cfg.center)
+        ha = dti.helix_angle(gt.tensors, lv_center=cfg.center)
+        res = dti.compute_hat(ha, gt.myocardium_mask, lv_center=cfg.center)
         assert np.nanmin(res.ray_r2) > 0.999
         assert res.global_hat == pytest.approx(gt.hat_global, rel=0.02)
 
@@ -176,14 +184,53 @@ class TestNoise:
         assert est == pytest.approx(snr, rel=0.10)
 
 
+def assert_bit_equal(a, b, where="truth"):
+    """Every field of the dataclasses ``a`` and ``b``, recursively, is equal:
+    arrays bit for bit (NaN where NaN), the rest by ``==``."""
+    if is_dataclass(a):
+        assert type(a) is type(b), where
+        for f in fields(a):
+            assert_bit_equal(getattr(a, f.name), getattr(b, f.name),
+                             f"{where}.{f.name}")
+    elif isinstance(a, np.ndarray):
+        assert a.dtype == b.dtype, where
+        np.testing.assert_array_equal(a, b, err_msg=where, strict=True)
+    else:
+        assert a == b, where
+
+
+def save_old_format(path, gt):
+    """The container ``save_ground_truth`` wrote before it kept only the
+    config and the mask: every field as an array, complex64 series and
+    coils."""
+    dm.write_container(
+        path,
+        {"clean": gt.clean_series.data.astype(np.complex64),
+         "phase_real": np.real(gt.phase.values), "phase_imag": np.imag(gt.phase.values),
+         "coil_maps": gt.coils.maps.astype(np.complex64),
+         "ha_map": dti.helix_angle(gt.tensors, lv_center=gt.config.center),
+         "md_map": gt.md_map, "mask": gt.myocardium_mask,
+         "tensors": gt.tensors.tensors, "evals": gt.tensors.evals,
+         "e1": gt.tensors.e1, "s0": gt.tensors.s0},
+        {"kind": "ground_truth",
+         "spatial_dims": list(gt.clean_series.spatial_dims),
+         "column_labels": dm.labels_to_json(gt.clean_series.column_labels),
+         "hat_global": gt.hat_global,
+         "config": dm.config_to_json(gt.config)})
+
+
 class TestGroundTruthContainer:
     def test_round_trip(self, default_truth, tmp_path):
-        cfg, gt = default_truth
+        # the container is the config and the mask; the load rebuilds the
+        # rest, bit for bit: every array field, the config and hat_global
+        _, gt = default_truth
         ph.save_ground_truth(tmp_path / "gt", gt)
-        back = ph.load_ground_truth(tmp_path / "gt")
-        assert back.config == cfg
-        assert back.hat_global == gt.hat_global
-        np.testing.assert_array_equal(back.myocardium_mask, gt.myocardium_mask)
-        np.testing.assert_array_equal(back.phase.values, gt.phase.values)
-        np.testing.assert_allclose(back.clean_series.data, gt.clean_series.data,
-                                   rtol=1e-6)
+        assert sorted(f.name for f in (tmp_path / "gt").iterdir()) == [
+            "header.json", "mask.bin"]
+        assert_bit_equal(ph.load_ground_truth(tmp_path / "gt"), gt)
+
+    def test_old_format_loads_to_the_same_phantom(self, tmp_path):
+        cfg = ph.PhantomConfig(grid=(16, 16, 3), r_endo=3, r_epi=6, n_coils=2, seed=3)
+        gt = ph.build_phantom(cfg)
+        save_old_format(tmp_path / "gt", gt)
+        assert_bit_equal(ph.load_ground_truth(tmp_path / "gt"), gt)
