@@ -256,8 +256,15 @@ def _write_error(directory: Path, error: str) -> None:
 
 
 def run_experiment(plan: ExperimentPlan) -> dict:
-    """Execute the full study; returns the summary structure and writes
-    the report tree under ``plan.output_dir``.
+    """Execute the full study and write the report tree under
+    ``plan.output_dir``.
+
+    Returns a dict of the study's :class:`CellResult` list (``"cells"``)
+    and the rows written to ``summary.csv`` (``"summary"``) and
+    ``stats.csv`` (``"stats"``).  Of a finished subject, only its
+    reference metrics and rank are kept past its cells: the truth, the
+    noisy k-space, the coil maps and the reference series are freed as
+    soon as the subject's cells finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its
@@ -271,6 +278,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     (out_root / "plan.json").write_text(json.dumps(dm.config_to_json(plan), indent=1))
 
     def one_subject(i: int):
+        # (reference metrics, rank) or None, the cells and the error: the
+        # rest of the subject's artifacts die with this frame
         try:
             art = prepare_subject(plan, i)
         except Exception:
@@ -284,7 +293,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             sdir = out_root / f"subject{i:02d}"
             phantom.save_ground_truth(sdir / "ground_truth", art.truth)
             dm.save_series(sdir / "reference", art.reference)
-        return art, run_subject_cells(plan, i, art), ""
+        return (art.reference_metrics, art.rank), run_subject_cells(plan, i, art), ""
 
     if plan.threads > 1:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
@@ -292,17 +301,16 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     else:
         subject_runs = [one_subject(i) for i in range(plan.n_subjects)]
 
-    arts = [a for a, _, _ in subject_runs]
+    refs = [ref for ref, _, _ in subject_runs]
     errors = [e for _, _, e in subject_runs]
     cells = [c for _, cs, _ in subject_runs for c in cs]
-    summary_rows = _write_summary(arts, errors, cells, out_root)
+    summary_rows = _write_summary(refs, errors, cells, out_root)
     groups = {}
     for c in cells:
-        pair = (arts[c.subject].reference_metrics, c.metrics) if c.ok else (None, None)
+        pair = (refs[c.subject][0], c.metrics) if c.ok else (None, None)
         groups.setdefault((c.R, c.method, c.phase_mode), {})[c.subject] = pair
     stats_rows = write_stats(groups, out_root / "stats.csv")
-    return {"cells": cells, "artifacts": arts, "summary": summary_rows,
-            "stats": stats_rows}
+    return {"cells": cells, "summary": summary_rows, "stats": stats_rows}
 
 
 # how a cell was solved, from its RunReport; blank on reference rows
@@ -319,33 +327,35 @@ def _solve_columns(report: dict) -> dict:
             "solve_s": report["wall_time_s"]}
 
 
-def _write_summary(arts, errors, cells, out_root: Path) -> list[dict]:
+def _write_summary(refs, errors, cells, out_root: Path) -> list[dict]:
+    """``refs`` holds each subject's (reference metrics, rank), None
+    for a subject whose preparation failed."""
     rows = []
-    for i, (art, error) in enumerate(zip(arts, errors)):
+    for i, (ref, error) in enumerate(zip(refs, errors)):
         row = {"subject": i, "R": 1.0, "method": "reference", "phase_mode": "",
-               "ok": art is not None, "rank": "", "hat": np.nan, "md": np.nan,
+               "ok": ref is not None, "rank": "", "hat": np.nan, "md": np.nan,
                "hat_bias": np.nan, "md_bias": np.nan,
                "error": error.splitlines()[-1] if error else "",
                **_solve_columns({})}
-        if art is not None:
-            row.update(rank=art.rank, hat=art.reference_metrics.hat,
-                       md=art.reference_metrics.md, hat_bias=0.0, md_bias=0.0)
+        if ref is not None:
+            ref_metrics, rank = ref
+            row.update(rank=rank, hat=ref_metrics.hat, md=ref_metrics.md,
+                       hat_bias=0.0, md_bias=0.0)
         rows.append(row)
     for c in cells:
-        art = arts[c.subject]
+        ref = refs[c.subject]
         row = {"subject": c.subject, "R": c.R, "method": c.method,
                "phase_mode": c.phase_mode, "ok": c.ok,
-               "rank": art.rank if art is not None else "",
+               "rank": ref[1] if ref is not None else "",
                "hat": np.nan, "md": np.nan, "hat_bias": np.nan,
                "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else "",
                **_solve_columns(c.report)}
         if c.ok:
+            ref_metrics = ref[0]
             row["hat"] = c.metrics.hat
             row["md"] = c.metrics.md
-            row["hat_bias"] = stats.normalized_bias(art.reference_metrics.hat,
-                                                    c.metrics.hat)
-            row["md_bias"] = stats.normalized_bias(art.reference_metrics.md,
-                                                   c.metrics.md)
+            row["hat_bias"] = stats.normalized_bias(ref_metrics.hat, c.metrics.hat)
+            row["md_bias"] = stats.normalized_bias(ref_metrics.md, c.metrics.md)
         rows.append(row)
     fields = ["subject", "R", "method", "phase_mode", "ok", "rank", "hat", "md",
               "hat_bias", "md_bias", "error", *SOLVE_FIELDS]

@@ -22,8 +22,9 @@ call between two products with V,
     H(U) = (A*A + (rho/2) I)(U V) V^H = (A* A + (rho/2) J) U,
 
 with the shift added inside :func:`normal_matrix`; for the identity V
-both products are skipped.  A CG step is that call plus in-place BLAS
-updates of the iterate and the residual.
+both products are skipped.  A CG step is that call plus in-place numpy
+updates of the iterate and the residual, with the call's product as
+their only scratch buffer.
 
 Method variants differ only in V and lambda, so all three run this one
 loop: CS_ONLY (:func:`reconstruct_cs_only`) with the identity subspace
@@ -146,10 +147,15 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
              max_iters: int, r: np.ndarray) -> tuple[np.ndarray, int, float]:
     """Conjugate gradients on a Hermitian positive (semi)definite system.
 
-    Works in the BLAS precision of ``rhs`` and ``x0`` (complex64 in the
-    ADMM); the step scalars are Python floats.  Returns (solution,
+    Works in the precision of ``rhs`` and ``x0`` together (complex64 in
+    the ADMM); the step scalars are Python floats.  Returns (solution,
     iterations, relative residual); ``apply_h`` runs once per iteration.
-    The iterate and the residual are updated in place by BLAS axpy.
+    The iterate and the residual are updated in place by numpy, and the
+    product H p is the only scratch buffer: once it has updated the
+    residual it is dead, so it takes step * p on its way into the
+    iterate.  CG owns that product: it works on a copy when ``apply_h``
+    returns an array that is read-only, not in the working precision, or
+    that may share memory with its argument (``lambda v: v``).
 
     ``r`` is the initial residual rhs - H x0, known to the caller, so CG
     does not apply H to ``x0``.  CG updates it in place as its own
@@ -157,8 +163,8 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     the returned x (recursively updated, so equal to a recomputed one up
     to rounding), ready to carry into the next solve.  It must be a
     writeable, C-contiguous array of the shape of ``rhs`` in the working
-    precision, which axpy can update in place; anything else is a
-    ValidationError.  Divergence
+    precision, which the updates and inner products stream over without
+    a copy; anything else is a ValidationError.  Divergence
     (residual growing three consecutive iterations while sitting well
     above the best residual seen; plain CG residuals are allowed their
     usual non-monotone jitter) raises NumericalError with the residual
@@ -166,24 +172,17 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     p^H H p, at the step that meets it, so a non-finite operator costs
     one call, not ``max_iters``.
     """
-    # imported here: nothing else loads scipy, and scipy.linalg costs
-    # about 0.3 s to import, which commands that run no solve should not pay
-    from scipy.linalg import get_blas_funcs
-
-    axpy = get_blas_funcs("axpy", (rhs, x0))
-    if not (r.dtype == axpy.dtype and r.shape == rhs.shape
-            and r.flags.c_contiguous and r.flags.aligned and r.flags.writeable):
+    dtype = np.result_type(rhs, x0)
+    if not (r.dtype == dtype and r.shape == rhs.shape
+            and r.flags.c_contiguous and r.flags.writeable):
         raise ValidationError(
-            f"CG residual must be a writeable C-contiguous {axpy.dtype} array "
+            f"CG residual must be a writeable C-contiguous {dtype} array "
             f"of shape {rhs.shape}, got {r.dtype} {r.shape}")
     rhs_norm = float(np.linalg.norm(rhs))
     if rhs_norm == 0.0:
         r[...] = 0
         return np.zeros_like(rhs), 0, 0.0
-    x = np.array(x0, dtype=axpy.dtype, order="C")
-    # flat views of arrays CG owns or has checked: axpy updates them in
-    # place (f2py would silently update a copy of anything else)
-    x_flat, r_flat = x.reshape(-1), r.reshape(-1)
+    x = np.array(x0, dtype=dtype, order="C")
     p = r.copy()
     rs = float(np.vdot(r, r).real)
     history = [np.sqrt(rs) / rhs_norm]
@@ -199,6 +198,9 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
         if np.sqrt(rs) / rhs_norm < tol:
             return x, it, history[-1]
         hp = apply_h(p)
+        if (hp.dtype != dtype or not hp.flags.writeable
+                or np.may_share_memory(hp, p)):
+            hp = np.array(hp, dtype=dtype)
         denom = float(np.vdot(p, hp).real)
         if not np.isfinite(denom):
             raise non_finite(it)
@@ -206,8 +208,11 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
             # numerically singular direction; stop at the current iterate
             return x, it, history[-1]
         step = rs / denom
-        axpy(p.reshape(-1), x_flat, a=step)
-        axpy(hp.reshape(-1), r_flat, a=-step)
+        # r -= step H p, then the spent product takes step p for x
+        hp *= step
+        r -= hp
+        np.multiply(p, step, out=hp)
+        x += hp
         rs_new = float(np.vdot(r, r).real)
         history.append(np.sqrt(rs_new) / rhs_norm)
         if not np.isfinite(rs_new):

@@ -611,8 +611,8 @@ class TestCg:
 
     @pytest.mark.parametrize("dtype", [np.complex64, np.complex128])
     def test_updates_land_in_the_iterate_and_the_given_residual(self, dtype):
-        # BLAS axpy in either precision updates CG's iterate and the
-        # caller's residual themselves, not copies of them
+        # numpy's in-place updates, in either precision, land in CG's
+        # iterate and in the caller's residual itself, not in copies
         rng = np.random.default_rng(4)
         n = 12
         a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
@@ -630,6 +630,9 @@ class TestCg:
     @pytest.mark.parametrize("bad", ["fortran", "strided", "dtype", "shape",
                                      "readonly"])
     def test_residual_axpy_cannot_update_is_a_named_error(self, bad):
+        # CG updates the caller's residual in place and streams over it
+        # in its inner products, so a residual it cannot update in place,
+        # or one that is not C-contiguous, is refused before any work
         rng = np.random.default_rng(5)
         rhs = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
         rhs = rhs.astype(np.complex64)
@@ -643,6 +646,43 @@ class TestCg:
         with pytest.raises(ValidationError, match="CG residual must be a writeable "
                                                   "C-contiguous complex64 array"):
             recon.cg_solve(lambda v: v, rhs, np.zeros_like(rhs), 1e-6, 10, r=r)
+
+    @pytest.mark.parametrize("product", ["identity", "readonly", "complex128"])
+    def test_cg_owns_the_product_it_scales(self, product):
+        # CG scales H p in place, so it works on a copy of a product it
+        # may not overwrite: its own argument, a read-only array, or one
+        # of another precision; each gives the x and r of a fresh product
+        rng = np.random.default_rng(6)
+        n = 10
+        a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        mat = (np.eye(n) + 0.3 * a @ a.conj().T / n).astype(np.complex64)
+        if product == "identity":
+            mat = np.eye(n, dtype=np.complex64)
+        rhs = (rng.normal(size=(n, 3)) + 1j * rng.normal(size=(n, 3))).astype(np.complex64)
+        x0 = (0.5 * rng.normal(size=(n, 3))).astype(np.complex64)
+
+        def fresh(v):
+            return mat @ v
+
+        def given(v):
+            if product == "identity":
+                return v
+            hp = mat @ v
+            if product == "complex128":
+                return hp.astype(np.complex128)
+            hp.flags.writeable = False
+            return hp
+        outs = []
+        for apply_h in (fresh, given):
+            r = rhs - mat @ x0
+            x, its, res = recon.cg_solve(apply_h, rhs, x0, recon.CG_TOL, 100, r)
+            outs.append((x, r, its, res))
+        (x_want, r_want, its_want, res_want), (x, r, its, res) = outs
+        assert x.dtype == r.dtype == np.complex64 and its == its_want > 0
+        assert res == res_want
+        np.testing.assert_array_equal(x, x_want)
+        np.testing.assert_array_equal(r, r_want)
+        assert np.linalg.norm(r) <= recon.CG_TOL * np.linalg.norm(rhs)
 
 
 class TestResidualCarry:
