@@ -207,7 +207,7 @@ def cmd_phantom(args) -> int:
 def cmd_simulate(args) -> int:
     truth = phantom.load_ground_truth(args.truth)
     kspace, coils = pipeline.acquire(truth)
-    d = pipeline.undersample(truth, kspace, args.R)
+    d = pipeline.undersample(truth.config, kspace, args.R)
     encoding.save_kspace(Path(args.out) / "kspace", d)
     dm.save_coils(Path(args.out) / "coils", coils)
     log.info("k-space and coils written to %s (R_true = %.4f)", args.out, d.mask.r_true)

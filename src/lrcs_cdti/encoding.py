@@ -45,6 +45,9 @@ Layout conventions:
   complex64 and return complex64.  ``fft2c``, ``ifft2c`` and
   ``coil_kspace`` stay in complex128, so simulated k-space is double
   precision.
+* The phase enters the adjoint last (:func:`unphase`), so a solver
+  holding A*(d) of the phase-free model derives that of a phased one
+  with one product and no DFT.
 * The module needs numpy alone.  The 2-D DFTs are ``numpy.fft`` passes
   in place (:func:`_fft2_inplace`; numpy >= 2.0 keeps complex64, where
   1.x computes it in complex128), on the calling thread, and the coil
@@ -385,9 +388,17 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
     grid *= np.conj(model._kb)
     _fft2_inplace(grid, inverse=True)
     combined = np.einsum("cnzyx,czyx->nzyx", grid, model._maps_a_conj)
-    if model._phase_t is not None:
-        combined *= model._phase_t_conj
-    return _grid_to_series(combined)
+    return unphase(model, _grid_to_series(combined))
+
+
+def unphase(model: EncodingModel, x: np.ndarray) -> np.ndarray:
+    """conj(P) o x for a complex64 (M, N) ``x`` and the model's phase map
+    P; ``x`` itself on a phase-free model.  :func:`adjoint_matrix` ends
+    with it, so the adjoint on a phased model is this of the adjoint on
+    the phase-free model of its coils and mask, bit for bit."""
+    if model._phase_t_conj is None:
+        return x
+    return _grid_to_series(_series_to_grid(x, model.spatial_dims) * model._phase_t_conj)
 
 
 def normal_matrix(model: EncodingModel, x: np.ndarray,

@@ -7,7 +7,13 @@ the fully sampled noisy data (the noiseless truth is recorded alongside
 for oracle checks).  Coil maps are estimated once per subject from the
 fully sampled b=0 column and shared by all reconstructions.  Per
 acceleration factor, one sampling mask, regularization weight and
-preliminary solve are shared by every method and phase mode.
+preliminary solve are shared by every method and phase mode, and so is
+what the methods make from the preliminary (:class:`recon.Preliminary`):
+the adjoint A*(d), the phase map, the subspace, the phased model and
+the first CG solve per phase mode, of which lr is the whole solve and
+lrcs the start.  cs returns the preliminary itself, so its cells of
+every phase mode share one tensor fit.  All of it is freed when the
+acceleration factor's cells finish.
 """
 
 from __future__ import annotations
@@ -86,6 +92,11 @@ class ExperimentPlan:
                 f"R_list entries must be >= 1, got {list(self.R_list)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "phase_modes", tuple(self.phase_modes))
+        # a repeated entry would write its cells' directories and rows twice
+        for key in ("R_list", "methods", "phase_modes"):
+            values = getattr(self, key)
+            if len(set(values)) != len(values):
+                raise ValidationError(f"{key} has a repeated entry: {list(values)}")
 
     @property
     def base_phantom(self) -> phantom.PhantomConfig:
@@ -152,17 +163,27 @@ class CellResult:
 
 
 @dataclass
-class SubjectArtifacts:
-    """Everything shared across cells of one subject."""
+class SubjectInputs:
+    """What the cells of one subject read."""
 
     config: phantom.PhantomConfig
-    truth: phantom.GroundTruth
+    myocardium_mask: np.ndarray
     coil_maps: dm.CoilMaps
-    reference: dm.CasoratiSeries
-    reference_metrics: SubjectMetrics
+    noisy_kspace: np.ndarray
     rank: int
     segmentation: dti.AhaSegmentation | None
-    noisy_kspace: np.ndarray
+
+
+@dataclass
+class SubjectArtifacts:
+    """Everything prepared for one subject: the cells' inputs, and the
+    truth and reference, which only the saved arrays and the reference
+    row read."""
+
+    inputs: SubjectInputs
+    truth: phantom.GroundTruth
+    reference: dm.CasoratiSeries
+    reference_metrics: SubjectMetrics
 
 
 def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
@@ -176,13 +197,12 @@ def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
     return knoisy, encoding.estimate_coil_maps(b0_images)
 
 
-def undersample(truth: phantom.GroundTruth, kspace: np.ndarray,
+def undersample(cfg: phantom.PhantomConfig, kspace: np.ndarray,
                 R: float) -> encoding.KSpaceData:
-    """The samples of ``kspace`` that the mask of acceleration ``R``,
-    seeded by the phantom, keeps."""
+    """The samples of ``kspace``, acquired from the phantom of ``cfg``,
+    that the mask of acceleration ``R``, seeded by the phantom, keeps."""
     _, _, nz, ny, _ = kspace.shape
-    mask = encoding.make_sampling_mask(ny, nz, truth.clean_series.column_labels, R=R,
-                                       seed=truth.config.seed)
+    mask = encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=R, seed=cfg.seed)
     return encoding.extract_samples(kspace, mask)
 
 
@@ -190,7 +210,7 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
     knoisy, coil_maps = acquire(gt)
-    d_full = undersample(gt, knoisy, 1)
+    d_full = undersample(cfg, knoisy, 1)
     model_full = encoding.EncodingModel(coil_maps, d_full.mask, None)
     # at lambda = 0 the sparsity-only solve is plain least squares
     ref = recon.reconstruct_cs_only(
@@ -202,49 +222,65 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
                                   segmentation)
     rank = plan.rank if plan.rank is not None else recon.select_rank(
         ref.series, recon.estimate_phase_map(ref.series))
-    return SubjectArtifacts(cfg, gt, coil_maps, ref.series, ref_metrics, rank,
-                            segmentation, knoisy)
+    inputs = SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, rank,
+                           segmentation)
+    return SubjectArtifacts(inputs, gt, ref.series, ref_metrics)
 
 
 def run_subject_cells(plan: ExperimentPlan, index: int,
-                      art: SubjectArtifacts) -> list[CellResult]:
-    """Every (R, method, phase mode) cell of one subject; a failed mask or
-    preliminary solve fails every cell of its R."""
-    cfg = art.config
-    solver = plan.solver_config
+                      subject: SubjectInputs) -> list[CellResult]:
+    """Every (R, method, phase mode) cell of one subject, one R at a time
+    (see :func:`_r_cells`)."""
+    return [cell for R in plan.R_list for cell in _r_cells(plan, index, subject, R)]
+
+
+def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
+             R: float) -> list[CellResult]:
+    """The cells of one R.  Its preliminary solve, and all that the
+    methods share from it, live in this call alone, so they are freed
+    before the next R starts.  A failed mask or preliminary solve fails
+    every cell of the R."""
+    cfg = subject.config
     results: list[CellResult] = []
-    for R in plan.R_list:
-        try:
-            d = undersample(art.truth, art.noisy_kspace, R)
-            model = encoding.EncodingModel(art.coil_maps, d.mask, None)
-            scfg, prelim = recon.preliminary(d, model, solver, scale=plan.lambda_scale)
-            prep_error = ""
-        except Exception:
-            prep_error = traceback.format_exc()
-        for method in plan.methods:
-            for mode in plan.phase_modes:
-                cell = CellResult(index, R, method, mode, ok=False)
-                results.append(cell)
-                out = (Path(plan.output_dir) / f"subject{index:02d}"
-                       / f"R{R:g}" / f"{method}_{mode}")
-                if prep_error:
-                    cell.error = prep_error
-                    _write_error(out, cell.error)
-                    continue
-                try:
-                    res = recon.recon(d, model, prelim, method, mode, art.rank, scfg)
-                    cell.report = res.report.to_json()
+    try:
+        d = undersample(cfg, subject.noisy_kspace, R)
+        model = encoding.EncodingModel(subject.coil_maps, d.mask, None)
+        scfg, prelim = recon.preliminary(d, model, plan.solver_config,
+                                         scale=plan.lambda_scale)
+        prep_error = ""
+    except Exception:
+        prep_error = traceback.format_exc()
+    # cs returns the preliminary itself: one fit serves its every phase mode
+    prelim_metrics = None
+    for method in plan.methods:
+        for mode in plan.phase_modes:
+            cell = CellResult(index, R, method, mode, ok=False)
+            results.append(cell)
+            out = (Path(plan.output_dir) / f"subject{index:02d}"
+                   / f"R{R:g}" / f"{method}_{mode}")
+            if prep_error:
+                cell.error = prep_error
+                _write_error(out, cell.error)
+                continue
+            try:
+                res = recon.recon(d, model, prelim, method, mode, subject.rank, scfg)
+                cell.report = res.report.to_json()
+                if res is prelim and prelim_metrics is not None:
+                    cell.metrics = prelim_metrics
+                else:
                     cell.metrics = _series_metrics(
-                        res.series, art.truth.myocardium_mask, cfg.center,
-                        art.segmentation)
-                    cell.ok = True
-                    if plan.save_arrays:
-                        dm.save_series(out / "recon", res.series)
-                        (out / "run_report.json").write_text(
-                            json.dumps(cell.report, indent=1))
-                except Exception:
-                    cell.error = traceback.format_exc()
-                    _write_error(out, cell.error)
+                        res.series, subject.myocardium_mask, cfg.center,
+                        subject.segmentation)
+                if res is prelim:
+                    prelim_metrics = cell.metrics
+                cell.ok = True
+                if plan.save_arrays:
+                    dm.save_series(out / "recon", res.series)
+                    (out / "run_report.json").write_text(
+                        json.dumps(cell.report, indent=1))
+            except Exception:
+                cell.error = traceback.format_exc()
+                _write_error(out, cell.error)
     return results
 
 
@@ -261,10 +297,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     Returns a dict of the study's :class:`CellResult` list (``"cells"``)
     and the rows written to ``summary.csv`` (``"summary"``) and
-    ``stats.csv`` (``"stats"``).  Of a finished subject, only its
-    reference metrics and rank are kept past its cells: the truth, the
-    noisy k-space, the coil maps and the reference series are freed as
-    soon as the subject's cells finish.
+    ``stats.csv`` (``"stats"``).  A subject's truth and reference series
+    are freed before its cells start (once saved), and of a finished
+    subject only its reference metrics and rank are kept past its cells:
+    its noisy k-space and coil maps are freed as soon as they finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its
@@ -293,7 +329,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             sdir = out_root / f"subject{i:02d}"
             phantom.save_ground_truth(sdir / "ground_truth", art.truth)
             dm.save_series(sdir / "reference", art.reference)
-        return (art.reference_metrics, art.rank), run_subject_cells(plan, i, art), ""
+        ref, inputs = (art.reference_metrics, art.inputs.rank), art.inputs
+        # the truth and the reference series die here, before the cells
+        del art
+        return ref, run_subject_cells(plan, i, inputs), ""
 
     if plan.threads > 1:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:
@@ -314,7 +353,9 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
 
 # how a cell was solved, from its RunReport; blank on reference rows
-# and on cells whose solve failed
+# and on cells whose solve failed.  lr is the first CG solve of lrcs at
+# its phase mode, solved once: an lr row's solve_s is that shared
+# solve's time, and an lrcs row's includes it too.
 SOLVE_FIELDS = ("lambda", "stop_reason", "admm_iters", "cg_iters", "solve_s")
 
 

@@ -36,6 +36,18 @@ of V, and the run report names the variant from V and lambda.  Every
 method starts from one preliminary solve (:func:`preliminary`), which
 also fixes the weight.
 
+Sharing: each solve's first step, the U0 solve (:func:`first_solve`),
+depends on the model, V, A*(d) and the CG cap, not on lambda, so
+:func:`admm_solve` can start from one made elsewhere.  Per k-space set,
+one adjoint A*(d) serves the weight, the cs solves and, through
+:func:`unphase`, the phased models; the cs candidates of
+:func:`select_lambda` start from one U0 solve; and the
+:class:`Preliminary` keeps, for every method of :func:`recon`, the
+phase map, the subspace, the phased model and the U0 solve per phase
+mode.  lr is therefore the first solve of lrcs at its phase mode, not a
+second solve.  Every shared result is the one a cold solve computes,
+bit for bit.
+
 Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, the right-hand side,
 the CG iterate and the operator it applies, and on the wavelet side
@@ -67,7 +79,8 @@ from functools import partial
 import numpy as np
 
 from .datamodel import CasoratiSeries, PhaseMap
-from .encoding import EncodingModel, KSpaceData, adjoint_matrix, normal_matrix
+from .encoding import (EncodingModel, KSpaceData, adjoint_matrix, normal_matrix,
+                       unphase)
 from .errors import NumericalError, ValidationError
 from .transforms import WaveletSpec, group_shrink, series_adjoint, series_forward
 
@@ -232,10 +245,85 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
     return x, max_iters, history[-1]
 
 
+class _Normal:
+    """The normal equations of one model and subspace V (in the model's
+    dtype) on the (L, M) iterate U^T: ``expand`` takes U^T to
+    X^T = V^T U^T and ``project`` takes X^T back by conj(V), both the
+    identity for the identity V, and ``solve`` runs CG on the operator
+    project (A*A + shift I) expand (see :func:`admm_solve`)."""
+
+    def __init__(self, model: EncodingModel, v: np.ndarray, cfg: SolverConfig):
+        self.model, self.cg_max_iters = model, cfg.cg_max_iters
+        self.identity = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
+        if self.identity:
+            self.expand = self.project = _same
+        else:
+            vt, v_conj = np.ascontiguousarray(v.T), v.conj()
+            self.expand = partial(np.matmul, vt)
+            self.project = partial(np.matmul, v_conj)
+
+    def apply_h(self, ut, shift):
+        return self.project(normal_matrix(self.model, self.expand(ut).T, shift).T)
+
+    def solve(self, iteration, shift, rhs, x0, r):
+        try:
+            return cg_solve(partial(self.apply_h, shift=shift), rhs, x0,
+                            CG_TOL, self.cg_max_iters, r)
+        except _NonFiniteCG as exc:
+            raise NumericalError("NaN/Inf in ADMM iterate",
+                                 diagnostics={"iteration": iteration}) from exc
+
+
+def _same(x):
+    return x
+
+
+@dataclass(frozen=True)
+class FirstSolve:
+    """The U0 solve that :func:`admm_solve` starts from: CG from zero on
+    the data-consistency-only system (rho = 0) of one model, subspace V,
+    k-space set and CG cap.  Lambda does not enter it, so every solve of
+    one such problem can start from one: lr and lrcs at one phase mode,
+    and the cs candidates of :func:`select_lambda`.  Its arrays are
+    read-only; :func:`admm_solve` copies what it updates."""
+
+    rhs: np.ndarray         # conj(V) A*(d), (L, M): the system's right-hand side
+    u: np.ndarray           # U0^T, (L, M), in the model's dtype
+    r: np.ndarray           # rhs - H U0^T, carried into the first ADMM solve
+    cg_iters: int
+    cg_residual: float
+    wall_s: float
+
+
+def first_solve(model: EncodingModel, v_basis: np.ndarray, adj: np.ndarray,
+                cfg: SolverConfig) -> FirstSolve:
+    """The U0 solve of :func:`admm_solve` on ``model`` and the subspace
+    ``v_basis``, from ``adj`` = A*(d), the (M, N) adjoint of the k-space
+    on ``model`` (its phase included), at ``cfg.cg_max_iters``.  A
+    non-finite U0 raises NumericalError for iteration 0."""
+    t0 = time.perf_counter()
+    normal = _Normal(model, np.asarray(v_basis, dtype=model.dtype), cfg)
+    rhs = normal.project(adj.T)
+    # the solve starts from zero, so its residual is the right-hand side
+    r = rhs.copy()
+    u, cg_it, cg_res = normal.solve(0, 0.0, rhs, np.zeros_like(rhs), r)
+    _check_finite(float(np.linalg.norm(u)), 0)
+    for a in (rhs, u, r):
+        a.flags.writeable = False
+    return FirstSolve(rhs, u, r, cg_it, cg_res, time.perf_counter() - t0)
+
+
 def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
-               cfg: SolverConfig, spec: WaveletSpec) -> tuple[np.ndarray, RunReport]:
+               cfg: SolverConfig, spec: WaveletSpec,
+               start: FirstSolve | None = None) -> tuple[np.ndarray, RunReport]:
     """Run the splitting loop; returns the spatial coefficients U (M x L)
     in complex128 (iterated in ``model.dtype``).
+
+    The loop starts from ``start``, the U0 solve (:func:`first_solve`)
+    of this model, V, ``d`` and CG cap, when the caller holds it; else it
+    runs that solve itself.  The report counts the U0 solve: its CG
+    iterations and residual come first, and its time is part of
+    ``wall_time_s``, wherever it ran.
 
     The iterate is U^T, (L, M) and C-contiguous, so X^T = V^T U^T is the
     (N, nz, ny, nx) grid of :func:`normal_matrix` with no copy, and every
@@ -250,65 +338,44 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     A non-finite iterate raises NumericalError with its iteration.  The
     check reads ||U_next - U||, the step size the report records, which
     is non-finite whenever U_next (or U) is; U0 is checked by its norm
-    before either early return, as iteration 0.  A CG solve that meets a
+    in :func:`first_solve`, as iteration 0.  A CG solve that meets a
     NaN/Inf stops there and raises the same error for its iteration, with
     CG's own error (and its residual history) as the cause.
 
     The report names the variant the arguments make: cs for the identity
     subspace, lr for lambda = 0, lrcs otherwise.
     """
-    t0 = time.perf_counter()
     v = np.asarray(v_basis, dtype=model.dtype)
-    identity_v = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
-    vt = np.ascontiguousarray(v.T)
-    v_conj = v.conj()
-    vh = v_conj.T
-    variant = (Method.CS_ONLY if identity_v
+    if start is None:
+        start = first_solve(model, v, adjoint_matrix(model, d.samples), cfg)
+    elif start.u.shape != (v.shape[0], model.n_voxels):
+        raise ValidationError(f"start of shape {start.u.shape} does not match "
+                              f"rank {v.shape[0]} on {model.n_voxels} voxels")
+    # the clock starts the U0 solve's time ago
+    t0 = time.perf_counter() - start.wall_s
+    normal = _Normal(model, v, cfg)
+    vh = v.conj().T
+    variant = (Method.CS_ONLY if normal.identity
                else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
     report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
 
-    if identity_v:
-        def expand(ut):
-            return ut
-
-        project = expand
-
+    if normal.identity:
         def transform(ut):
             return series_forward(ut.T, spec)
 
         def back_project(w):
             return series_adjoint(w, spec).T
     else:
-        def expand(ut):
-            return vt @ ut
-
-        def project(xt):
-            return v_conj @ xt
-
         def transform(ut):
             return series_forward(ut.T, spec) @ v
 
         def back_project(w):
             return series_adjoint(w @ vh, spec).T
 
-    def apply_h(ut, shift):
-        return project(normal_matrix(model, expand(ut).T, shift).T)
-
-    def solve(iteration, shift, rhs, x0, r):
-        try:
-            return cg_solve(partial(apply_h, shift=shift), rhs, x0,
-                            CG_TOL, cfg.cg_max_iters, r)
-        except _NonFiniteCG as exc:
-            raise NumericalError("NaN/Inf in ADMM iterate",
-                                 diagnostics={"iteration": iteration}) from exc
-
-    a_star_d = project(adjoint_matrix(model, d.samples).T)
-    # U0: data-consistency-only solve from zero, whose residual is A*(d)
-    r = a_star_d.copy()
-    u, cg_it, cg_res = solve(0, 0.0, a_star_d, np.zeros_like(a_star_d), r)
-    report.cg_iters.append(cg_it)
-    report.cg_residuals.append(cg_res)
-    _check_finite(float(np.linalg.norm(u)), 0)
+    a_star_d = start.rhs
+    u = start.u
+    report.cg_iters.append(start.cg_iters)
+    report.cg_residuals.append(start.cg_residual)
 
     if cfg.lam == 0.0:
         report.stop_reason = "pure least squares (lambda = 0)"
@@ -320,6 +387,8 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.stop_reason = "zero data"
         return _finish(u, report, t0)
 
+    # the loop updates u and r in place: its own copies of the start's
+    u, r = u.copy(), start.r.copy()
     w = np.zeros_like(bu)
     rho_prev = None
     # r is the residual of u in the last system solved; at first U0's,
@@ -339,8 +408,8 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         # carry the residual of u from the previous system to this one:
         # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u)
         r += rhs - rhs_prev
-        r -= ((rho - rho_sys) / 2.0) * project(expand(u))
-        u_next, cg_it, cg_res = solve(k, rho / 2.0, rhs, u, r)
+        r -= ((rho - rho_sys) / 2.0) * normal.project(normal.expand(u))
+        u_next, cg_it, cg_res = normal.solve(k, rho / 2.0, rhs, u, r)
         rhs_prev, rho_sys = rhs, rho
         # u is spent: its buffer takes the step U_next - U, negated
         u -= u_next
@@ -377,30 +446,40 @@ def _finish(ut: np.ndarray, report: RunReport,
     return np.ascontiguousarray(ut.T, dtype=np.complex128), report
 
 
-def reconstruct_cs_only(d: KSpaceData, model: EncodingModel,
-                        cfg: SolverConfig) -> ReconResult:
+def reconstruct_cs_only(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
+                        start: FirstSolve | None = None) -> ReconResult:
     """Sparsity-only preliminary reconstruction (identity subspace, no
-    phase in the model)."""
+    phase in the model), from ``start`` if given (see :func:`admm_solve`)."""
     if model.phase is not None:
         raise ValidationError("CS-only reconstruction requires a phase-free model")
-    n = model.n_columns
     spec = WaveletSpec(dims=model.spatial_dims)
-    u, report = admm_solve(d, model, np.eye(n, dtype=np.complex128), cfg, spec)
+    u, report = admm_solve(d, model, _identity(model), cfg, spec, start)
     series = CasoratiSeries(u, model.spatial_dims, d.column_labels)
     return ReconResult(series, report)
 
 
+def _identity(model: EncodingModel) -> np.ndarray:
+    """The subspace of cs: V = I over the model's columns."""
+    return np.eye(model.n_columns, dtype=np.complex128)
+
+
 def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None,
-                     v_basis: np.ndarray, cfg: SolverConfig) -> ReconResult:
+                     v_basis: np.ndarray, cfg: SolverConfig,
+                     start: FirstSolve | None = None) -> ReconResult:
     """Joint subspace + group-sparsity solve; returns X = P o (U V).  At
-    ``cfg.lam`` = 0 it is the subspace-constrained least squares of lr."""
+    ``cfg.lam`` = 0 it is the subspace-constrained least squares of lr.
+
+    The solve runs on ``model`` when it carries ``phase``, else on the
+    model of its coil maps and mask with ``phase``; ``start`` is as in
+    :func:`admm_solve`."""
     v = np.asarray(v_basis, dtype=np.complex128)
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise ValidationError("subspace basis V is rank deficient")
-    solve_model = EncodingModel(model.coils, model.mask, phase)
+    solve_model = (model if model.phase is phase
+                   else EncodingModel(model.coils, model.mask, phase))
     spec = WaveletSpec(dims=model.spatial_dims)
-    u, report = admm_solve(d, solve_model, v, cfg, spec)
+    u, report = admm_solve(d, solve_model, v, cfg, spec, start)
     x = u @ v
     if phase is not None:
         x = phase.values * x
@@ -408,29 +487,65 @@ def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None
     return ReconResult(series, report)
 
 
-def recon(d: KSpaceData, model: EncodingModel, prelim: ReconResult,
+@dataclass(frozen=True)
+class Preliminary(ReconResult):
+    """The preliminary solve of one k-space set (see :func:`preliminary`)
+    and what the methods of :func:`recon` share from it: ``adj``, the
+    adjoint A*(d) on the phase-free model, and, made on first use and
+    kept in ``_shared``, the phase map, the subspace per rank, the phased
+    model, and the U0 solve (:class:`FirstSolve`) per (phase mode, rank,
+    CG cap).  It keeps no reconstruction but its own.  It is not locked:
+    one caller (in the pipeline, one subject's thread) owns it."""
+
+    adj: np.ndarray = field(repr=False)
+    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+
+    def shared(self, key, make):
+        """The value kept under ``key``, made by ``make()`` on first use.
+        A ``make`` that raises keeps nothing, so the next caller runs it
+        again and meets its own error."""
+        if key not in self._shared:
+            self._shared[key] = make()
+        return self._shared[key]
+
+
+def recon(d: KSpaceData, model: EncodingModel, prelim: Preliminary,
           method: Method | str, mode: PhaseMode | str, rank: int | None,
           cfg: SolverConfig) -> ReconResult:
     """Run one reconstruction method from a shared preliminary solve.
 
-    ``prelim`` is the sparsity-only reconstruction of ``d`` at the weight
-    in ``cfg`` (see :func:`preliminary`); CS_ONLY returns it as is.
+    ``prelim`` and ``cfg`` are what :func:`preliminary` returned for
+    ``d`` and the phase-free ``model``; CS_ONLY returns ``prelim`` as is.
     LR_ONLY and LRCS take the phase map of ``mode`` (the preliminary's
     own phase, or none for the uncorrected comparison), the rank
     ``rank`` (None selects the elbow of the phase-corrected preliminary)
     and the subspace of the preliminary's magnitude, and solve with
     ``cfg``; LR_ONLY at lambda = 0.
+
+    What does not depend on the method is made once per ``prelim`` (see
+    :class:`Preliminary`): the phase map, the subspace, the phased model
+    (the ``none`` mode solves on ``model`` itself), and the U0 solve, so
+    lr is the first solve of lrcs at its phase mode, whichever runs
+    first.
     """
     method, mode = Method(method), PhaseMode(mode)
     if method == Method.CS_ONLY:
         return prelim
-    pmap = None if mode == PhaseMode.NONE else estimate_phase_map(prelim.series)
+    pmap = None
+    solve_model = model
+    if mode == PhaseMode.PROPOSED:
+        pmap = prelim.shared("phase", lambda: estimate_phase_map(prelim.series))
+        solve_model = prelim.shared(
+            "model", lambda: EncodingModel(model.coils, model.mask, pmap))
     if rank is None:
         rank = select_rank(prelim.series, pmap)
-    v = estimate_subspace(prelim.series, rank)
+    v = prelim.shared(("subspace", rank), lambda: estimate_subspace(prelim.series, rank))
+    start = prelim.shared(
+        ("start", mode, rank, cfg.cg_max_iters),
+        lambda: first_solve(solve_model, v, unphase(solve_model, prelim.adj), cfg))
     if method == Method.LR_ONLY:
         cfg = replace(cfg, lam=0.0)
-    return reconstruct_lrcs(d, model, pmap, v, cfg)
+    return reconstruct_lrcs(d, solve_model, pmap, v, cfg, start)
 
 
 def estimate_phase_map(series: CasoratiSeries) -> PhaseMap:
@@ -472,32 +587,40 @@ def select_rank(series: CasoratiSeries, phase: PhaseMap | None = None) -> int:
     return int(np.clip(elbow, 2, n - 1))
 
 
-def lambda_base(d: KSpaceData, model: EncodingModel) -> float:
-    """Scale anchor for regularization weights: max |Psi A*(d)|."""
+def lambda_base(d: KSpaceData, model: EncodingModel,
+                adj: np.ndarray | None = None) -> float:
+    """Scale anchor for regularization weights: max |Psi A*(d)|; ``adj``
+    is A*(d) when the caller holds it."""
+    if adj is None:
+        adj = adjoint_matrix(model, d.samples)
     spec = WaveletSpec(dims=model.spatial_dims)
-    return float(np.abs(series_forward(adjoint_matrix(model, d.samples), spec)).max())
+    return float(np.abs(series_forward(adj, spec)).max())
 
 
-def default_lambda_grid(d: KSpaceData, model: EncodingModel) -> list[float]:
-    """{1e-3, 1e-2, 1e-1} x max |Psi A*(d)|."""
-    base = lambda_base(d, model)
+def default_lambda_grid(base: float) -> list[float]:
+    """{1e-3, 1e-2, 1e-1} x ``base``, the :func:`lambda_base` of the data."""
     return [base * s for s in (1e-3, 1e-2, 1e-1)]
 
 
 def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
-                  cfg: SolverConfig) -> tuple[float, ReconResult]:
+                  cfg: SolverConfig,
+                  start: FirstSolve | None = None) -> tuple[float, ReconResult]:
     """Pick the candidate whose preliminary reconstruction maximizes
     low-rankness of the phase-corrected image (minimal nuclear norm).
 
     Returns the weight and its :func:`reconstruct_cs_only` result with
-    ``cfg`` at that weight.
+    ``cfg`` at that weight.  Every candidate starts from one U0 solve,
+    ``start`` if given (see :func:`admm_solve`).
     """
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("empty lambda candidate list")
+    if start is None:
+        start = first_solve(model, _identity(model), adjoint_matrix(model, d.samples),
+                            cfg)
     norms, results = [], []
     for lam in candidates:
-        result = reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)))
+        result = reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)), start)
         phase = estimate_phase_map(result.series)
         corrected = np.conj(phase.values) * result.series.data
         norms.append(float(np.linalg.svd(corrected, compute_uv=False).sum()))
@@ -508,25 +631,30 @@ def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
 
 def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
                 lam: float | None = None,
-                scale: float | None = None) -> tuple[SolverConfig, ReconResult]:
+                scale: float | None = None) -> tuple[SolverConfig, Preliminary]:
     """The regularization weight and the sparsity-only preliminary solve
     at it, which every method of :func:`recon` starts from.
 
     The weight is ``lam`` if given, else ``scale`` x :func:`lambda_base`,
     else the nuclear-norm choice of :func:`select_lambda` over
     :func:`default_lambda_grid`, whose winning solve is the preliminary.
-    Returns ``cfg`` at that weight and the preliminary solve.  K-space
-    of another grid or coil count than the coil maps is a ValidationError.
+    One adjoint A*(d) serves the weight, the cs solves (which all start
+    from one U0 solve) and, kept on the :class:`Preliminary`, the
+    methods of :func:`recon`.  Returns ``cfg`` at that weight and the
+    preliminary.  K-space of another grid or coil count than the coil
+    maps is a ValidationError.
     """
     if d.spatial_dims != model.spatial_dims or d.n_coils != model.coils.n_coils:
         raise ValidationError(
             f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
             f"coil maps of grid {model.spatial_dims} with {model.coils.n_coils}")
+    adj = adjoint_matrix(model, d.samples)
+    start = first_solve(model, _identity(model), adj, cfg)
     if lam is None and scale is None:
-        lam, prelim = select_lambda(d, model, default_lambda_grid(d, model), cfg)
-        return replace(cfg, lam=lam), prelim
-    if lam is None:
-        lam = scale * lambda_base(d, model)
-    cfg = replace(cfg, lam=lam)
-    return cfg, reconstruct_cs_only(d, model, cfg)
-
+        lam, result = select_lambda(
+            d, model, default_lambda_grid(lambda_base(d, model, adj)), cfg, start)
+    else:
+        if lam is None:
+            lam = scale * lambda_base(d, model, adj)
+        result = reconstruct_cs_only(d, model, replace(cfg, lam=lam), start)
+    return replace(cfg, lam=lam), Preliminary(result.series, result.report, adj)

@@ -120,8 +120,9 @@ def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
                      "--out", str(tmp_path / "out"), *FLAGS]) == 0
     d = encoding.load_kspace(root / "kspace")
     model = encoding.EncodingModel(dm.load_coils(root / "coils"), d.mask, None)
-    lam, prelim = recon.select_lambda(d, model, recon.default_lambda_grid(d, model),
-                                      recon.SolverConfig(max_iters=2))
+    lam, prelim = recon.select_lambda(
+        d, model, recon.default_lambda_grid(recon.lambda_base(d, model)),
+        recon.SolverConfig(max_iters=2))
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["lambda"] == lam
     series = dm.load_series(tmp_path / "out")
@@ -193,7 +194,7 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
     kspace, coils = pipeline.acquire(truth)
     np.testing.assert_array_equal(
         encoding.load_kspace(sim / "kspace").samples,
-        pipeline.undersample(truth, kspace, 4).samples.astype(np.complex64))
+        pipeline.undersample(truth.config, kspace, 4).samples.astype(np.complex64))
     np.testing.assert_array_equal(dm.load_coils(sim / "coils").maps,
                                   coils.maps.astype(np.complex64))
     # metrics centres HA on the mask centroid, the pipeline on cfg.center
@@ -395,6 +396,12 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      "threads must be >= 1, got -3"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 20, "output_dir": "{out}"}',
      "rank 20 exceeds the column count 13"),
+    ("run", "--plan", '{"n_subjects": 1, "R_list": [2, 2.0], "output_dir": "{out}"}',
+     "R_list has a repeated entry: [2.0, 2.0]"),
+    ("run", "--plan", '{"n_subjects": 1, "methods": ["lr", "cs", "lr"], '
+     '"output_dir": "{out}"}', "methods has a repeated entry: ['lr', 'cs', 'lr']"),
+    ("run", "--plan", '{"n_subjects": 1, "phase_modes": ["none", "none"], '
+     '"output_dir": "{out}"}', "phase_modes has a repeated entry: ['none', 'none']"),
 ])
 def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
                                              content, message):

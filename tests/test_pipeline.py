@@ -55,16 +55,17 @@ def test_coil_maps_come_from_the_zero_filled_b0_column(study):
     plan, _ = study
     for i in range(plan.n_subjects):
         art = pipeline.prepare_subject(plan, i)
-        _, ny, nz = art.config.grid
+        inputs = art.inputs
+        _, ny, nz = inputs.config.grid
         mask = encoding.make_sampling_mask(ny, nz, art.truth.clean_series.column_labels,
-                                           R=1, seed=art.config.seed)
-        d = encoding.extract_samples(art.noisy_kspace, mask)
+                                           R=1, seed=inputs.config.seed)
+        d = encoding.extract_samples(inputs.noisy_kspace, mask)
         kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
-        grid = np.zeros(art.noisy_kspace.shape, dtype=complex)
+        grid = np.zeros(inputs.noisy_kspace.shape, dtype=complex)
         grid[np.broadcast_to(kept, grid.shape)] = d.samples
         want = encoding.estimate_coil_maps(
             encoding.ifft2c(grid[:, 0]).transpose(0, 3, 2, 1))
-        np.testing.assert_array_equal(art.coil_maps.maps, want.maps)
+        np.testing.assert_array_equal(inputs.coil_maps.maps, want.maps)
 
 
 def test_biases_pinned(study):
@@ -174,28 +175,137 @@ def test_failed_subject_is_recorded_not_fatal(tmp_path, r_epi, error):
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
-    # only a subject's reference metrics and rank outlive its cells: its
-    # truth and noisy k-space (and with them the coil maps and reference
-    # series) are freed as soon as the cells finish
-    real = pipeline.run_subject_cells
-    arrays, alive_at_start = [], []
+    # a subject's truth and reference series are freed (once saved)
+    # before its first cell starts, and only its reference metrics and
+    # rank outlive its cells: its noisy k-space and coil maps are freed
+    # as soon as the cells finish
+    real_prepare, real_cells = pipeline.prepare_subject, pipeline.run_subject_cells
+    prepared, arrays, alive_at_start = {}, [], []
 
-    def watched(plan, index, art):
+    def watched_prepare(plan, index):
+        art = real_prepare(plan, index)
+        prepared[index] = [weakref.ref(art.truth.clean_series.data),
+                           weakref.ref(art.truth.phase.values),
+                           weakref.ref(art.reference.data)]
+        return art
+
+    def watched_cells(plan, index, subject):
         gc.collect()
+        assert [ref() for ref in prepared[index]] == [None] * 3
         alive_at_start.append((index, [ref() is not None for ref in arrays]))
-        arrays.extend([weakref.ref(art.noisy_kspace),
-                       weakref.ref(art.truth.clean_series.data)])
-        return real(plan, index, art)
+        arrays.extend([weakref.ref(subject.noisy_kspace),
+                       weakref.ref(subject.coil_maps.maps)])
+        return real_cells(plan, index, subject)
 
-    monkeypatch.setattr(pipeline, "run_subject_cells", watched)
-    plan = replace(_tiny_plan(tmp_path, 9), geom_jitter_vox=0, threads=threads)
+    monkeypatch.setattr(pipeline, "prepare_subject", watched_prepare)
+    monkeypatch.setattr(pipeline, "run_subject_cells", watched_cells)
+    plan = replace(_tiny_plan(tmp_path, 9), geom_jitter_vox=0, threads=threads,
+                   save_arrays=True)
     result = pipeline.run_experiment(plan)
     assert all(r["ok"] for r in result["summary"])
-    assert len(arrays) == 2 * plan.n_subjects
+    assert len(arrays) == 2 * plan.n_subjects and len(prepared) == plan.n_subjects
     gc.collect()
     assert [ref() for ref in arrays] == [None] * len(arrays)
     if threads == 1:
         assert alive_at_start == [(0, []), (1, [False] * 2), (2, [False] * 4)]
+
+
+def _every_cell_plan(tmp_path, **changes):
+    return replace(_tiny_plan(tmp_path, 9), methods=("lr", "cs", "lrcs"),
+                   phase_modes=("proposed", "none"), **changes)
+
+
+def test_each_distinct_solve_runs_once(tmp_path, monkeypatch):
+    # every A*A product is a CG step of a solve that runs once: the
+    # reference, cs (the preliminary), and per phase mode lrcs, whose
+    # first solve is lr; one adjoint serves each (subject, R)
+    calls = {"normal_matrix": 0, "adjoint_matrix": 0}
+    reference_cg = []
+
+    def counted(name):
+        real = getattr(pipeline.recon, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+        return call
+
+    real_cs = pipeline.recon.reconstruct_cs_only
+
+    def cs_only(d, model, cfg, start=None):
+        res = real_cs(d, model, cfg, start)
+        if d.mask.R_nominal == 1:
+            reference_cg.append(sum(res.report.cg_iters))
+        return res
+
+    for name in calls:
+        monkeypatch.setattr(pipeline.recon, name, counted(name))
+    monkeypatch.setattr(pipeline.recon, "reconstruct_cs_only", cs_only)
+    plan = _every_cell_plan(tmp_path, n_subjects=2, R_list=(2.0, 6.0))
+    result = pipeline.run_experiment(plan)
+    cells = {(c.subject, c.R, c.method, c.phase_mode): c for c in result["cells"]}
+    assert all(c.ok for c in cells.values())
+    distinct = sum(reference_cg)
+    for (s, R, method, mode), c in cells.items():
+        iters = c.report["cg_iterations"]
+        if method == "lr":
+            assert iters == cells[(s, R, "lrcs", mode)].report["cg_iterations"][:1]
+        elif method == "lrcs" or mode == "proposed":
+            distinct += sum(iters)
+        if method == "cs":
+            assert c.metrics is cells[(s, R, "cs", "proposed")].metrics
+    assert len(reference_cg) == plan.n_subjects
+    assert calls["normal_matrix"] == distinct
+    assert calls["adjoint_matrix"] == plan.n_subjects * (len(plan.R_list) + 1)
+
+
+def test_an_r_frees_what_its_cells_share_before_the_next_r_starts(tmp_path,
+                                                                  monkeypatch):
+    real_prelim, real_first = pipeline.recon.preliminary, pipeline.recon.first_solve
+    shared, alive_at_start = [], []
+
+    def watched_prelim(*args, **kwargs):
+        gc.collect()
+        alive_at_start.append([ref() is not None for ref in shared])
+        cfg, prelim = real_prelim(*args, **kwargs)
+        shared.extend([weakref.ref(prelim), weakref.ref(prelim.adj)])
+        return cfg, prelim
+
+    def watched_first(*args):
+        start = real_first(*args)
+        shared.append(weakref.ref(start))
+        return start
+
+    monkeypatch.setattr(pipeline.recon, "preliminary", watched_prelim)
+    monkeypatch.setattr(pipeline.recon, "first_solve", watched_first)
+    plan = _every_cell_plan(tmp_path, n_subjects=1, R_list=(2.0, 6.0))
+    result = pipeline.run_experiment(plan)
+    assert all(c.ok for c in result["cells"])
+    # the reference's start, then R=2's: the cs start, the preliminary
+    # and its adjoint, and a start per phase mode
+    assert alive_at_start == [[False], [False] * 6]
+
+
+def test_failed_first_solve_fails_lr_and_lrcs_of_its_mode(tmp_path, monkeypatch):
+    real = pipeline.recon.normal_matrix
+
+    def nan_when_phased(model, x, shift=0.0):
+        out = real(model, x, shift)
+        if model.phase is not None:
+            out[...] = np.nan
+        return out
+
+    monkeypatch.setattr(pipeline.recon, "normal_matrix", nan_when_phased)
+    result = pipeline.run_experiment(_every_cell_plan(tmp_path, n_subjects=1))
+    failed = [c for c in result["cells"] if not c.ok]
+    assert {(c.method, c.phase_mode) for c in failed} == {("lr", "proposed"),
+                                                          ("lrcs", "proposed")}
+    for c in failed:
+        text = (tmp_path / "subject00" / "R2" / f"{c.method}_proposed"
+                / "error.txt").read_text()
+        assert text == c.error and "in first_solve" in text
+        assert text.rstrip().endswith("NumericalError: NaN/Inf in ADMM iterate")
+    assert len(list(tmp_path.rglob("error.txt"))) == 2
 
 
 def test_failed_cell_writes_its_traceback(tmp_path, monkeypatch):

@@ -39,8 +39,6 @@ ALLOWED = {
 
 # (module, class, attribute): why it stays without a reader the scan sees
 ALLOWED_ATTRIBUTES = {
-    ("encoding", "EncodingModel", "n_voxels"):
-        "perfbench/tests/test_layertrace.py sizes its test series by it",
     ("pipeline", "SubjectMetrics", "regional_md"):
         "write_stats reads it as getattr(pair, f'regional_{metric}')",
 }

@@ -239,28 +239,93 @@ class TestSelectLambda:
         with pytest.raises(ValidationError):
             recon.select_lambda(d, model, [], recon.SolverConfig(lam=0.0))
 
-    def test_argmin_contract(self, bench):
+    def test_argmin_contract(self, bench, monkeypatch):
+        # the candidates share one U0 solve; each equals its cold solve bit
+        # for bit, and the choice is the argmin of the cold solves' norms
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
-        grid = recon.default_lambda_grid(d, model)
+        grid = recon.default_lambda_grid(recon.lambda_base(d, model))
         scfg = recon.SolverConfig(lam=0.0, max_iters=8)
-        lam, _ = recon.select_lambda(d, model, grid, scfg)
-        norms = []
+        cold, norms = [], []
         for candidate in grid:
-            x = recon.reconstruct_cs_only(d, model, replace(scfg, lam=candidate)).series
-            corrected = np.conj(recon.estimate_phase_map(x).values) * x.data
+            res = recon.reconstruct_cs_only(d, model, replace(scfg, lam=candidate))
+            corrected = np.conj(recon.estimate_phase_map(res.series).values) \
+                * res.series.data
             norms.append(np.linalg.svd(corrected, compute_uv=False).sum())
+            cold.append(res)
+        real = recon.reconstruct_cs_only
+        shared = []
+
+        def spy(*args):
+            shared.append(real(*args))
+            return shared[-1]
+
+        monkeypatch.setattr(recon, "reconstruct_cs_only", spy)
+        start = recon.first_solve(model, np.eye(model.n_columns),
+                                  enc.adjoint_matrix(model, d.samples), scfg)
+        lam, result = recon.select_lambda(d, model, grid, scfg, start)
         assert lam == grid[int(np.argmin(norms))]
+        assert result is shared[int(np.argmin(norms))]
+        assert len(shared) == len(cold) == 3
+        for a, b in zip(shared, cold):
+            assert_same_solve(a, b)
 
     def test_returns_the_winning_solve(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
-        grid = recon.default_lambda_grid(d, model)
+        grid = recon.default_lambda_grid(recon.lambda_base(d, model))
         scfg = recon.SolverConfig(lam=0.0, max_iters=4)
         lam, result = recon.select_lambda(d, model, grid, scfg)
         fresh = recon.reconstruct_cs_only(d, model, replace(scfg, lam=lam))
         np.testing.assert_array_equal(result.series.data, fresh.series.data)
         assert result.report.to_json()["delta_u"] == fresh.report.to_json()["delta_u"]
+
+
+def assert_same_solve(a, b):
+    """Bit-equal series and reports, wall times aside."""
+    np.testing.assert_array_equal(a.series.data, b.series.data)
+    assert {**a.report.to_json(), "wall_time_s": 0} == {**b.report.to_json(),
+                                                         "wall_time_s": 0}
+
+
+class TestSharedSolves:
+    @pytest.mark.parametrize("mode", ["proposed", "none"])
+    @pytest.mark.parametrize("order", [("lr", "lrcs"), ("lrcs", "lr")],
+                             ids=["lr-first", "lrcs-first"])
+    def test_lr_is_the_first_solve_of_lrcs(self, bench, monkeypatch, mode, order):
+        # lr and lrcs at one phase mode run one U0 solve between them, and
+        # each equals its cold solve from the same phase map and subspace
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=3)
+        scfg, prelim = recon.preliminary(
+            d, model, recon.SolverConfig(max_iters=4, cg_max_iters=8), scale=1e-2)
+        pmap = recon.estimate_phase_map(prelim.series) if mode == "proposed" else None
+        v = recon.estimate_subspace(prelim.series, 4)
+        cold = {"lrcs": recon.reconstruct_lrcs(d, model, pmap, v, scfg),
+                "lr": recon.reconstruct_lrcs(d, model, pmap, v, replace(scfg, lam=0.0))}
+        real, solves = recon.cg_solve, []
+
+        def counted(*args):
+            solves.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(recon, "cg_solve", counted)
+        shared = {m: recon.recon(d, model, prelim, m, mode, 4, scfg) for m in order}
+        # one U0 solve and the K solves of lrcs
+        assert sum(solves) == 1 + scfg.max_iters
+        for m in order:
+            assert_same_solve(shared[m], cold[m])
+        assert shared["lr"].report.cg_iters == shared["lrcs"].report.cg_iters[:1]
+
+    def test_start_of_another_problem_is_a_named_error(self, bench):
+        cfg, gt, labels, kfull = bench
+        mask, d, model = make_model(gt, labels, kfull, R=3)
+        scfg = recon.SolverConfig(lam=1.0, max_iters=2, cg_max_iters=2)
+        v = recon.estimate_subspace(gt.clean_series, 4)
+        start = recon.first_solve(model, v[:3], enc.adjoint_matrix(model, d.samples), scfg)
+        with pytest.raises(ValidationError, match="does not match rank 4"):
+            recon.admm_solve(d, model, v, scfg, WaveletSpec(dims=model.spatial_dims),
+                             start)
 
 
 class TestPreliminary:
