@@ -73,7 +73,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--coils", required=True, help="coil-map container")
     p.add_argument("--method", choices=[m.value for m in recon.Method], default=None)
     p.add_argument("--phase", choices=[m.value for m in recon.PhaseMode], default=None)
-    p.add_argument("--rank", type=int, default=None)
+    p.add_argument("--rank", type=int, default=None,
+                   help=f"subspace rank of lr and lrcs (default {recon.RANK}: S0 "
+                        f"and the six tensor entries)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="absolute regularization weight")
     p.add_argument("--lambda-scale", type=float, default=None,
@@ -131,7 +133,8 @@ def _read_json(path, what: str) -> dict:
 
 # values of the flags that neither the command line nor the config sets
 _DEFAULTS = {"simulate": {"R": 1.0},
-             "recon": {"method": "lrcs", "phase": "proposed", "lambda_scale": 1e-2}}
+             "recon": {"method": "lrcs", "phase": "proposed", "rank": recon.RANK,
+                       "lambda_scale": 1e-2}}
 
 
 def _merge_config(args: argparse.Namespace,
@@ -217,7 +220,7 @@ def cmd_simulate(args) -> int:
 def cmd_recon(args) -> int:
     d = encoding.load_kspace(args.kspace)
     n_columns = len(d.column_labels)
-    if args.rank is not None and not 1 <= args.rank <= n_columns:
+    if not 1 <= args.rank <= n_columns:
         raise ValidationError(f"--rank must be in [1, {n_columns}], got {args.rank}")
     coils = dm.load_coils(args.coils)
     model = encoding.EncodingModel(coils, d.mask, None)

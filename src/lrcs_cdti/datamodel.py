@@ -23,6 +23,7 @@ endianness, and free-form metadata such as ``column_labels``.
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import types
 import typing
@@ -258,9 +259,10 @@ def config_to_json(obj) -> dict:
 
 def json_value(value, hint, where: str):
     """``value`` from a JSON document as the annotation ``hint``: a list
-    stands for a tuple and becomes one, an integer fits a float, and a
-    boolean fits only bool.  A value that does not fit is a
-    ValidationError naming ``where``."""
+    stands for a tuple and becomes one, an integer fits a float, a
+    boolean fits only bool, and the NaN and Infinity that Python's json
+    reads, which are not JSON numbers, fit nothing.  A value that does not
+    fit is a ValidationError naming ``where``."""
     out = _from_json(value, hint)
     if out is _MISFIT:
         raise ValidationError(
@@ -293,7 +295,7 @@ def _from_json(value, hint):
     if isinstance(value, bool) and hint is not bool:
         return _MISFIT
     if hint is float:
-        fits = isinstance(value, numbers.Real)
+        fits = isinstance(value, numbers.Real) and math.isfinite(value)
     elif hint is int:
         fits = isinstance(value, numbers.Integral)
     elif hint is type(None):

@@ -184,7 +184,7 @@ def make_sampling_mask(n_pe: int, nz: int, column_labels, R: float,
     are always fully kept.  Masks are reproducible from (seed, R, dims)
     alone.
     """
-    if R < 1:
+    if not R >= 1:
         raise ValidationError(f"acceleration factor must be >= 1, got {R}")
     if n_pe < 8:
         raise ValidationError(f"need at least 8 phase-encode lines, got {n_pe}")

@@ -100,6 +100,10 @@ class PhantomConfig:
         if self.b_values.count(0.0) != 1:
             raise ValidationError(
                 f"b_values must hold 0 exactly once, got {list(self.b_values)}")
+        # with a diffusion shell there are >= 7 columns: the default rank fits
+        if len(self.b_values) < 2:
+            raise ValidationError(
+                f"b_values must hold a nonzero b value, got {list(self.b_values)}")
         object.__setattr__(self, "directions",
                            tuple(tuple(float(v) for v in g) for g in self.directions))
 

@@ -52,7 +52,7 @@ class ExperimentPlan:
     geom_jitter_vox: int = 2
     base_config: dict = field(default_factory=dict)
     # solver configuration
-    rank: int | None = 7            # None -> elbow of the reference
+    rank: int = recon.RANK          # of every lr and lrcs solve
     lambda_scale: float | None = 1e-2   # None -> nuclear-norm grid selection
     solver: dict = field(default_factory=dict)
     threads: int = 1
@@ -68,8 +68,8 @@ class ExperimentPlan:
             raise ValidationError(str(exc)) from None
         if self.n_subjects < 1:
             raise ValidationError("need at least one subject")
-        if self.rank is not None and self.rank < 1:
-            raise ValidationError(f"rank must be >= 1 or null, got {self.rank}")
+        if self.rank < 1:
+            raise ValidationError(f"rank must be >= 1, got {self.rank}")
         if self.lambda_scale is not None and self.lambda_scale < 0:
             raise ValidationError(
                 f"lambda_scale must be >= 0 or null, got {self.lambda_scale}")
@@ -80,7 +80,7 @@ class ExperimentPlan:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
         # the base phantom and the solver settings, before any subject runs
         n_columns = len(self.base_phantom.column_labels)
-        if self.rank is not None and self.rank > n_columns:
+        if self.rank > n_columns:
             raise ValidationError(
                 f"rank {self.rank} exceeds the column count {n_columns}")
         self.solver_config
@@ -170,7 +170,6 @@ class SubjectInputs:
     myocardium_mask: np.ndarray
     coil_maps: dm.CoilMaps
     noisy_kspace: np.ndarray
-    rank: int
     segmentation: dti.AhaSegmentation | None
 
 
@@ -220,10 +219,7 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
         segmentation = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
     ref_metrics = _series_metrics(ref.series, gt.myocardium_mask, cfg.center,
                                   segmentation)
-    rank = plan.rank if plan.rank is not None else recon.select_rank(
-        ref.series, recon.estimate_phase_map(ref.series))
-    inputs = SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, rank,
-                           segmentation)
+    inputs = SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, segmentation)
     return SubjectArtifacts(inputs, gt, ref.series, ref_metrics)
 
 
@@ -263,7 +259,7 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
                 _write_error(out, cell.error)
                 continue
             try:
-                res = recon.recon(d, model, prelim, method, mode, subject.rank, scfg)
+                res = recon.recon(d, model, prelim, method, mode, plan.rank, scfg)
                 cell.report = res.report.to_json()
                 if res is prelim and prelim_metrics is not None:
                     cell.metrics = prelim_metrics
@@ -299,7 +295,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     and the rows written to ``summary.csv`` (``"summary"``) and
     ``stats.csv`` (``"stats"``).  A subject's truth and reference series
     are freed before its cells start (once saved), and of a finished
-    subject only its reference metrics and rank are kept past its cells:
+    subject only its reference metrics are kept past its cells:
     its noisy k-space and coil maps are freed as soon as they finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
@@ -314,8 +310,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     (out_root / "plan.json").write_text(json.dumps(dm.config_to_json(plan), indent=1))
 
     def one_subject(i: int):
-        # (reference metrics, rank) or None, the cells and the error: the
-        # rest of the subject's artifacts die with this frame
+        # the reference metrics or None, the cells and the error: the rest
+        # of the subject's artifacts die with this frame
         try:
             art = prepare_subject(plan, i)
         except Exception:
@@ -329,7 +325,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             sdir = out_root / f"subject{i:02d}"
             phantom.save_ground_truth(sdir / "ground_truth", art.truth)
             dm.save_series(sdir / "reference", art.reference)
-        ref, inputs = (art.reference_metrics, art.inputs.rank), art.inputs
+        ref, inputs = art.reference_metrics, art.inputs
         # the truth and the reference series die here, before the cells
         del art
         return ref, run_subject_cells(plan, i, inputs), ""
@@ -343,10 +339,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     refs = [ref for ref, _, _ in subject_runs]
     errors = [e for _, _, e in subject_runs]
     cells = [c for _, cs, _ in subject_runs for c in cs]
-    summary_rows = _write_summary(refs, errors, cells, out_root)
+    summary_rows = _write_summary(refs, errors, cells, plan.rank, out_root)
     groups = {}
     for c in cells:
-        pair = (refs[c.subject][0], c.metrics) if c.ok else (None, None)
+        pair = (refs[c.subject], c.metrics) if c.ok else (None, None)
         groups.setdefault((c.R, c.method, c.phase_mode), {})[c.subject] = pair
     stats_rows = write_stats(groups, out_root / "stats.csv")
     return {"cells": cells, "summary": summary_rows, "stats": stats_rows}
@@ -368,9 +364,10 @@ def _solve_columns(report: dict) -> dict:
             "solve_s": report["wall_time_s"]}
 
 
-def _write_summary(refs, errors, cells, out_root: Path) -> list[dict]:
-    """``refs`` holds each subject's (reference metrics, rank), None
-    for a subject whose preparation failed."""
+def _write_summary(refs, errors, cells, rank: int, out_root: Path) -> list[dict]:
+    """``refs`` holds each subject's reference metrics, None for a
+    subject whose preparation failed; the rows of a prepared subject
+    carry the plan's ``rank``."""
     rows = []
     for i, (ref, error) in enumerate(zip(refs, errors)):
         row = {"subject": i, "R": 1.0, "method": "reference", "phase_mode": "",
@@ -379,24 +376,21 @@ def _write_summary(refs, errors, cells, out_root: Path) -> list[dict]:
                "error": error.splitlines()[-1] if error else "",
                **_solve_columns({})}
         if ref is not None:
-            ref_metrics, rank = ref
-            row.update(rank=rank, hat=ref_metrics.hat, md=ref_metrics.md,
-                       hat_bias=0.0, md_bias=0.0)
+            row.update(rank=rank, hat=ref.hat, md=ref.md, hat_bias=0.0, md_bias=0.0)
         rows.append(row)
     for c in cells:
         ref = refs[c.subject]
         row = {"subject": c.subject, "R": c.R, "method": c.method,
                "phase_mode": c.phase_mode, "ok": c.ok,
-               "rank": ref[1] if ref is not None else "",
+               "rank": rank if ref is not None else "",
                "hat": np.nan, "md": np.nan, "hat_bias": np.nan,
                "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else "",
                **_solve_columns(c.report)}
         if c.ok:
-            ref_metrics = ref[0]
             row["hat"] = c.metrics.hat
             row["md"] = c.metrics.md
-            row["hat_bias"] = stats.normalized_bias(ref_metrics.hat, c.metrics.hat)
-            row["md_bias"] = stats.normalized_bias(ref_metrics.md, c.metrics.md)
+            row["hat_bias"] = stats.normalized_bias(ref.hat, c.metrics.hat)
+            row["md_bias"] = stats.normalized_bias(ref.md, c.metrics.md)
         rows.append(row)
     fields = ["subject", "R", "method", "phase_mode", "ok", "rank", "hat", "md",
               "hat_bias", "md_bias", "error", *SOLVE_FIELDS]

@@ -32,7 +32,9 @@ V = I and no phase map, LRCS (:func:`reconstruct_lrcs`) with the
 estimated subspace and phase, and LR_ONLY as :func:`reconstruct_lrcs` at
 lambda = 0, where the loop stops after its first step, a CG solve of
 the subspace-constrained normal equations.  The rank is the row count
-of V, and the run report names the variant from V and lambda.  Every
+of V, and the run report names the variant from V and lambda.  The
+rank is fixed, as in the partial-separability model: lr and lrcs take
+the one they are given, which callers default to ``RANK``.  Every
 method starts from one preliminary solve (:func:`preliminary`), which
 also fixes the weight.
 
@@ -71,6 +73,7 @@ iterations.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -101,6 +104,9 @@ ALPHA_DECAY = 1.55
 # the relative residual at which CG stops: about 8 float32 epsilons,
 # near where complex64 CG (EncodingModel.dtype) stalls
 CG_TOL = 1e-6
+# the default subspace rank of lr and lrcs: the tensor model's unknowns
+# per voxel (S0 and the six tensor entries), not a tuned value
+RANK = 7
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,8 @@ class SolverConfig:
             raise ValidationError(f"max_iters must be >= 1, got {self.max_iters}")
         if self.cg_max_iters < 1:
             raise ValidationError(f"cg_max_iters must be >= 1, got {self.cg_max_iters}")
-        if self.lam < 0:
-            raise ValidationError(f"lambda must be >= 0, got {self.lam}")
+        if not (math.isfinite(self.lam) and self.lam >= 0):
+            raise ValidationError(f"lambda must be finite and >= 0, got {self.lam}")
 
 
 @dataclass
@@ -510,17 +516,16 @@ class Preliminary(ReconResult):
 
 
 def recon(d: KSpaceData, model: EncodingModel, prelim: Preliminary,
-          method: Method | str, mode: PhaseMode | str, rank: int | None,
+          method: Method | str, mode: PhaseMode | str, rank: int,
           cfg: SolverConfig) -> ReconResult:
     """Run one reconstruction method from a shared preliminary solve.
 
     ``prelim`` and ``cfg`` are what :func:`preliminary` returned for
     ``d`` and the phase-free ``model``; CS_ONLY returns ``prelim`` as is.
     LR_ONLY and LRCS take the phase map of ``mode`` (the preliminary's
-    own phase, or none for the uncorrected comparison), the rank
-    ``rank`` (None selects the elbow of the phase-corrected preliminary)
-    and the subspace of the preliminary's magnitude, and solve with
-    ``cfg``; LR_ONLY at lambda = 0.
+    own phase, or none for the uncorrected comparison) and the
+    rank-``rank`` subspace of the preliminary's magnitude (``RANK`` is
+    the callers' default), and solve with ``cfg``; LR_ONLY at lambda = 0.
 
     What does not depend on the method is made once per ``prelim`` (see
     :class:`Preliminary`): the phase map, the subspace, the phased model
@@ -537,8 +542,6 @@ def recon(d: KSpaceData, model: EncodingModel, prelim: Preliminary,
         pmap = prelim.shared("phase", lambda: estimate_phase_map(prelim.series))
         solve_model = prelim.shared(
             "model", lambda: EncodingModel(model.coils, model.mask, pmap))
-    if rank is None:
-        rank = select_rank(prelim.series, pmap)
     v = prelim.shared(("subspace", rank), lambda: estimate_subspace(prelim.series, rank))
     start = prelim.shared(
         ("start", mode, rank, cfg.cg_max_iters),
@@ -566,25 +569,6 @@ def estimate_subspace(series: CasoratiSeries, rank: int) -> np.ndarray:
         raise ValidationError(f"rank must be in [1, {n}], got {rank}")
     _, _, vt = np.linalg.svd(series.magnitude(), full_matrices=False)
     return vt[:rank].astype(np.complex128)
-
-
-def select_rank(series: CasoratiSeries, phase: PhaseMap | None = None) -> int:
-    """Discrete elbow of the log-scale singular value curve of P* o X.
-
-    The elbow is the largest positive second difference of log(sigma);
-    the result is clamped to [2, N-1].
-    """
-    n = series.n_columns
-    x = series.data
-    if phase is not None:
-        x = np.conj(phase.values) * x
-    sigma = np.linalg.svd(x, compute_uv=False)
-    floor = max(sigma[0], 1.0) * np.finfo(np.float64).eps
-    logs = np.log(np.maximum(sigma, floor))
-    # second difference at 0-based positions 1..N-2; elbow L = argmax
-    curv = logs[2:] - 2.0 * logs[1:-1] + logs[:-2]
-    elbow = int(np.argmax(curv)) + 1
-    return int(np.clip(elbow, 2, n - 1))
 
 
 def lambda_base(d: KSpaceData, model: EncodingModel,
@@ -642,19 +626,24 @@ def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
     from one U0 solve) and, kept on the :class:`Preliminary`, the
     methods of :func:`recon`.  Returns ``cfg`` at that weight and the
     preliminary.  K-space of another grid or coil count than the coil
-    maps is a ValidationError.
+    maps, and a given or scaled weight that is not finite and >= 0, are
+    ValidationErrors, raised before any solve.
     """
     if d.spatial_dims != model.spatial_dims or d.n_coils != model.coils.n_coils:
         raise ValidationError(
             f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
             f"coil maps of grid {model.spatial_dims} with {model.coils.n_coils}")
     adj = adjoint_matrix(model, d.samples)
+    if lam is None and scale is not None:
+        lam = scale * lambda_base(d, model, adj)
+    if lam is not None:
+        # a weight that SolverConfig rejects fails before any solve
+        cfg = replace(cfg, lam=lam)
     start = first_solve(model, _identity(model), adj, cfg)
-    if lam is None and scale is None:
+    if lam is None:
         lam, result = select_lambda(
             d, model, default_lambda_grid(lambda_base(d, model, adj)), cfg, start)
+        cfg = replace(cfg, lam=lam)
     else:
-        if lam is None:
-            lam = scale * lambda_base(d, model, adj)
-        result = reconstruct_cs_only(d, model, replace(cfg, lam=lam), start)
-    return replace(cfg, lam=lam), Preliminary(result.series, result.report, adj)
+        result = reconstruct_cs_only(d, model, cfg, start)
+    return cfg, Preliminary(result.series, result.report, adj)

@@ -106,8 +106,28 @@ def test_recon_command_on_saved_containers(recon_inputs, tmp_path, method, phase
     assert np.isfinite(series.data).all() and np.abs(series.data).max() > 0
     report = json.loads((tmp_path / "out" / "run_report.json").read_text())
     assert report["method"] == method
-    if rank is not None:
-        assert report["rank"] == int(rank)
+    # no --rank is rank 7; cs solves on the identity subspace of all 13
+    # columns, whatever the rank
+    assert report["rank"] == (13 if method == "cs" else int(rank or 7))
+
+
+def test_default_recon_of_the_cli_chain_is_rank_7(tmp_path):
+    # phantom -> simulate -> recon with no --rank solves at recon.RANK,
+    # the same solve as --rank 7
+    params, gt, sim = tmp_path / "params.json", tmp_path / "gt", tmp_path / "sim"
+    params.write_text(json.dumps({"grid": [24, 24, 3], "r_endo": 4, "r_epi": 9,
+                                  "n_coils": 2, "seed": 1}))
+    assert cli.main(["phantom", "--params", str(params), "--out", str(gt), *FLAGS]) == 0
+    assert cli.main(["simulate", "--truth", str(gt), "--R", "6", "--out", str(sim),
+                     *FLAGS]) == 0
+    for out, rank in ((tmp_path / "default", []), (tmp_path / "rank7", ["--rank", "7"])):
+        assert cli.main(["recon", "--kspace", str(sim / "kspace"),
+                         "--coils", str(sim / "coils"), "--iters", "3", *rank,
+                         "--out", str(out), *FLAGS]) == 0
+        report = json.loads((out / "run_report.json").read_text())
+        assert (report["method"], report["rank"]) == ("lrcs", 7)
+    np.testing.assert_array_equal(dm.load_series(tmp_path / "default").data,
+                                  dm.load_series(tmp_path / "rank7").data)
 
 
 def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
@@ -380,10 +400,20 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     ("phantom", "--params", '{"n_coils": 0}', "n_coils must be >= 1, got 0"),
     ("phantom", "--params", '{"b_values": [1000]}',
      "b_values must hold 0 exactly once, got [1000.0]"),
+    ("phantom", "--params", '{"b_values": [0]}',
+     "b_values must hold a nonzero b value, got [0.0]"),
     ("run", "--plan", '{"n_subjects": 1, "base_config": {"b_values": [0, 0, 1000]}, '
      '"output_dir": "{out}"}', "b_values must hold 0 exactly once, got [0.0, 0.0, 1000.0]"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 0, "output_dir": "{out}"}',
-     "rank must be >= 1 or null, got 0"),
+     "rank must be >= 1, got 0"),
+    ("run", "--plan", '{"n_subjects": 1, "rank": null, "output_dir": "{out}"}',
+     "ExperimentPlan key 'rank' must be int, got null"),
+    ("run", "--plan", '{"n_subjects": 1, "lambda_scale": NaN, "output_dir": "{out}"}',
+     "ExperimentPlan key 'lambda_scale' must be float | None, got NaN"),
+    ("run", "--plan", '{"n_subjects": 1, "R_list": [NaN], "output_dir": "{out}"}',
+     "ExperimentPlan key 'R_list' must be tuple[float, ...], got [NaN]"),
+    ("phantom", "--params", '{"phase_coef_range": Infinity}',
+     "PhantomConfig key 'phase_coef_range' must be float, got Infinity"),
     ("run", "--plan", '{"n_subjects": 1, "methods": ["lrx"], "output_dir": "{out}"}',
      "'lrx' is not a valid Method"),
     ("run", "--plan", '{"n_subjects": 1, "phase_modes": ["lowres"], '
@@ -461,7 +491,10 @@ def test_usage_error_exits_one(capsys, argv, message):
 
 def test_help_exits_zero(capsys):
     assert cli.main(["recon", "--help"]) == 0
-    assert "--phase {none,proposed}" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "--phase {none,proposed}" in out
+    assert ("--rank RANK subspace rank of lr and lrcs (default 7: S0 and the six "
+            "tensor entries)") in " ".join(out.split())
 
 
 def test_config_key_of_no_command_is_a_named_error(tmp_path, capsys):
@@ -502,6 +535,29 @@ def test_zero_flag_values_are_values(ground_truth, recon_inputs, tmp_path, capsy
         assert cli.main([*argv, "--out", str(out), *FLAGS]) == 1
         assert capsys.readouterr().err == f"error [{argv[0]}]: {message}\n"
         assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["recon", "--lambda", "nan"], "lambda must be finite and >= 0, got nan"),
+    (["recon", "--lambda", "inf"], "lambda must be finite and >= 0, got inf"),
+    (["recon", "--lambda-scale", "nan"], "lambda must be finite and >= 0, got nan"),
+    (["simulate", "--R", "nan"], "acceleration factor must be >= 1, got nan"),
+], ids=["lambda-nan", "lambda-inf", "lambda-scale-nan", "R-nan"])
+def test_non_finite_flag_values_are_named_errors(ground_truth, recon_inputs, tmp_path,
+                                                 capsys, monkeypatch, argv, message):
+    # rejected before any CG solve
+    def no_solve(*args):
+        raise AssertionError("a solve ran")
+
+    monkeypatch.setattr(recon, "first_solve", no_solve)
+    _, root = recon_inputs
+    command, *flags = argv
+    inputs = {"recon": ["--kspace", str(root / "kspace"), "--coils", str(root / "coils")],
+              "simulate": ["--truth", str(ground_truth)]}[command]
+    out = tmp_path / "out"
+    assert cli.main([command, *inputs, *flags, "--out", str(out), *FLAGS]) == 1
+    assert capsys.readouterr().err == f"error [{command}]: {message}\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, config, message", [

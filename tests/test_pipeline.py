@@ -1,5 +1,6 @@
 import csv
 import gc
+import json
 import re
 import weakref
 from dataclasses import replace
@@ -176,9 +177,9 @@ def test_failed_subject_is_recorded_not_fatal(tmp_path, r_epi, error):
 @pytest.mark.parametrize("threads", [1, 2])
 def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
     # a subject's truth and reference series are freed (once saved)
-    # before its first cell starts, and only its reference metrics and
-    # rank outlive its cells: its noisy k-space and coil maps are freed
-    # as soon as the cells finish
+    # before its first cell starts, and only its reference metrics
+    # outlive its cells: its noisy k-space and coil maps are freed as
+    # soon as the cells finish
     real_prepare, real_cells = pipeline.prepare_subject, pipeline.run_subject_cells
     prepared, arrays, alive_at_start = {}, [], []
 
@@ -213,6 +214,19 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
 def _every_cell_plan(tmp_path, **changes):
     return replace(_tiny_plan(tmp_path, 9), methods=("lr", "cs", "lrcs"),
                    phase_modes=("proposed", "none"), **changes)
+
+
+def test_the_plan_rank_reaches_every_solve(tmp_path):
+    plan = _every_cell_plan(tmp_path, n_subjects=1, rank=5, save_arrays=True)
+    result = pipeline.run_experiment(plan)
+    assert all(c.ok for c in result["cells"])
+    reports = [json.loads(path.read_text())
+               for path in tmp_path.glob("subject00/R2/*/run_report.json")]
+    assert len(reports) == 6
+    assert sorted(r["rank"] for r in reports if r["method"] != "cs") == [5] * 4
+    with open(tmp_path / "summary.csv", newline="") as fh:
+        ranks = [row["rank"] for row in csv.DictReader(fh)]
+    assert ranks == ["5"] * 7    # the reference row and the six cells
 
 
 def test_each_distinct_solve_runs_once(tmp_path, monkeypatch):

@@ -191,39 +191,6 @@ class TestSubspace:
             recon.estimate_subspace(gt.clean_series, 99)
 
 
-class TestSelectRank:
-    def test_sharp_elbow(self):
-        # synthetic singular spectrum (100, 50, 1e-6, ...) -> L = 2
-        rng = np.random.default_rng(3)
-        m, n = 200, 8
-        q1, _ = np.linalg.qr(rng.normal(size=(m, n)))
-        q2, _ = np.linalg.qr(rng.normal(size=(n, n)))
-        s = np.array([100.0, 50.0] + [1e-6] * (n - 2))
-        x = (q1 * s) @ q2
-        dirs = rng.normal(size=(7, 3))
-        dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        labels = dm.make_labels([0, 1000], [tuple(v) for v in dirs])
-        series = dm.CasoratiSeries(x.astype(complex), (m, 1, 1), labels)
-        assert recon.select_rank(series) == 2
-
-    def test_rank3_magnitude_with_phase(self, bench):
-        cfg, gt, labels, _ = bench
-        mag = np.abs(gt.clean_series.data)
-        u, s, vt = np.linalg.svd(mag, full_matrices=False)
-        mag3 = (u[:, :3] * s[:3]) @ vt[:3]
-        phased = gt.phase.values * mag3
-        series = gt.clean_series.with_data(phased)
-        assert recon.select_rank(series, gt.phase) == 3
-
-    def test_clamped_range(self, bench):
-        cfg, gt, labels, _ = bench
-        n = gt.clean_series.n_columns
-        lo = recon.select_rank(gt.clean_series.with_data(
-            np.outer(np.abs(np.random.default_rng(0).normal(size=gt.clean_series.data.shape[0])),
-                     np.ones(n)).astype(complex)))
-        assert 2 <= lo <= n - 1
-
-
 class TestSelectLambda:
     def test_single_candidate_passthrough(self, bench):
         cfg, gt, labels, kfull = bench
