@@ -219,18 +219,13 @@ def cmd_simulate(args) -> int:
 
 def cmd_recon(args) -> int:
     d = encoding.load_kspace(args.kspace)
-    n_columns = len(d.column_labels)
-    if not 1 <= args.rank <= n_columns:
-        raise ValidationError(f"--rank must be in [1, {n_columns}], got {args.rank}")
     coils = dm.load_coils(args.coils)
-    model = encoding.EncodingModel(coils, d.mask, None)
-
     cfg = (recon.SolverConfig() if args.iters is None
            else recon.SolverConfig(max_iters=args.iters))
     # an absolute --lambda wins, then --lambda-grid, then the scale
-    cfg, prelim = recon.preliminary(d, model, cfg, lam=args.lam,
-                                    scale=None if args.lambda_grid else args.lambda_scale)
-    result = recon.recon(d, model, prelim, args.method, args.phase, args.rank, cfg)
+    prelim = recon.preliminary(d, coils, cfg, args.rank, lam=args.lam,
+                               scale=None if args.lambda_grid else args.lambda_scale)
+    result = recon.recon(prelim, args.method, args.phase)
     out = Path(args.out)
     dm.save_series(out, result.series)
     (out / "run_report.json").write_text(json.dumps(result.report.to_json(),

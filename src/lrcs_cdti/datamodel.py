@@ -428,7 +428,7 @@ def save_series(path, series: CasoratiSeries) -> None:
 
 
 def load_series(path) -> CasoratiSeries:
-    arrays, meta = read_container(path, kind="casorati_series")
+    arrays, meta = read_container(path, names=("data",), kind="casorati_series")
     where = f"{path} metadata"
     return CasoratiSeries(
         arrays["data"].astype(np.complex128),

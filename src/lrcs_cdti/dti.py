@@ -595,7 +595,8 @@ def save_tensors(path, field: TensorField) -> None:
 
 
 def load_tensors(path) -> TensorField:
-    arrays, meta = read_container(path, kind="tensor_field")
+    arrays, meta = read_container(path, names=("tensors", "s0", "evals", "e1", "mask"),
+                                  kind="tensor_field")
     return TensorField(arrays["mask"], arrays["tensors"], arrays["s0"],
                        arrays["evals"], arrays["e1"],
                        header_value(meta, "n_clamped", int, f"{path} metadata"))

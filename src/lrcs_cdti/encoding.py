@@ -555,7 +555,7 @@ def save_kspace(path, d: KSpaceData) -> None:
 
 
 def load_kspace(path) -> KSpaceData:
-    arrays, meta = read_container(path, kind="kspace")
+    arrays, meta = read_container(path, names=("samples", "kept"), kind="kspace")
     where = f"{path} metadata"
     mask = SamplingMask(
         arrays["kept"], float(header_value(meta, "R_nominal", float, where)),

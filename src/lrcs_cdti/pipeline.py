@@ -5,15 +5,19 @@ modes, with reference metrics, per-cell reports, and cohort statistics.
 The reference for every subject is the least-squares reconstruction of
 the fully sampled noisy data (the noiseless truth is recorded alongside
 for oracle checks).  Coil maps are estimated once per subject from the
-fully sampled b=0 column and shared by all reconstructions.  Per
-acceleration factor, one sampling mask, regularization weight and
-preliminary solve are shared by every method and phase mode, and so is
-what the methods make from the preliminary (:class:`recon.Preliminary`):
-the adjoint A*(d), the phase map, the subspace, the phased model and
-the first CG solve per phase mode, of which lr is the whole solve and
-lrcs the start.  cs returns the preliminary itself, so its cells of
-every phase mode share one tensor fit.  All of it is freed when the
-acceleration factor's cells finish.
+fully sampled b=0 column and shared by all reconstructions.  A prepared
+subject is its cells' inputs and its reference metrics
+(:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
+the reference series, when the plan saves arrays, and drops them.
+
+Per acceleration factor, one problem (the k-space of its sampling mask,
+the coil maps, the weight and the plan's rank) is one
+:class:`recon.Preliminary`, shared by every method and phase mode with
+what the methods make from it: the adjoint A*(d), the subspace, and per
+phase mode the solve model and the first CG solve, of which lr is the
+whole solve and lrcs the start.  cs returns the preliminary itself, so
+its cells of every phase mode share one tensor fit.  All of it is freed
+when the acceleration factor's cells finish.
 """
 
 from __future__ import annotations
@@ -70,12 +74,13 @@ class ExperimentPlan:
             raise ValidationError("need at least one subject")
         if self.rank < 1:
             raise ValidationError(f"rank must be >= 1, got {self.rank}")
-        if self.lambda_scale is not None and self.lambda_scale < 0:
+        # "not x >= 0" so that NaN fails too
+        if self.lambda_scale is not None and not self.lambda_scale >= 0:
             raise ValidationError(
                 f"lambda_scale must be >= 0 or null, got {self.lambda_scale}")
-        if self.geom_jitter_vox < 0:
-            raise ValidationError(
-                f"geom_jitter_vox must be >= 0, got {self.geom_jitter_vox}")
+        for key in ("ha_jitter_deg", "md_jitter_frac", "geom_jitter_vox"):
+            if not getattr(self, key) >= 0:
+                raise ValidationError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.threads < 1:
             raise ValidationError(f"threads must be >= 1, got {self.threads}")
         # the base phantom and the solver settings, before any subject runs
@@ -87,7 +92,7 @@ class ExperimentPlan:
         if "lam" in self.solver:
             raise ValidationError("solver key 'lam' is set per cell, from lambda_scale")
         object.__setattr__(self, "R_list", tuple(float(r) for r in self.R_list))
-        if any(r < 1 for r in self.R_list):
+        if any(not r >= 1 for r in self.R_list):
             raise ValidationError(
                 f"R_list entries must be >= 1, got {list(self.R_list)}")
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -164,25 +169,15 @@ class CellResult:
 
 @dataclass
 class SubjectInputs:
-    """What the cells of one subject read."""
+    """What the cells of one subject read, and the metrics of its
+    reference, against which their biases are taken."""
 
     config: phantom.PhantomConfig
     myocardium_mask: np.ndarray
     coil_maps: dm.CoilMaps
     noisy_kspace: np.ndarray
     segmentation: dti.AhaSegmentation | None
-
-
-@dataclass
-class SubjectArtifacts:
-    """Everything prepared for one subject: the cells' inputs, and the
-    truth and reference, which only the saved arrays and the reference
-    row read."""
-
-    inputs: SubjectInputs
-    truth: phantom.GroundTruth
-    reference: dm.CasoratiSeries
-    reference_metrics: SubjectMetrics
+    reference: SubjectMetrics
 
 
 def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
@@ -205,7 +200,9 @@ def undersample(cfg: phantom.PhantomConfig, kspace: np.ndarray,
     return encoding.extract_samples(kspace, mask)
 
 
-def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
+def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
+    """The inputs of one subject's cells.  Its truth and reference series
+    are saved, when the plan saves arrays, and die on return."""
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
     knoisy, coil_maps = acquire(gt)
@@ -219,8 +216,12 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectArtifacts:
         segmentation = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
     ref_metrics = _series_metrics(ref.series, gt.myocardium_mask, cfg.center,
                                   segmentation)
-    inputs = SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, segmentation)
-    return SubjectArtifacts(inputs, gt, ref.series, ref_metrics)
+    if plan.save_arrays:
+        sdir = Path(plan.output_dir) / f"subject{index:02d}"
+        phantom.save_ground_truth(sdir / "ground_truth", gt)
+        dm.save_series(sdir / "reference", ref.series)
+    return SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, segmentation,
+                         ref_metrics)
 
 
 def run_subject_cells(plan: ExperimentPlan, index: int,
@@ -240,9 +241,8 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
     results: list[CellResult] = []
     try:
         d = undersample(cfg, subject.noisy_kspace, R)
-        model = encoding.EncodingModel(subject.coil_maps, d.mask, None)
-        scfg, prelim = recon.preliminary(d, model, plan.solver_config,
-                                         scale=plan.lambda_scale)
+        prelim = recon.preliminary(d, subject.coil_maps, plan.solver_config,
+                                   plan.rank, scale=plan.lambda_scale)
         prep_error = ""
     except Exception:
         prep_error = traceback.format_exc()
@@ -259,7 +259,7 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
                 _write_error(out, cell.error)
                 continue
             try:
-                res = recon.recon(d, model, prelim, method, mode, plan.rank, scfg)
+                res = recon.recon(prelim, method, mode)
                 cell.report = res.report.to_json()
                 if res is prelim and prelim_metrics is not None:
                     cell.metrics = prelim_metrics
@@ -294,8 +294,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     Returns a dict of the study's :class:`CellResult` list (``"cells"``)
     and the rows written to ``summary.csv`` (``"summary"``) and
     ``stats.csv`` (``"stats"``).  A subject's truth and reference series
-    are freed before its cells start (once saved), and of a finished
-    subject only its reference metrics are kept past its cells:
+    die in :func:`prepare_subject`, before its cells start, and of a
+    finished subject only its reference metrics are kept past its cells:
     its noisy k-space and coil maps are freed as soon as they finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
@@ -310,10 +310,10 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     (out_root / "plan.json").write_text(json.dumps(dm.config_to_json(plan), indent=1))
 
     def one_subject(i: int):
-        # the reference metrics or None, the cells and the error: the rest
-        # of the subject's artifacts die with this frame
+        # the reference metrics or None, the cells and the error: the
+        # subject's inputs die with this frame
         try:
-            art = prepare_subject(plan, i)
+            inputs = prepare_subject(plan, i)
         except Exception:
             error = traceback.format_exc()
             _write_error(out_root / f"subject{i:02d}", error)
@@ -321,14 +321,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
                      for R in plan.R_list for method in plan.methods
                      for mode in plan.phase_modes]
             return None, cells, error
-        if plan.save_arrays:
-            sdir = out_root / f"subject{i:02d}"
-            phantom.save_ground_truth(sdir / "ground_truth", art.truth)
-            dm.save_series(sdir / "reference", art.reference)
-        ref, inputs = art.reference_metrics, art.inputs
-        # the truth and the reference series die here, before the cells
-        del art
-        return ref, run_subject_cells(plan, i, inputs), ""
+        return inputs.reference, run_subject_cells(plan, i, inputs), ""
 
     if plan.threads > 1:
         with ThreadPoolExecutor(max_workers=plan.threads) as pool:

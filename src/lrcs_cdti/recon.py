@@ -38,17 +38,20 @@ the one they are given, which callers default to ``RANK``.  Every
 method starts from one preliminary solve (:func:`preliminary`), which
 also fixes the weight.
 
-Sharing: each solve's first step, the U0 solve (:func:`first_solve`),
-depends on the model, V, A*(d) and the CG cap, not on lambda, so
-:func:`admm_solve` can start from one made elsewhere.  Per k-space set,
-one adjoint A*(d) serves the weight, the cs solves and, through
-:func:`unphase`, the phased models; the cs candidates of
-:func:`select_lambda` start from one U0 solve; and the
-:class:`Preliminary` keeps, for every method of :func:`recon`, the
-phase map, the subspace, the phased model and the U0 solve per phase
-mode.  lr is therefore the first solve of lrcs at its phase mode, not a
-second solve.  Every shared result is the one a cold solve computes,
-bit for bit.
+Sharing: one problem is one k-space set, one set of coil maps, one
+weight and one rank, and the :class:`Preliminary` that
+:func:`preliminary` returns carries all four, so the methods of
+:func:`recon` read them from it and cannot be handed another's.  Each
+solve's first step, the U0 solve (:func:`first_solve`), depends on the
+model, V, A*(d) and the CG cap, not on lambda, so :func:`admm_solve`
+can start from one made elsewhere.  Per problem, one adjoint A*(d)
+serves the weight, the cs solves and, through :func:`unphase`, the
+phased model; the cs candidates of :func:`select_lambda` start from one
+U0 solve; and the :class:`Preliminary` makes, on first use, the
+subspace and per phase mode the solve model and the U0 solve.  lr is
+therefore the first solve of lrcs at its phase mode, not a second
+solve.  Every shared result is the one a cold solve computes, bit for
+bit.
 
 Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, the right-hand side,
@@ -77,11 +80,11 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import partial
+from functools import cached_property, partial
 
 import numpy as np
 
-from .datamodel import CasoratiSeries, PhaseMap
+from .datamodel import CasoratiSeries, CoilMaps, PhaseMap
 from .encoding import (EncodingModel, KSpaceData, adjoint_matrix, normal_matrix,
                        unphase)
 from .errors import NumericalError, ValidationError
@@ -320,7 +323,7 @@ def first_solve(model: EncodingModel, v_basis: np.ndarray, adj: np.ndarray,
 
 
 def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
-               cfg: SolverConfig, spec: WaveletSpec,
+               cfg: SolverConfig,
                start: FirstSolve | None = None) -> tuple[np.ndarray, RunReport]:
     """Run the splitting loop; returns the spatial coefficients U (M x L)
     in complex128 (iterated in ``model.dtype``).
@@ -364,6 +367,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     variant = (Method.CS_ONLY if normal.identity
                else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
     report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
+    spec = WaveletSpec(dims=model.spatial_dims)
 
     if normal.identity:
         def transform(ut):
@@ -458,8 +462,7 @@ def reconstruct_cs_only(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
     phase in the model), from ``start`` if given (see :func:`admm_solve`)."""
     if model.phase is not None:
         raise ValidationError("CS-only reconstruction requires a phase-free model")
-    spec = WaveletSpec(dims=model.spatial_dims)
-    u, report = admm_solve(d, model, _identity(model), cfg, spec, start)
+    u, report = admm_solve(d, model, _identity(model), cfg, start)
     series = CasoratiSeries(u, model.spatial_dims, d.column_labels)
     return ReconResult(series, report)
 
@@ -469,86 +472,83 @@ def _identity(model: EncodingModel) -> np.ndarray:
     return np.eye(model.n_columns, dtype=np.complex128)
 
 
-def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, phase: PhaseMap | None,
-                     v_basis: np.ndarray, cfg: SolverConfig,
+def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
+                     cfg: SolverConfig,
                      start: FirstSolve | None = None) -> ReconResult:
-    """Joint subspace + group-sparsity solve; returns X = P o (U V).  At
-    ``cfg.lam`` = 0 it is the subspace-constrained least squares of lr.
-
-    The solve runs on ``model`` when it carries ``phase``, else on the
-    model of its coil maps and mask with ``phase``; ``start`` is as in
-    :func:`admm_solve`."""
+    """Joint subspace + group-sparsity solve on ``model``; returns
+    X = P o (U V) with the model's phase map P (X = U V on a phase-free
+    model).  At ``cfg.lam`` = 0 it is the subspace-constrained least
+    squares of lr; ``start`` is as in :func:`admm_solve`."""
     v = np.asarray(v_basis, dtype=np.complex128)
     sv = np.linalg.svd(v, compute_uv=False)
     if sv[-1] <= 1e-12 * sv[0]:
         raise ValidationError("subspace basis V is rank deficient")
-    solve_model = (model if model.phase is phase
-                   else EncodingModel(model.coils, model.mask, phase))
-    spec = WaveletSpec(dims=model.spatial_dims)
-    u, report = admm_solve(d, solve_model, v, cfg, spec, start)
+    u, report = admm_solve(d, model, v, cfg, start)
     x = u @ v
-    if phase is not None:
-        x = phase.values * x
+    if model.phase is not None:
+        x = model.phase.values * x
     series = CasoratiSeries(x, model.spatial_dims, d.column_labels)
     return ReconResult(series, report)
 
 
 @dataclass(frozen=True)
 class Preliminary(ReconResult):
-    """The preliminary solve of one k-space set (see :func:`preliminary`)
-    and what the methods of :func:`recon` share from it: ``adj``, the
-    adjoint A*(d) on the phase-free model, and, made on first use and
-    kept in ``_shared``, the phase map, the subspace per rank, the phased
-    model, and the U0 solve (:class:`FirstSolve`) per (phase mode, rank,
-    CG cap).  It keeps no reconstruction but its own.  It is not locked:
-    one caller (in the pipeline, one subject's thread) owns it."""
+    """One reconstruction problem and its preliminary solve (see
+    :func:`preliminary`): the k-space set ``d``, its phase-free
+    ``model``, ``cfg`` at the weight, the ``rank`` of lr and lrcs, and
+    ``adj``, the adjoint A*(d) on ``model``.  What the methods of
+    :func:`recon` share from it is made on first use: the
+    :attr:`subspace`, and per phase mode the solve model and the U0
+    solve (:meth:`setup`).  It keeps no reconstruction but its own.  It
+    is not locked: one caller (in the pipeline, one subject's thread)
+    owns it."""
 
+    d: KSpaceData = field(repr=False)
+    model: EncodingModel = field(repr=False)
+    cfg: SolverConfig
+    rank: int
     adj: np.ndarray = field(repr=False)
-    _shared: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _setups: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def shared(self, key, make):
-        """The value kept under ``key``, made by ``make()`` on first use.
-        A ``make`` that raises keeps nothing, so the next caller runs it
-        again and meets its own error."""
-        if key not in self._shared:
-            self._shared[key] = make()
-        return self._shared[key]
+    @cached_property
+    def subspace(self) -> np.ndarray:
+        """The rank-``rank`` subspace of the preliminary's magnitude."""
+        return estimate_subspace(self.series, self.rank)
+
+    def setup(self, mode: PhaseMode) -> tuple[EncodingModel, FirstSolve]:
+        """The model that lr and lrcs solve on at ``mode`` (with the
+        preliminary's phase map for ``proposed``, ``model`` itself for
+        ``none``) and their U0 solve on the :attr:`subspace`, made on
+        first use.  A step that raises keeps nothing of the mode, so the
+        next caller runs it again and meets its own error."""
+        if mode not in self._setups:
+            model = self.model
+            if mode == PhaseMode.PROPOSED:
+                model = EncodingModel(model.coils, model.mask,
+                                      estimate_phase_map(self.series))
+            start = first_solve(model, self.subspace, unphase(model, self.adj),
+                                self.cfg)
+            self._setups[mode] = model, start
+        return self._setups[mode]
 
 
-def recon(d: KSpaceData, model: EncodingModel, prelim: Preliminary,
-          method: Method | str, mode: PhaseMode | str, rank: int,
-          cfg: SolverConfig) -> ReconResult:
-    """Run one reconstruction method from a shared preliminary solve.
+def recon(prelim: Preliminary, method: Method | str,
+          mode: PhaseMode | str) -> ReconResult:
+    """Run one reconstruction method on the problem of ``prelim``.
 
-    ``prelim`` and ``cfg`` are what :func:`preliminary` returned for
-    ``d`` and the phase-free ``model``; CS_ONLY returns ``prelim`` as is.
-    LR_ONLY and LRCS take the phase map of ``mode`` (the preliminary's
-    own phase, or none for the uncorrected comparison) and the
-    rank-``rank`` subspace of the preliminary's magnitude (``RANK`` is
-    the callers' default), and solve with ``cfg``; LR_ONLY at lambda = 0.
-
-    What does not depend on the method is made once per ``prelim`` (see
-    :class:`Preliminary`): the phase map, the subspace, the phased model
-    (the ``none`` mode solves on ``model`` itself), and the U0 solve, so
-    lr is the first solve of lrcs at its phase mode, whichever runs
-    first.
+    CS_ONLY returns ``prelim`` as is.  LR_ONLY and LRCS take the phase
+    map of ``mode`` (the preliminary's own phase, or none for the
+    uncorrected comparison) and the preliminary's subspace, and solve
+    with its ``cfg``; LR_ONLY at lambda = 0.  What they share is made
+    once per ``prelim`` (:meth:`Preliminary.setup`), so lr is the first
+    solve of lrcs at its phase mode, whichever runs first.
     """
     method, mode = Method(method), PhaseMode(mode)
     if method == Method.CS_ONLY:
         return prelim
-    pmap = None
-    solve_model = model
-    if mode == PhaseMode.PROPOSED:
-        pmap = prelim.shared("phase", lambda: estimate_phase_map(prelim.series))
-        solve_model = prelim.shared(
-            "model", lambda: EncodingModel(model.coils, model.mask, pmap))
-    v = prelim.shared(("subspace", rank), lambda: estimate_subspace(prelim.series, rank))
-    start = prelim.shared(
-        ("start", mode, rank, cfg.cg_max_iters),
-        lambda: first_solve(solve_model, v, unphase(solve_model, prelim.adj), cfg))
-    if method == Method.LR_ONLY:
-        cfg = replace(cfg, lam=0.0)
-    return reconstruct_lrcs(d, solve_model, pmap, v, cfg, start)
+    model, start = prelim.setup(mode)
+    cfg = replace(prelim.cfg, lam=0.0) if method == Method.LR_ONLY else prelim.cfg
+    return reconstruct_lrcs(prelim.d, model, prelim.subspace, cfg, start)
 
 
 def estimate_phase_map(series: CasoratiSeries) -> PhaseMap:
@@ -613,26 +613,34 @@ def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
     return float(candidates[best]), results[best]
 
 
-def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
+def preliminary(d: KSpaceData, coils: CoilMaps, cfg: SolverConfig, rank: int,
                 lam: float | None = None,
-                scale: float | None = None) -> tuple[SolverConfig, Preliminary]:
-    """The regularization weight and the sparsity-only preliminary solve
-    at it, which every method of :func:`recon` starts from.
+                scale: float | None = None) -> Preliminary:
+    """The problem of ``d`` on ``coils`` at rank ``rank``: the
+    regularization weight and the sparsity-only preliminary solve at it,
+    which every method of :func:`recon` starts from.
 
-    The weight is ``lam`` if given, else ``scale`` x :func:`lambda_base`,
-    else the nuclear-norm choice of :func:`select_lambda` over
-    :func:`default_lambda_grid`, whose winning solve is the preliminary.
-    One adjoint A*(d) serves the weight, the cs solves (which all start
-    from one U0 solve) and, kept on the :class:`Preliminary`, the
-    methods of :func:`recon`.  Returns ``cfg`` at that weight and the
-    preliminary.  K-space of another grid or coil count than the coil
-    maps, and a given or scaled weight that is not finite and >= 0, are
-    ValidationErrors, raised before any solve.
+    The solve runs on the phase-free model of ``coils`` and the mask of
+    ``d``.  The weight is ``lam`` if given, else ``scale`` x
+    :func:`lambda_base`, else the nuclear-norm choice of
+    :func:`select_lambda` over :func:`default_lambda_grid`, whose winning
+    solve is the preliminary.  One adjoint A*(d) serves the weight, the
+    cs solves (which all start from one U0 solve) and, kept on the
+    :class:`Preliminary`, the methods of :func:`recon`.  Returns the
+    preliminary, which carries ``d``, the model, ``cfg`` at the weight
+    and ``rank``.  K-space of another grid or coil count than the coil
+    maps, a rank outside [1, N] for N columns, and a given or scaled
+    weight that is not finite and >= 0 are ValidationErrors, raised
+    before any solve.
     """
-    if d.spatial_dims != model.spatial_dims or d.n_coils != model.coils.n_coils:
+    if d.spatial_dims != coils.spatial_dims or d.n_coils != coils.n_coils:
         raise ValidationError(
             f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
-            f"coil maps of grid {model.spatial_dims} with {model.coils.n_coils}")
+            f"coil maps of grid {coils.spatial_dims} with {coils.n_coils}")
+    n = len(d.column_labels)
+    if not 1 <= rank <= n:
+        raise ValidationError(f"rank must be in [1, {n}], got {rank}")
+    model = EncodingModel(coils, d.mask)
     adj = adjoint_matrix(model, d.samples)
     if lam is None and scale is not None:
         lam = scale * lambda_base(d, model, adj)
@@ -646,4 +654,4 @@ def preliminary(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
         cfg = replace(cfg, lam=lam)
     else:
         result = reconstruct_cs_only(d, model, cfg, start)
-    return cfg, Preliminary(result.series, result.report, adj)
+    return Preliminary(result.series, result.report, d, model, cfg, rank, adj)

@@ -73,18 +73,11 @@ def icc_absolute_agreement(pairs: np.ndarray) -> float:
 
 
 def _midranks(values: np.ndarray) -> np.ndarray:
-    """Average ranks (1-based) with midrank ties."""
-    order = np.argsort(values, kind="stable")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    i = 0
-    while i < len(values):
-        j = i
-        while j + 1 < len(values) and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+    """Average ranks (1-based) with midrank ties; a NaN ties with nothing."""
+    _, inverse, counts = np.unique(values, return_inverse=True, return_counts=True,
+                                   equal_nan=False)
+    # a tie group ends at rank cumsum(counts) and spans counts ranks
+    return (np.cumsum(counts) - 0.5 * (counts - 1))[inverse]
 
 
 def wilcoxon_signed_rank(ref: np.ndarray, rec: np.ndarray) -> float:

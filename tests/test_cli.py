@@ -293,7 +293,7 @@ def test_recon_rank_outside_the_column_count_is_a_named_error(recon_inputs, tmp_
                      "--coils", str(root / "coils"), "--rank", rank,
                      "--out", str(tmp_path / "out"), *FLAGS]) == 1
     assert capsys.readouterr().err == (
-        f"error [recon]: --rank must be in [1, 13], got {rank}\n")
+        f"error [recon]: rank must be in [1, 13], got {rank}\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -349,6 +349,36 @@ def test_recon_with_coils_of_another_grid_is_a_named_error(recon_inputs, tmp_pat
     err = capsys.readouterr().err
     assert err == ("error [recon]: k-space of grid (16, 16, 3) with 2 coil(s) does "
                    f"not match coil maps of grid {found}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def _drop_array(container, name):
+    """``container`` with the header entry of its array ``name`` removed."""
+    header = json.loads((container / "header.json").read_text())
+    del header["arrays"][name]
+    (container / "header.json").write_text(json.dumps(header))
+
+
+@pytest.mark.parametrize("command, name", [
+    ("fit", "data"), ("metrics", "e1"), ("recon", "kept")])
+def test_container_without_an_array_is_a_named_error(ground_truth, recon_inputs,
+                                                     tmp_path, capsys, command, name):
+    _, root = recon_inputs
+    gt = ph.load_ground_truth(ground_truth)
+    container = tmp_path / "in"
+    if command == "fit":
+        dm.save_series(container, gt.clean_series)
+        argv = ["--series", str(container), "--mask", str(ground_truth)]
+    elif command == "metrics":
+        dti.save_tensors(container, dti.fit_tensors(gt.clean_series, gt.myocardium_mask))
+        argv = ["--tensors", str(container)]
+    else:
+        encoding.save_kspace(container, encoding.load_kspace(root / "kspace"))
+        argv = ["--kspace", str(container), "--coils", str(root / "coils")]
+    _drop_array(container, name)
+    assert cli.main([command, *argv, "--out", str(tmp_path / "out"), *FLAGS]) == 1
+    assert capsys.readouterr().err == (
+        f"error [{command}]: {container}: no '{name}' array in container\n")
     assert not (tmp_path / "out").exists()
 
 
@@ -422,6 +452,10 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      '"output_dir": "{out}"}', "need 0 < r_endo < r_epi"),
     ("run", "--plan", '{"n_subjects": 1, "geom_jitter_vox": -1, "output_dir": "{out}"}',
      "geom_jitter_vox must be >= 0, got -1"),
+    ("run", "--plan", '{"n_subjects": 1, "ha_jitter_deg": -5, "output_dir": "{out}"}',
+     "ha_jitter_deg must be >= 0, got -5"),
+    ("run", "--plan", '{"n_subjects": 1, "md_jitter_frac": -0.1, "output_dir": "{out}"}',
+     "md_jitter_frac must be >= 0, got -0.1"),
     ("run", "--plan", '{"n_subjects": 1, "threads": -3, "output_dir": "{out}"}',
      "threads must be >= 1, got -3"),
     ("run", "--plan", '{"n_subjects": 1, "rank": 20, "output_dir": "{out}"}',

@@ -3,6 +3,7 @@ import gc
 import json
 import re
 import weakref
+from collections import defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -10,7 +11,8 @@ import numpy as np
 import pytest
 
 from lrcs_cdti import encoding, pipeline
-from lrcs_cdti.errors import NumericalError
+from lrcs_cdti.errors import NumericalError, ValidationError
+from treediff import differing_files
 
 # Mean bias over the three subjects of the ``study`` fixture, per
 # (method, phase mode); re-recorded when CG began updating its iterate
@@ -55,10 +57,9 @@ def test_dispatch_covers_every_method_and_phase_mode(study):
 def test_coil_maps_come_from_the_zero_filled_b0_column(study):
     plan, _ = study
     for i in range(plan.n_subjects):
-        art = pipeline.prepare_subject(plan, i)
-        inputs = art.inputs
+        inputs = pipeline.prepare_subject(plan, i)
         _, ny, nz = inputs.config.grid
-        mask = encoding.make_sampling_mask(ny, nz, art.truth.clean_series.column_labels,
+        mask = encoding.make_sampling_mask(ny, nz, inputs.config.column_labels,
                                            R=1, seed=inputs.config.seed)
         d = encoding.extract_samples(inputs.noisy_kspace, mask)
         kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
@@ -174,37 +175,59 @@ def test_failed_subject_is_recorded_not_fatal(tmp_path, r_epi, error):
                   for p in tmp_path.rglob("error.txt")) == ["subject02/error.txt"]
 
 
+@pytest.mark.parametrize("changes, message", [
+    ({"lambda_scale": float("nan")}, "lambda_scale must be >= 0 or null, got nan"),
+    ({"R_list": (float("nan"),)}, "R_list entries must be >= 1, got [nan]"),
+    ({"ha_jitter_deg": float("nan")}, "ha_jitter_deg must be >= 0, got nan"),
+], ids=["lambda-scale-nan", "R-nan", "ha-jitter-nan"])
+def test_a_plan_no_subject_can_run_is_rejected_when_built(changes, message):
+    # a plan built in Python meets no JSON codec, which rejects NaN
+    with pytest.raises(ValidationError, match=re.escape(message)):
+        pipeline.ExperimentPlan(**changes)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
-    # a subject's truth and reference series are freed (once saved)
-    # before its first cell starts, and only its reference metrics
-    # outlive its cells: its noisy k-space and coil maps are freed as
-    # soon as the cells finish
-    real_prepare, real_cells = pipeline.prepare_subject, pipeline.run_subject_cells
-    prepared, arrays, alive_at_start = {}, [], []
+    # a subject's truth and reference series die in prepare_subject (once
+    # saved), before its first cell starts, and only its reference
+    # metrics outlive its cells: its noisy k-space and coil maps are
+    # freed as soon as the cells finish
+    real_build, real_cs = pipeline.phantom.build_phantom, pipeline.recon.reconstruct_cs_only
+    real_cells = pipeline.run_subject_cells
+    # the truth's and the reference's arrays, by the subject's seed
+    prepared, arrays, alive_at_start = defaultdict(list), [], []
 
-    def watched_prepare(plan, index):
-        art = real_prepare(plan, index)
-        prepared[index] = [weakref.ref(art.truth.clean_series.data),
-                           weakref.ref(art.truth.phase.values),
-                           weakref.ref(art.reference.data)]
-        return art
+    def watched_build(cfg):
+        gt = real_build(cfg)
+        prepared[cfg.seed] += [weakref.ref(gt.clean_series.data),
+                               weakref.ref(gt.phase.values)]
+        return gt
+
+    def watched_cs(d, model, cfg, start=None):
+        res = real_cs(d, model, cfg, start)
+        if d.mask.R_nominal == 1:
+            prepared[d.mask.seed].append(weakref.ref(res.series.data))
+        return res
 
     def watched_cells(plan, index, subject):
         gc.collect()
-        assert [ref() for ref in prepared[index]] == [None] * 3
+        assert [ref() is None for ref in prepared[subject.config.seed]] == [True] * 3
         alive_at_start.append((index, [ref() is not None for ref in arrays]))
         arrays.extend([weakref.ref(subject.noisy_kspace),
                        weakref.ref(subject.coil_maps.maps)])
         return real_cells(plan, index, subject)
 
-    monkeypatch.setattr(pipeline, "prepare_subject", watched_prepare)
+    monkeypatch.setattr(pipeline.phantom, "build_phantom", watched_build)
+    monkeypatch.setattr(pipeline.recon, "reconstruct_cs_only", watched_cs)
     monkeypatch.setattr(pipeline, "run_subject_cells", watched_cells)
     plan = replace(_tiny_plan(tmp_path, 9), geom_jitter_vox=0, threads=threads,
                    save_arrays=True)
     result = pipeline.run_experiment(plan)
     assert all(r["ok"] for r in result["summary"])
     assert len(arrays) == 2 * plan.n_subjects and len(prepared) == plan.n_subjects
+    # the saved truth and reference of every subject
+    assert all((tmp_path / f"subject{i:02d}" / name / "header.json").is_file()
+               for i in range(plan.n_subjects) for name in ("ground_truth", "reference"))
     gc.collect()
     assert [ref() for ref in arrays] == [None] * len(arrays)
     if threads == 1:
@@ -214,6 +237,18 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
 def _every_cell_plan(tmp_path, **changes):
     return replace(_tiny_plan(tmp_path, 9), methods=("lr", "cs", "lrcs"),
                    phase_modes=("proposed", "none"), **changes)
+
+
+def test_a_studys_files_do_not_depend_on_threads(tmp_path):
+    # the subject pool changes when each subject runs, not what it writes
+    for threads in (1, 2):
+        pipeline.run_experiment(_every_cell_plan(
+            tmp_path / f"threads{threads}", geom_jitter_vox=0, R_list=(2.0, 6.0),
+            threads=threads, save_arrays=True))
+    files = list((tmp_path / "threads1").rglob("*"))
+    assert len([p for p in files if p.name == "run_report.json"]) == 3 * 2 * 6
+    assert differing_files(tmp_path / "threads1", tmp_path / "threads2") \
+        == ["plan.json"]
 
 
 def test_the_plan_rank_reaches_every_solve(tmp_path):
@@ -281,9 +316,9 @@ def test_an_r_frees_what_its_cells_share_before_the_next_r_starts(tmp_path,
     def watched_prelim(*args, **kwargs):
         gc.collect()
         alive_at_start.append([ref() is not None for ref in shared])
-        cfg, prelim = real_prelim(*args, **kwargs)
+        prelim = real_prelim(*args, **kwargs)
         shared.extend([weakref.ref(prelim), weakref.ref(prelim.adj)])
-        return cfg, prelim
+        return prelim
 
     def watched_first(*args):
         start = real_first(*args)
@@ -323,7 +358,7 @@ def test_failed_first_solve_fails_lr_and_lrcs_of_its_mode(tmp_path, monkeypatch)
 
 
 def test_failed_cell_writes_its_traceback(tmp_path, monkeypatch):
-    def fail(d, model, prelim, method, *args):
+    def fail(prelim, method, mode):
         raise NumericalError(f"{method} failed")
 
     monkeypatch.setattr(pipeline.recon, "recon", fail)
@@ -366,10 +401,10 @@ def test_non_finite_reconstruction_fails_its_cell_by_name(tmp_path, monkeypatch)
 def test_failed_preliminary_fails_every_cell_of_its_R(tmp_path, monkeypatch):
     real = pipeline.recon.preliminary
 
-    def fail_at_r6(d, model, *args, **kwargs):
+    def fail_at_r6(d, *args, **kwargs):
         if d.mask.R_nominal == 6.0:
             raise NumericalError("preliminary failed")
-        return real(d, model, *args, **kwargs)
+        return real(d, *args, **kwargs)
 
     monkeypatch.setattr(pipeline.recon, "preliminary", fail_at_r6)
     plan = replace(_tiny_plan(tmp_path, 9), n_subjects=1, R_list=(2.0, 6.0),

@@ -241,7 +241,7 @@ def test_every_setting_is_set_in_the_program():
 
 def test_the_setting_scan_sees_parameters_and_init_fields():
     found = settings()
-    assert found[("recon", "preliminary", "scale")] == 4         # parameter
+    assert found[("recon", "preliminary", "scale")] == 5         # parameter
     assert found[("encoding", "EncodingModel", "phase")] == 2    # dataclass field
     assert found[("dti", "TensorField", "n_clamped")] == 5
     for exempt in [("recon", "RunReport", "delta_u"),            # default_factory

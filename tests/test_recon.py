@@ -9,7 +9,6 @@ from lrcs_cdti import encoding as enc
 from lrcs_cdti import phantom as ph
 from lrcs_cdti import recon
 from lrcs_cdti.errors import NumericalError, ValidationError
-from lrcs_cdti.transforms import WaveletSpec
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +27,11 @@ def make_model(gt, labels, kfull, R, seed=0):
     d = enc.extract_samples(kfull, mask)
     model = enc.EncodingModel(gt.coils, mask, None)
     return mask, d, model
+
+
+def phased(model, phase):
+    """The model of ``model``'s coil maps and mask with ``phase``."""
+    return enc.EncodingModel(model.coils, model.mask, phase)
 
 
 def true_rank(gt, tol=1e-9):
@@ -92,13 +96,13 @@ class TestSolverPrecision:
         v = recon.estimate_subspace(gt.clean_series, 3)
         scfg = recon.SolverConfig(lam=lam, max_iters=2)
         results = [recon.reconstruct_cs_only(d, model, scfg),
-                   recon.reconstruct_lrcs(d, model, gt.phase, v, scfg),
-                   recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))]
+                   recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg),
+                   recon.reconstruct_lrcs(d, phased(model, gt.phase), v,
+                                          replace(scfg, lam=0.0))]
         for res in results:
             assert res.series.data.dtype == np.complex128
         for basis in (np.eye(len(labels)), v):
-            u, _ = recon.admm_solve(d, model, basis, scfg,
-                                    WaveletSpec(dims=model.spatial_dims))
+            u, _ = recon.admm_solve(d, model, basis, scfg)
             assert u.dtype == np.complex128
 
 
@@ -119,7 +123,7 @@ class TestSolverPrecision:
             monkeypatch.setattr(recon, name, spy(getattr(recon, name)))
         v = recon.estimate_subspace(gt.clean_series, 3)
         scfg = recon.SolverConfig(lam=lam, max_iters=3)
-        recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
+        recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
         recon.reconstruct_cs_only(d, model, scfg)
         names = [name for name, _ in seen]
         assert names.count("series_forward") == 2 * 4
@@ -264,12 +268,14 @@ class TestSharedSolves:
         # each equals its cold solve from the same phase map and subspace
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3)
-        scfg, prelim = recon.preliminary(
-            d, model, recon.SolverConfig(max_iters=4, cg_max_iters=8), scale=1e-2)
+        prelim = recon.preliminary(
+            d, gt.coils, recon.SolverConfig(max_iters=4, cg_max_iters=8), 4, scale=1e-2)
+        scfg = prelim.cfg
         pmap = recon.estimate_phase_map(prelim.series) if mode == "proposed" else None
         v = recon.estimate_subspace(prelim.series, 4)
-        cold = {"lrcs": recon.reconstruct_lrcs(d, model, pmap, v, scfg),
-                "lr": recon.reconstruct_lrcs(d, model, pmap, v, replace(scfg, lam=0.0))}
+        cold = {"lrcs": recon.reconstruct_lrcs(d, phased(model, pmap), v, scfg),
+                "lr": recon.reconstruct_lrcs(d, phased(model, pmap), v,
+                                             replace(scfg, lam=0.0))}
         real, solves = recon.cg_solve, []
 
         def counted(*args):
@@ -277,7 +283,7 @@ class TestSharedSolves:
             return real(*args)
 
         monkeypatch.setattr(recon, "cg_solve", counted)
-        shared = {m: recon.recon(d, model, prelim, m, mode, 4, scfg) for m in order}
+        shared = {m: recon.recon(prelim, m, mode) for m in order}
         # one U0 solve and the K solves of lrcs
         assert sum(solves) == 1 + scfg.max_iters
         for m in order:
@@ -291,8 +297,7 @@ class TestSharedSolves:
         v = recon.estimate_subspace(gt.clean_series, 4)
         start = recon.first_solve(model, v[:3], enc.adjoint_matrix(model, d.samples), scfg)
         with pytest.raises(ValidationError, match="does not match rank 4"):
-            recon.admm_solve(d, model, v, scfg, WaveletSpec(dims=model.spatial_dims),
-                             start)
+            recon.admm_solve(d, model, v, scfg, start)
 
 
 class TestPreliminary:
@@ -305,8 +310,7 @@ class TestPreliminary:
     def test_kspace_of_other_coil_maps_is_a_named_error(self, bench, monkeypatch,
                                                         coils, found, weight):
         cfg, gt, labels, kfull = bench
-        mask, d, _ = make_model(gt, labels, kfull, R=2)
-        model = enc.EncodingModel(coils(gt.coils), mask, None)
+        _, d, _ = make_model(gt, labels, kfull, R=2)
 
         def no_solve(*args, **kwargs):
             raise AssertionError("solve started")
@@ -315,7 +319,38 @@ class TestPreliminary:
         with pytest.raises(ValidationError, match=re.escape(
                 "k-space of grid (32, 32, 2) with 4 coil(s) does not match "
                 f"coil maps of grid {found}")):
-            recon.preliminary(d, model, recon.SolverConfig(), **weight)
+            recon.preliminary(d, coils(gt.coils), recon.SolverConfig(), recon.RANK,
+                              **weight)
+
+    @pytest.mark.parametrize("rank", [0, 14])
+    def test_rank_outside_the_column_count_is_a_named_error(self, bench, monkeypatch,
+                                                            rank):
+        cfg, gt, labels, kfull = bench
+        _, d, _ = make_model(gt, labels, kfull, R=2)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solve started")
+        monkeypatch.setattr(recon, "adjoint_matrix", no_solve)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"rank must be in [1, 13], got {rank}")):
+            recon.preliminary(d, gt.coils, recon.SolverConfig(), rank, lam=1.0)
+
+    def test_the_preliminary_carries_its_problem(self, bench):
+        # the solve model is the phase-free model of the k-space's own
+        # mask; the weight and the rank are the ones every method reads
+        cfg, gt, labels, kfull = bench
+        _, d, model = make_model(gt, labels, kfull, R=3)
+        scfg = recon.SolverConfig(max_iters=3, cg_max_iters=6)
+        prelim = recon.preliminary(d, gt.coils, scfg, 5, scale=1e-2)
+        assert prelim.d is d and prelim.model.mask is d.mask
+        assert prelim.model.coils is gt.coils and prelim.model.phase is None
+        lam = 1e-2 * recon.lambda_base(d, model)
+        assert prelim.cfg == replace(scfg, lam=lam) and prelim.rank == 5
+        assert_same_solve(prelim, recon.reconstruct_cs_only(d, model, prelim.cfg))
+        res = recon.recon(prelim, "lrcs", "none")
+        assert res.report.rank == 5 and res.report.lam == lam
+        assert_same_solve(res, recon.reconstruct_lrcs(
+            d, model, recon.estimate_subspace(prelim.series, 5), prelim.cfg))
 
 
 class TestExactRecovery:
@@ -327,8 +362,8 @@ class TestExactRecovery:
         scfg = recon.SolverConfig(lam=1e-12 * np.linalg.norm(d.samples),
                                   cg_max_iters=40)
         v = recon.estimate_subspace(gt.clean_series, rank)
-        res_lrcs = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
-        res_lr = recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))
+        res_lrcs = recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
+        res_lr = recon.reconstruct_lrcs(d, phased(model, gt.phase), v, replace(scfg, lam=0.0))
         res_cs = recon.reconstruct_cs_only(d, model, scfg)
         for res in (res_lrcs, res_lr, res_cs):
             err = np.linalg.norm(res.series.data - x_true) / np.linalg.norm(x_true)
@@ -343,7 +378,7 @@ class TestExactRecovery:
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=1)
         n = len(labels)
         v = np.eye(n, dtype=complex)
-        res = recon.reconstruct_lrcs(d, model, None, v,
+        res = recon.reconstruct_lrcs(d, model, v,
                                      recon.SolverConfig(lam=0.0))
         # direct CG on the normal equations, iterating X^T (N, M) as the
         # solver does, is the same complex64 computation, so the solve
@@ -359,7 +394,7 @@ class TestExactRecovery:
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=1)
         n = len(labels)
-        res_full = recon.reconstruct_lrcs(d, model, None, np.eye(n, dtype=complex),
+        res_full = recon.reconstruct_lrcs(d, model, np.eye(n, dtype=complex),
                                           recon.SolverConfig(lam=0.0, cg_max_iters=40))
         x_true = gt.phase.values * gt.clean_series.data
         err = np.linalg.norm(res_full.series.data - x_true) / np.linalg.norm(x_true)
@@ -390,7 +425,7 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2, seed=3)
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
-        res = recon.reconstruct_lrcs(d, model, gt.phase, v,
+        res = recon.reconstruct_lrcs(d, phased(model, gt.phase), v,
                                      recon.SolverConfig(lam=lam))
         # ||Psi U V - G|| falls until it reaches the float32 resolution of
         # ||Psi U V|| = ||U V|| (orthonormal wavelet), where complex64
@@ -422,10 +457,10 @@ class TestAdmmBehavior:
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 4)
         scfg = recon.SolverConfig(lam=lam, max_iters=8)
-        res1 = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
+        res1 = recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
         phi = np.exp(1j * 0.83)
         d2 = enc.KSpaceData(phi * d.samples, mask, d.spatial_dims, d.n_coils)
-        res2 = recon.reconstruct_lrcs(d2, model, gt.phase, v, scfg)
+        res2 = recon.reconstruct_lrcs(d2, phased(model, gt.phase), v, scfg)
         # complex64 solver arithmetic: measured 7.0e-7 of the largest entry
         np.testing.assert_allclose(res2.series.data, phi * res1.series.data,
                                    atol=5e-6 * np.abs(res1.series.data).max())
@@ -470,7 +505,7 @@ class TestAdmmBehavior:
             return out
         monkeypatch.setattr(recon, "normal_matrix", poisoned)
         with pytest.raises(NumericalError, match="NaN/Inf in ADMM iterate") as err:
-            recon.reconstruct_lrcs(d, model, gt.phase, v, recon.SolverConfig(lam=0.0))
+            recon.reconstruct_lrcs(d, phased(model, gt.phase), v, recon.SolverConfig(lam=0.0))
         assert err.value.diagnostics == {"iteration": 0}
 
     def test_non_finite_operator_stops_the_solve_at_once(self, bench, monkeypatch):
@@ -504,8 +539,8 @@ class TestAdmmBehavior:
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 4)
         scfg = recon.SolverConfig(lam=lam, max_iters=6)
-        a = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
-        b = recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
+        a = recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
+        b = recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
         np.testing.assert_array_equal(a.series.data, b.series.data)
 
     def test_rank_deficient_v_rejected(self, bench):
@@ -513,7 +548,7 @@ class TestAdmmBehavior:
         mask, d, model = make_model(gt, labels, kfull, R=2)
         v = np.ones((2, len(labels)), dtype=complex)
         with pytest.raises(ValidationError, match="rank deficient"):
-            recon.reconstruct_lrcs(d, model, None, v, recon.SolverConfig(lam=1.0))
+            recon.reconstruct_lrcs(d, model, v, recon.SolverConfig(lam=1.0))
 
     def test_run_report_fields(self, bench):
         cfg, gt, labels, kfull = bench
@@ -521,7 +556,7 @@ class TestAdmmBehavior:
         lam = 1e-2 * recon.lambda_base(d, model)
         v = recon.estimate_subspace(gt.clean_series, 3)
         scfg = recon.SolverConfig(lam=lam, max_iters=5)
-        rep = recon.reconstruct_lrcs(d, model, None, v, scfg).report.to_json()
+        rep = recon.reconstruct_lrcs(d, model, v, scfg).report.to_json()
         assert len(rep["delta_u"]) == len(rep["alpha"]) == 5
         assert rep["wall_time_s"] > 0
         # the penalty rho = lambda/alpha grows by the decay factor each iteration
@@ -727,8 +762,9 @@ class TestResidualCarry:
         if method == "cs":
             return recon.reconstruct_cs_only(d, model, scfg)
         if method == "lr":
-            return recon.reconstruct_lrcs(d, model, gt.phase, v, replace(scfg, lam=0.0))
-        return recon.reconstruct_lrcs(d, model, gt.phase, v, scfg)
+            return recon.reconstruct_lrcs(d, phased(model, gt.phase), v,
+                                          replace(scfg, lam=0.0))
+        return recon.reconstruct_lrcs(d, phased(model, gt.phase), v, scfg)
 
     @pytest.mark.parametrize("method", ["cs", "lr", "lrcs"])
     def test_every_normal_operator_call_is_a_cg_step(self, bench, method,
