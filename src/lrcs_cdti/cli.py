@@ -200,6 +200,8 @@ def cmd_phantom(args) -> int:
     try:
         cfg = dm.config_from_json(phantom.PhantomConfig, params)
     except ValidationError as exc:
+        if args.params is None:
+            raise
         raise ValidationError(f"params {args.params}: {exc}") from exc
     truth = phantom.build_phantom(cfg)
     phantom.save_ground_truth(args.out, truth)
@@ -238,6 +240,9 @@ def cmd_fit(args) -> int:
     series = dm.load_series(args.series)
     # any container with a 'mask' array will do (a ground truth, say)
     arrays, _ = dm.read_container(args.mask, names=("mask",))
+    if arrays["mask"].dtype != bool:
+        raise ValidationError(f"{args.mask}: 'mask' must be a bool array, got "
+                              f"{arrays['mask'].dtype}")
     field = dti.fit_tensors(series, arrays["mask"])
     dti.save_tensors(args.out, field)
     log.info("tensors written to %s (%d clamped voxels)", args.out, field.n_clamped)
@@ -267,8 +272,8 @@ def cmd_metrics(args) -> int:
         nz, n_rays = hat.ray_slopes.shape
         for z in range(nz):
             for j in range(n_rays):
-                writer.writerow([z, j, repr(hat.ray_slopes[z, j]),
-                                 repr(hat.ray_r2[z, j])])
+                writer.writerow([z, j, repr(float(hat.ray_slopes[z, j])),
+                                 repr(float(hat.ray_r2[z, j]))])
         writer.writerow(["global", "", repr(hat.global_hat), ""])
 
     if mask.shape[2] >= 3:
@@ -278,7 +283,7 @@ def cmd_metrics(args) -> int:
             writer = csv.writer(fh)
             writer.writerow(["segment", "mean_md", "n_voxels"])
             for s in range(1, 17):
-                writer.writerow([s, repr(reg_md[s - 1]),
+                writer.writerow([s, repr(float(reg_md[s - 1])),
                                  int(np.count_nonzero(seg.segments == s))])
     log.info("metrics written to %s (global HAT %.4f)", out, hat.global_hat)
     return 0

@@ -1,5 +1,9 @@
 """Diffusion tensor fitting and derived myocardial metrics.
 
+The LV center of a slice is the centroid of its masked voxels
+(``mask_centroids``): HA, HAT and the AHA sectors all turn about it, so
+they need no phantom knowledge.
+
 Helix angle (HA) conventions: local frames are built per voxel about the
 LV center with radial = in-plane unit vector from the center,
 longitudinal = +z, circumferential = longitudinal x radial
@@ -18,7 +22,7 @@ each ray's OLS as segment sums (``bincount`` with weights) over its
 samples, so no Python loop runs per ray.
 
 AHA 16-segment sectors run counterclockwise from 0 degrees, the +x axis
-of the image, about the LV center of each slice.
+of the image, about the mask centroid of each slice.
 
 The tensor fit calls no LAPACK routine per voxel on its common path;
 both of its kernels are arithmetic on length-V arrays, V the masked
@@ -297,36 +301,26 @@ def mask_centroids(mask: np.ndarray) -> np.ndarray:
     return centers
 
 
-def _resolve_centers(lv_center, mask: np.ndarray) -> np.ndarray:
-    nz = mask.shape[2]
-    if lv_center is None:
-        return mask_centroids(mask)
-    arr = np.asarray(lv_center, dtype=float)
-    if arr.ndim == 1:
-        arr = np.tile(arr, (nz, 1))
-    if arr.shape != (nz, 2):
-        raise ValidationError(f"lv_center must be (cx, cy) or per-slice, got {arr.shape}")
-    nx, ny = mask.shape[:2]
-    if ((arr[:, 0] < 0) | (arr[:, 0] > nx - 1) | (arr[:, 1] < 0) | (arr[:, 1] > ny - 1)).any():
-        raise ValidationError("lv_center outside the image")
-    return arr
-
-
-def helix_angle(field: TensorField, lv_center=None) -> np.ndarray:
-    """HA map in degrees; NaN outside the mask and at excluded voxels."""
-    mask = field.mask
-    nx, ny, nz = mask.shape
-    centers = _resolve_centers(lv_center, mask)
+def _slice_offsets(mask: np.ndarray):
+    """Per slice z with a masked voxel: (z, dx, dy), the in-plane offsets
+    of every voxel of the slice from the slice's mask centroid."""
+    nx, ny, _ = mask.shape
     xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float),
                          indexing="ij")
+    for z, (cx, cy) in enumerate(mask_centroids(mask)):
+        if mask[:, :, z].any():
+            yield z, xs - cx, ys - cy
+
+
+def helix_angle(field: TensorField) -> np.ndarray:
+    """HA map in degrees about each slice's mask centroid; NaN outside the
+    mask and at a masked voxel on the centroid itself (excluded, with a
+    warning)."""
+    mask = field.mask
     ha = np.full(mask.shape, np.nan)
     excluded = 0
-    for z in range(nz):
+    for z, dx, dy in _slice_offsets(mask):
         m = mask[:, :, z]
-        if not m.any():
-            continue
-        cx, cy = centers[z]
-        dx, dy = xs - cx, ys - cy
         r = np.hypot(dx, dy)
         at_center = m & (r == 0)
         excluded += int(np.count_nonzero(at_center))
@@ -342,9 +336,7 @@ def helix_angle(field: TensorField, lv_center=None) -> np.ndarray:
         l[neg] = -l[neg]
         angles = np.degrees(np.arctan2(l, c))
         angles[angles <= -90.0] = 90.0
-        plane = np.full((nx, ny), np.nan)
-        plane[valid] = angles
-        ha[:, :, z] = plane
+        ha[:, :, z][valid] = angles
     if excluded:
         warnings.warn(f"{excluded} voxel(s) at the exact LV center excluded from HA")
     return ha
@@ -367,10 +359,11 @@ class HatResult:
     n_skipped: int
 
 
-def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None) -> HatResult:
+def compute_hat(ha_map: np.ndarray, mask: np.ndarray) -> HatResult:
     """Per-ray OLS slope of HA versus transmural depth.
 
-    Rays are cast from the LV center at ``N_RAYS`` equally spaced angles.
+    Rays are cast from each slice's mask centroid at ``N_RAYS`` equally
+    spaced angles; the rays of a slice with no masked voxel are skipped.
     Each ray is sampled every ``RAY_STEP`` voxels; a sample belongs to the
     wall if its nearest voxel is masked, and carries the HA interpolated
     bilinearly over the masked in-plane neighbors.  %TD runs linearly in
@@ -392,7 +385,7 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None) -> HatResu
     """
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
-    centers = _resolve_centers(lv_center, mask)
+    centers = mask_centroids(mask)
     n_rays, step = N_RAYS, RAY_STEP
     angles = 2 * np.pi * np.arange(n_rays) / n_rays
     cos_t, sin_t = np.cos(angles)[:, None], np.sin(angles)[:, None]
@@ -401,7 +394,7 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray, lv_center=None) -> HatResu
     r_max = float(np.hypot(nx, ny))
     radii = np.arange(0.0, r_max, step)
     for z in range(nz):
-        if not mask[:, :, z].any() or not np.isfinite(centers[z]).all():
+        if not mask[:, :, z].any():
             continue
         cx, cy = centers[z]
         # a sample a step beyond the farthest image corner is outside
@@ -516,16 +509,16 @@ def aha_sector(angle_deg, band: str) -> np.ndarray:
     return first + np.minimum((rel / width).astype(int), count - 1)
 
 
-def segment_aha16(mask: np.ndarray, lv_center=None) -> AhaSegmentation:
+def segment_aha16(mask: np.ndarray) -> AhaSegmentation:
     """Assign AHA segment ids 1..16 to masked voxels.
 
     Slices split into basal/mid/apical thirds (extra slices assigned
     basal-first, slice 0 being most basal); angular sectors of 60 deg
     (basal, mid) or 90 deg (apical) start at 0 deg, the +x axis, and run
-    counterclockwise.
+    counterclockwise about each slice's mask centroid.
     """
     mask = np.asarray(mask, dtype=bool)
-    nx, ny, nz = mask.shape
+    nz = mask.shape[2]
     if nz < 3:
         raise ValidationError(f"AHA segmentation needs >= 3 slices, got {nz}")
     base, rem = divmod(nz, 3)
@@ -538,18 +531,10 @@ def segment_aha16(mask: np.ndarray, lv_center=None) -> AhaSegmentation:
         if not any(mask[:, :, z].any() for z in band_slices):
             raise ValidationError(f"band '{band}' contains no masked voxels")
 
-    centers = _resolve_centers(lv_center, mask)
-    xs, ys = np.meshgrid(np.arange(nx, dtype=float), np.arange(ny, dtype=float),
-                         indexing="ij")
     segments = np.zeros(mask.shape, dtype=np.int16)
-    for z in range(nz):
-        m = mask[:, :, z]
-        if not m.any():
-            continue
-        cx, cy = centers[z]
-        theta = np.degrees(np.arctan2(ys - cy, xs - cx))
-        seg = aha_sector(theta, slice_bands[z])
-        segments[:, :, z] = np.where(m, seg, 0)
+    for z, dx, dy in _slice_offsets(mask):
+        seg = aha_sector(np.degrees(np.arctan2(dy, dx)), slice_bands[z])
+        segments[:, :, z] = np.where(mask[:, :, z], seg, 0)
     return AhaSegmentation(segments, tuple(slice_bands))
 
 

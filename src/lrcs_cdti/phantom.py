@@ -69,10 +69,16 @@ class PhantomConfig:
     seed: int = 0
 
     def __post_init__(self):
-        nx, ny, nz = self.grid
-        if not (0 < self.r_endo < self.r_epi < min(nx, ny) / 2):
+        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
+        nx, ny, _ = self.grid
+        cx, cy = self.center
+        # the annulus fits in the image about its own center; "not" so
+        # that a NaN center fails too
+        edge = min(cx + 0.5, nx - 0.5 - cx, cy + 0.5, ny - 0.5 - cy)
+        if not 0 < self.r_endo < self.r_epi < edge:
             raise ValidationError(
-                f"need 0 < r_endo < r_epi < min(nx, ny)/2, got "
+                f"need 0 < r_endo < r_epi < {edge:g}, the distance from the LV "
+                f"center ({cx:g}, {cy:g}) to the edge of the grid, got "
                 f"r_endo={self.r_endo}, r_epi={self.r_epi}, grid={self.grid}")
         if not (self.ha_endo > 0 > self.ha_epi):
             raise ValidationError(
@@ -95,7 +101,8 @@ class PhantomConfig:
         if self.phase_coef_range < 0:
             raise ValidationError(
                 f"phase_coef_range must be >= 0, got {self.phase_coef_range}")
-        object.__setattr__(self, "grid", tuple(int(v) for v in self.grid))
+        if self.seed < 0:
+            raise ValidationError(f"seed must be >= 0, got {self.seed}")
         object.__setattr__(self, "b_values", tuple(float(b) for b in self.b_values))
         if self.b_values.count(0.0) != 1:
             raise ValidationError(

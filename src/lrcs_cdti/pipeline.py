@@ -78,7 +78,8 @@ class ExperimentPlan:
         if self.lambda_scale is not None and not self.lambda_scale >= 0:
             raise ValidationError(
                 f"lambda_scale must be >= 0 or null, got {self.lambda_scale}")
-        for key in ("ha_jitter_deg", "md_jitter_frac", "geom_jitter_vox"):
+        for key in ("master_seed", "ha_jitter_deg", "md_jitter_frac",
+                    "geom_jitter_vox"):
             if not getattr(self, key) >= 0:
                 raise ValidationError(f"{key} must be >= 0, got {getattr(self, key)}")
         if self.threads < 1:
@@ -137,11 +138,11 @@ class SubjectMetrics:
     regional_md: np.ndarray | None
 
 
-def _series_metrics(series: dm.CasoratiSeries, mask: np.ndarray, center,
+def _series_metrics(series: dm.CasoratiSeries, mask: np.ndarray,
                     segmentation) -> SubjectMetrics:
     field_ = dti.fit_tensors(series, mask)
-    ha = dti.helix_angle(field_, lv_center=center)
-    hat = dti.compute_hat(ha, mask, lv_center=center)
+    ha = dti.helix_angle(field_)
+    hat = dti.compute_hat(ha, mask)
     md_map = dti.mean_diffusivity(field_)
     md = float(md_map[mask].mean())
     if not (np.isfinite(hat.global_hat) and np.isfinite(md)):
@@ -213,9 +214,8 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
         d_full, model_full, replace(plan.solver_config, lam=0.0, cg_max_iters=30))
     segmentation = None
     if cfg.grid[2] >= 3:
-        segmentation = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
-    ref_metrics = _series_metrics(ref.series, gt.myocardium_mask, cfg.center,
-                                  segmentation)
+        segmentation = dti.segment_aha16(gt.myocardium_mask)
+    ref_metrics = _series_metrics(ref.series, gt.myocardium_mask, segmentation)
     if plan.save_arrays:
         sdir = Path(plan.output_dir) / f"subject{index:02d}"
         phantom.save_ground_truth(sdir / "ground_truth", gt)
@@ -265,8 +265,7 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
                     cell.metrics = prelim_metrics
                 else:
                     cell.metrics = _series_metrics(
-                        res.series, subject.myocardium_mask, cfg.center,
-                        subject.segmentation)
+                        res.series, subject.myocardium_mask, subject.segmentation)
                 if res is prelim:
                     prelim_metrics = cell.metrics
                 cell.ok = True

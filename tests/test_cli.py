@@ -217,8 +217,6 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
         pipeline.undersample(truth.config, kspace, 4).samples.astype(np.complex64))
     np.testing.assert_array_equal(dm.load_coils(sim / "coils").maps,
                                   coils.maps.astype(np.complex64))
-    # metrics centres HA on the mask centroid, the pipeline on cfg.center
-    assert (dti.mask_centroids(truth.myocardium_mask) == cfg.center).all()
     for method in plan.methods:
         recon_dir, tensors, metrics = (tmp_path / method / stage
                                        for stage in ("recon", "tensors", "metrics"))
@@ -391,6 +389,44 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
     assert "no 'mask' array" in capsys.readouterr().err
 
 
+def test_fit_mask_that_is_not_bool_is_a_named_error(ground_truth, tmp_path, capsys):
+    # float ones would select every voxel of the grid as the mask
+    gt = ph.load_ground_truth(ground_truth)
+    dm.save_series(tmp_path / "series", gt.clean_series)
+    dm.write_container(tmp_path / "ones",
+                       {"mask": np.ones(gt.myocardium_mask.shape, np.float32)},
+                       {"kind": "metric_maps"})
+    assert cli.main(["fit", "--series", str(tmp_path / "series"),
+                     "--mask", str(tmp_path / "ones"), "--out", str(tmp_path / "t"),
+                     *FLAGS]) == 1
+    assert capsys.readouterr().err == (
+        f"error [fit]: {tmp_path / 'ones'}: 'mask' must be a bool array, got float32\n")
+    assert not (tmp_path / "t").exists()
+
+
+def test_metrics_tables_are_those_of_the_written_maps(ground_truth, tmp_path):
+    # segments.csv holds the AHA means of the MD map and hat.csv the ray
+    # slopes of the HA map, as plain numbers
+    gt = ph.load_ground_truth(ground_truth)
+    dti.save_tensors(tmp_path / "t", dti.fit_tensors(gt.clean_series,
+                                                     gt.myocardium_mask))
+    assert cli.main(["metrics", "--tensors", str(tmp_path / "t"),
+                     "--out", str(tmp_path / "m"), *FLAGS]) == 0
+    maps, _ = dm.read_container(tmp_path / "m" / "maps", names=("ha", "md", "mask"))
+    mask = maps["mask"]
+    rows = _read(tmp_path / "m" / "segments.csv")
+    assert [int(r["segment"]) for r in rows] == list(range(1, 17))
+    assert sum(int(r["n_voxels"]) for r in rows) == np.count_nonzero(mask)
+    want = dti.regional_means(np.where(mask, maps["md"], np.nan),
+                              dti.segment_aha16(mask))
+    np.testing.assert_array_equal([float(r["mean_md"]) for r in rows], want)
+    hat = dti.compute_hat(maps["ha"], mask)
+    rows = _read(tmp_path / "m" / "hat.csv")
+    np.testing.assert_array_equal([float(r["slope"]) for r in rows[:-1]],
+                                  hat.ray_slopes.ravel())
+    assert float(rows[-1]["slope"]) == hat.global_hat
+
+
 @pytest.mark.parametrize("command, flag, content, message", [
     ("run", "--plan", '{"n_subjects": 1, "bogus": 3}',
      "unknown ExperimentPlan key(s): 'bogus'"),
@@ -466,22 +502,35 @@ def test_fit_mask_container_without_mask(ground_truth, tmp_path, capsys):
      '"output_dir": "{out}"}', "methods has a repeated entry: ['lr', 'cs', 'lr']"),
     ("run", "--plan", '{"n_subjects": 1, "phase_modes": ["none", "none"], '
      '"output_dir": "{out}"}', "phase_modes has a repeated entry: ['none', 'none']"),
+    ("phantom --seed -1", "--params", '{"grid": [16, 16, 3], "r_endo": 3, "r_epi": 6}',
+     "seed must be >= 0, got -1"),
+    ("phantom", "--params", '{"seed": -3}', "seed must be >= 0, got -3"),
+    ("run", "--plan", '{"n_subjects": 1, "master_seed": -1, "output_dir": "{out}"}',
+     "master_seed must be >= 0, got -1"),
 ])
 def test_bad_plan_or_params_is_a_named_error(tmp_path, capsys, command, flag,
                                              content, message):
-    # rejected before any work: no study or ground truth is written
+    # rejected before any work: no study or ground truth is written;
+    # ``command`` may carry flags after the command's name
     out = tmp_path / "out"
     path = tmp_path / "input.json"
     path.write_text(content.replace("{out}", str(out)))
-    argv = [command, flag, str(path), *FLAGS]
-    if command == "phantom":
+    argv = [*command.split(), flag, str(path), *FLAGS]
+    if argv[0] == "phantom":
         argv += ["--out", str(out)]
     assert cli.main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error [{command}]: ")
+    assert err.startswith(f"error [{argv[0]}]: ")
     assert str(path) in err and message in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_negative_seed_flag_without_params_is_a_named_error(tmp_path, capsys):
+    assert cli.main(["phantom", "--seed", "-1", "--out", str(tmp_path / "gt"),
+                     *FLAGS]) == 1
+    assert capsys.readouterr().err == "error [phantom]: seed must be >= 0, got -1\n"
+    assert not (tmp_path / "gt").exists()
 
 
 @pytest.mark.parametrize("config, message, command", [

@@ -21,7 +21,7 @@ def truth():
 def true_ha(truth):
     # the HA map of the phantom's own tensors
     cfg, gt = truth
-    return dti.helix_angle(gt.tensors, lv_center=cfg.center)
+    return dti.helix_angle(gt.tensors)
 
 
 @pytest.fixture(scope="module")
@@ -347,10 +347,12 @@ class TestScalarMetrics:
 
 class TestHelixAngle:
     def make_field(self, e1_vec, nx=5, ny=5):
+        # (3, 2) and its mirror (1, 2) put the mask centroid, the LV
+        # center, at (2, 2): (3, 2) is east of it, so radial = +x there
         mask = np.zeros((nx, ny, 1), bool)
-        mask[3, 2, 0] = True    # east of center (2, 2): radial = +x
+        mask[[1, 3], 2, 0] = True
         e1 = np.zeros((nx, ny, 1, 3))
-        e1[3, 2, 0] = e1_vec
+        e1[[1, 3], 2, 0] = e1_vec
         return dti.TensorField(mask=mask, tensors=np.zeros((nx, ny, 1, 3, 3)),
                                s0=np.ones((nx, ny, 1)),
                                evals=np.zeros((nx, ny, 1, 3)), e1=e1)
@@ -358,24 +360,24 @@ class TestHelixAngle:
     def test_circumferential_fiber_zero(self):
         # at a voxel east of center, circumferential = +y
         field = self.make_field([0.0, 1.0, 0.0])
-        ha = dti.helix_angle(field, lv_center=(2.0, 2.0))
+        ha = dti.helix_angle(field)
         assert ha[3, 2, 0] == pytest.approx(0.0, abs=1e-12)
 
     def test_equal_components_45(self):
         field = self.make_field([0.0, np.sqrt(0.5), np.sqrt(0.5)])
-        ha = dti.helix_angle(field, lv_center=(2.0, 2.0))
+        ha = dti.helix_angle(field)
         assert ha[3, 2, 0] == pytest.approx(45.0, abs=1e-12)
 
     def test_sign_invariance(self):
         vec = np.array([0.2, 0.7, 0.5])
         vec /= np.linalg.norm(vec)
-        a = dti.helix_angle(self.make_field(vec), lv_center=(2.0, 2.0))
-        b = dti.helix_angle(self.make_field(-vec), lv_center=(2.0, 2.0))
+        a = dti.helix_angle(self.make_field(vec))
+        b = dti.helix_angle(self.make_field(-vec))
         assert a[3, 2, 0] == pytest.approx(b[3, 2, 0], abs=1e-12)
 
     def test_phantom_midwall_near_zero(self, truth, fitted):
         cfg, gt = truth
-        ha = dti.helix_angle(fitted, lv_center=cfg.center)
+        ha = dti.helix_angle(fitted)
         nx, ny, nz = cfg.grid
         xs, ys = np.meshgrid(np.arange(nx), np.arange(ny), indexing="ij")
         r = np.hypot(xs - cfg.center[0], ys - cfg.center[1])
@@ -384,16 +386,16 @@ class TestHelixAngle:
         assert np.nanmax(np.abs(ha[mid])) < 1.0 + 60 * 1.0 / (cfg.r_epi - cfg.r_endo)
 
     def test_center_voxel_excluded_with_warning(self):
+        # three voxels in a row: the middle one is the mask centroid
         mask = np.zeros((5, 5, 1), bool)
-        mask[2, 2, 0] = True
-        mask[3, 2, 0] = True
+        mask[1:4, 2, 0] = True
         e1 = np.zeros((5, 5, 1, 3))
         e1[..., 1] = 1.0
         field = dti.TensorField(mask=mask, tensors=np.zeros((5, 5, 1, 3, 3)),
                                 s0=np.ones((5, 5, 1)), evals=np.zeros((5, 5, 1, 3)),
                                 e1=e1)
         with pytest.warns(UserWarning, match="center"):
-            ha = dti.helix_angle(field, lv_center=(2.0, 2.0))
+            ha = dti.helix_angle(field)
         assert np.isnan(ha[2, 2, 0])
         assert np.isfinite(ha[3, 2, 0])
 
@@ -405,61 +407,73 @@ class TestComputeHat:
         # voxel every 0.1 along the ray, anchors half a step outside the
         # first/last masked samples); linear data must regress exactly
         nx, ny = 32, 9
-        mask = np.zeros((nx, ny, 1), bool)
-        cx, cy = 2.25, 4.0
-        mask[4:25, 4, 0] = True
+        mask = bar_mask()
+        cx, cy = dti.mask_centroids(mask)[0]
+        assert (cx, cy) == (7.25, 4.0)
         step = dti.RAY_STEP
         radii = np.arange(0.0, np.hypot(nx, ny), step)
-        hit = np.flatnonzero((np.rint(cx + radii) >= 4) & (np.rint(cx + radii) <= 24))
+        hit = np.flatnonzero((np.rint(cx + radii) >= 9) & (np.rint(cx + radii) <= 23))
         lo = radii[hit[0]] - step / 2
         hi = radii[hit[-1]] + step / 2
         c1 = -0.9   # HA change per voxel of x
         ha = np.full((nx, ny, 1), np.nan)
         ha[:, 4, 0] = 10.0 + c1 * np.arange(nx, dtype=float)
         expected = c1 * (hi - lo) / 100.0
-        res = dti.compute_hat(ha, mask, lv_center=(cx, cy))
+        res = dti.compute_hat(ha, mask)
         assert res.ray_slopes[0, 0] == pytest.approx(expected, abs=1e-10)
         assert res.ray_r2[0, 0] == pytest.approx(1.0, abs=1e-12)
 
     def test_constant_field_zero_slope(self, truth):
         cfg, gt = truth
         const = np.where(gt.myocardium_mask, 17.0, np.nan)
-        res = dti.compute_hat(const, gt.myocardium_mask, lv_center=cfg.center)
+        res = dti.compute_hat(const, gt.myocardium_mask)
         assert abs(res.global_hat) < 1e-12
 
     def test_phantom_slope_within_two_percent(self, truth, true_ha):
         cfg, gt = truth
-        res = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
+        res = dti.compute_hat(true_ha, gt.myocardium_mask)
         assert res.global_hat == pytest.approx(gt.hat_global, rel=0.02)
         assert res.n_skipped == 0
 
     def test_ray_r2_above_invariant_threshold(self, truth, true_ha):
         cfg, gt = truth
-        res = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
+        res = dti.compute_hat(true_ha, gt.myocardium_mask)
         assert np.nanmin(res.ray_r2) > 0.999
 
     def test_thin_mask_rays_skipped(self):
         mask = np.zeros((16, 16, 1), bool)
         mask[10, 8, 0] = True   # single voxel: every ray sees < 3 voxels
         ha = np.where(mask, 1.0, np.nan)
-        res = dti.compute_hat(ha, mask, lv_center=(8.0, 8.0))
+        res = dti.compute_hat(ha, mask)
         assert res.n_skipped == 25
         assert np.isnan(res.ray_slopes).all()
 
 
-def reference_compute_hat(ha_map, mask, lv_center=None, n_rays=25, step=0.1):
-    """Loop oracle: one ray at a time, the documented sampling rule
-    written out (the per-ray implementation the batched one replaced)."""
+def bar_mask(block_rows=slice(1, 8)):
+    """A 32 x 9 x 1 mask: a bar x=9..23 on row 4, which ray 0 meets, and
+    behind the ray's start a block x=0..2 over ``block_rows``.  The block
+    puts the mask centroid at (7.25, 4) with rows 1-7: the bar starts
+    1.75 voxels east of it."""
+    mask = np.zeros((32, 9, 1), bool)
+    mask[9:24, 4, 0] = True
+    mask[0:3, block_rows, 0] = True
+    return mask
+
+
+def reference_compute_hat(ha_map, mask, n_rays=25, step=0.1):
+    """Loop oracle: one ray at a time about each slice's mask centroid,
+    the documented sampling rule written out (the per-ray implementation
+    the batched one replaced)."""
     mask = np.asarray(mask, dtype=bool)
     nx, ny, nz = mask.shape
-    centers = dti._resolve_centers(lv_center, mask)
+    centers = dti.mask_centroids(mask)
     angles = 2 * np.pi * np.arange(n_rays) / n_rays
     slopes = np.full((nz, n_rays), np.nan)
     r2s = np.full((nz, n_rays), np.nan)
     skipped = 0
     radii = np.arange(0.0, float(np.hypot(nx, ny)), step)
     for z in range(nz):
-        if not mask[:, :, z].any() or not np.isfinite(centers[z]).all():
+        if not mask[:, :, z].any():
             skipped += n_rays
             continue
         cx, cy = centers[z]
@@ -501,10 +515,10 @@ def reference_ols_slope(x, y):
     return slope, r2
 
 
-def assert_hat_matches_loop(ha_map, mask, lv_center=None):
-    res = dti.compute_hat(ha_map, mask, lv_center)
-    slopes, r2s, skipped = reference_compute_hat(ha_map, mask, lv_center,
-                                                 dti.N_RAYS, dti.RAY_STEP)
+def assert_hat_matches_loop(ha_map, mask):
+    res = dti.compute_hat(ha_map, mask)
+    slopes, r2s, skipped = reference_compute_hat(ha_map, mask, dti.N_RAYS,
+                                                 dti.RAY_STEP)
     assert res.n_skipped == skipped
     np.testing.assert_array_equal(np.isnan(res.ray_slopes), np.isnan(slopes))
     np.testing.assert_array_equal(np.isnan(res.ray_r2), np.isnan(r2s))
@@ -528,15 +542,20 @@ def noisy_ha(truth):
 
 
 class TestHatAgainstLoop:
-    def test_phantom_with_center(self, truth, true_ha):
-        cfg, gt = truth
-        res = assert_hat_matches_loop(true_ha, gt.myocardium_mask,
-                                      lv_center=cfg.center)
+    def test_phantom_with_center(self):
+        # a phantom whose LV center is off the voxel lattice in x: so is
+        # its mask centroid, within a tenth of a voxel of the center
+        gt = ph.build_phantom(ph.PhantomConfig(lv_center=(31.3, 30.0)))
+        centers = dti.mask_centroids(gt.myocardium_mask)
+        assert (centers[:, 0] % 0.5 != 0).all()
+        np.testing.assert_allclose(centers, [[31.3, 30.0]] * 4, atol=0.1)
+        res = assert_hat_matches_loop(dti.helix_angle(gt.tensors), gt.myocardium_mask)
         assert res.n_skipped == 0
 
     def test_phantom_mask_centroid(self, truth, true_ha):
         cfg, gt = truth
-        assert_hat_matches_loop(true_ha, gt.myocardium_mask)
+        res = assert_hat_matches_loop(true_ha, gt.myocardium_mask)
+        assert res.n_skipped == 0
 
     def test_noisy_fit_with_holes(self, truth, noisy_ha):
         cfg, gt = truth
@@ -547,91 +566,94 @@ class TestHatAgainstLoop:
         cfg, gt = truth
         monkeypatch.setattr(dti, "N_RAYS", 16)
         monkeypatch.setattr(dti, "RAY_STEP", 0.25)
-        res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask,
-                                      lv_center=cfg.center)
+        res = assert_hat_matches_loop(noisy_ha, gt.myocardium_mask)
         assert res.ray_slopes.shape == (cfg.grid[2], 16)
 
     def test_partly_covered_ray_falls_back(self):
-        # a one-voxel bar below the ray: every wall sample has weight on
-        # the unmasked row y=5, so only the fallback branch can fit ray 0
+        # a one-voxel bar below the ray: a block over rows 1-8 puts the
+        # centroid at y = 4 + 4/13, so every wall sample has weight on the
+        # unmasked row y=5, and only the fallback branch can fit ray 0
         nx, ny = 32, 9
-        mask = np.zeros((nx, ny, 1), bool)
-        mask[4:25, 4, 0] = True
-        ha = np.where(mask, 10.0 - 0.9 * np.arange(nx)[:, None, None], np.nan)
-        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.3))
-        x0 = np.arange(0.0, np.hypot(nx, ny), 0.1) + 2.25
+        mask = bar_mask(block_rows=slice(1, 9))
+        cx, cy = dti.mask_centroids(mask)[0]
+        assert 4.3 < cy < 4.31
+        ha = np.full((nx, ny, 1), np.nan)
+        ha[9:24, 4, 0] = 10.0 - 0.9 * np.arange(9, 24)
+        res = assert_hat_matches_loop(ha, mask)
+        x0 = np.arange(0.0, np.hypot(nx, ny), 0.1) + cx
         cov = dti._masked_bilinear(ha[:, :, 0], mask[:, :, 0], x0[x0 <= nx - 1],
-                                   np.full((x0 <= nx - 1).sum(), 4.3))[1]
+                                   np.full((x0 <= nx - 1).sum(), cy))[1]
         assert (cov < 1.0 - 1e-9).all()
         assert np.isfinite(res.ray_slopes[0, 0])
 
     def test_two_finite_samples_skip_the_ray(self, monkeypatch):
-        # HA is finite only at x=10, so at step 0.9 two samples of ray 0
-        # (x=9.45, 10.35) carry a value: too few for a fit
+        # HA is finite only at x=11, so at step 0.9 from the centroid
+        # (7.25, 4) two samples of ray 0 (x=10.85, 11.75) carry a value:
+        # too few for a fit
         monkeypatch.setattr(dti, "RAY_STEP", 0.9)
-        nx, ny = 32, 9
-        mask = np.zeros((nx, ny, 1), bool)
-        mask[4:25, 4, 0] = True
-        ha = np.full((nx, ny, 1), np.nan)
-        ha[10, 4, 0] = 5.0
-        res = assert_hat_matches_loop(ha, mask, lv_center=(2.25, 4.0))
+        mask = bar_mask()
+        ha = np.full(mask.shape, np.nan)
+        ha[11, 4, 0] = 5.0
+        res = assert_hat_matches_loop(ha, mask)
         assert np.isnan(res.ray_slopes[0, 0])
 
     def test_mask_filling_the_image(self):
         # every ray leaves the image inside the wall, and voxel (0, 0) is
-        # masked: samples outside the image must not count as hits
+        # masked: samples outside the image must not count as hits; the
+        # unmasked corner (8, 0) puts the centroid off the lattice
         mask = np.ones((9, 7, 2), bool)
+        mask[8, 0] = False
+        assert (dti.mask_centroids(mask) % 0.5 != 0).all()
         ha = np.where(mask, np.add.outer(np.arange(9.0), np.arange(7.0))[..., None],
                       np.nan)
-        res = assert_hat_matches_loop(ha, mask, lv_center=(5.2, 2.9))
+        res = assert_hat_matches_loop(ha, mask)
         assert res.n_skipped == 0
 
     def test_empty_slice_skips_every_ray(self, truth, true_ha):
         cfg, gt = truth
         mask = gt.myocardium_mask.copy()
         mask[:, :, 1] = False
-        res = assert_hat_matches_loop(true_ha, mask, lv_center=cfg.center)
+        res = assert_hat_matches_loop(true_ha, mask)
         assert res.n_skipped == 25
         assert np.isnan(res.ray_slopes[1]).all()
 
     def test_thin_mask(self):
         mask = np.zeros((16, 16, 1), bool)
         mask[10, 8, 0] = True
-        res = assert_hat_matches_loop(np.where(mask, 1.0, np.nan), mask,
-                                      lv_center=(8.0, 8.0))
+        res = assert_hat_matches_loop(np.where(mask, 1.0, np.nan), mask)
         assert res.n_skipped == 25
 
 
 class TestAha16:
     def test_six_slices_two_per_band(self):
         mask = np.ones((8, 8, 6), bool)
-        seg = dti.segment_aha16(mask, lv_center=(3.5, 3.5))
+        seg = dti.segment_aha16(mask)
         assert seg.band_of_slice == ("basal",) * 2 + ("mid",) * 2 + ("apical",) * 2
 
     def test_extra_slices_assigned_basal_first(self):
         mask = np.ones((8, 8, 7), bool)
-        seg = dti.segment_aha16(mask, lv_center=(3.5, 3.5))
+        seg = dti.segment_aha16(mask)
         assert seg.band_of_slice.count("basal") == 3
         assert seg.band_of_slice.count("mid") == 2
         assert seg.band_of_slice.count("apical") == 2
 
     def test_first_sector_membership(self):
         mask = np.ones((9, 9, 3), bool)
-        seg = dti.segment_aha16(mask, lv_center=(4.0, 4.0))
+        seg = dti.segment_aha16(mask)
         # voxel at +30 degrees (basal slice 0): x=4+2, y=4+2*tan(30)
         x, y = 6, 4 + int(round(2 * np.tan(np.radians(30))))
         assert seg.segments[x, y, 0] == 1
 
     def test_segment_range_and_bands(self):
         mask = np.ones((9, 9, 3), bool)
-        seg = dti.segment_aha16(mask, lv_center=(4.0, 4.0))
+        seg = dti.segment_aha16(mask)
         assert set(np.unique(seg.segments[:, :, 0])) <= set(range(1, 7))
         assert set(np.unique(seg.segments[:, :, 1])) <= set(range(7, 13))
         assert set(np.unique(seg.segments[:, :, 2])) <= set(range(13, 17))
 
     def test_annulus_population_balance(self, truth):
         cfg, gt = truth
-        seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
+        seg = dti.segment_aha16(gt.myocardium_mask)
         # basal band: compare 60-degree sector populations
         basal = [z for z, b in enumerate(seg.band_of_slice) if b == "basal"]
         counts = [int(sum((seg.segments[:, :, z] == s).sum() for z in basal))
@@ -646,11 +668,11 @@ class TestAha16:
         mask = np.zeros((6, 6, 3), bool)
         mask[2, 2, 0] = True   # only the basal band has voxels
         with pytest.raises(ValidationError, match="band"):
-            dti.segment_aha16(mask, lv_center=(2.0, 2.0))
+            dti.segment_aha16(mask)
 
     def test_regional_means(self):
         mask = np.ones((9, 9, 3), bool)
-        seg = dti.segment_aha16(mask, lv_center=(4.0, 4.0))
+        seg = dti.segment_aha16(mask)
         vals = np.where(mask, 2.5, np.nan)
         means = dti.regional_means(vals, seg)
         present = ~np.isnan(means)
@@ -659,8 +681,8 @@ class TestAha16:
 
     def test_regional_hat_matches_explicit_sector_loop(self, truth, true_ha):
         cfg, gt = truth
-        seg = dti.segment_aha16(gt.myocardium_mask, lv_center=cfg.center)
-        hat = dti.compute_hat(true_ha, gt.myocardium_mask, lv_center=cfg.center)
+        seg = dti.segment_aha16(gt.myocardium_mask)
+        hat = dti.compute_hat(true_ha, gt.myocardium_mask)
         slopes = np.arange(hat.ray_slopes.size, dtype=float).reshape(
             hat.ray_slopes.shape)
         slopes[0, 3] = np.nan

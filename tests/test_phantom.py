@@ -1,4 +1,5 @@
 import json
+import re
 from dataclasses import fields, is_dataclass
 
 import numpy as np
@@ -22,7 +23,25 @@ class TestConfig:
         with pytest.raises(ValidationError, match="r_endo"):
             ph.PhantomConfig(r_endo=20, r_epi=12)
         with pytest.raises(ValidationError, match="r_endo"):
-            ph.PhantomConfig(r_epi=40)  # >= min(nx, ny)/2
+            ph.PhantomConfig(r_epi=40)  # beyond the edge of the 64 x 64 grid
+
+    def test_annulus_fits_about_its_own_center(self):
+        # an off-center annulus that fits is the centered one, translated
+        centered = ph.build_phantom(ph.PhantomConfig())
+        shifted = ph.build_phantom(ph.PhantomConfig(lv_center=(35.5, 29.5)))
+        np.testing.assert_array_equal(
+            shifted.myocardium_mask, np.roll(centered.myocardium_mask, (4, -2), (0, 1)))
+
+    @pytest.mark.parametrize("center, edge", [
+        ((5, 5), "5.5"),              # clipped: the wall leaves the image
+        ((31.5, 23.5), "24"),         # r_epi 24 touches the edge
+        ((-3, 31.5), "-2.5"),         # outside the image
+        ((70, 31.5), "-6.5"),
+    ])
+    def test_annulus_outside_the_grid_rejected(self, center, edge):
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"need 0 < r_endo < r_epi < {edge}, ")):
+            ph.PhantomConfig(lv_center=center)
 
     def test_handedness_required(self):
         with pytest.raises(ValidationError, match="ha_endo"):
@@ -82,8 +101,17 @@ class TestGroundTruth:
             & gt.myocardium_mask
         assert mid.any()
         # td = 0.5 -> HA = 0 within the sub-voxel radius tolerance
-        ha = dti.helix_angle(gt.tensors, lv_center=cfg.center)
+        ha = dti.helix_angle(gt.tensors)
         assert np.nanmax(np.abs(ha[mid])) < 120 * 0.2 / 12 + 1e-9
+
+    def test_off_lattice_center_is_measured_about_the_mask_centroid(self):
+        # HA and HAT turn about the mask centroid, (31.343, 30) here, not
+        # the configured center (31.3, 30), about which the slope is -1.2045
+        cfg = ph.PhantomConfig(lv_center=(31.3, 30.0))
+        gt = ph.build_phantom(cfg)
+        res = dti.compute_hat(dti.helix_angle(gt.tensors), gt.myocardium_mask)
+        assert res.global_hat == pytest.approx(-1.2061, abs=5e-5)
+        assert res.global_hat == pytest.approx(gt.hat_global, rel=0.01)
 
     def test_hat_global_slope(self):
         cfg = ph.PhantomConfig(ha_endo=60.0, ha_epi=-60.0)
@@ -103,8 +131,8 @@ class TestGroundTruth:
 
     def test_ray_regression_r2(self, default_truth):
         cfg, gt = default_truth
-        ha = dti.helix_angle(gt.tensors, lv_center=cfg.center)
-        res = dti.compute_hat(ha, gt.myocardium_mask, lv_center=cfg.center)
+        ha = dti.helix_angle(gt.tensors)
+        res = dti.compute_hat(ha, gt.myocardium_mask)
         assert np.nanmin(res.ray_r2) > 0.999
         assert res.global_hat == pytest.approx(gt.hat_global, rel=0.02)
 
@@ -208,7 +236,7 @@ def save_old_format(path, gt):
         {"clean": gt.clean_series.data.astype(np.complex64),
          "phase_real": np.real(gt.phase.values), "phase_imag": np.imag(gt.phase.values),
          "coil_maps": gt.coils.maps.astype(np.complex64),
-         "ha_map": dti.helix_angle(gt.tensors, lv_center=gt.config.center),
+         "ha_map": dti.helix_angle(gt.tensors),
          "md_map": gt.md_map, "mask": gt.myocardium_mask,
          "tensors": gt.tensors.tensors, "evals": gt.tensors.evals,
          "e1": gt.tensors.e1, "s0": gt.tensors.s0},

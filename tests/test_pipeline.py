@@ -10,7 +10,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lrcs_cdti import encoding, pipeline
+from lrcs_cdti import dti, encoding, pipeline
+from lrcs_cdti import phantom as ph
 from lrcs_cdti.errors import NumericalError, ValidationError
 from treediff import differing_files
 
@@ -179,11 +180,26 @@ def test_failed_subject_is_recorded_not_fatal(tmp_path, r_epi, error):
     ({"lambda_scale": float("nan")}, "lambda_scale must be >= 0 or null, got nan"),
     ({"R_list": (float("nan"),)}, "R_list entries must be >= 1, got [nan]"),
     ({"ha_jitter_deg": float("nan")}, "ha_jitter_deg must be >= 0, got nan"),
-], ids=["lambda-scale-nan", "R-nan", "ha-jitter-nan"])
+    ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
+], ids=["lambda-scale-nan", "R-nan", "ha-jitter-nan", "master-seed-negative"])
 def test_a_plan_no_subject_can_run_is_rejected_when_built(changes, message):
     # a plan built in Python meets no JSON codec, which rejects NaN
     with pytest.raises(ValidationError, match=re.escape(message)):
         pipeline.ExperimentPlan(**changes)
+
+
+@pytest.mark.parametrize("plan", [
+    pipeline.ExperimentPlan(),
+    pipeline.ExperimentPlan(base_config={"grid": [32, 32, 3], "r_endo": 6, "r_epi": 12}),
+], ids=["default", "32x32x3"])
+def test_every_subject_mask_is_centered_on_its_config_center(plan):
+    # HA, HAT and the AHA sectors turn about the mask centroid; on the
+    # default plan and the 32x32x3 base it is exactly the phantom's own
+    # center, so their studies measure about the true LV center
+    for index in range(plan.n_subjects):
+        cfg = pipeline.subject_config(plan, index)
+        mask = ph.build_phantom(cfg).myocardium_mask
+        assert (dti.mask_centroids(mask) == cfg.center).all(), index
 
 
 @pytest.mark.parametrize("threads", [1, 2])
