@@ -24,6 +24,7 @@ import csv
 import json
 import logging
 import sys
+from dataclasses import replace
 from functools import partial
 from pathlib import Path
 from typing import Literal
@@ -196,13 +197,19 @@ def _setup(args: argparse.Namespace) -> None:
 def cmd_phantom(args) -> int:
     params = _read_json(args.params, "params") if args.params is not None else {}
     if args.seed is not None:
-        params["seed"] = args.seed
+        # the flag's seed replaces the file's; an error names its source
+        params.pop("seed", None)
     try:
         cfg = dm.config_from_json(phantom.PhantomConfig, params)
     except ValidationError as exc:
         if args.params is None:
             raise
         raise ValidationError(f"params {args.params}: {exc}") from exc
+    if args.seed is not None:
+        try:
+            cfg = replace(cfg, seed=args.seed)
+        except ValidationError as exc:
+            raise ValidationError(f"--seed: {exc}") from exc
     truth = phantom.build_phantom(cfg)
     phantom.save_ground_truth(args.out, truth)
     log.info("phantom written to %s", args.out)

@@ -209,7 +209,9 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
     knoisy, coil_maps = acquire(gt)
     d_full = undersample(cfg, knoisy, 1)
     model_full = encoding.EncodingModel(coil_maps, d_full.mask, None)
-    # at lambda = 0 the sparsity-only solve is plain least squares
+    # at lambda = 0 the sparsity-only solve is plain least squares: its one
+    # solve is a U0 solve, which recon.INNER_CG_CAP does not cap, so it
+    # runs to recon.CG_TOL or 30 steps
     ref = recon.reconstruct_cs_only(
         d_full, model_full, replace(plan.solver_config, lam=0.0, cg_max_iters=30))
     segmentation = None

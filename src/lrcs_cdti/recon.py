@@ -59,8 +59,17 @@ the CG iterate and the operator it applies, and on the wavelet side
 Psi U V, G and the dual (the transform and the shrink compute in their
 input's precision).  :func:`admm_solve` returns U as complex128,
 so the phase map, subspace, tensor fit and containers see double
-precision.  Every CG solve stops at the relative residual ``CG_TOL``,
-about the smallest that complex64 CG reaches.
+precision.
+
+Stopping: every CG solve stops at the relative residual ``CG_TOL``,
+about the smallest that complex64 CG reaches, or at its step cap.  The
+caller of a solve picks the cap.  The U0 solve (rho = 0, from zero),
+which is the whole of lr, runs up to ``SolverConfig.cg_max_iters``
+steps.  Each solve inside the ADMM loop (shift rho/2 > 0, warm-started
+from the last U) runs up to min(``cg_max_iters``, ``INNER_CG_CAP``):
+an inexact U-update, whose early stop the loop's later iterations
+absorb (Eckstein & Bertsekas, Math. Programming 1992; Boyd et al.,
+Found. Trends ML 2011, 3.4.4).
 
 Residual carrying: every A*A call in the solver is a CG step.  CG is
 handed the residual rhs - H x0 of its starting point instead of
@@ -107,6 +116,11 @@ ALPHA_DECAY = 1.55
 # the relative residual at which CG stops: about 8 float32 epsilons,
 # near where complex64 CG (EncodingModel.dtype) stalls
 CG_TOL = 1e-6
+# the CG step cap of each warm-started solve inside the ADMM loop, or
+# SolverConfig.cg_max_iters if smaller (see the module notes): at 8 the
+# R=6 lrcs bias moves by a sixth of what a cap of 6 moves it, for most
+# of its speed
+INNER_CG_CAP = 8
 # the default subspace rank of lr and lrcs: the tensor model's unknowns
 # per voxel (S0 and the six tensor entries), not a tuned value
 RANK = 7
@@ -115,7 +129,9 @@ RANK = 7
 @dataclass(frozen=True)
 class SolverConfig:
     """ADMM/CG settings.  The method is not a setting: it follows from the
-    subspace a solve is given and from ``lam`` (see :func:`admm_solve`)."""
+    subspace a solve is given and from ``lam`` (see :func:`admm_solve`).
+    ``cg_max_iters`` caps the CG steps of the U0 solve; a solve inside the
+    ADMM loop stops at min(``cg_max_iters``, ``INNER_CG_CAP``)."""
 
     lam: float = 0.0
     max_iters: int = 25
@@ -261,8 +277,8 @@ class _Normal:
     identity for the identity V, and ``solve`` runs CG on the operator
     project (A*A + shift I) expand (see :func:`admm_solve`)."""
 
-    def __init__(self, model: EncodingModel, v: np.ndarray, cfg: SolverConfig):
-        self.model, self.cg_max_iters = model, cfg.cg_max_iters
+    def __init__(self, model: EncodingModel, v: np.ndarray):
+        self.model = model
         self.identity = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
         if self.identity:
             self.expand = self.project = _same
@@ -274,10 +290,10 @@ class _Normal:
     def apply_h(self, ut, shift):
         return self.project(normal_matrix(self.model, self.expand(ut).T, shift).T)
 
-    def solve(self, iteration, shift, rhs, x0, r):
+    def solve(self, iteration, shift, rhs, x0, r, max_iters):
         try:
             return cg_solve(partial(self.apply_h, shift=shift), rhs, x0,
-                            CG_TOL, self.cg_max_iters, r)
+                            CG_TOL, max_iters, r)
         except _NonFiniteCG as exc:
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": iteration}) from exc
@@ -308,14 +324,16 @@ def first_solve(model: EncodingModel, v_basis: np.ndarray, adj: np.ndarray,
                 cfg: SolverConfig) -> FirstSolve:
     """The U0 solve of :func:`admm_solve` on ``model`` and the subspace
     ``v_basis``, from ``adj`` = A*(d), the (M, N) adjoint of the k-space
-    on ``model`` (its phase included), at ``cfg.cg_max_iters``.  A
-    non-finite U0 raises NumericalError for iteration 0."""
+    on ``model`` (its phase included).  It stops at ``CG_TOL`` or after
+    ``cfg.cg_max_iters`` steps; ``INNER_CG_CAP`` does not apply to it.
+    A non-finite U0 raises NumericalError for iteration 0."""
     t0 = time.perf_counter()
-    normal = _Normal(model, np.asarray(v_basis, dtype=model.dtype), cfg)
+    normal = _Normal(model, np.asarray(v_basis, dtype=model.dtype))
     rhs = normal.project(adj.T)
     # the solve starts from zero, so its residual is the right-hand side
     r = rhs.copy()
-    u, cg_it, cg_res = normal.solve(0, 0.0, rhs, np.zeros_like(rhs), r)
+    u, cg_it, cg_res = normal.solve(0, 0.0, rhs, np.zeros_like(rhs), r,
+                                    cfg.cg_max_iters)
     _check_finite(float(np.linalg.norm(u)), 0)
     for a in (rhs, u, r):
         a.flags.writeable = False
@@ -333,6 +351,10 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     runs that solve itself.  The report counts the U0 solve: its CG
     iterations and residual come first, and its time is part of
     ``wall_time_s``, wherever it ran.
+
+    Each CG solve of the loop starts from the last U and stops at
+    ``CG_TOL`` or after min(``cfg.cg_max_iters``, ``INNER_CG_CAP``)
+    steps (see the module notes).
 
     The iterate is U^T, (L, M) and C-contiguous, so X^T = V^T U^T is the
     (N, nz, ny, nx) grid of :func:`normal_matrix` with no copy, and every
@@ -362,7 +384,8 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
                               f"rank {v.shape[0]} on {model.n_voxels} voxels")
     # the clock starts the U0 solve's time ago
     t0 = time.perf_counter() - start.wall_s
-    normal = _Normal(model, v, cfg)
+    normal = _Normal(model, v)
+    inner_cap = min(cfg.cg_max_iters, INNER_CG_CAP)
     vh = v.conj().T
     variant = (Method.CS_ONLY if normal.identity
                else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
@@ -419,7 +442,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u)
         r += rhs - rhs_prev
         r -= ((rho - rho_sys) / 2.0) * normal.project(normal.expand(u))
-        u_next, cg_it, cg_res = normal.solve(k, rho / 2.0, rhs, u, r)
+        u_next, cg_it, cg_res = normal.solve(k, rho / 2.0, rhs, u, r, inner_cap)
         rhs_prev, rho_sys = rhs, rho
         # u is spent: its buffer takes the step U_next - U, negated
         u -= u_next

@@ -68,11 +68,12 @@ class TestCsOnly:
 
 class TestSolverPrecision:
     def test_cg_tol_and_alpha_decay_are_constants(self):
-        # the CG tolerance and the threshold decay are fixed, so a solver
-        # config that sets either names the key
+        # the CG tolerance, the threshold decay and the inner CG cap are
+        # fixed, so a solver config that sets one names the key
         assert [f.name for f in fields(recon.SolverConfig)] == [
             "lam", "max_iters", "cg_max_iters"]
-        for key, value in (("cg_tol", recon.CG_TOL), ("alpha_decay", recon.ALPHA_DECAY)):
+        for key, value in (("cg_tol", recon.CG_TOL), ("alpha_decay", recon.ALPHA_DECAY),
+                           ("inner_cg_cap", recon.INNER_CG_CAP)):
             with pytest.raises(ValidationError,
                                match=re.escape(f"unknown SolverConfig key(s): '{key}'")):
                 dm.config_from_json(recon.SolverConfig, {key: value})
@@ -798,3 +799,47 @@ class TestResidualCarry:
         report = self.run(bench, method).report
         assert len(drifts) == 2 * len(report.cg_iters) == 26
         assert max(drifts) <= recon.CG_TOL
+
+
+class TestInnerCgCap:
+    """The U0 solve runs to CG_TOL or cg_max_iters steps; each
+    warm-started solve of the ADMM loop to CG_TOL or
+    min(cg_max_iters, INNER_CG_CAP) steps."""
+
+    @pytest.mark.parametrize("cg_max_iters", [15, 6])
+    def test_only_the_loop_solves_stop_at_the_inner_cap(self, bench, monkeypatch,
+                                                        cg_max_iters):
+        # 15 is the default cap, above INNER_CG_CAP; 6 is below it
+        assert recon.SolverConfig().cg_max_iters == 15 > recon.INNER_CG_CAP > 6
+        cfg, gt, labels, kfull = bench
+        _, d, _ = make_model(gt, labels, kfull, R=4)
+        calls = []
+        real = recon.normal_matrix
+
+        def counted(*args):
+            calls.append(1)
+            return real(*args)
+        monkeypatch.setattr(recon, "normal_matrix", counted)
+        scfg = recon.SolverConfig(cg_max_iters=cg_max_iters)
+        prelim = recon.preliminary(d, gt.coils, scfg, recon.RANK, scale=1e-2)
+        reports = [prelim.report, recon.recon(prelim, "lrcs", "proposed").report]
+        inner_cap = min(cg_max_iters, recon.INNER_CG_CAP)
+        for report in reports:
+            # here the U0 solve needs every step it is allowed, the inner
+            # solves of the first iterations every step of theirs
+            assert report.cg_iters[0] == cg_max_iters
+            inner = report.cg_iters[1:]
+            assert len(inner) == scfg.max_iters
+            assert max(inner) == inner_cap
+        # lr is the U0 solve of lrcs, so it keeps the full cap too
+        assert recon.recon(prelim, "lr", "proposed").report.cg_iters == [cg_max_iters]
+        assert len(calls) == sum(sum(r.cg_iters) for r in reports)
+
+    def test_first_solve_runs_cg_max_iters_steps(self, bench):
+        cfg, gt, labels, kfull = bench
+        _, d, model = make_model(gt, labels, kfull, R=4)
+        adj = enc.adjoint_matrix(model, d.samples)
+        for cap in (recon.INNER_CG_CAP + 4, recon.INNER_CG_CAP + 9):
+            start = recon.first_solve(model, np.eye(model.n_columns), adj,
+                                      recon.SolverConfig(cg_max_iters=cap))
+            assert start.cg_iters == cap and start.cg_residual > recon.CG_TOL
