@@ -80,7 +80,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="absolute regularization weight")
     p.add_argument("--lambda-scale", type=float, default=None,
-                   help="weight as a fraction of max |Psi A*(d)|")
+                   help=f"weight as a fraction of max |Psi A*(d)| (default "
+                        f"{recon.LAMBDA_SCALE:g})")
     p.add_argument("--lambda-grid", action="store_true", default=None,
                    help="select the weight by the nuclear-norm criterion")
     p.add_argument("--iters", type=int, default=None)
@@ -135,13 +136,15 @@ def _read_json(path, what: str) -> dict:
 # values of the flags that neither the command line nor the config sets
 _DEFAULTS = {"simulate": {"R": 1.0},
              "recon": {"method": "lrcs", "phase": "proposed", "rank": recon.RANK,
-                       "lambda_scale": 1e-2}}
+                       "lambda_scale": recon.LAMBDA_SCALE}}
 
 
 def _merge_config(args: argparse.Namespace,
                   parser: argparse.ArgumentParser) -> argparse.Namespace:
     """Fill unset (None) flags of the command from the JSON config file,
-    if given, then from ``_DEFAULTS``.
+    if given, then from ``_DEFAULTS``.  ``args.sources`` maps the dest of
+    each flag that the config filled to where its value came from, for
+    error messages.
 
     Every key must name a flag of some command; keys of other commands
     are ignored, so one config can serve several commands.  A value must
@@ -158,12 +161,14 @@ def _merge_config(args: argparse.Namespace,
                               f"{', '.join(map(repr, unknown))} name no flag "
                               f"of any command")
     flags = _flags(commands[args.command])
+    args.sources = {}
     for key, value in overrides.items():
         action = flags.get(key)
         if action is None or value is None or getattr(args, action.dest) is not None:
             continue
-        setattr(args, action.dest,
-                _config_value(action, value, f"config {args.config} key {key!r}"))
+        where = f"config {args.config} key {key!r}"
+        setattr(args, action.dest, _config_value(action, value, where))
+        args.sources[action.dest] = where
     for dest, value in _DEFAULTS.get(args.command, {}).items():
         if getattr(args, dest) is None:
             setattr(args, dest, value)
@@ -197,7 +202,8 @@ def _setup(args: argparse.Namespace) -> None:
 def cmd_phantom(args) -> int:
     params = _read_json(args.params, "params") if args.params is not None else {}
     if args.seed is not None:
-        # the flag's seed replaces the file's; an error names its source
+        # the flag's (or the config's) seed replaces the file's; an error
+        # names its source
         params.pop("seed", None)
     try:
         cfg = dm.config_from_json(phantom.PhantomConfig, params)
@@ -209,7 +215,8 @@ def cmd_phantom(args) -> int:
         try:
             cfg = replace(cfg, seed=args.seed)
         except ValidationError as exc:
-            raise ValidationError(f"--seed: {exc}") from exc
+            raise ValidationError(
+                f"{args.sources.get('seed', '--seed')}: {exc}") from exc
     truth = phantom.build_phantom(cfg)
     phantom.save_ground_truth(args.out, truth)
     log.info("phantom written to %s", args.out)

@@ -42,9 +42,9 @@ Layout conventions:
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``adjoint_matrix`` and ``normal_matrix`` cast their input to
-  complex64 and return complex64.  ``fft2c``, ``ifft2c`` and
-  ``coil_kspace`` stay in complex128, so simulated k-space is double
-  precision.
+  complex64 and return complex64.  ``fft2c``, ``ifft2c``,
+  ``coil_kspace`` and ``coil_combine`` stay in complex128, so simulated
+  k-space and the fully sampled least squares are double precision.
 * The phase enters the adjoint last (:func:`unphase`), so a solver
   holding A*(d) of the phase-free model derives that of a phased one
   with one product and no DFT.
@@ -370,6 +370,26 @@ def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
         vols = vols * _series_to_grid(phase.values, (nx, ny, nz))
     maps_t = coils.maps.transpose(0, 3, 2, 1)
     return fft2c(maps_t[:, None] * vols[None])
+
+
+def coil_combine(kgrid: np.ndarray, coils: CoilMaps) -> np.ndarray:
+    """Least-squares (M, N) series of a fully sampled k-space grid (C, N,
+    nz, ny, nx) on ``coils``: sum_c conj(S_c) F^H k_c / sum_c |S_c|^2
+    (Roemer et al., MRM 1990; Pruessmann et al., MRM 1999), in
+    complex128.  On a full grid A*A is that diagonal sum, so this solves
+    A*A x = A*d exactly: it inverts the phase-free :func:`coil_kspace` on
+    the coils' support and is zero off it.  One coil's grid is
+    transformed at a time, so no whole image grid of every coil is made."""
+    maps_t = coils.maps.transpose(0, 3, 2, 1)
+    combined = np.zeros(kgrid.shape[1:], dtype=np.complex128)
+    for k_c, s_c in zip(kgrid, maps_t):
+        image = ifft2c(k_c)
+        image *= np.conj(s_c)
+        combined += image
+    sos = (maps_t.real ** 2 + maps_t.imag ** 2).sum(axis=0)
+    # off the support every S_c is 0, so the sum there is already 0
+    np.divide(combined, sos, out=combined, where=sos > 0)
+    return _grid_to_series(combined)
 
 
 def extract_samples(kgrid: np.ndarray, mask: SamplingMask) -> KSpaceData:

@@ -3,10 +3,13 @@ acceleration factors, reconstruction methods, and phase-correction
 modes, with reference metrics, per-cell reports, and cohort statistics.
 
 The reference for every subject is the least-squares reconstruction of
-the fully sampled noisy data (the noiseless truth is recorded alongside
-for oracle checks).  Coil maps are estimated once per subject from the
-fully sampled b=0 column and shared by all reconstructions.  A prepared
-subject is its cells' inputs and its reference metrics
+the fully sampled noisy data k.  On a full grid that is the coil
+combination sum_c conj(S_c) F^H k_c / sum_c |S_c|^2
+(:func:`encoding.coil_combine`), so no solver runs for it.  The
+noiseless truth is recorded alongside for oracle checks.  Coil maps are
+estimated once per subject from the fully sampled b=0 column and shared
+by the reference and all reconstructions.  A prepared subject is its
+cells' inputs and its reference metrics
 (:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
 the reference series, when the plan saves arrays, and drops them.
 
@@ -57,7 +60,7 @@ class ExperimentPlan:
     base_config: dict = field(default_factory=dict)
     # solver configuration
     rank: int = recon.RANK          # of every lr and lrcs solve
-    lambda_scale: float | None = 1e-2   # None -> nuclear-norm grid selection
+    lambda_scale: float | None = recon.LAMBDA_SCALE   # None -> nuclear-norm grid
     solver: dict = field(default_factory=dict)
     threads: int = 1
     save_arrays: bool = True
@@ -98,9 +101,12 @@ class ExperimentPlan:
                 f"R_list entries must be >= 1, got {list(self.R_list)}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "phase_modes", tuple(self.phase_modes))
-        # a repeated entry would write its cells' directories and rows twice
+        # no entry would leave no cell to run, and a repeated entry would
+        # write its cells' directories and rows twice
         for key in ("R_list", "methods", "phase_modes"):
             values = getattr(self, key)
+            if not values:
+                raise ValidationError(f"{key} is empty: the plan has no cell")
             if len(set(values)) != len(values):
                 raise ValidationError(f"{key} has a repeated entry: {list(values)}")
 
@@ -202,26 +208,23 @@ def undersample(cfg: phantom.PhantomConfig, kspace: np.ndarray,
 
 
 def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
-    """The inputs of one subject's cells.  Its truth and reference series
-    are saved, when the plan saves arrays, and die on return."""
+    """The inputs of one subject's cells.  Its reference series is the
+    least squares of its fully sampled noisy k-space k on the estimated
+    coil maps S, sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 per voxel and
+    column (:func:`encoding.coil_combine`).  Its truth and reference
+    series are saved, when the plan saves arrays, and die on return."""
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
     knoisy, coil_maps = acquire(gt)
-    d_full = undersample(cfg, knoisy, 1)
-    model_full = encoding.EncodingModel(coil_maps, d_full.mask, None)
-    # at lambda = 0 the sparsity-only solve is plain least squares: its one
-    # solve is a U0 solve, which recon.INNER_CG_CAP does not cap, so it
-    # runs to recon.CG_TOL or 30 steps
-    ref = recon.reconstruct_cs_only(
-        d_full, model_full, replace(plan.solver_config, lam=0.0, cg_max_iters=30))
+    ref = gt.clean_series.with_data(encoding.coil_combine(knoisy, coil_maps))
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(gt.myocardium_mask)
-    ref_metrics = _series_metrics(ref.series, gt.myocardium_mask, segmentation)
+    ref_metrics = _series_metrics(ref, gt.myocardium_mask, segmentation)
     if plan.save_arrays:
         sdir = Path(plan.output_dir) / f"subject{index:02d}"
         phantom.save_ground_truth(sdir / "ground_truth", gt)
-        dm.save_series(sdir / "reference", ref.series)
+        dm.save_series(sdir / "reference", ref)
     return SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, segmentation,
                          ref_metrics)
 

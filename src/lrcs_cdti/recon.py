@@ -124,6 +124,9 @@ INNER_CG_CAP = 8
 # the default subspace rank of lr and lrcs: the tensor model's unknowns
 # per voxel (S0 and the six tensor entries), not a tuned value
 RANK = 7
+# the default weight of the plan and of `cli recon`, as a fraction of
+# lambda_base: the middle of default_lambda_grid's scales
+LAMBDA_SCALE = 1e-2
 
 
 @dataclass(frozen=True)

@@ -502,9 +502,14 @@ def test_metrics_tables_are_those_of_the_written_maps(ground_truth, tmp_path):
      '"output_dir": "{out}"}', "methods has a repeated entry: ['lr', 'cs', 'lr']"),
     ("run", "--plan", '{"n_subjects": 1, "phase_modes": ["none", "none"], '
      '"output_dir": "{out}"}', "phase_modes has a repeated entry: ['none', 'none']"),
+    ("run", "--plan", '{"n_subjects": 1, "methods": [], "output_dir": "{out}"}',
+     "methods is empty: the plan has no cell"),
+    ("run", "--plan", '{"n_subjects": 1, "R_list": [], "output_dir": "{out}"}',
+     "R_list is empty: the plan has no cell"),
     ("phantom --seed -1", "--params", '{"grid": [16, 16, 3], "r_endo": 3, "r_epi": 6}',
      "seed must be >= 0, got -1"),
     ("phantom", "--params", '{"seed": -3}', "seed must be >= 0, got -3"),
+    ("phantom", "--config", '{"seed": -1}', "key 'seed': seed must be >= 0, got -1"),
     ("run", "--plan", '{"n_subjects": 1, "master_seed": -1, "output_dir": "{out}"}',
      "master_seed must be >= 0, got -1"),
 ])
@@ -580,8 +585,11 @@ def test_help_exits_zero(capsys):
     assert cli.main(["recon", "--help"]) == 0
     out = capsys.readouterr().out
     assert "--phase {none,proposed}" in out
+    words = " ".join(out.split())
     assert ("--rank RANK subspace rank of lr and lrcs (default 7: S0 and the six "
-            "tensor entries)") in " ".join(out.split())
+            "tensor entries)") in words
+    assert ("--lambda-scale LAMBDA_SCALE weight as a fraction of max |Psi A*(d)| "
+            "(default 0.01)") in words
 
 
 def test_config_key_of_no_command_is_a_named_error(tmp_path, capsys):

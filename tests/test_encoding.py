@@ -6,6 +6,7 @@ from scipy.ndimage import gaussian_filter
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import encoding as enc
 from lrcs_cdti import phantom as ph
+from lrcs_cdti import recon
 from lrcs_cdti.errors import ValidationError
 
 # The operators compute in complex64 (EncodingModel.dtype, float32 eps
@@ -22,6 +23,12 @@ HERMITIAN_RTOL = 2e-8
 # norm: numpy scales each axis of a complex64 pass by its own 1/sqrt(n),
 # scipy the whole transform by 1/sqrt(ny nx) (measured <= 1.5e-7)
 SCIPY_ADJ_RTOL = 5e-7
+# coil_combine x of noisy data on the R=1 model: ||A*A x - A*d|| over
+# ||A*d||, both operators in complex64 (measured 0.94 eps)
+NORMAL_EQ_RTOL = 4 * np.finfo(np.float32).eps
+# coil_combine against the lambda = 0 cs solve (complex64 CG to CG_TOL),
+# relative in norm (measured 2.2e-6)
+CG_LSQ_RTOL = 1e-5
 
 
 @pytest.fixture(scope="module")
@@ -183,6 +190,59 @@ class TestForwardAdjoint:
         mask = enc.make_sampling_mask(16, 2, labels[:1], R=1, seed=0)
         with pytest.raises(ValidationError):
             enc.EncodingModel(gt.coils, mask, None)
+
+
+@pytest.fixture(scope="module")
+def noisy_full(small_phantom):
+    """The small phantom's noisy full grid, and coil maps estimated from
+    it and zeroed on the first 6 readout rows, so that the maps' support
+    (given as Casorati rows) is not the whole grid."""
+    cfg, gt = small_phantom
+    kgrid = ph.add_noise(enc.coil_kspace(gt.clean_series, gt.coils, gt.phase),
+                         cfg.snr, ph.mean_s0(gt), seed=cfg.seed)
+    maps = enc.estimate_coil_maps(
+        enc.ifft2c(kgrid[:, 0]).transpose(0, 3, 2, 1)).maps.copy()
+    maps[:, :6] = 0
+    support = ((np.abs(maps) ** 2).sum(axis=0) > 0).ravel(order="F")
+    return kgrid, dm.CoilMaps(maps), support
+
+
+class TestCoilCombine:
+    def test_inverts_coil_kspace_on_the_support(self, small_phantom, noisy_full):
+        _, gt = small_phantom
+        _, coils, support = noisy_full
+        x = enc.coil_combine(enc.coil_kspace(gt.clean_series, coils), coils)
+        assert x.dtype == np.complex128 and x.shape == gt.clean_series.data.shape
+        want = gt.clean_series.data[support]
+        assert np.linalg.norm(x[support] - want) <= 1e-12 * np.linalg.norm(want)
+
+    def test_zero_off_the_support(self, noisy_full):
+        kgrid, coils, support = noisy_full
+        assert 0 < support.sum() < support.size
+        x = enc.coil_combine(kgrid, coils)
+        assert np.all(x[~support] == 0) and np.all(x[support] != 0)
+
+    def r1_problem(self, small_phantom, noisy_full):
+        cfg, gt = small_phantom
+        kgrid, coils, _ = noisy_full
+        mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2],
+                                      gt.clean_series.column_labels, R=1, seed=0)
+        return enc.extract_samples(kgrid, mask), enc.EncodingModel(coils, mask, None)
+
+    def test_solves_the_normal_equations(self, small_phantom, noisy_full):
+        d, model = self.r1_problem(small_phantom, noisy_full)
+        x = enc.coil_combine(noisy_full[0], model.coils)
+        adj = enc.adjoint_matrix(model, d.samples)
+        residual = enc.normal_matrix(model, x) - adj
+        assert np.linalg.norm(residual) <= NORMAL_EQ_RTOL * np.linalg.norm(adj)
+
+    def test_agrees_with_the_least_squares_solve(self, small_phantom, noisy_full):
+        d, model = self.r1_problem(small_phantom, noisy_full)
+        x = enc.coil_combine(noisy_full[0], model.coils)
+        res = recon.reconstruct_cs_only(
+            d, model, recon.SolverConfig(lam=0.0, cg_max_iters=200))
+        assert res.report.cg_iters[0] < 200    # stopped at CG_TOL
+        assert np.linalg.norm(res.series.data - x) <= CG_LSQ_RTOL * np.linalg.norm(x)
 
 
 def dense_centered_dft(n):

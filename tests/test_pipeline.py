@@ -2,6 +2,7 @@ import csv
 import gc
 import json
 import re
+import threading
 import weakref
 from collections import defaultdict
 from dataclasses import replace
@@ -29,14 +30,18 @@ from treediff import differing_files
 # in-place updates, which round step * (H p) and then subtract where
 # OpenBLAS caxpy fuses the multiply-add (at most 1.1e-6 absolute,
 # 4.3e-6 relative, in the lrcs/proposed HAT bias, every other value
-# at most 6.9e-8 absolute; bit-identical under 1 and 2 BLAS threads).
+# at most 6.9e-8 absolute; bit-identical under 1 and 2 BLAS threads);
+# re-recorded again when the reference became the closed-form coil
+# combination (encoding.coil_combine) in place of a complex64 CG solve
+# capped at 30 steps: every cell's HAT and MD are unchanged, and only
+# the reference moved (each value at most 1.1e-8 absolute).
 PINNED = {
-    ("cs", "none"): (0.14982974371133756, 0.052844513555295035),
-    ("cs", "proposed"): (0.14982974371133756, 0.052844513555295035),
-    ("lr", "none"): (0.6546175012935449, 0.2157342801459149),
-    ("lr", "proposed"): (0.20974461947700707, 0.05350956531499149),
-    ("lrcs", "none"): (0.6098281850451008, 0.301933236457037),
-    ("lrcs", "proposed"): (0.25862896754179837, 0.050836868402703385),
+    ("cs", "none"): (0.1498297501696131, 0.05284452104450287),
+    ("cs", "proposed"): (0.1498297501696131, 0.05284452104450287),
+    ("lr", "none"): (0.6546175041526913, 0.21573429020640833),
+    ("lr", "proposed"): (0.2097446252124838, 0.05350957274436108),
+    ("lrcs", "none"): (0.6098281881134285, 0.3019332474533101),
+    ("lrcs", "proposed"): (0.25862897254760797, 0.05083687584695922),
 }
 
 
@@ -181,7 +186,11 @@ def test_failed_subject_is_recorded_not_fatal(tmp_path, r_epi, error):
     ({"R_list": (float("nan"),)}, "R_list entries must be >= 1, got [nan]"),
     ({"ha_jitter_deg": float("nan")}, "ha_jitter_deg must be >= 0, got nan"),
     ({"master_seed": -1}, "master_seed must be >= 0, got -1"),
-], ids=["lambda-scale-nan", "R-nan", "ha-jitter-nan", "master-seed-negative"])
+    ({"R_list": ()}, "R_list is empty: the plan has no cell"),
+    ({"methods": ()}, "methods is empty: the plan has no cell"),
+    ({"phase_modes": []}, "phase_modes is empty: the plan has no cell"),
+], ids=["lambda-scale-nan", "R-nan", "ha-jitter-nan", "master-seed-negative",
+        "no-R", "no-method", "no-phase-mode"])
 def test_a_plan_no_subject_can_run_is_rejected_when_built(changes, message):
     # a plan built in Python meets no JSON codec, which rejects NaN
     with pytest.raises(ValidationError, match=re.escape(message)):
@@ -208,22 +217,25 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
     # saved), before its first cell starts, and only its reference
     # metrics outlive its cells: its noisy k-space and coil maps are
     # freed as soon as the cells finish
-    real_build, real_cs = pipeline.phantom.build_phantom, pipeline.recon.reconstruct_cs_only
+    real_build, real_combine = pipeline.phantom.build_phantom, pipeline.encoding.coil_combine
     real_cells = pipeline.run_subject_cells
-    # the truth's and the reference's arrays, by the subject's seed
+    # the truth's and the reference's arrays, by the subject's seed; a
+    # subject is prepared on one thread, so the thread names its seed
     prepared, arrays, alive_at_start = defaultdict(list), [], []
+    seed_of_thread = {}
 
     def watched_build(cfg):
         gt = real_build(cfg)
+        seed_of_thread[threading.get_ident()] = cfg.seed
         prepared[cfg.seed] += [weakref.ref(gt.clean_series.data),
                                weakref.ref(gt.phase.values)]
         return gt
 
-    def watched_cs(d, model, cfg, start=None):
-        res = real_cs(d, model, cfg, start)
-        if d.mask.R_nominal == 1:
-            prepared[d.mask.seed].append(weakref.ref(res.series.data))
-        return res
+    def watched_combine(kgrid, coils):
+        # the reference series' data is this array itself
+        ref = real_combine(kgrid, coils)
+        prepared[seed_of_thread[threading.get_ident()]].append(weakref.ref(ref))
+        return ref
 
     def watched_cells(plan, index, subject):
         gc.collect()
@@ -234,7 +246,7 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
         return real_cells(plan, index, subject)
 
     monkeypatch.setattr(pipeline.phantom, "build_phantom", watched_build)
-    monkeypatch.setattr(pipeline.recon, "reconstruct_cs_only", watched_cs)
+    monkeypatch.setattr(pipeline.encoding, "coil_combine", watched_combine)
     monkeypatch.setattr(pipeline, "run_subject_cells", watched_cells)
     plan = replace(_tiny_plan(tmp_path, 9), geom_jitter_vox=0, threads=threads,
                    save_arrays=True)
@@ -281,11 +293,12 @@ def test_the_plan_rank_reaches_every_solve(tmp_path):
 
 
 def test_each_distinct_solve_runs_once(tmp_path, monkeypatch):
-    # every A*A product is a CG step of a solve that runs once: the
-    # reference, cs (the preliminary), and per phase mode lrcs, whose
-    # first solve is lr; one adjoint serves each (subject, R)
+    # every A*A product is a CG step of a solve that runs once: cs (the
+    # preliminary), and per phase mode lrcs, whose first solve is lr;
+    # one adjoint serves each (subject, R), and the reference, a coil
+    # combination, applies neither operator
     calls = {"normal_matrix": 0, "adjoint_matrix": 0}
-    reference_cg = []
+    reference_calls = []
 
     def counted(name):
         real = getattr(pipeline.recon, name)
@@ -295,22 +308,23 @@ def test_each_distinct_solve_runs_once(tmp_path, monkeypatch):
             return real(*args, **kwargs)
         return call
 
-    real_cs = pipeline.recon.reconstruct_cs_only
+    real_prepare = pipeline.prepare_subject
 
-    def cs_only(d, model, cfg, start=None):
-        res = real_cs(d, model, cfg, start)
-        if d.mask.R_nominal == 1:
-            reference_cg.append(sum(res.report.cg_iters))
-        return res
+    def prepare(plan, index):
+        before = dict(calls)
+        inputs = real_prepare(plan, index)
+        reference_calls.append({k: calls[k] - before[k] for k in calls})
+        return inputs
 
     for name in calls:
         monkeypatch.setattr(pipeline.recon, name, counted(name))
-    monkeypatch.setattr(pipeline.recon, "reconstruct_cs_only", cs_only)
+    monkeypatch.setattr(pipeline, "prepare_subject", prepare)
     plan = _every_cell_plan(tmp_path, n_subjects=2, R_list=(2.0, 6.0))
     result = pipeline.run_experiment(plan)
     cells = {(c.subject, c.R, c.method, c.phase_mode): c for c in result["cells"]}
     assert all(c.ok for c in cells.values())
-    distinct = sum(reference_cg)
+    assert reference_calls == [dict.fromkeys(calls, 0)] * plan.n_subjects
+    distinct = 0
     for (s, R, method, mode), c in cells.items():
         iters = c.report["cg_iterations"]
         if method == "lr":
@@ -319,9 +333,8 @@ def test_each_distinct_solve_runs_once(tmp_path, monkeypatch):
             distinct += sum(iters)
         if method == "cs":
             assert c.metrics is cells[(s, R, "cs", "proposed")].metrics
-    assert len(reference_cg) == plan.n_subjects
     assert calls["normal_matrix"] == distinct
-    assert calls["adjoint_matrix"] == plan.n_subjects * (len(plan.R_list) + 1)
+    assert calls["adjoint_matrix"] == plan.n_subjects * len(plan.R_list)
 
 
 def test_an_r_frees_what_its_cells_share_before_the_next_r_starts(tmp_path,
@@ -346,9 +359,9 @@ def test_an_r_frees_what_its_cells_share_before_the_next_r_starts(tmp_path,
     plan = _every_cell_plan(tmp_path, n_subjects=1, R_list=(2.0, 6.0))
     result = pipeline.run_experiment(plan)
     assert all(c.ok for c in result["cells"])
-    # the reference's start, then R=2's: the cs start, the preliminary
-    # and its adjoint, and a start per phase mode
-    assert alive_at_start == [[False], [False] * 6]
+    # nothing before R=2 (the reference runs no solve), then R=2's: the
+    # cs start, the preliminary and its adjoint, and a start per phase mode
+    assert alive_at_start == [[], [False] * 5]
 
 
 def test_failed_first_solve_fails_lr_and_lrcs_of_its_mode(tmp_path, monkeypatch):
