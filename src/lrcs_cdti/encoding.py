@@ -42,9 +42,11 @@ Layout conventions:
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``adjoint_matrix`` and ``normal_matrix`` cast their input to
-  complex64 and return complex64.  ``fft2c``, ``ifft2c``,
-  ``coil_kspace`` and ``coil_combine`` stay in complex128, so simulated
-  k-space and the fully sampled least squares are double precision.
+  complex64 and return complex64.  :class:`KSpaceData` holds its
+  samples in that precision too.  The simulation stays in complex128:
+  ``coil_kspace`` makes one grid, the coil product, and runs the DFT
+  on it in place, and ``ifft2c`` and ``coil_combine`` take the fully
+  sampled least squares in double precision.
 * The phase enters the adjoint last (:func:`unphase`), so a solver
   holding A*(d) of the phase-free model derives that of a phased one
   with one product and no DFT.
@@ -146,19 +148,10 @@ def _fft2_inplace(grid: np.ndarray, inverse: bool = False) -> None:
     fft(grid, axis=-1, norm=unscaled, out=grid)
 
 
-def fft2c(grid: np.ndarray) -> np.ndarray:
-    """Centered unitary 2-D DFT over the trailing (line, readout) axes,
-    in complex128."""
-    a, kb = _centering_ramps(*grid.shape[-2:])
-    out = a * grid
-    _fft2_inplace(out)
-    # kb on the left, as in kb * out: complex products with FMA are not
-    # commutative in their rounding
-    return np.multiply(kb, out, out=out)
-
-
 def ifft2c(grid: np.ndarray) -> np.ndarray:
-    """Inverse (= adjoint) of :func:`fft2c`."""
+    """Centered unitary inverse 2-D DFT over the trailing (line, readout)
+    axes, in complex128: the inverse (= adjoint) of the transform of
+    :func:`coil_kspace`."""
     a, kb = _centering_ramps(*grid.shape[-2:])
     out = np.conj(kb) * grid
     _fft2_inplace(out, inverse=True)
@@ -230,14 +223,14 @@ class EncodingModel:
     (:func:`adjoint_matrix`) and A*A (:func:`normal_matrix`) run on it.
     Construction precomputes the transposed coil fields times the
     image-space ramp ``a`` of the centered DFT, the k-space ramp
-    ``kappa b``, the transposed phase field and the flat scatter indices
-    of the kept samples, so the operators are pure and cheap to call
-    concurrently.  For :func:`normal_matrix` it adds the indices of the
-    fully sampled columns (``_full_cols``) and of the others
-    (``_part_cols``), the coil sum of squares ``_sos`` = sum_c |S_c a|^2
-    (nz, ny, nx), and per undersampled (column, slice) the kept rows of
-    the unitary line DFT, ``_rows`` (N_part, nz, L, ny) zero-padded to
-    the largest kept count L, with their conjugate transpose ``_rows_h``.
+    ``kappa b`` and the transposed phase field, so the operators are
+    pure and cheap to call concurrently.  For :func:`normal_matrix` it
+    adds the indices of the fully sampled columns (``_full_cols``) and
+    of the others (``_part_cols``), the coil sum of squares ``_sos`` =
+    sum_c |S_c a|^2 (nz, ny, nx), and per undersampled (column, slice)
+    the kept rows of the unitary line DFT, ``_rows`` (N_part, nz, L, ny)
+    zero-padded to the largest kept count L, with their conjugate
+    transpose ``_rows_h``.
 
     ``dtype`` is the arithmetic of every operator on the model: each
     field is computed in double precision and stored once as complex64
@@ -280,8 +273,6 @@ class EncodingModel:
         else:
             object.__setattr__(self, "_phase_t", None)
             object.__setattr__(self, "_phase_t_conj", None)
-        object.__setattr__(self, "_flat_idx", np.flatnonzero(
-            _bool_grid_mask(self.mask, self.coils.n_coils, nx)))
         # fields of the normal operator (see the class docstring)
         kept = self.mask.kept
         is_full = kept.all(axis=(0, 1))
@@ -319,7 +310,10 @@ class EncodingModel:
 
 @dataclass(frozen=True)
 class KSpaceData:
-    """Packed kept samples of the (C, N, nz, ny, nx) grid, C order."""
+    """Packed kept samples of the (C, N, nz, ny, nx) grid, C order, held
+    in the solver's precision ``EncodingModel.dtype`` (complex64): they
+    are cast once on construction, and :func:`adjoint_matrix`, their one
+    reader, computes in that precision."""
 
     samples: np.ndarray
     mask: SamplingMask
@@ -327,6 +321,8 @@ class KSpaceData:
     n_coils: int
 
     def __post_init__(self):
+        object.__setattr__(self, "samples",
+                           np.asarray(self.samples, dtype=EncodingModel.dtype))
         nx = self.spatial_dims[0]
         expected = self.n_coils * nx * int(np.count_nonzero(self.mask.kept))
         if self.samples.shape != (expected,):
@@ -354,6 +350,8 @@ def _grid_to_series(grid: np.ndarray) -> np.ndarray:
 
 
 def _bool_grid_mask(mask: SamplingMask, n_coils: int, nx: int) -> np.ndarray:
+    """The packed-sample layout: a read-only boolean view of the kept
+    entries of the (C, N, nz, ny, nx) grid, which samples fill in C order."""
     kept_t = mask.kept.transpose(2, 1, 0)
     n_cols, nz, ny = kept_t.shape
     return np.broadcast_to(kept_t[None, :, :, :, None],
@@ -363,13 +361,22 @@ def _bool_grid_mask(mask: SamplingMask, n_coils: int, nx: int) -> np.ndarray:
 def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
                 phase: PhaseMap | None = None) -> np.ndarray:
     """Fully sampled multi-coil k-space grid (C, N, nz, ny, nx) of
-    ``series``, in complex128: the forward model before the mask."""
+    ``series``, in complex128: the forward model before the mask.  The
+    coil product S_c (P o x) is the one grid made; the image-space ramp,
+    the DFT and the k-space ramp of the centered DFT run in place on
+    it."""
     nx, ny, nz = coils.spatial_dims
     vols = _series_to_grid(series.data, (nx, ny, nz))
     if phase is not None:
         vols = vols * _series_to_grid(phase.values, (nx, ny, nz))
     maps_t = coils.maps.transpose(0, 3, 2, 1)
-    return fft2c(maps_t[:, None] * vols[None])
+    grid = (maps_t[:, None] * vols[None]).astype(np.complex128, copy=False)
+    a, kb = _centering_ramps(ny, nx)
+    # the ramps on the left, as in a * grid: complex products with FMA
+    # are not commutative in their rounding
+    np.multiply(a, grid, out=grid)
+    _fft2_inplace(grid)
+    return np.multiply(kb, grid, out=grid)
 
 
 def coil_combine(kgrid: np.ndarray, coils: CoilMaps) -> np.ndarray:
@@ -404,7 +411,7 @@ def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:
     nx, ny, nz = model.spatial_dims
     grid = np.zeros((model.coils.n_coils, model.n_columns, nz, ny, nx),
                     dtype=model.dtype)
-    grid.ravel()[model._flat_idx] = samples
+    grid[_bool_grid_mask(model.mask, model.coils.n_coils, nx)] = samples
     grid *= np.conj(model._kb)
     _fft2_inplace(grid, inverse=True)
     combined = np.einsum("cnzyx,czyx->nzyx", grid, model._maps_a_conj)
@@ -564,8 +571,7 @@ def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.n
 
 def save_kspace(path, d: KSpaceData) -> None:
     write_container(path,
-                    {"samples": d.samples.astype(np.complex64),
-                     "kept": d.mask.kept},
+                    {"samples": d.samples, "kept": d.mask.kept},
                     {"kind": "kspace",
                      "spatial_dims": list(d.spatial_dims),
                      "n_coils": d.n_coils,
@@ -581,6 +587,6 @@ def load_kspace(path) -> KSpaceData:
         arrays["kept"], float(header_value(meta, "R_nominal", float, where)),
         header_value(meta, "seed", int, where),
         labels_from_json(header_value(meta, "column_labels", LABELS_JSON, where)))
-    return KSpaceData(arrays["samples"].astype(np.complex128), mask,
+    return KSpaceData(arrays["samples"], mask,
                       header_value(meta, "spatial_dims", tuple[int, int, int], where),
                       header_value(meta, "n_coils", int, where))

@@ -259,17 +259,23 @@ def _simulate_coils(cfg: PhantomConfig) -> CoilMaps:
 
 
 def add_noise(kspace: np.ndarray, snr: float, s0_mean: float, seed: int) -> np.ndarray:
-    """Add i.i.d. Gaussian noise (sigma = s0_mean/snr) to the real and
-    imaginary parts of every k-space sample; snr = inf (or None) returns
-    the input unchanged."""
+    """``kspace`` plus i.i.d. Gaussian noise (sigma = s0_mean/snr) on the
+    real and imaginary parts of every sample, in complex128; snr = inf
+    (or None) returns the input itself.  ``kspace`` is added into the
+    (..., 2) normal draw viewed as complex128, so the draw is the one
+    grid made and the input is never written.  The sum is bit-equal to
+    ``kspace + noise[..., 0] + 1j * noise[..., 1]``: addition commutes,
+    and ``1j * b`` adds a signed zero to the real part."""
     if snr is None or snr == inf:
         return kspace
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
     sigma = s0_mean / snr
     rng = np.random.default_rng([seed, 202])
-    noise = rng.normal(scale=sigma, size=kspace.shape + (2,))
-    return kspace + noise[..., 0] + 1j * noise[..., 1]
+    draw = rng.normal(scale=sigma, size=kspace.shape + (2,))
+    noisy = draw.view(np.complex128)[..., 0]
+    noisy += kspace
+    return noisy
 
 
 def mean_s0(gt: GroundTruth) -> float:

@@ -13,6 +13,11 @@ cells' inputs and its reference metrics
 (:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
 the reference series, when the plan saves arrays, and drops them.
 
+:func:`acquire` simulates a subject's k-space grid in complex128, in
+place, and adds the noise into the noise draw.  Once the coil maps and
+the reference are taken from it, the subject keeps the grid in the
+solver's precision, ``EncodingModel.dtype`` (complex64).
+
 Per acceleration factor, one problem (the k-space of its sampling mask,
 the coil maps, the weight and the plan's rank) is one
 :class:`recon.Preliminary`, shared by every method and phase mode with
@@ -177,7 +182,8 @@ class CellResult:
 @dataclass
 class SubjectInputs:
     """What the cells of one subject read, and the metrics of its
-    reference, against which their biases are taken."""
+    reference, against which their biases are taken.  ``noisy_kspace``
+    is the full (C, N, nz, ny, nx) grid in ``EncodingModel.dtype``."""
 
     config: phantom.PhantomConfig
     myocardium_mask: np.ndarray
@@ -188,11 +194,13 @@ class SubjectInputs:
 
 
 def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
-    """The noisy full k-space grid (C, N, nz, ny, nx) of ``truth``, noise
-    seeded by the phantom, and the coil maps of its b=0 column."""
+    """The noisy full k-space grid (C, N, nz, ny, nx) of ``truth`` in
+    complex128, noise seeded by the phantom, and the coil maps of its b=0
+    column.  The clean grid is freed once the noise is added to it."""
     cfg = truth.config
-    kclean = encoding.coil_kspace(truth.clean_series, truth.coils, truth.phase)
-    knoisy = phantom.add_noise(kclean, cfg.snr, phantom.mean_s0(truth), seed=cfg.seed)
+    knoisy = phantom.add_noise(
+        encoding.coil_kspace(truth.clean_series, truth.coils, truth.phase),
+        cfg.snr, phantom.mean_s0(truth), seed=cfg.seed)
     # knoisy is the full grid: the b=0 column's coil images need no zero fill
     b0_images = encoding.ifft2c(knoisy[:, 0]).transpose(0, 3, 2, 1)
     return knoisy, encoding.estimate_coil_maps(b0_images)
@@ -211,12 +219,14 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
     """The inputs of one subject's cells.  Its reference series is the
     least squares of its fully sampled noisy k-space k on the estimated
     coil maps S, sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 per voxel and
-    column (:func:`encoding.coil_combine`).  Its truth and reference
+    column (:func:`encoding.coil_combine`), taken in complex128 before
+    the grid is cast to ``EncodingModel.dtype``.  Its truth and reference
     series are saved, when the plan saves arrays, and die on return."""
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
     knoisy, coil_maps = acquire(gt)
     ref = gt.clean_series.with_data(encoding.coil_combine(knoisy, coil_maps))
+    knoisy = knoisy.astype(encoding.EncodingModel.dtype)
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(gt.myocardium_mask)

@@ -43,11 +43,26 @@ def uniform_coil(dims):
 
 def reference_forward(model, x):
     """A(x) in double precision: the complex128 k-space simulation
-    (``coil_kspace``, ``extract_samples``) with the model's coils, phase
-    and mask, none of the model's complex64 fields."""
+    (``coil_kspace``) with the model's coils and phase, and the kept
+    entries of its grid in the packed order of ``extract_samples`` (whose
+    ``KSpaceData`` holds complex64), none of the model's complex64
+    fields."""
     series = dm.CasoratiSeries(x, model.spatial_dims, model.mask.column_labels)
     kgrid = enc.coil_kspace(series, model.coils, model.phase)
-    return enc.extract_samples(kgrid, model.mask).samples
+    return kgrid[enc._bool_grid_mask(model.mask, model.coils.n_coils, kgrid.shape[-1])]
+
+
+def fft2c(grid):
+    """The centered 2-D DFT of each (ny, nx) plane of an (N, nz, ny, nx)
+    grid, as :func:`encoding.coil_kspace` of its series on one unit coil
+    of the grid's dtype: the coil product is exact, so this is the DFT
+    that ``coil_kspace`` runs."""
+    n_cols, nz, ny, nx = grid.shape
+    labels = dm.make_labels([0, 1000], [(1.0, 0.0, 0.0), (0.0, 1.0, 0.0),
+                                        (0.0, 0.0, 1.0)][:n_cols - 1])
+    series = dm.CasoratiSeries(grid.reshape(n_cols, -1).T, (nx, ny, nz), labels)
+    coil = dm.CoilMaps(np.ones((1, nx, ny, nz), dtype=grid.dtype))
+    return enc.coil_kspace(series, coil)[0]
 
 
 class TestSamplingMask:
@@ -277,7 +292,7 @@ class TestCenteredDft:
         fy, fx = dense_centered_dft(ny), dense_centered_dft(nx)
         ref = np.einsum("ky,...yx,lx->...kl", fy, grid, fx)
         ref_inv = np.einsum("yk,...yx,xl->...kl", fy.conj(), grid, fx.conj())
-        for got, want in ((enc.fft2c(grid), ref), (enc.ifft2c(grid), ref_inv)):
+        for got, want in ((fft2c(grid), ref), (enc.ifft2c(grid), ref_inv)):
             assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want)
 
     @pytest.mark.parametrize("nx, ny", IN_PLANE)
@@ -483,13 +498,13 @@ class TestScipyOracle:
         want = kb * sfft.fftn(a * grid, axes=(-2, -1), norm="ortho")
         want_inv = np.conj(a) * sfft.ifftn(np.conj(kb) * grid, axes=(-2, -1),
                                            norm="ortho")
-        assert np.array_equal(enc.fft2c(grid), want)
+        assert np.array_equal(fft2c(grid), want)
         assert np.array_equal(enc.ifft2c(grid), want_inv)
 
     @pytest.mark.parametrize("nx, ny", [(64, 64), *IN_PLANE])
     def test_adjoint_matches_scipy(self, nx, ny, monkeypatch):
         model, rng = random_model(nx, ny, seed=nx + ny)
-        n = model._flat_idx.size
+        n = model.coils.n_coils * nx * np.count_nonzero(model.mask.kept)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
         got = enc.adjoint_matrix(model, y)
         monkeypatch.setattr(enc, "_fft2_inplace", scipy_fft2_inplace)
@@ -530,13 +545,13 @@ class TestScipyOracle:
         # numpy.fft keeps complex64 from numpy 2.0 (1.x computes it in
         # complex128), so A* stays in the model's precision
         model, rng = random_model(8, 6)
-        n = model._flat_idx.size
+        n = model.coils.n_coils * 8 * np.count_nonzero(model.mask.kept)
         y = rng.normal(size=n) + 1j * rng.normal(size=n)
         assert enc.adjoint_matrix(model, y).dtype == np.complex64
         assert enc.adjoint_matrix(model, y.astype(np.complex64)).dtype == np.complex64
-        grid = rng.normal(size=(2, 6, 8)) + 1j * rng.normal(size=(2, 6, 8))
+        grid = rng.normal(size=(2, 1, 6, 8)) + 1j * rng.normal(size=(2, 1, 6, 8))
         for g in (grid, grid.astype(np.complex64)):
-            assert enc.fft2c(g).dtype == np.complex128
+            assert fft2c(g).dtype == np.complex128
             assert enc.ifft2c(g).dtype == np.complex128
 
 
@@ -571,6 +586,35 @@ class TestCoilMapEstimation:
         assert np.all(est.maps == 0)
 
 
+def two_step_coil_kspace(series, coils, phase):
+    """:func:`encoding.coil_kspace` as two grids: the coil product, then a
+    centered DFT that makes its own, ``kb * fft2(a * product)``."""
+    nx, ny, nz = coils.spatial_dims
+    vols = series.data.T.reshape(-1, nz, ny, nx)
+    if phase is not None:
+        vols = vols * phase.values.T.reshape(-1, nz, ny, nx)
+    product = coils.maps.transpose(0, 3, 2, 1)[:, None] * vols[None]
+    a, kb = enc._centering_ramps(ny, nx)
+    out = a * product
+    enc._fft2_inplace(out)
+    return kb * out
+
+
+class TestCoilKspace:
+    @pytest.mark.parametrize("grid, r_endo, r_epi", [((32, 32, 2), 6, 12),
+                                                     ((31, 29, 3), 5, 10)])
+    @pytest.mark.parametrize("phased", [True, False])
+    def test_in_place_simulation_is_bit_equal_to_two_grids(self, grid, r_endo,
+                                                           r_epi, phased):
+        gt = ph.build_phantom(ph.PhantomConfig(grid=grid, r_endo=r_endo,
+                                               r_epi=r_epi, seed=5))
+        phase = gt.phase if phased else None
+        got = enc.coil_kspace(gt.clean_series, gt.coils, phase)
+        assert got.dtype == np.complex128
+        assert np.array_equal(got, two_step_coil_kspace(gt.clean_series, gt.coils,
+                                                        phase))
+
+
 class TestKSpaceContainer:
     def test_round_trip(self, small_phantom, tmp_path):
         cfg, gt = small_phantom
@@ -578,11 +622,15 @@ class TestKSpaceContainer:
         mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2], labels, R=2, seed=1)
         kfull = enc.coil_kspace(gt.clean_series, gt.coils, gt.phase)
         d = enc.extract_samples(kfull, mask)
+        # the kept entries of the complex128 grid, rounded once
+        kept = kfull[enc._bool_grid_mask(mask, d.n_coils, cfg.grid[0])]
+        np.testing.assert_array_equal(d.samples, kept.astype(np.complex64))
         enc.save_kspace(tmp_path / "k", d)
         back = enc.load_kspace(tmp_path / "k")
+        assert d.samples.dtype == back.samples.dtype == enc.EncodingModel.dtype
         assert (back.mask.seed, back.mask.R_nominal) == (1, 2.0)
         assert back.column_labels == labels
         assert back.n_coils == d.n_coils
         assert back.spatial_dims == d.spatial_dims
         assert np.array_equal(back.mask.kept, d.mask.kept)
-        np.testing.assert_allclose(back.samples, d.samples, rtol=1e-6)
+        np.testing.assert_array_equal(back.samples, d.samples)

@@ -189,6 +189,23 @@ class TestNoise:
         np.testing.assert_array_equal(a, b)
         assert not np.array_equal(a, c)
 
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64, np.float64])
+    def test_noise_is_added_into_the_draw_bit_for_bit(self, dtype):
+        # the noise draw viewed as complex128 with the k-space added in,
+        # against the three-term sum it replaced; the input is not written
+        rng = np.random.default_rng(8)
+        k = rng.normal(size=(2, 3, 2, 7, 6)).astype(dtype)
+        if np.iscomplexobj(k):
+            k += 1j * rng.normal(size=k.shape).astype(k.real.dtype)
+        before = k.copy()
+        got = ph.add_noise(k, 12.0, 1.5, seed=4)
+        noise = np.random.default_rng([4, 202]).normal(scale=1.5 / 12.0,
+                                                       size=k.shape + (2,))
+        want = k + noise[..., 0] + 1j * noise[..., 1]
+        assert got.dtype == want.dtype == np.complex128
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+        assert np.array_equal(k, before) and k.dtype == dtype
+
     def test_invalid_snr(self):
         with pytest.raises(ValidationError):
             ph.add_noise(np.zeros((1, 1, 1, 4, 4), dtype=complex), -1.0, 1.0, 0)

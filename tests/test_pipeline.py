@@ -3,6 +3,7 @@ import gc
 import json
 import re
 import threading
+import tracemalloc
 import weakref
 from collections import defaultdict
 from dataclasses import replace
@@ -61,19 +62,44 @@ def test_dispatch_covers_every_method_and_phase_mode(study):
 
 
 def test_coil_maps_come_from_the_zero_filled_b0_column(study):
+    # the maps are taken from the complex128 grid, which the subject then
+    # keeps in the solver's precision
     plan, _ = study
     for i in range(plan.n_subjects):
         inputs = pipeline.prepare_subject(plan, i)
+        kspace, _ = pipeline.acquire(ph.build_phantom(inputs.config))
+        assert inputs.noisy_kspace.dtype == encoding.EncodingModel.dtype
+        np.testing.assert_array_equal(inputs.noisy_kspace,
+                                      kspace.astype(encoding.EncodingModel.dtype))
         _, ny, nz = inputs.config.grid
         mask = encoding.make_sampling_mask(ny, nz, inputs.config.column_labels,
                                            R=1, seed=inputs.config.seed)
-        d = encoding.extract_samples(inputs.noisy_kspace, mask)
         kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
-        grid = np.zeros(inputs.noisy_kspace.shape, dtype=complex)
-        grid[np.broadcast_to(kept, grid.shape)] = d.samples
+        grid = np.where(np.broadcast_to(kept, kspace.shape), kspace, 0)
         want = encoding.estimate_coil_maps(
             encoding.ifft2c(grid[:, 0]).transpose(0, 3, 2, 1))
         np.testing.assert_array_equal(inputs.coil_maps.maps, want.maps)
+        d = pipeline.undersample(inputs.config, inputs.noisy_kspace, 2.0)
+        assert d.samples.dtype == encoding.EncodingModel.dtype
+
+
+def test_acquire_holds_at_most_three_grids():
+    # the clean grid is simulated in place and the noise added into its
+    # draw: above its start, acquire holds the noisy grid, the clean grid
+    # while the noise is added, and small per-column arrays
+    gt = ph.build_phantom(ph.PhantomConfig())
+    nx, ny, nz = gt.config.grid
+    grid_bytes = (gt.config.n_coils * len(gt.config.column_labels) * nx * ny * nz
+                  * np.dtype(np.complex128).itemsize)
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        kspace, _ = pipeline.acquire(gt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kspace.nbytes == grid_bytes
+    assert peak - start <= 3 * grid_bytes
 
 
 def test_biases_pinned(study):
