@@ -10,8 +10,9 @@ maps and the HAT table.  ``run`` is the whole chain over a cohort, and
 ``eval`` recomputes its statistics from ``summary.csv``.
 
 All array inputs and outputs use the container format; configs are JSON;
-tables are CSV; previews are PGM.  Every flag can also be given in a
-JSON config file (--config); explicit command-line values win.
+tables are CSV, as the pipeline's (:func:`datamodel.write_table`);
+previews are PGM.  Every flag can also be given in a JSON config file
+(--config); explicit command-line values win.
 ``--threads`` (default 1) sizes the subject pool of ``run`` when the
 plan sets no ``threads``.  Exit codes: 0 success, 1 validation or usage
 error, 2 numerical failure.
@@ -78,12 +79,10 @@ def build_parser() -> argparse.ArgumentParser:
                    help=f"subspace rank of lr and lrcs (default {recon.RANK}: S0 "
                         f"and the six tensor entries)")
     p.add_argument("--lambda", dest="lam", type=float, default=None,
-                   help="absolute regularization weight")
+                   help="absolute regularization weight, in place of the scale")
     p.add_argument("--lambda-scale", type=float, default=None,
                    help=f"weight as a fraction of max |Psi A*(d)| (default "
                         f"{recon.LAMBDA_SCALE:g})")
-    p.add_argument("--lambda-grid", action="store_true", default=None,
-                   help="select the weight by the nuclear-norm criterion")
     p.add_argument("--iters", type=int, default=None)
     p.add_argument("--out", required=True)
     _add_common(p)
@@ -238,9 +237,8 @@ def cmd_recon(args) -> int:
     coils = dm.load_coils(args.coils)
     cfg = (recon.SolverConfig() if args.iters is None
            else recon.SolverConfig(max_iters=args.iters))
-    # an absolute --lambda wins, then --lambda-grid, then the scale
     prelim = recon.preliminary(d, coils, cfg, args.rank, lam=args.lam,
-                               scale=None if args.lambda_grid else args.lambda_scale)
+                               scale=args.lambda_scale)
     result = recon.recon(prelim, args.method, args.phase)
     out = Path(args.out)
     dm.save_series(out, result.series)
@@ -280,25 +278,17 @@ def cmd_metrics(args) -> int:
     pgm.write_map_previews(out / "previews", "fa", fa)
 
     hat = dti.compute_hat(ha, mask)
-    with open(out / "hat.csv", "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["slice", "ray", "slope", "r2"])
-        nz, n_rays = hat.ray_slopes.shape
-        for z in range(nz):
-            for j in range(n_rays):
-                writer.writerow([z, j, repr(float(hat.ray_slopes[z, j])),
-                                 repr(float(hat.ray_r2[z, j]))])
-        writer.writerow(["global", "", repr(hat.global_hat), ""])
+    dm.write_table(out / "hat.csv", ["slice", "ray", "slope", "r2"],
+                   [(z, j, hat.ray_slopes[z, j], hat.ray_r2[z, j])
+                    for z, j in np.ndindex(hat.ray_slopes.shape)]
+                   + [("global", "", hat.global_hat, "")])
 
     if mask.shape[2] >= 3:
         seg = dti.segment_aha16(mask)
         reg_md = dti.regional_means(np.where(mask, md, np.nan), seg)
-        with open(out / "segments.csv", "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["segment", "mean_md", "n_voxels"])
-            for s in range(1, 17):
-                writer.writerow([s, repr(float(reg_md[s - 1])),
-                                 int(np.count_nonzero(seg.segments == s))])
+        dm.write_table(out / "segments.csv", ["segment", "mean_md", "n_voxels"],
+                       [(s, reg_md[s - 1], np.count_nonzero(seg.segments == s))
+                        for s in range(1, 17)])
     log.info("metrics written to %s (global HAT %.4f)", out, hat.global_hat)
     return 0
 

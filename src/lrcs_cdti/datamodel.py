@@ -18,10 +18,13 @@ Container format (the interchange for all CLI stages): a directory with
 array.  The header records per-array dims and dtype, the axis order
 ("row-major, x fastest", i.e. first axis fastest in the payload),
 endianness, and free-form metadata such as ``column_labels``.
+
+Tables are CSV, and :func:`write_table` writes every one.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
 import numbers
@@ -331,6 +334,26 @@ def header_value(obj: dict, key: str, hint, where: str):
     if not isinstance(obj, dict) or key not in obj:
         raise ValidationError(f"{where}: no key {key!r}")
     return json_value(obj[key], hint, f"{where} key {key!r}")
+
+
+def write_table(path, header: Sequence[str], rows: Iterable) -> None:
+    """Write a CSV table: ``header``, then one line per row, a dict keyed
+    by ``header`` or a sequence in its order.  A float, numpy's too, is
+    written as ``repr(float(v))``, the shortest text that reads back as
+    the same double.  A row of another length than ``header`` is a
+    ValidationError, raised before the file is opened."""
+    header = list(header)
+    lines = [header]
+    for row in rows:
+        if len(row) != len(header):
+            raise ValidationError(f"table {path}: a row of {len(row)} cells "
+                                  f"under a header of {len(header)}")
+        if isinstance(row, dict):
+            row = [row[k] for k in header]
+        lines.append([repr(float(v)) if isinstance(v, (float, np.floating)) else v
+                      for v in row])
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows(lines)
 
 
 def write_container(path, arrays: dict[str, np.ndarray], metadata: dict | None = None) -> None:

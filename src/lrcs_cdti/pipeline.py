@@ -30,7 +30,6 @@ when the acceleration factor's cells finish.
 
 from __future__ import annotations
 
-import csv
 import json
 import traceback
 from concurrent.futures import ThreadPoolExecutor
@@ -362,61 +361,44 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 SOLVE_FIELDS = ("lambda", "stop_reason", "admm_iters", "cg_iters", "solve_s")
 
 
-def _solve_columns(report: dict) -> dict:
-    if not report:
-        return dict.fromkeys(SOLVE_FIELDS, "")
-    return {"lambda": report["lambda"], "stop_reason": report["stop_reason"],
-            "admm_iters": len(report["delta_u"]),
-            "cg_iters": sum(report["cg_iterations"]),
-            "solve_s": report["wall_time_s"]}
-
-
 def _write_summary(refs, errors, cells, rank: int, out_root: Path) -> list[dict]:
     """``refs`` holds each subject's reference metrics, None for a
     subject whose preparation failed; the rows of a prepared subject
-    carry the plan's ``rank``."""
-    rows = []
-    for i, (ref, error) in enumerate(zip(refs, errors)):
-        row = {"subject": i, "R": 1.0, "method": "reference", "phase_mode": "",
-               "ok": ref is not None, "rank": "", "hat": np.nan, "md": np.nan,
-               "hat_bias": np.nan, "md_bias": np.nan,
+    carry the plan's ``rank``.  Every row, the references' too, comes
+    from one builder, whose keys are the table's columns."""
+
+    def row(subject, R, method, mode, ok, metrics, error, report, ref=None):
+        # an ok row's biases are taken against ``ref``; the reference row's
+        # own (no ref) are 0.0, as normalized_bias raises on a zero value
+        out = {"subject": subject, "R": R, "method": method, "phase_mode": mode,
+               "ok": ok, "rank": rank if refs[subject] is not None else "",
+               "hat": np.nan, "md": np.nan, "hat_bias": np.nan, "md_bias": np.nan,
                "error": error.splitlines()[-1] if error else "",
-               **_solve_columns({})}
-        if ref is not None:
-            row.update(rank=rank, hat=ref.hat, md=ref.md, hat_bias=0.0, md_bias=0.0)
-        rows.append(row)
-    for c in cells:
-        ref = refs[c.subject]
-        row = {"subject": c.subject, "R": c.R, "method": c.method,
-               "phase_mode": c.phase_mode, "ok": c.ok,
-               "rank": rank if ref is not None else "",
-               "hat": np.nan, "md": np.nan, "hat_bias": np.nan,
-               "md_bias": np.nan, "error": c.error.splitlines()[-1] if c.error else "",
-               **_solve_columns(c.report)}
-        if c.ok:
-            row["hat"] = c.metrics.hat
-            row["md"] = c.metrics.md
-            row["hat_bias"] = stats.normalized_bias(ref.hat, c.metrics.hat)
-            row["md_bias"] = stats.normalized_bias(ref.md, c.metrics.md)
-        rows.append(row)
-    fields = ["subject", "R", "method", "phase_mode", "ok", "rank", "hat", "md",
-              "hat_bias", "md_bias", "error", *SOLVE_FIELDS]
-    with open(out_root / "summary.csv", "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
+               **dict.fromkeys(SOLVE_FIELDS, "")}
+        if ok:
+            out.update(hat=metrics.hat, md=metrics.md,
+                       hat_bias=0.0 if ref is None
+                       else stats.normalized_bias(ref.hat, metrics.hat),
+                       md_bias=0.0 if ref is None
+                       else stats.normalized_bias(ref.md, metrics.md))
+        if report:
+            out.update(zip(SOLVE_FIELDS, (
+                report["lambda"], report["stop_reason"], len(report["delta_u"]),
+                sum(report["cg_iterations"]), report["wall_time_s"])))
+        return out
+
+    rows = [row(i, 1.0, "reference", "", ref is not None, ref, error, {})
+            for i, (ref, error) in enumerate(zip(refs, errors))]
+    rows += [row(c.subject, c.R, c.method, c.phase_mode, c.ok, c.metrics, c.error,
+                 c.report, refs[c.subject]) for c in cells]
+    dm.write_table(out_root / "summary.csv", list(rows[0]), rows)
     return rows
-
-
-def _fmt(v):
-    if isinstance(v, float):
-        return repr(v)
-    return v
 
 
 def write_stats(groups: dict, stats_path: Path) -> list[dict]:
     """Cohort statistics per (R, method, phase_mode, metric): bias, ICC
-    and Wilcoxon p in ``stats_path``, plus regional p-maps beside it.
+    and Wilcoxon p in ``stats_path``, plus regional p-maps beside it,
+    each table written by :func:`datamodel.write_table`.
 
     ``groups`` maps (R, method, phase_mode) to {subject: (reference,
     reconstruction)} pairs of :class:`SubjectMetrics`; None on either
@@ -450,16 +432,9 @@ def write_stats(groups: dict, stats_path: Path) -> list[dict]:
             if all(r is not None and np.isfinite(r).all()
                    for r in reg_ref + reg_rec):
                 pmap = stats.regional_pmap(np.array(reg_ref).T, np.array(reg_rec).T)
-                pmap_path = out_dir / f"pmap_{metric}_R{R:g}_{method}_{mode}.csv"
-                with open(pmap_path, "w", newline="") as fh:
-                    writer = csv.writer(fh)
-                    writer.writerow(["segment", "p", "significant"])
-                    for s, (p, sig) in enumerate(pmap, start=1):
-                        writer.writerow([s, repr(p), sig])
-    fields = ["R", "method", "phase_mode", "metric", "bias_mean", "bias_std",
-              "icc", "icc_band", "p"]
-    with open(stats_path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        writer.writerows({k: _fmt(v) for k, v in row.items()} for row in rows)
+                dm.write_table(out_dir / f"pmap_{metric}_R{R:g}_{method}_{mode}.csv",
+                               ["segment", "p", "significant"],
+                               [(s, *p_sig) for s, p_sig in enumerate(pmap, start=1)])
+    dm.write_table(stats_path, ["R", "method", "phase_mode", "metric", "bias_mean",
+                                "bias_std", "icc", "icc_band", "p"], rows)
     return rows

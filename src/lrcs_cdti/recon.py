@@ -613,29 +613,20 @@ def default_lambda_grid(base: float) -> list[float]:
 
 
 def select_lambda(d: KSpaceData, model: EncodingModel, candidates,
-                  cfg: SolverConfig,
-                  start: FirstSolve | None = None) -> tuple[float, ReconResult]:
-    """Pick the candidate whose preliminary reconstruction maximizes
-    low-rankness of the phase-corrected image (minimal nuclear norm).
-
-    Returns the weight and its :func:`reconstruct_cs_only` result with
-    ``cfg`` at that weight.  Every candidate starts from one U0 solve,
-    ``start`` if given (see :func:`admm_solve`).
-    """
+                  cfg: SolverConfig, start: FirstSolve) -> tuple[float, ReconResult]:
+    """The candidate weight whose preliminary reconstruction X is the most
+    low-rank once its phase is corrected, and its :func:`reconstruct_cs_only`
+    solve with ``cfg`` at that weight.  The proposed correction conj(P) o X,
+    with P = X / |X|, is |X|, so the criterion is the least nuclear norm of
+    |X| and no phase map is made.  Every candidate starts from ``start``,
+    the U0 solve on the identity subspace (see :func:`admm_solve`)."""
     candidates = list(candidates)
     if not candidates:
         raise ValidationError("empty lambda candidate list")
-    if start is None:
-        start = first_solve(model, _identity(model), adjoint_matrix(model, d.samples),
-                            cfg)
-    norms, results = [], []
-    for lam in candidates:
-        result = reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)), start)
-        phase = estimate_phase_map(result.series)
-        corrected = np.conj(phase.values) * result.series.data
-        norms.append(float(np.linalg.svd(corrected, compute_uv=False).sum()))
-        results.append(result)
-    best = int(np.argmin(norms))
+    results = [reconstruct_cs_only(d, model, replace(cfg, lam=float(lam)), start)
+               for lam in candidates]
+    best = int(np.argmin([np.linalg.svd(r.series.magnitude(), compute_uv=False).sum()
+                          for r in results]))
     return float(candidates[best]), results[best]
 
 
@@ -650,14 +641,15 @@ def preliminary(d: KSpaceData, coils: CoilMaps, cfg: SolverConfig, rank: int,
     ``d``.  The weight is ``lam`` if given, else ``scale`` x
     :func:`lambda_base`, else the nuclear-norm choice of
     :func:`select_lambda` over :func:`default_lambda_grid`, whose winning
-    solve is the preliminary.  One adjoint A*(d) serves the weight, the
-    cs solves (which all start from one U0 solve) and, kept on the
-    :class:`Preliminary`, the methods of :func:`recon`.  Returns the
-    preliminary, which carries ``d``, the model, ``cfg`` at the weight
-    and ``rank``.  K-space of another grid or coil count than the coil
-    maps, a rank outside [1, N] for N columns, and a given or scaled
-    weight that is not finite and >= 0 are ValidationErrors, raised
-    before any solve.
+    solve is the preliminary.  It makes no phase map: the problem's one
+    phase map is the :class:`Preliminary`'s.  One adjoint A*(d) serves
+    the weight, the cs solves (which all start from one U0 solve) and,
+    kept on the :class:`Preliminary`, the methods of :func:`recon`.
+    Returns the preliminary, which carries ``d``, the model, ``cfg`` at
+    the weight and ``rank``.  K-space of another grid or coil count than
+    the coil maps, a rank outside [1, N] for N columns, and a given or
+    scaled weight that is not finite and >= 0 are ValidationErrors,
+    raised before any solve.
     """
     if d.spatial_dims != coils.spatial_dims or d.n_coils != coils.n_coils:
         raise ValidationError(

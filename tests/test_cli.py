@@ -130,38 +130,6 @@ def test_default_recon_of_the_cli_chain_is_rank_7(tmp_path):
                                   dm.load_series(tmp_path / "rank7").data)
 
 
-def test_recon_lambda_grid_keeps_the_winning_solve(recon_inputs, tmp_path):
-    # with --iters the grid search runs the command's own solver config,
-    # and cs returns the winning candidate's solve
-    cfg, root = recon_inputs
-    assert cli.main(["recon", "--kspace", str(root / "kspace"),
-                     "--coils", str(root / "coils"), "--method", "cs",
-                     "--phase", "none", "--iters", "2", "--lambda-grid",
-                     "--out", str(tmp_path / "out"), *FLAGS]) == 0
-    d = encoding.load_kspace(root / "kspace")
-    model = encoding.EncodingModel(dm.load_coils(root / "coils"), d.mask, None)
-    lam, prelim = recon.select_lambda(
-        d, model, recon.default_lambda_grid(recon.lambda_base(d, model)),
-        recon.SolverConfig(max_iters=2))
-    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
-    assert report["lambda"] == lam
-    series = dm.load_series(tmp_path / "out")
-    want = prelim.series.data
-    np.testing.assert_allclose(series.data, want, atol=1e-6 * np.abs(want).max())
-
-
-def test_recon_lambda_grid_with_the_default_solver_config(recon_inputs, tmp_path):
-    # no --iters: the grid and the solve run the default SolverConfig,
-    # whose CG tolerance complex64 arithmetic can reach
-    cfg, root = recon_inputs
-    assert cli.main(["recon", "--kspace", str(root / "kspace"),
-                     "--coils", str(root / "coils"), "--method", "lrcs",
-                     "--lambda-grid", "--out", str(tmp_path / "out"), *FLAGS]) == 0
-    report = json.loads((tmp_path / "out" / "run_report.json").read_text())
-    assert report["stop_reason"] == "iteration cap K = 25"
-    assert np.isfinite(dm.load_series(tmp_path / "out").data).all()
-
-
 @pytest.fixture(scope="module")
 def ground_truth(tmp_path_factory):
     root = tmp_path_factory.mktemp("phantom")
@@ -571,9 +539,11 @@ def test_config_value_of_the_wrong_type_is_a_named_error(recon_inputs, tmp_path,
      "argument --phase: invalid choice: 'lowres'"),
     (["simulate", "--truth", "t", "--out", "o", "--scheme", "proposed"],
      "unrecognized arguments: --scheme proposed"),
+    (["recon", "--kspace", "k", "--coils", "c", "--lambda-grid", "--out", "o"],
+     "unrecognized arguments: --lambda-grid"),
     (["recon", "--kspace", "k", "--out", "o"],
      "the following arguments are required: --coils"),
-], ids=["bad-choice", "removed-flag", "missing-required"])
+], ids=["bad-choice", "removed-flag", "removed-lambda-grid", "missing-required"])
 def test_usage_error_exits_one(capsys, argv, message):
     assert cli.main(argv) == 1
     err = capsys.readouterr().err

@@ -1,4 +1,7 @@
+import csv
+import io
 import json
+import math
 
 import numpy as np
 import pytest
@@ -203,6 +206,45 @@ class TestContainer:
     def test_missing_header(self, tmp_path):
         with pytest.raises(ValidationError, match="missing container header"):
             dm.read_container(tmp_path / "nowhere")
+
+
+class TestTable:
+    # one value of each kind of float, and the text write_table gives it
+    FLOATS = [(0.1, "0.1"), (1 / 3, "0.3333333333333333"),
+              (np.float64(0.1), "0.1"), (np.float64(-0.0), "-0.0"),
+              (np.float32(0.1), "0.10000000149011612"),
+              (np.float32(1e-8), "9.99999993922529e-09"),
+              (np.nan, "nan"), (np.float64(np.nan), "nan"),
+              (np.inf, "inf"), (np.float32(-np.inf), "-inf"), (-0.0, "-0.0")]
+
+    def test_golden_bytes(self, tmp_path):
+        header = ["i", "x", "ok", "note"]
+        seq = [(i, x, i % 2 == 0, "") for i, (x, _) in enumerate(self.FLOATS)]
+        dm.write_table(tmp_path / "seq.csv", header, seq)
+        dm.write_table(tmp_path / "dict.csv", header,
+                       [dict(zip(reversed(header), reversed(row))) for row in seq])
+        raw = (tmp_path / "seq.csv").read_bytes()
+        assert raw == (tmp_path / "dict.csv").read_bytes()
+        assert raw == ("i,x,ok,note\r\n" + "".join(
+            f"{i},{text},{i % 2 == 0},\r\n"
+            for i, (_, text) in enumerate(self.FLOATS))).encode()
+
+    def test_every_float_reads_back_exactly(self, tmp_path):
+        dm.write_table(tmp_path / "t.csv", ["x"], [(x,) for x, _ in self.FLOATS])
+        raw = (tmp_path / "t.csv").read_text()
+        cells = [row[0] for row in csv.reader(io.StringIO(raw))][1:]
+        assert not any(cell.startswith("np.") for cell in cells)
+        for cell, (x, _) in zip(cells, self.FLOATS, strict=True):
+            back, want = float(cell), float(x)
+            assert back == want or math.isnan(back) and math.isnan(want)
+            assert math.copysign(1, back) == math.copysign(1, want)
+
+    @pytest.mark.parametrize("row", [[1, 2, 3], {"a": 1}], ids=["sequence", "dict"])
+    def test_a_row_of_another_length_is_a_named_error(self, tmp_path, row):
+        with pytest.raises(ValidationError,
+                           match=f"a row of {len(row)} cells under a header of 2"):
+            dm.write_table(tmp_path / "t.csv", ["a", "b"], [["x", "y"], row])
+        assert not (tmp_path / "t.csv").exists()
 
 
 def _json_round_trip(cfg):

@@ -23,7 +23,11 @@ with a ``default_factory`` (containers filled in place), ``init=False``
 fields and ``ClassVar``s are not settings.  The JSON configs are exempt:
 the fields of ``PhantomConfig``, ``ExperimentPlan`` and ``SolverConfig``
 are the keys of the user's params and plan files, which
-``config_from_json`` passes as ``cls(**obj)``."""
+``config_from_json`` passes as ``cls(**obj)``.
+
+Every table, last, is written by ``datamodel.write_table``: no other code
+of the package names ``csv.writer`` or ``csv.DictWriter``, so a number
+has one text form in every CSV file."""
 
 import ast
 from pathlib import Path
@@ -227,6 +231,23 @@ def unset_settings() -> set[tuple[str, str, str]]:
             and not (index is not None and positional.get(key[1], 0) > index)}
 
 
+def csv_writer_uses() -> set[tuple[str, str]]:
+    """(module, top-level function or class) of every ``csv.writer`` and
+    ``csv.DictWriter`` in the package, named as an attribute of ``csv``
+    or imported from it; "" for module level."""
+    writers = {"writer", "DictWriter"}
+    out = set()
+    for path in _sources():
+        for top in ast.parse(path.read_text()).body:
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr in writers
+                        and isinstance(node.value, ast.Name) and node.value.id == "csv"
+                        or isinstance(node, ast.ImportFrom) and node.module == "csv"
+                        and any(a.name in writers for a in node.names)):
+                    out.add((path.stem, getattr(top, "name", "")))
+    return out
+
+
 def test_every_public_function_runs_in_the_program():
     assert unreferenced_functions() == set(ALLOWED)
 
@@ -262,3 +283,7 @@ def test_the_scan_sees_fields_properties_and_methods():
     assert ("datamodel", "PhaseMap", "from_angles") in found    # classmethod
     assert not any(name.startswith("_") for _, _, name in found)
     assert not any(cls.startswith("_") for _, cls, _ in found)
+
+
+def test_only_write_table_writes_csv():
+    assert csv_writer_uses() == {("datamodel", "write_table")}

@@ -196,35 +196,47 @@ class TestSubspace:
             recon.estimate_subspace(gt.clean_series, 99)
 
 
+def cs_start(d, model, scfg):
+    """The U0 solve of the cs candidates of ``d`` on ``model``."""
+    return recon.first_solve(model, np.eye(model.n_columns),
+                             enc.adjoint_matrix(model, d.samples), scfg)
+
+
 class TestSelectLambda:
     def test_single_candidate_passthrough(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2)
-        lam, result = recon.select_lambda(d, model, [0.123],
-                                          recon.SolverConfig(lam=0.0))
+        scfg = recon.SolverConfig(lam=0.0)
+        lam, result = recon.select_lambda(d, model, [0.123], scfg,
+                                          cs_start(d, model, scfg))
         assert lam == 0.123
         assert result.report.lam == 0.123
 
     def test_empty_rejected(self, bench):
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=2)
+        scfg = recon.SolverConfig(lam=0.0)
         with pytest.raises(ValidationError):
-            recon.select_lambda(d, model, [], recon.SolverConfig(lam=0.0))
+            recon.select_lambda(d, model, [], scfg, cs_start(d, model, scfg))
 
     def test_argmin_contract(self, bench, monkeypatch):
         # the candidates share one U0 solve; each equals its cold solve bit
         # for bit, and the choice is the argmin of the cold solves' norms
+        # after the proposed phase correction, which is the norm of |X|
         cfg, gt, labels, kfull = bench
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
         grid = recon.default_lambda_grid(recon.lambda_base(d, model))
         scfg = recon.SolverConfig(lam=0.0, max_iters=8)
-        cold, norms = [], []
+        cold, norms, magnitude_norms = [], [], []
         for candidate in grid:
             res = recon.reconstruct_cs_only(d, model, replace(scfg, lam=candidate))
             corrected = np.conj(recon.estimate_phase_map(res.series).values) \
                 * res.series.data
             norms.append(np.linalg.svd(corrected, compute_uv=False).sum())
+            magnitude_norms.append(
+                np.linalg.svd(res.series.magnitude(), compute_uv=False).sum())
             cold.append(res)
+        np.testing.assert_allclose(magnitude_norms, norms, rtol=1e-12, atol=0)
         real = recon.reconstruct_cs_only
         shared = []
 
@@ -233,9 +245,8 @@ class TestSelectLambda:
             return shared[-1]
 
         monkeypatch.setattr(recon, "reconstruct_cs_only", spy)
-        start = recon.first_solve(model, np.eye(model.n_columns),
-                                  enc.adjoint_matrix(model, d.samples), scfg)
-        lam, result = recon.select_lambda(d, model, grid, scfg, start)
+        lam, result = recon.select_lambda(d, model, grid, scfg,
+                                          cs_start(d, model, scfg))
         assert lam == grid[int(np.argmin(norms))]
         assert result is shared[int(np.argmin(norms))]
         assert len(shared) == len(cold) == 3
@@ -247,7 +258,8 @@ class TestSelectLambda:
         mask, d, model = make_model(gt, labels, kfull, R=3, seed=2)
         grid = recon.default_lambda_grid(recon.lambda_base(d, model))
         scfg = recon.SolverConfig(lam=0.0, max_iters=4)
-        lam, result = recon.select_lambda(d, model, grid, scfg)
+        lam, result = recon.select_lambda(d, model, grid, scfg,
+                                          cs_start(d, model, scfg))
         fresh = recon.reconstruct_cs_only(d, model, replace(scfg, lam=lam))
         np.testing.assert_array_equal(result.series.data, fresh.series.data)
         assert result.report.to_json()["delta_u"] == fresh.report.to_json()["delta_u"]
@@ -352,6 +364,30 @@ class TestPreliminary:
         assert res.report.rank == 5 and res.report.lam == lam
         assert_same_solve(res, recon.reconstruct_lrcs(
             d, model, recon.estimate_subspace(prelim.series, 5), prelim.cfg))
+
+    def test_with_no_weight_the_grid_picks_it_and_makes_no_phase_map(
+            self, bench, monkeypatch):
+        # the preliminary is select_lambda's winning solve over
+        # default_lambda_grid, and the problem's one phase map is the one
+        # the Preliminary makes for the proposed mode
+        cfg, gt, labels, kfull = bench
+        _, d, model = make_model(gt, labels, kfull, R=3, seed=2)
+        scfg = recon.SolverConfig(max_iters=4, cg_max_iters=6)
+        grid = recon.default_lambda_grid(recon.lambda_base(d, model))
+        lam, want = recon.select_lambda(d, model, grid, scfg, cs_start(d, model, scfg))
+        real, phase_maps = recon.estimate_phase_map, []
+
+        def counted(series):
+            phase_maps.append(series)
+            return real(series)
+
+        monkeypatch.setattr(recon, "estimate_phase_map", counted)
+        prelim = recon.preliminary(d, gt.coils, scfg, 5)
+        assert prelim.cfg == replace(scfg, lam=lam)
+        assert_same_solve(prelim, want)
+        assert len(phase_maps) == 0
+        assert recon.recon(prelim, "lrcs", "proposed").report.lam == lam
+        assert len(phase_maps) == 1 and phase_maps[0] is prelim.series
 
 
 class TestExactRecovery:
