@@ -26,7 +26,7 @@ import json
 import logging
 import sys
 from dataclasses import replace
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Literal
 
@@ -351,8 +351,15 @@ _COMMANDS = {"phantom": cmd_phantom, "simulate": cmd_simulate, "recon": cmd_reco
              "run": cmd_run}
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of :func:`main`, built once per process: parsing
+    leaves it unchanged, and each parse makes a fresh namespace."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

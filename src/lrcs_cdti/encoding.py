@@ -46,7 +46,10 @@ Layout conventions:
   samples in that precision too.  The simulation stays in complex128:
   ``coil_kspace`` makes one grid, the coil product, and runs the DFT
   on it in place, and ``ifft2c`` and ``coil_combine`` take the fully
-  sampled least squares in double precision.
+  sampled least squares in double precision.  ``coil_kspace`` of one
+  coil's map is that coil's slice of the grid, so the simulation can
+  run one coil at a time; ``coil_combine`` and ``extract_samples``
+  take per-coil grids.
 * The phase enters the adjoint last (:func:`unphase`), so a solver
   holding A*(d) of the phase-free model derives that of a phased one
   with one product and no DFT.
@@ -61,6 +64,8 @@ Layout conventions:
   readout), keeping the transformed axes contiguous.  A packed sample
   vector enumerates the kept entries of that grid in C order, which
   defines the (coil, column, slice, line, readout) -> position map.
+  The order is coil-major, so the kept entries of each coil's (N, nz,
+  ny, nx) grid, concatenated in coil order, are the same vector.
 """
 
 from __future__ import annotations
@@ -364,7 +369,9 @@ def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
     ``series``, in complex128: the forward model before the mask.  The
     coil product S_c (P o x) is the one grid made; the image-space ramp,
     the DFT and the k-space ramp of the centered DFT run in place on
-    it."""
+    it.  Every step is entrywise or per (coil, column, slice) plane, so
+    the grid of ``coils`` cut to one coil is that coil's slice of the
+    whole grid, bit for bit."""
     nx, ny, nz = coils.spatial_dims
     vols = _series_to_grid(series.data, (nx, ny, nz))
     if phase is not None:
@@ -379,17 +386,19 @@ def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
     return np.multiply(kb, grid, out=grid)
 
 
-def coil_combine(kgrid: np.ndarray, coils: CoilMaps) -> np.ndarray:
-    """Least-squares (M, N) series of a fully sampled k-space grid (C, N,
-    nz, ny, nx) on ``coils``: sum_c conj(S_c) F^H k_c / sum_c |S_c|^2
-    (Roemer et al., MRM 1990; Pruessmann et al., MRM 1999), in
-    complex128.  On a full grid A*A is that diagonal sum, so this solves
-    A*A x = A*d exactly: it inverts the phase-free :func:`coil_kspace` on
-    the coils' support and is zero off it.  One coil's grid is
-    transformed at a time, so no whole image grid of every coil is made."""
+def coil_combine(kgrids, coils: CoilMaps) -> np.ndarray:
+    """Least-squares (M, N) series of fully sampled k-space on ``coils``:
+    sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 (Roemer et al., MRM 1990;
+    Pruessmann et al., MRM 1999), in complex128.  ``kgrids`` holds one
+    (N, nz, ny, nx) grid k_c per coil, in coil order: a sequence of them
+    or the (C, N, nz, ny, nx) grid.  On a full grid A*A is that diagonal
+    sum, so this solves A*A x = A*d exactly: it inverts the phase-free
+    :func:`coil_kspace` on the coils' support and is zero off it.  One
+    coil's grid is transformed at a time, so no whole image grid of
+    every coil is made."""
     maps_t = coils.maps.transpose(0, 3, 2, 1)
-    combined = np.zeros(kgrid.shape[1:], dtype=np.complex128)
-    for k_c, s_c in zip(kgrid, maps_t):
+    combined = np.zeros(kgrids[0].shape, dtype=np.complex128)
+    for k_c, s_c in zip(kgrids, maps_t):
         image = ifft2c(k_c)
         image *= np.conj(s_c)
         combined += image
@@ -399,11 +408,18 @@ def coil_combine(kgrid: np.ndarray, coils: CoilMaps) -> np.ndarray:
     return _grid_to_series(combined)
 
 
-def extract_samples(kgrid: np.ndarray, mask: SamplingMask) -> KSpaceData:
-    """Keep masked samples of a full grid, packed in C order."""
-    n_coils, _, nz, ny, nx = kgrid.shape
-    samples = np.ascontiguousarray(kgrid)[_bool_grid_mask(mask, n_coils, nx)]
-    return KSpaceData(samples, mask, (nx, ny, nz), n_coils)
+def extract_samples(kgrids, mask: SamplingMask) -> KSpaceData:
+    """The entries of full k-space that ``mask`` keeps, packed in C order
+    and cast to ``EncodingModel.dtype``.  ``kgrids`` holds one (N, nz,
+    ny, nx) grid per coil, in coil order: a sequence of them or the (C,
+    N, nz, ny, nx) grid.  The packed order is coil-major, so each coil's
+    kept entries follow the previous coil's; no copy of the whole grid
+    is made."""
+    _, nz, ny, nx = kgrids[0].shape
+    kept = _bool_grid_mask(mask, 1, nx)[0]
+    samples = np.concatenate([k_c[kept] for k_c in kgrids],
+                             dtype=EncodingModel.dtype)
+    return KSpaceData(samples, mask, (nx, ny, nz), len(kgrids))
 
 
 def adjoint_matrix(model: EncodingModel, samples: np.ndarray) -> np.ndarray:

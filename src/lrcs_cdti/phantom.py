@@ -258,21 +258,38 @@ def _simulate_coils(cfg: PhantomConfig) -> CoilMaps:
     return CoilMaps(maps)
 
 
-def add_noise(kspace: np.ndarray, snr: float, s0_mean: float, seed: int) -> np.ndarray:
+def noise_rng(seed: int) -> np.random.Generator:
+    """The noise stream of the phantom seed ``seed``, which
+    :func:`add_noise` draws from."""
+    return np.random.default_rng([seed, 202])
+
+
+def add_noise(kspace: np.ndarray, snr: float, s0_mean: float,
+              seed: int | np.random.Generator) -> np.ndarray:
     """``kspace`` plus i.i.d. Gaussian noise (sigma = s0_mean/snr) on the
     real and imaginary parts of every sample, in complex128; snr = inf
-    (or None) returns the input itself.  ``kspace`` is added into the
-    (..., 2) normal draw viewed as complex128, so the draw is the one
-    grid made and the input is never written.  The sum is bit-equal to
-    ``kspace + noise[..., 0] + 1j * noise[..., 1]``: addition commutes,
-    and ``1j * b`` adds a signed zero to the real part."""
+    (or None) returns the input itself.
+
+    The noise is a (..., 2) standard normal draw scaled by sigma in
+    place, bit-equal to ``normal(scale=sigma)`` of the same stream.
+    ``kspace`` is added into the draw viewed as complex128, so the draw
+    is the one grid made and the input is never written.  The sum is
+    bit-equal to ``kspace + noise[..., 0] + 1j * noise[..., 1]``:
+    addition commutes, and ``1j * b`` adds a signed zero to the real
+    part.
+
+    ``seed`` is a phantom seed, whose :func:`noise_rng` stream is drawn
+    from its start, or a Generator, whose draw continues where its last
+    one ended.  So the chunks of a grid along its leading axis, noised
+    in order from one ``noise_rng(seed)``, get the noise of one draw of
+    the whole grid with ``seed``."""
     if snr is None or snr == inf:
         return kspace
     if not snr > 0:
         raise ValidationError(f"snr must be positive, got {snr}")
-    sigma = s0_mean / snr
-    rng = np.random.default_rng([seed, 202])
-    draw = rng.normal(scale=sigma, size=kspace.shape + (2,))
+    rng = seed if isinstance(seed, np.random.Generator) else noise_rng(seed)
+    draw = rng.standard_normal(size=kspace.shape + (2,))
+    draw *= s0_mean / snr
     noisy = draw.view(np.complex128)[..., 0]
     noisy += kspace
     return noisy

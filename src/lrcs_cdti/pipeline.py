@@ -13,10 +13,13 @@ cells' inputs and its reference metrics
 (:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
 the reference series, when the plan saves arrays, and drops them.
 
-:func:`acquire` simulates a subject's k-space grid in complex128, in
-place, and adds the noise into the noise draw.  Once the coil maps and
-the reference are taken from it, the subject keeps the grid in the
-solver's precision, ``EncodingModel.dtype`` (complex64).
+:func:`acquire` simulates a subject's k-space in complex128 one coil at
+a time, and adds each coil's noise into that coil's draw, so one coil's
+clean grid is alive at a time.  Once the coil maps and the reference
+are taken from the coil grids, :func:`prepare_subject` packs the
+samples of every R of the plan, in the solver's precision
+``EncodingModel.dtype`` (complex64), and drops the grids: a subject
+holds what its solves read, the kept share of the grid per R.
 
 Per acceleration factor, one problem (the k-space of its sampling mask,
 the coil maps, the weight and the plan's rank) is one
@@ -25,12 +28,15 @@ what the methods make from it: the adjoint A*(d), the subspace, and per
 phase mode the solve model and the first CG solve, of which lr is the
 whole solve and lrcs the start.  cs returns the preliminary itself, so
 its cells of every phase mode share one tensor fit.  All of it is freed
-when the acceleration factor's cells finish.
+when the acceleration factor's cells finish, and each cell's
+reconstruction is freed before the next cell's solve starts.  Each
+finished cell logs one INFO line to the ``lrcs_cdti.pipeline`` logger.
 """
 
 from __future__ import annotations
 
 import json
+import logging
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -41,6 +47,8 @@ import numpy as np
 from . import datamodel as dm
 from . import dti, encoding, phantom, recon, stats
 from .errors import NumericalError, ValidationError
+
+log = logging.getLogger(__name__)
 
 METRICS = ("hat", "md")
 
@@ -182,50 +190,76 @@ class CellResult:
 class SubjectInputs:
     """What the cells of one subject read, and the metrics of its
     reference, against which their biases are taken.  ``noisy_kspace``
-    is the full (C, N, nz, ny, nx) grid in ``EncodingModel.dtype``."""
+    maps each R of the plan to its packed samples in
+    ``EncodingModel.dtype`` (:func:`undersample`), or to the traceback
+    of the failure to make them, which fails that R's cells alone.  No
+    full k-space grid is held."""
 
     config: phantom.PhantomConfig
     myocardium_mask: np.ndarray
     coil_maps: dm.CoilMaps
-    noisy_kspace: np.ndarray
+    noisy_kspace: dict[float, encoding.KSpaceData | str]
     segmentation: dti.AhaSegmentation | None
     reference: SubjectMetrics
 
 
-def acquire(truth: phantom.GroundTruth) -> tuple[np.ndarray, dm.CoilMaps]:
-    """The noisy full k-space grid (C, N, nz, ny, nx) of ``truth`` in
-    complex128, noise seeded by the phantom, and the coil maps of its b=0
-    column.  The clean grid is freed once the noise is added to it."""
+def acquire(truth: phantom.GroundTruth) -> tuple[list[np.ndarray], dm.CoilMaps]:
+    """The noisy fully sampled k-space of ``truth``, one complex128 (N,
+    nz, ny, nx) grid per coil in coil order, and the coil maps of its
+    b=0 column.  Each coil's grid is :func:`encoding.coil_kspace` on that
+    coil's map, with its noise added into that coil's draw of the
+    phantom's one noise stream (:func:`phantom.add_noise`).  So the grids
+    are the coil slices of the whole grid noised in one draw, bit for
+    bit, and only one coil's clean grid is alive at a time."""
     cfg = truth.config
-    knoisy = phantom.add_noise(
-        encoding.coil_kspace(truth.clean_series, truth.coils, truth.phase),
-        cfg.snr, phantom.mean_s0(truth), seed=cfg.seed)
-    # knoisy is the full grid: the b=0 column's coil images need no zero fill
-    b0_images = encoding.ifft2c(knoisy[:, 0]).transpose(0, 3, 2, 1)
-    return knoisy, encoding.estimate_coil_maps(b0_images)
+    s0, rng = phantom.mean_s0(truth), phantom.noise_rng(cfg.seed)
+    kspace = []
+    for maps_c in truth.coils.maps:
+        # one expression: the clean grid dies once its noise is added
+        kspace.append(phantom.add_noise(
+            encoding.coil_kspace(truth.clean_series, dm.CoilMaps(maps_c[None]),
+                                 truth.phase), cfg.snr, s0, rng)[0])
+    # the grids are full: the b=0 column's coil images need no zero fill
+    b0_images = encoding.ifft2c(np.stack([k_c[0] for k_c in kspace]))
+    return kspace, encoding.estimate_coil_maps(b0_images.transpose(0, 3, 2, 1))
 
 
-def undersample(cfg: phantom.PhantomConfig, kspace: np.ndarray,
+def undersample(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
                 R: float) -> encoding.KSpaceData:
-    """The samples of ``kspace``, acquired from the phantom of ``cfg``,
-    that the mask of acceleration ``R``, seeded by the phantom, keeps."""
-    _, _, nz, ny, _ = kspace.shape
+    """The samples of ``kspace`` that the mask of acceleration ``R``,
+    seeded by the phantom of ``cfg``, keeps, packed in
+    ``EncodingModel.dtype``.  ``kspace`` holds the per-coil grids that
+    :func:`acquire` made of that phantom."""
+    _, ny, nz = cfg.grid
     mask = encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=R, seed=cfg.seed)
     return encoding.extract_samples(kspace, mask)
+
+
+def _samples_or_error(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
+                      R: float) -> encoding.KSpaceData | str:
+    """:func:`undersample` at ``R``, or the traceback of its failure (a
+    mask that cannot be made), which fails the cells of ``R`` alone."""
+    try:
+        return undersample(cfg, kspace, R)
+    except Exception:
+        return traceback.format_exc()
 
 
 def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
     """The inputs of one subject's cells.  Its reference series is the
     least squares of its fully sampled noisy k-space k on the estimated
     coil maps S, sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 per voxel and
-    column (:func:`encoding.coil_combine`), taken in complex128 before
-    the grid is cast to ``EncodingModel.dtype``.  Its truth and reference
-    series are saved, when the plan saves arrays, and die on return."""
+    column (:func:`encoding.coil_combine`), taken in complex128.  The
+    samples of every R of the plan are packed from the same complex128
+    grids, which are then dropped, before the reference's metrics.  Its
+    truth and reference series are saved, when the plan saves arrays,
+    and die on return."""
     cfg = subject_config(plan, index)
     gt = phantom.build_phantom(cfg)
-    knoisy, coil_maps = acquire(gt)
-    ref = gt.clean_series.with_data(encoding.coil_combine(knoisy, coil_maps))
-    knoisy = knoisy.astype(encoding.EncodingModel.dtype)
+    kspace, coil_maps = acquire(gt)
+    ref = gt.clean_series.with_data(encoding.coil_combine(kspace, coil_maps))
+    samples = {R: _samples_or_error(cfg, kspace, R) for R in plan.R_list}
+    del kspace
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(gt.myocardium_mask)
@@ -234,7 +268,7 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
         sdir = Path(plan.output_dir) / f"subject{index:02d}"
         phantom.save_ground_truth(sdir / "ground_truth", gt)
         dm.save_series(sdir / "reference", ref)
-    return SubjectInputs(cfg, gt.myocardium_mask, coil_maps, knoisy, segmentation,
+    return SubjectInputs(cfg, gt.myocardium_mask, coil_maps, samples, segmentation,
                          ref_metrics)
 
 
@@ -249,48 +283,58 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
              R: float) -> list[CellResult]:
     """The cells of one R.  Its preliminary solve, and all that the
     methods share from it, live in this call alone, so they are freed
-    before the next R starts.  A failed mask or preliminary solve fails
-    every cell of the R."""
-    cfg = subject.config
+    before the next R starts; a cell's reconstruction dies before the
+    next cell's solve.  A failed mask or preliminary solve fails every
+    cell of the R."""
+    d = subject.noisy_kspace[R]
+    # the samples, or the traceback of the mask that could not be made
+    prep_error = d if isinstance(d, str) else ""
+    if not prep_error:
+        try:
+            prelim = recon.preliminary(d, subject.coil_maps, plan.solver_config,
+                                       plan.rank, scale=plan.lambda_scale)
+        except Exception:
+            prep_error = traceback.format_exc()
     results: list[CellResult] = []
-    try:
-        d = undersample(cfg, subject.noisy_kspace, R)
-        prelim = recon.preliminary(d, subject.coil_maps, plan.solver_config,
-                                   plan.rank, scale=plan.lambda_scale)
-        prep_error = ""
-    except Exception:
-        prep_error = traceback.format_exc()
     # cs returns the preliminary itself: one fit serves its every phase mode
     prelim_metrics = None
     for method in plan.methods:
         for mode in plan.phase_modes:
-            cell = CellResult(index, R, method, mode, ok=False)
+            cell = CellResult(index, R, method, mode, ok=False, error=prep_error)
             results.append(cell)
             out = (Path(plan.output_dir) / f"subject{index:02d}"
                    / f"R{R:g}" / f"{method}_{mode}")
-            if prep_error:
-                cell.error = prep_error
+            if not prep_error:
+                try:
+                    res = recon.recon(prelim, method, mode)
+                    cell.report = res.report.to_json()
+                    if res is prelim and prelim_metrics is not None:
+                        cell.metrics = prelim_metrics
+                    else:
+                        cell.metrics = _series_metrics(
+                            res.series, subject.myocardium_mask, subject.segmentation)
+                    if res is prelim:
+                        prelim_metrics = cell.metrics
+                    cell.ok = True
+                    if plan.save_arrays:
+                        dm.save_series(out / "recon", res.series)
+                        (out / "run_report.json").write_text(
+                            json.dumps(cell.report, indent=1))
+                except Exception:
+                    cell.error = traceback.format_exc()
+                # the reconstruction dies here, not when the next solve returns
+                res = None
+            if cell.error:
                 _write_error(out, cell.error)
-                continue
-            try:
-                res = recon.recon(prelim, method, mode)
-                cell.report = res.report.to_json()
-                if res is prelim and prelim_metrics is not None:
-                    cell.metrics = prelim_metrics
-                else:
-                    cell.metrics = _series_metrics(
-                        res.series, subject.myocardium_mask, subject.segmentation)
-                if res is prelim:
-                    prelim_metrics = cell.metrics
-                cell.ok = True
-                if plan.save_arrays:
-                    dm.save_series(out / "recon", res.series)
-                    (out / "run_report.json").write_text(
-                        json.dumps(cell.report, indent=1))
-            except Exception:
-                cell.error = traceback.format_exc()
-                _write_error(out, cell.error)
+            _log_cell(cell)
     return results
+
+
+def _log_cell(cell: CellResult) -> None:
+    """One INFO line for a finished cell; its solve_s is blank, as in
+    summary.csv, when its solve failed."""
+    log.info("subject %d R %g %s %s: ok %s, solve_s %s", cell.subject, cell.R,
+             cell.method, cell.phase_mode, cell.ok, cell.report.get("wall_time_s", ""))
 
 
 def _write_error(directory: Path, error: str) -> None:
@@ -309,7 +353,7 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     ``stats.csv`` (``"stats"``).  A subject's truth and reference series
     die in :func:`prepare_subject`, before its cells start, and of a
     finished subject only its reference metrics are kept past its cells:
-    its noisy k-space and coil maps are freed as soon as they finish.
+    its packed samples and coil maps are freed as soon as they finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its
@@ -333,6 +377,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
             cells = [CellResult(i, R, method, mode, ok=False, error=error)
                      for R in plan.R_list for method in plan.methods
                      for mode in plan.phase_modes]
+            for cell in cells:
+                _log_cell(cell)
             return None, cells, error
         return inputs.reference, run_subject_cells(plan, i, inputs), ""
 

@@ -588,6 +588,25 @@ def test_config_keys_of_other_commands_are_ignored(tmp_path):
     assert ph.load_ground_truth(tmp_path / "gt").config.seed == 4
 
 
+def test_consecutive_calls_do_not_share_config_values(ground_truth, tmp_path):
+    # main parses every call with one parser, built once per process; a
+    # config's values fill that call's namespace alone
+    first, second = tmp_path / "first.json", tmp_path / "second.json"
+    first.write_text(json.dumps({"R": 3, "seed": 4}))
+    second.write_text(json.dumps({"log-level": "warning"}))
+    for config, R in ((first, 3.0), (second, 1.0), (first, 3.0)):
+        out = tmp_path / f"sim_{config.stem}"
+        assert cli.main(["simulate", "--truth", str(ground_truth), "--out", str(out),
+                         "--config", str(config), *FLAGS]) == 0
+        assert encoding.load_kspace(out / "kspace").mask.R_nominal == R
+    for config, seed in ((first, 4), (second, 0)):
+        out = tmp_path / f"gt_{config.stem}"
+        assert cli.main(["phantom", "--out", str(out), "--config", str(config),
+                         *FLAGS]) == 0
+        assert ph.load_ground_truth(out).config.seed == seed
+    assert cli._parser() is cli._parser()
+
+
 def test_zero_flag_values_are_values(ground_truth, recon_inputs, tmp_path, capsys):
     # 0 is not "unset": each command rejects it with a named error
     _, root = recon_inputs

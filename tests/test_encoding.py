@@ -615,6 +615,35 @@ class TestCoilKspace:
                                                         phase))
 
 
+class TestOneCoilAtATime:
+    @pytest.mark.parametrize("grid, r_endo, r_epi", [((32, 32, 2), 6, 12),
+                                                     ((31, 29, 3), 5, 10)])
+    def test_a_coils_grid_is_its_slice_of_the_whole(self, grid, r_endo, r_epi):
+        gt = ph.build_phantom(ph.PhantomConfig(grid=grid, r_endo=r_endo,
+                                               r_epi=r_epi, seed=5))
+        whole = enc.coil_kspace(gt.clean_series, gt.coils, gt.phase)
+        for c, maps_c in enumerate(gt.coils.maps):
+            got = enc.coil_kspace(gt.clean_series, dm.CoilMaps(maps_c[None]), gt.phase)
+            assert np.array_equal(got[0].view(np.uint64), whole[c].view(np.uint64))
+
+    def test_per_coil_grids_pack_and_combine_as_the_whole(self, small_phantom,
+                                                          noisy_full):
+        # the packed order is coil-major: each coil's kept entries in turn
+        # are the C-order kept entries of the whole grid
+        cfg, gt = small_phantom
+        kgrid, coils, _ = noisy_full
+        per_coil = [k_c.copy() for k_c in kgrid]
+        mask = enc.make_sampling_mask(cfg.grid[1], cfg.grid[2],
+                                      gt.clean_series.column_labels, R=3, seed=2)
+        d = enc.extract_samples(per_coil, mask)
+        kept = kgrid[enc._bool_grid_mask(mask, len(per_coil), cfg.grid[0])]
+        assert d.n_coils == len(per_coil) == cfg.n_coils
+        assert d.samples.dtype == enc.EncodingModel.dtype
+        assert np.array_equal(d.samples, kept.astype(enc.EncodingModel.dtype))
+        assert np.array_equal(enc.coil_combine(per_coil, coils),
+                              enc.coil_combine(kgrid, coils))
+
+
 class TestKSpaceContainer:
     def test_round_trip(self, small_phantom, tmp_path):
         cfg, gt = small_phantom

@@ -206,6 +206,17 @@ class TestNoise:
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
         assert np.array_equal(k, before) and k.dtype == dtype
 
+    def test_chunks_from_one_stream_are_one_draw(self):
+        # the chunks of a grid along its leading axis, noised in order from
+        # one noise_rng as acquire noises its coils, against one draw
+        rng = np.random.default_rng(8)
+        k = rng.normal(size=(3, 2, 2, 5, 4)) + 1j * rng.normal(size=(3, 2, 2, 5, 4))
+        whole = ph.add_noise(k, 12.0, 1.5, seed=4)
+        stream = ph.noise_rng(4)
+        chunks = [ph.add_noise(k[c:c + 1], 12.0, 1.5, stream) for c in range(3)]
+        assert np.array_equal(np.concatenate(chunks).view(np.uint64),
+                              whole.view(np.uint64))
+
     def test_invalid_snr(self):
         with pytest.raises(ValidationError):
             ph.add_noise(np.zeros((1, 1, 1, 4, 4), dtype=complex), -1.0, 1.0, 0)

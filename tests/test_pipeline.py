@@ -1,6 +1,7 @@
 import csv
 import gc
 import json
+import logging
 import re
 import threading
 import tracemalloc
@@ -62,34 +63,112 @@ def test_dispatch_covers_every_method_and_phase_mode(study):
 
 
 def test_coil_maps_come_from_the_zero_filled_b0_column(study):
-    # the maps are taken from the complex128 grid, which the subject then
-    # keeps in the solver's precision
+    # the maps are taken from the complex128 coil grids, of which the R=1
+    # mask keeps the whole b=0 column
     plan, _ = study
     for i in range(plan.n_subjects):
         inputs = pipeline.prepare_subject(plan, i)
         kspace, _ = pipeline.acquire(ph.build_phantom(inputs.config))
-        assert inputs.noisy_kspace.dtype == encoding.EncodingModel.dtype
-        np.testing.assert_array_equal(inputs.noisy_kspace,
-                                      kspace.astype(encoding.EncodingModel.dtype))
         _, ny, nz = inputs.config.grid
         mask = encoding.make_sampling_mask(ny, nz, inputs.config.column_labels,
                                            R=1, seed=inputs.config.seed)
-        kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
-        grid = np.where(np.broadcast_to(kept, kspace.shape), kspace, 0)
+        kept = mask.kept.transpose(2, 1, 0)[:, :, :, None]
+        grid = np.stack([np.where(np.broadcast_to(kept, k_c.shape), k_c, 0)
+                         for k_c in kspace])
         want = encoding.estimate_coil_maps(
             encoding.ifft2c(grid[:, 0]).transpose(0, 3, 2, 1))
         np.testing.assert_array_equal(inputs.coil_maps.maps, want.maps)
-        d = pipeline.undersample(inputs.config, inputs.noisy_kspace, 2.0)
+
+
+def _arrays(obj, found=None) -> dict[int, np.ndarray]:
+    """Every numpy array that ``obj`` reaches through its attributes,
+    containers and the arrays' bases, by id."""
+    found = {} if found is None else found
+    if isinstance(obj, np.ndarray):
+        if id(obj) not in found:
+            found[id(obj)] = obj
+            if obj.base is not None:
+                _arrays(obj.base, found)
+    elif isinstance(obj, dict):
+        for value in obj.values():
+            _arrays(value, found)
+    elif isinstance(obj, (list, tuple)):
+        for value in obj:
+            _arrays(value, found)
+    elif hasattr(obj, "__dict__"):
+        _arrays(vars(obj), found)
+    return found
+
+
+def test_a_prepared_subject_holds_its_samples_not_its_grid(study):
+    # per R of the plan, the kept entries of the complex128 coil grids in
+    # the solver's precision, 8 bytes each, and no full grid of any coil
+    plan, _ = study
+    plan = replace(plan, R_list=(6.0, 2.0))
+    inputs = pipeline.prepare_subject(plan, 0)
+    cfg = inputs.config
+    nx, ny, nz = cfg.grid
+    n_cols = len(cfg.column_labels)
+    kspace, _ = pipeline.acquire(ph.build_phantom(cfg))
+    assert list(inputs.noisy_kspace) == [6.0, 2.0]
+    for R, d in inputs.noisy_kspace.items():
+        mask = encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=R,
+                                           seed=cfg.seed)
+        np.testing.assert_array_equal(d.mask.kept, mask.kept)
+        kept = mask.kept.transpose(2, 1, 0)[None, :, :, :, None]
+        want = np.stack(kspace)[np.broadcast_to(kept, (cfg.n_coils, n_cols, nz, ny, nx))]
         assert d.samples.dtype == encoding.EncodingModel.dtype
+        assert d.samples.nbytes == cfg.n_coils * nx * np.count_nonzero(mask.kept) * 8
+        np.testing.assert_array_equal(d.samples,
+                                      want.astype(encoding.EncodingModel.dtype))
+    shapes = {a.shape for a in _arrays(inputs).values()}
+    assert not shapes & {(cfg.n_coils, n_cols, nz, ny, nx), (n_cols, nz, ny, nx)}
 
 
-def test_acquire_holds_at_most_three_grids():
-    # the clean grid is simulated in place and the noise added into its
-    # draw: above its start, acquire holds the noisy grid, the clean grid
-    # while the noise is added, and small per-column arrays
+def test_acquire_is_one_noise_draw_of_the_whole_grid(study):
+    # each coil's grid is its slice of the whole grid noised in one draw
+    plan, _ = study
+    gt = ph.build_phantom(pipeline.subject_config(plan, 1))
+    kspace, _ = pipeline.acquire(gt)
+    whole = ph.add_noise(encoding.coil_kspace(gt.clean_series, gt.coils, gt.phase),
+                         gt.config.snr, ph.mean_s0(gt), seed=gt.config.seed)
+    assert [k_c.dtype for k_c in kspace] == [np.complex128] * gt.config.n_coils
+    assert np.array_equal(np.stack(kspace).view(np.uint64), whole.view(np.uint64))
+
+
+def test_prepare_subject_drops_the_grids_before_the_reference_metrics(
+        study, monkeypatch):
+    # the reference's tensor fit is the first, and the coil grids (the
+    # noise draws they are views of) are gone when it starts
+    real_acquire, real_fit = pipeline.acquire, pipeline.dti.fit_tensors
+    grids, alive_at_fit = [], []
+
+    def watched_acquire(truth):
+        kspace, coils = real_acquire(truth)
+        grids.extend(weakref.ref(k_c.base) for k_c in kspace)
+        return kspace, coils
+
+    def watched_fit(series, mask):
+        gc.collect()
+        alive_at_fit.append([ref() is not None for ref in grids])
+        return real_fit(series, mask)
+
+    monkeypatch.setattr(pipeline, "acquire", watched_acquire)
+    monkeypatch.setattr(pipeline.dti, "fit_tensors", watched_fit)
+    plan, _ = study
+    pipeline.prepare_subject(plan, 0)
+    assert alive_at_fit == [[False] * 4]
+
+
+def test_acquire_holds_the_noisy_grid_and_two_coil_grids():
+    # one coil at a time: above its start, acquire holds the noisy coil
+    # grids made so far and, while one coil is simulated, two grids of
+    # that coil (its phased series and coil product, or its clean grid
+    # and noise draw), besides small per-column arrays
     gt = ph.build_phantom(ph.PhantomConfig())
     nx, ny, nz = gt.config.grid
-    grid_bytes = (gt.config.n_coils * len(gt.config.column_labels) * nx * ny * nz
+    n_coils = gt.config.n_coils
+    coil_bytes = (len(gt.config.column_labels) * nx * ny * nz
                   * np.dtype(np.complex128).itemsize)
     tracemalloc.start()
     try:
@@ -98,8 +177,8 @@ def test_acquire_holds_at_most_three_grids():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert kspace.nbytes == grid_bytes
-    assert peak - start <= 3 * grid_bytes
+    assert [k_c.nbytes for k_c in kspace] == [coil_bytes] * n_coils
+    assert peak - start <= (n_coils + 2) * coil_bytes
 
 
 def test_biases_pinned(study):
@@ -241,8 +320,8 @@ def test_every_subject_mask_is_centered_on_its_config_center(plan):
 def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
     # a subject's truth and reference series die in prepare_subject (once
     # saved), before its first cell starts, and only its reference
-    # metrics outlive its cells: its noisy k-space and coil maps are
-    # freed as soon as the cells finish
+    # metrics outlive its cells: its samples and coil maps are freed as
+    # soon as the cells finish
     real_build, real_combine = pipeline.phantom.build_phantom, pipeline.encoding.coil_combine
     real_cells = pipeline.run_subject_cells
     # the truth's and the reference's arrays, by the subject's seed; a
@@ -267,8 +346,8 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
         gc.collect()
         assert [ref() is None for ref in prepared[subject.config.seed]] == [True] * 3
         alive_at_start.append((index, [ref() is not None for ref in arrays]))
-        arrays.extend([weakref.ref(subject.noisy_kspace),
-                       weakref.ref(subject.coil_maps.maps)])
+        [d] = subject.noisy_kspace.values()
+        arrays.extend([weakref.ref(d.samples), weakref.ref(subject.coil_maps.maps)])
         return real_cells(plan, index, subject)
 
     monkeypatch.setattr(pipeline.phantom, "build_phantom", watched_build)
@@ -474,3 +553,75 @@ def test_failed_preliminary_fails_every_cell_of_its_R(tmp_path, monkeypatch):
         assert text == c.error and "in fail_at_r6" in text
         assert text.rstrip().endswith("NumericalError: preliminary failed")
     assert len(list(tmp_path.rglob("error.txt"))) == 4
+
+
+def test_a_cells_reconstruction_is_freed_before_the_next_solve(tmp_path,
+                                                              monkeypatch):
+    real = pipeline.recon.recon
+    series, alive_at_solve = [], []
+
+    def watched(prelim, method, mode):
+        gc.collect()
+        alive_at_solve.append([ref() is not None for ref in series])
+        res = real(prelim, method, mode)
+        # cs returns the preliminary, which lives through its R
+        if res is not prelim:
+            series.append(weakref.ref(res.series.data))
+        return res
+
+    monkeypatch.setattr(pipeline.recon, "recon", watched)
+    result = pipeline.run_experiment(_every_cell_plan(tmp_path, n_subjects=1,
+                                                      save_arrays=True))
+    assert [(c.method, c.phase_mode) for c in result["cells"]] == [
+        (m, p) for m in ("lr", "cs", "lrcs") for p in ("proposed", "none")]
+    assert all(c.ok for c in result["cells"])
+    # lr at each mode, then cs twice, then lrcs at each mode
+    assert alive_at_solve == [[], [False], [False] * 2, [False] * 2, [False] * 2,
+                              [False] * 3]
+
+
+def test_an_r_whose_mask_cannot_be_made_fails_its_cells_alone(tmp_path):
+    # 24 phase-encode lines at R 9 keep ceil(24 / 9) = 3, fewer than the 4
+    # center lines; the mask is made when the subject is prepared
+    plan = _every_cell_plan(tmp_path / "with", n_subjects=1, R_list=(2.0, 9.0),
+                            save_arrays=True)
+    result = pipeline.run_experiment(plan)
+    message = ("lrcs_cdti.errors.ValidationError: cannot honor center lines: "
+               "ceil(n_pe/R) = 3 < 4")
+    bad = [c for c in result["cells"] if c.R == 9.0]
+    good = [c for c in result["cells"] if c.R == 2.0]
+    assert len(bad) == len(good) == 6
+    assert all(c.ok for c in good) and not any(c.ok for c in bad)
+    for c in bad:
+        text = (tmp_path / "with" / "subject00" / "R9" / f"{c.method}_{c.phase_mode}"
+                / "error.txt").read_text()
+        assert text == c.error and text.rstrip().splitlines()[-1] == message
+    assert [r["error"] for r in result["summary"] if r["R"] == 9.0] == [message] * 6
+    assert len(list(tmp_path.rglob("error.txt"))) == 6
+    # R 2's cells are those of the plan without R 9, file for file
+    without = pipeline.run_experiment(replace(plan, R_list=(2.0,),
+                                              output_dir=str(tmp_path / "without")))
+    assert all(name in ("plan.json", "summary.csv") or name.startswith("subject00/R9/")
+               for name in differing_files(tmp_path / "with", tmp_path / "without"))
+
+    def rows(summary):
+        return [{k: v for k, v in r.items() if k != "solve_s"}
+                for r in summary if r["R"] != 9.0]
+    assert rows(result["summary"]) == rows(without["summary"])
+
+
+def test_each_finished_cell_logs_one_line(tmp_path, caplog):
+    # subject 2's preparation fails (see above), and R 9's mask cannot be
+    # made (see above): their cells log too
+    plan = replace(_tiny_plan(tmp_path, 9), R_list=(2.0, 9.0))
+    with caplog.at_level(logging.INFO, logger="lrcs_cdti.pipeline"):
+        result = pipeline.run_experiment(plan)
+    records = [r for r in caplog.records if r.name == "lrcs_cdti.pipeline"]
+    assert [r.levelno for r in records] == [logging.INFO] * len(result["cells"]) == \
+        [logging.INFO] * 6
+    for cell, record in zip(result["cells"], records):
+        solve_s = cell.report["wall_time_s"] if cell.ok else ""
+        assert record.getMessage() == (f"subject {cell.subject} R {cell.R:g} "
+                                       f"{cell.method} {cell.phase_mode}: "
+                                       f"ok {cell.ok}, solve_s {solve_s}")
+    assert [c.ok for c in result["cells"]] == [True, False, True, False, False, False]
