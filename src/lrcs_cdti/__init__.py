@@ -12,6 +12,6 @@ from .phantom import GroundTruth, PhantomConfig, add_noise, build_phantom
 from .recon import (Method, PhaseMode, ReconResult, SolverConfig,
                     estimate_phase_map, estimate_subspace, reconstruct_cs_only,
                     reconstruct_lrcs, select_lambda)
-from .transforms import WaveletSpec, group_l12_norm, group_shrink
+from .transforms import WaveletSpec, group_shrink
 
 __version__ = "0.1.0"

@@ -7,7 +7,8 @@ and turns it into the undersampled noisy k-space and estimated coil maps
 that ``recon`` reads; ``fit`` takes the reconstruction and the ground
 truth's mask to tensors, and ``metrics`` takes the tensors to HA/MD/FA
 maps and the HAT table.  ``run`` is the whole chain over a cohort, and
-``eval`` recomputes its statistics from ``summary.csv``.
+``eval`` rebuilds its statistics from its ``summary.csv`` and
+``regional.csv``, by the run's own :func:`pipeline.evaluate`.
 
 All array inputs and outputs use the container format; configs are JSON;
 tables are CSV, as the pipeline's (:func:`datamodel.write_table`);
@@ -21,12 +22,11 @@ error, 2 numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import json
 import logging
 import sys
 from dataclasses import replace
-from functools import cache, partial
+from functools import cache
 from pathlib import Path
 from typing import Literal
 
@@ -98,9 +98,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     _add_common(p)
 
-    p = sub.add_parser("eval", help="cohort statistics from metric CSVs")
-    p.add_argument("--summary", required=True, help="summary.csv from a run")
-    p.add_argument("--out", required=True)
+    p = sub.add_parser("eval", help="cohort statistics and p-maps of a run")
+    p.add_argument("--summary", required=True,
+                   help="summary.csv from a run, with regional.csv beside it")
+    p.add_argument("--out", required=True, help="stats.csv; p-maps go beside it")
     _add_common(p)
 
     p = sub.add_parser("run", help="run a full experiment plan")
@@ -293,42 +294,9 @@ def cmd_metrics(args) -> int:
     return 0
 
 
-def _csv_value(path, index: int, row: dict, column: str, convert=str):
-    """``row[column]`` of the CSV file ``path`` as ``convert`` makes it; a
-    missing or unreadable value is a ValidationError naming the file, the
-    column and the row (``index``, counted from 1 below the header)."""
-    where = f"{path} row {index}, column {column!r}"
-    value = row.get(column)
-    if value is None:
-        raise ValidationError(f"{where}: no value")
-    try:
-        return convert(value)
-    except ValueError:
-        raise ValidationError(
-            f"{where}: cannot read {value!r} as {convert.__name__}") from None
-
-
 def cmd_eval(args) -> int:
-    """Cohort statistics from a run's summary.csv; the table carries no
-    regional values, so no p-maps are written."""
-    with open(args.summary, newline="") as fh:
-        rows = list(csv.DictReader(fh))
-    refs, cells = {}, {}
-    for i, row in enumerate(rows, start=1):
-        value = partial(_csv_value, args.summary, i, row)
-        subject = value("subject", int)
-        metrics = (pipeline.SubjectMetrics(value("hat", float), value("md", float),
-                                           None, None)
-                   if value("ok") in ("True", "true") else None)
-        if value("method") == "reference":
-            refs[subject] = metrics
-        else:
-            key = (value("R", float), value("method"), value("phase_mode"))
-            cells.setdefault(key, {})[subject] = metrics
-    groups = {key: {s: (refs.get(s), m) for s, m in by_subject.items()}
-              for key, by_subject in cells.items()}
-    out_rows = pipeline.write_stats(groups, Path(args.out))
-    log.info("evaluation written to %s (%d rows)", args.out, len(out_rows))
+    rows = pipeline.evaluate(args.summary, args.out)
+    log.info("evaluation written to %s (%d rows)", args.out, len(rows))
     return 0
 
 

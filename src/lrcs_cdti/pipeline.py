@@ -27,19 +27,23 @@ the coil maps, the weight and the plan's rank) is one
 what the methods make from it: the adjoint A*(d), the subspace, and per
 phase mode the solve model and the first CG solve, of which lr is the
 whole solve and lrcs the start.  cs returns the preliminary itself, so
-its cells of every phase mode share one tensor fit.  All of it is freed
-when the acceleration factor's cells finish, and each cell's
-reconstruction is freed before the next cell's solve starts.  Each
+its cells of every phase mode share one tensor fit.  All of it, and its
+samples, is freed when the acceleration factor's cells finish, and each
+cell's reconstruction before the next cell's solve starts.  Each
 finished cell logs one INFO line to the ``lrcs_cdti.pipeline`` logger.
+The cohort statistics are :func:`evaluate` of the study's two row
+tables, for the study and ``cli eval`` alike.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import logging
 import traceback
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +55,7 @@ from .errors import NumericalError, ValidationError
 log = logging.getLogger(__name__)
 
 METRICS = ("hat", "md")
+SEGMENTS = tuple(map(str, range(1, 17)))    # regional.csv's AHA columns
 
 
 @dataclass(frozen=True)
@@ -192,8 +197,8 @@ class SubjectInputs:
     reference, against which their biases are taken.  ``noisy_kspace``
     maps each R of the plan to its packed samples in
     ``EncodingModel.dtype`` (:func:`undersample`), or to the traceback
-    of the failure to make them, which fails that R's cells alone.  No
-    full k-space grid is held."""
+    of the failure to make them, which fails that R's cells alone; the
+    cells of an R take its entry out.  No full k-space grid is held."""
 
     config: phantom.PhantomConfig
     myocardium_mask: np.ndarray
@@ -281,12 +286,12 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
 
 def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
              R: float) -> list[CellResult]:
-    """The cells of one R.  Its preliminary solve, and all that the
-    methods share from it, live in this call alone, so they are freed
-    before the next R starts; a cell's reconstruction dies before the
-    next cell's solve.  A failed mask or preliminary solve fails every
-    cell of the R."""
-    d = subject.noisy_kspace[R]
+    """The cells of one R.  Its samples, its preliminary solve, and all
+    that the methods share from it, live in this call alone, so they are
+    freed before the next R starts; a cell's reconstruction dies before
+    the next cell's solve.  A failed mask or preliminary solve fails
+    every cell of the R."""
+    d = subject.noisy_kspace.pop(R)
     # the samples, or the traceback of the mask that could not be made
     prep_error = d if isinstance(d, str) else ""
     if not prep_error:
@@ -350,10 +355,11 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 
     Returns a dict of the study's :class:`CellResult` list (``"cells"``)
     and the rows written to ``summary.csv`` (``"summary"``) and
-    ``stats.csv`` (``"stats"``).  A subject's truth and reference series
-    die in :func:`prepare_subject`, before its cells start, and of a
-    finished subject only its reference metrics are kept past its cells:
-    its packed samples and coil maps are freed as soon as they finish.
+    ``stats.csv`` (``"stats"``, by :func:`evaluate`).  A subject's truth
+    and reference series die in :func:`prepare_subject`, before its cells
+    start, and of a finished subject only its reference metrics are kept
+    past its cells: its packed samples and coil maps are freed as soon as
+    they finish.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its
@@ -391,12 +397,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     refs = [ref for ref, _, _ in subject_runs]
     errors = [e for _, _, e in subject_runs]
     cells = [c for _, cs, _ in subject_runs for c in cs]
-    summary_rows = _write_summary(refs, errors, cells, plan.rank, out_root)
-    groups = {}
-    for c in cells:
-        pair = (refs[c.subject], c.metrics) if c.ok else (None, None)
-        groups.setdefault((c.R, c.method, c.phase_mode), {})[c.subject] = pair
-    stats_rows = write_stats(groups, out_root / "stats.csv")
+    summary_rows = _write_tables(refs, errors, cells, plan.rank, out_root)
+    stats_rows = evaluate(out_root / "summary.csv", out_root / "stats.csv")
     return {"cells": cells, "summary": summary_rows, "stats": stats_rows}
 
 
@@ -407,11 +409,13 @@ def run_experiment(plan: ExperimentPlan) -> dict:
 SOLVE_FIELDS = ("lambda", "stop_reason", "admm_iters", "cg_iters", "solve_s")
 
 
-def _write_summary(refs, errors, cells, rank: int, out_root: Path) -> list[dict]:
-    """``refs`` holds each subject's reference metrics, None for a
-    subject whose preparation failed; the rows of a prepared subject
-    carry the plan's ``rank``.  Every row, the references' too, comes
-    from one builder, whose keys are the table's columns."""
+def _write_tables(refs, errors, cells, rank: int, out_root: Path) -> list[dict]:
+    """``summary.csv``, whose rows are returned, and ``regional.csv``, one
+    row per metric of each ok summary row with segments.  ``refs`` holds
+    each subject's reference metrics, None for a subject whose
+    preparation failed; the rows of a prepared subject carry the plan's
+    ``rank``.  Every summary row, the references' too, comes from one
+    builder, whose keys are the table's columns."""
 
     def row(subject, R, method, mode, ok, metrics, error, report, ref=None):
         # an ok row's biases are taken against ``ref``; the reference row's
@@ -433,51 +437,91 @@ def _write_summary(refs, errors, cells, rank: int, out_root: Path) -> list[dict]
                 sum(report["cg_iterations"]), report["wall_time_s"])))
         return out
 
-    rows = [row(i, 1.0, "reference", "", ref is not None, ref, error, {})
-            for i, (ref, error) in enumerate(zip(refs, errors))]
-    rows += [row(c.subject, c.R, c.method, c.phase_mode, c.ok, c.metrics, c.error,
+    entries = [(i, 1.0, "reference", "", ref is not None, ref, error, {})
+               for i, (ref, error) in enumerate(zip(refs, errors))]
+    entries += [(c.subject, c.R, c.method, c.phase_mode, c.ok, c.metrics, c.error,
                  c.report, refs[c.subject]) for c in cells]
+    rows = [row(*entry) for entry in entries]
     dm.write_table(out_root / "summary.csv", list(rows[0]), rows)
+    dm.write_table(out_root / "regional.csv",
+                   ["subject", "R", "method", "phase_mode", "metric", *SEGMENTS], [
+        (subject, R, method, mode, metric, *values)
+        for subject, R, method, mode, ok, m, *_ in entries
+        if ok and m.regional_hat is not None
+        for metric, values in (("hat", m.regional_hat), ("md", m.regional_md))])
     return rows
 
 
-def write_stats(groups: dict, stats_path: Path) -> list[dict]:
-    """Cohort statistics per (R, method, phase_mode, metric): bias, ICC
-    and Wilcoxon p in ``stats_path``, plus regional p-maps beside it,
-    each table written by :func:`datamodel.write_table`.
+def _csv_value(path, index: int, row: dict, column: str, convert=str):
+    """``row[column]`` of the CSV file ``path`` as ``convert`` makes it; a
+    missing or unreadable value is a ValidationError naming the file, the
+    column and the row (``index``, counted from 1 below the header)."""
+    where = f"{path} row {index}, column {column!r}"
+    value = row.get(column)
+    if value is None:
+        raise ValidationError(f"{where}: no value")
+    try:
+        return convert(value)
+    except ValueError:
+        raise ValidationError(
+            f"{where}: cannot read {value!r} as {convert.__name__}") from None
 
-    ``groups`` maps (R, method, phase_mode) to {subject: (reference,
-    reconstruction)} pairs of :class:`SubjectMetrics`; None on either
-    side marks a failed cell.  A group with fewer than 3 subjects or any
-    failed cell is skipped.  A p-map is written when every pair carries
-    finite regional values.
-    """
+
+def evaluate(summary_path, stats_path) -> list[dict]:
+    """Cohort statistics per (R, method, phase_mode, metric): bias, ICC and
+    Wilcoxon p in ``stats_path``, whose rows are returned, and regional
+    p-maps beside it.  Of ``summary_path``, subject, R, method, phase_mode,
+    ok, hat and md are read; a ``reference`` row is its subject's reference.
+    A group of fewer than 3 subjects, or with a failed cell or reference, is
+    skipped.  A p-map needs finite values of its group's every reference and
+    cell in the ``regional.csv`` beside ``summary_path``.  A malformed value
+    is a ValidationError naming its place (:func:`_csv_value`)."""
+
+    def table(path):
+        with open(path, newline="") as fh:
+            return [partial(_csv_value, path, i, row)
+                    for i, row in enumerate(csv.DictReader(fh), start=1)]
+
+    # (subject, R, method, phase_mode) -> {metric: value}, None if failed
+    metrics = {}
+    for value in table(summary_path):
+        key = (value("subject", int), value("R", float), value("method"),
+               value("phase_mode"))
+        metrics[key] = ({m: value(m, float) for m in METRICS}
+                        if value("ok") in ("True", "true") else None)
+    regional, regional_path = {}, Path(summary_path).with_name("regional.csv")
+    if regional_path.is_file():
+        for value in table(regional_path):
+            key = (value("subject", int), value("R", float), value("method"),
+                   value("phase_mode"), value("metric"))
+            regional[key] = [value(s, float) for s in SEGMENTS]
+
+    refs = {key[0]: key for key in metrics if key[2] == "reference"}
+    groups = {}
+    for key in metrics:
+        groups.setdefault(key[1:], []).append(key)
     rows = []
     out_dir = Path(stats_path).parent
     out_dir.mkdir(parents=True, exist_ok=True)
-    for (R, method, mode), by_subject in sorted(groups.items()):
-        pairs = [by_subject[s] for s in sorted(by_subject)]
-        if len(pairs) < 3 or any(ref is None or rec is None for ref, rec in pairs):
+    for (R, method, mode), keys in sorted(groups.items()):
+        # (reference, cell) keys, by subject
+        pairs = [(refs.get(key[0]), key) for key in sorted(keys)]
+        if method == "reference" or len(pairs) < 3 or any(
+                metrics.get(ref) is None or metrics[key] is None for ref, key in pairs):
             continue
         for metric in METRICS:
-            ref = np.array([getattr(p[0], metric) for p in pairs])
-            rec = np.array([getattr(p[1], metric) for p in pairs])
+            ref, rec = (np.array([metrics[p[side]][metric] for p in pairs])
+                        for side in (0, 1))
             try:
                 summary = stats.summarize(ref, rec)
             except ValidationError:
                 continue
             rows.append({"R": R, "method": method, "phase_mode": mode,
-                         "metric": metric,
-                         "bias_mean": summary.bias_mean,
-                         "bias_std": summary.bias_std,
-                         "icc": summary.icc,
-                         "icc_band": stats.icc_band(summary.icc),
-                         "p": summary.p})
-            reg_ref = [getattr(p[0], f"regional_{metric}") for p in pairs]
-            reg_rec = [getattr(p[1], f"regional_{metric}") for p in pairs]
-            if all(r is not None and np.isfinite(r).all()
-                   for r in reg_ref + reg_rec):
-                pmap = stats.regional_pmap(np.array(reg_ref).T, np.array(reg_rec).T)
+                         "metric": metric, **summary})
+            segments = [regional.get((*key, metric)) for pair in pairs for key in pair]
+            if all(s is not None and np.isfinite(s).all() for s in segments):
+                pmap = stats.regional_pmap(np.array(segments[0::2]).T,
+                                           np.array(segments[1::2]).T)
                 dm.write_table(out_dir / f"pmap_{metric}_R{R:g}_{method}_{mode}.csv",
                                ["segment", "p", "significant"],
                                [(s, *p_sig) for s, p_sig in enumerate(pmap, start=1)])

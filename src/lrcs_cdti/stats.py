@@ -11,7 +11,6 @@ unanimous-sign cases give p = 2/2^n exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -139,22 +138,15 @@ def regional_pmap(ref_segments: np.ndarray,
     return out
 
 
-@dataclass(frozen=True)
-class StatsResults:
-    """Per-(method, R, metric) summary across subjects: a stats.csv row."""
-
-    bias_mean: float
-    bias_std: float
-    icc: float
-    p: float
-
-
-def summarize(ref_values: np.ndarray, rec_values: np.ndarray) -> StatsResults:
+def summarize(ref_values: np.ndarray, rec_values: np.ndarray) -> dict:
+    """The stats.csv columns of one group of paired subjects: the mean
+    and sample std of the normalized bias, the ICC and its band, and the
+    Wilcoxon p."""
     ref_values = np.asarray(ref_values, dtype=float)
     rec_values = np.asarray(rec_values, dtype=float)
     biases = np.array([normalized_bias(a, b) for a, b in zip(ref_values, rec_values)])
-    return StatsResults(
-        float(biases.mean()),
-        float(biases.std(ddof=1)) if len(biases) > 1 else 0.0,
-        icc_absolute_agreement(np.column_stack([ref_values, rec_values])),
-        wilcoxon_signed_rank(ref_values, rec_values))
+    icc = icc_absolute_agreement(np.column_stack([ref_values, rec_values]))
+    return {"bias_mean": float(biases.mean()),
+            "bias_std": float(biases.std(ddof=1)) if len(biases) > 1 else 0.0,
+            "icc": icc, "icc_band": icc_band(icc),
+            "p": wilcoxon_signed_rank(ref_values, rec_values)}

@@ -160,11 +160,6 @@ def series_adjoint(matrix: np.ndarray, spec: WaveletSpec) -> np.ndarray:
 # Group penalty
 # ---------------------------------------------------------------------------
 
-def group_l12_norm(coeffs: np.ndarray) -> float:
-    """Sum over locations of the l2 norm across encodings."""
-    return float(np.linalg.norm(np.asarray(coeffs), axis=1).sum())
-
-
 def group_shrink(z: np.ndarray, alpha: float) -> np.ndarray:
     """Row-wise l2 soft threshold: shrink each group toward zero by alpha,
     exactly zeroing groups at or below the threshold.  Keeps the dtype

@@ -2,6 +2,7 @@ import csv
 import json
 import logging
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,6 +13,7 @@ import pytest
 from lrcs_cdti import cli, dti, encoding, pipeline, recon
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import phantom as ph
+from treediff import differing_files
 
 FLAGS = ["--threads", "1", "--log-level", "warning"]
 
@@ -21,15 +23,85 @@ def _read(path):
         return list(csv.DictReader(fh))
 
 
-def test_eval_reproduces_run_stats(study, tmp_path):
+def _write(path, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
+        writer.writeheader()
+        writer.writerows(rows)
+
+
+def _study_tables(study, tmp_path):
+    """A copy of the study's stats.csv and p-maps in tmp_path / "run", and
+    of its summary.csv and regional.csv in tmp_path / "tables"."""
     plan, _ = study
     out = Path(plan.output_dir)
-    rc = cli.main(["eval", "--summary", str(out / "summary.csv"),
-                   "--out", str(tmp_path / "eval.csv"), *FLAGS])
+    for name, pattern in (("run", "stats.csv"), ("run", "pmap_*.csv"),
+                          ("tables", "summary.csv"), ("tables", "regional.csv")):
+        (tmp_path / name).mkdir(exist_ok=True)
+        for path in out.glob(pattern):
+            shutil.copy(path, tmp_path / name / path.name)
+    return tmp_path / "run", tmp_path / "tables"
+
+
+def test_eval_reproduces_run_stats(study, tmp_path):
+    # the run and eval build stats.csv and every p-map by one function,
+    # from the same summary.csv and regional.csv
+    plan, _ = study
+    run, _ = _study_tables(study, tmp_path)
+    rc = cli.main(["eval", "--summary", str(Path(plan.output_dir) / "summary.csv"),
+                   "--out", str(tmp_path / "eval" / "stats.csv"), *FLAGS])
     assert rc == 0
-    assert _read(tmp_path / "eval.csv") == _read(out / "stats.csv")
-    # summary.csv carries no regional values, so eval writes no p-maps
+    assert len(list(run.glob("pmap_*.csv"))) == 12
+    assert differing_files(run, tmp_path / "eval", ignore=()) == []
+    for path in run.iterdir():
+        assert (tmp_path / "eval" / path.name).read_bytes() == path.read_bytes()
+
+
+def test_eval_of_a_nan_segment_drops_that_groups_pmap(study, tmp_path):
+    run, tables = _study_tables(study, tmp_path)
+    rows = _read(tables / "regional.csv")
+    row = next(r for r in rows if (r["subject"], r["method"], r["phase_mode"],
+                                   r["metric"]) == ("1", "lr", "none", "md"))
+    row["7"] = "nan"
+    _write(tables / "regional.csv", rows)
+    assert cli.main(["eval", "--summary", str(tables / "summary.csv"),
+                     "--out", str(tmp_path / "eval" / "stats.csv"), *FLAGS]) == 0
+    assert differing_files(run, tmp_path / "eval", ignore=()) \
+        == ["pmap_md_R2_lr_none.csv"]
+    assert not (tmp_path / "eval" / "pmap_md_R2_lr_none.csv").exists()
+
+
+def test_eval_of_a_reanalysis_summary_writes_no_pmap(tmp_path):
+    # the columns eval reads and no more, methods and phase modes that no
+    # plan runs, and no regional.csv
+    rng = np.random.default_rng(0)
+    rows = [{"subject": s, "R": 1.0, "method": "reference", "phase_mode": "",
+             "ok": True, "hat": 0.5 + 0.01 * s, "md": 1e-3} for s in range(4)]
+    rows += [{**r, "method": "fit", "phase_mode": mode,
+              "hat": r["hat"] * (1 + 0.1 * rng.random()),
+              "md": r["md"] * (1 + 0.1 * rng.random())}
+             for mode in ("snr8", "snr40") for r in rows[:4]]
+    _write(tmp_path / "summary.csv", rows)
+    assert cli.main(["eval", "--summary", str(tmp_path / "summary.csv"),
+                     "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 0
+    assert [(r["R"], r["method"], r["phase_mode"], r["metric"])
+            for r in _read(tmp_path / "eval.csv")] == [
+        ("1.0", "fit", mode, metric) for mode in ("snr40", "snr8")
+        for metric in ("hat", "md")]
     assert not list(tmp_path.glob("pmap_*.csv"))
+
+
+def test_eval_of_a_bad_regional_table_is_a_named_error(study, tmp_path, capsys):
+    _, tables = _study_tables(study, tmp_path)
+    rows = _read(tables / "regional.csv")
+    rows[2]["12"] = "abc"
+    _write(tables / "regional.csv", rows)
+    assert cli.main(["eval", "--summary", str(tables / "summary.csv"),
+                     "--out", str(tmp_path / "eval" / "stats.csv"), *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err == (f"error [eval]: {tables / 'regional.csv'} row 3, column '12': "
+                   f"cannot read 'abc' as float\n")
+    assert not (tmp_path / "eval").exists()
 
 
 def test_eval_skips_group_with_failed_cell(study, tmp_path):
@@ -40,10 +112,7 @@ def test_eval_skips_group_with_failed_cell(study, tmp_path):
     failed = next(r for r in rows if (r["method"], r["phase_mode"]) == ("lr", "none"))
     failed.update(ok="False", hat="nan", md="nan")
     summary = tmp_path / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write(summary, rows)
     assert cli.main(["eval", "--summary", str(summary),
                      "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 0
     groups = {(r["method"], r["phase_mode"]) for r in _read(tmp_path / "eval.csv")}
@@ -66,10 +135,7 @@ def test_eval_of_a_bad_summary_is_a_named_error(study, tmp_path, capsys, column,
     else:
         rows[1][column] = value
     summary = tmp_path / "summary.csv"
-    with open(summary, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(rows[0]))
-        writer.writeheader()
-        writer.writerows(rows)
+    _write(summary, rows)
     assert cli.main(["eval", "--summary", str(summary),
                      "--out", str(tmp_path / "eval.csv"), *FLAGS]) == 1
     err = capsys.readouterr().err

@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from lrcs_cdti import datamodel as dm
 from lrcs_cdti import dti, encoding, pipeline
 from lrcs_cdti import phantom as ph
 from lrcs_cdti.errors import NumericalError, ValidationError
@@ -207,9 +208,12 @@ def test_stats_rows_and_pmaps(study):
 def test_stats_csv_of_a_group_with_no_variance(tmp_path):
     # every subject has the same reference and reconstruction values: the
     # ICC is undefined and no difference is left for the Wilcoxon test
-    same = pipeline.SubjectMetrics(0.5, 1e-3, None, None)
-    groups = {(2.0, "lrcs", "proposed"): {s: (same, same) for s in range(3)}}
-    rows = pipeline.write_stats(groups, tmp_path / "stats.csv")
+    dm.write_table(tmp_path / "summary.csv",
+                   ["subject", "R", "method", "phase_mode", "ok", "hat", "md"],
+                   [(s, R, method, mode, True, 0.5, 1e-3) for s in range(3)
+                    for R, method, mode in ((1.0, "reference", ""),
+                                            (2.0, "lrcs", "proposed"))])
+    rows = pipeline.evaluate(tmp_path / "summary.csv", tmp_path / "stats.csv")
     with open(tmp_path / "stats.csv", newline="") as fh:
         written = list(csv.DictReader(fh))
     assert len(rows) == len(written) == 2
@@ -365,6 +369,24 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
     assert [ref() for ref in arrays] == [None] * len(arrays)
     if threads == 1:
         assert alive_at_start == [(0, []), (1, [False] * 2), (2, [False] * 4)]
+
+
+def test_the_samples_of_an_r_die_before_the_next_r_starts(tmp_path, monkeypatch):
+    # the cells of an R take its samples out of the subject's inputs, so
+    # they die with its preliminary solve, before the next R's starts
+    real_preliminary = pipeline.recon.preliminary
+    samples, alive = [], []
+
+    def watched(d, *args, **kwargs):
+        alive.append([ref() is not None for ref in samples])
+        samples.append(weakref.ref(d.samples))
+        return real_preliminary(d, *args, **kwargs)
+
+    monkeypatch.setattr(pipeline.recon, "preliminary", watched)
+    plan = replace(_tiny_plan(tmp_path, 9), n_subjects=1, R_list=(2.0, 4.0))
+    result = pipeline.run_experiment(plan)
+    assert [c.R for c in result["cells"] if c.ok] == [2.0, 4.0]
+    assert alive == [[], [False]]
 
 
 def _every_cell_plan(tmp_path, **changes):

@@ -36,16 +36,10 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "lrcs_cdti"
 
 # (module, function): why it stays without a caller in the program
-ALLOWED = {
-    ("transforms", "group_l12_norm"):
-        "the penalty ||Psi U V||_{1,2} that ROADMAP item 5 adds to the run report",
-}
+ALLOWED = {}
 
 # (module, class, attribute): why it stays without a reader the scan sees
-ALLOWED_ATTRIBUTES = {
-    ("pipeline", "SubjectMetrics", "regional_md"):
-        "write_stats reads it as getattr(pair, f'regional_{metric}')",
-}
+ALLOWED_ATTRIBUTES = {}
 
 # (module, function or class, parameter or field): why the program keeps
 # it a setting although it never sets it

@@ -225,29 +225,6 @@ class TestFilterBank:
             fn(np.ones(shape), spec)
 
 
-class TestGroupNorm:
-    def test_zero(self):
-        assert tr.group_l12_norm(np.zeros((4, 3))) == 0.0
-
-    def test_single_entry(self):
-        w = np.zeros((4, 3), dtype=complex)
-        w[1, 2] = 3.0 * np.exp(1j)
-        assert tr.group_l12_norm(w) == pytest.approx(3.0, abs=1e-14)
-
-    def test_all_ones_2x2(self):
-        assert tr.group_l12_norm(np.ones((2, 2))) == pytest.approx(2 * np.sqrt(2),
-                                                                   abs=1e-14)
-
-    @given(st.integers(0, 2 ** 31 - 1))
-    @settings(max_examples=25, deadline=None)
-    def test_convex_midpoint(self, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        b = rng.normal(size=(6, 4)) + 1j * rng.normal(size=(6, 4))
-        mid = tr.group_l12_norm((a + b) / 2)
-        assert mid <= (tr.group_l12_norm(a) + tr.group_l12_norm(b)) / 2 + 1e-12
-
-
 class TestGroupShrink:
     def test_below_threshold_zeroes_group(self):
         z = np.array([[0.3, 0.4]])  # norm 0.5
