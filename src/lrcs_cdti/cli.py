@@ -225,7 +225,7 @@ def cmd_phantom(args) -> int:
 
 def cmd_simulate(args) -> int:
     truth = phantom.load_ground_truth(args.truth)
-    kspace, coils = pipeline.acquire(truth)
+    kspace, coils = pipeline.acquire(*pipeline.acquisition_inputs(truth))
     d = pipeline.undersample(truth.config, kspace, args.R)
     encoding.save_kspace(Path(args.out) / "kspace", d)
     dm.save_coils(Path(args.out) / "coils", coils)

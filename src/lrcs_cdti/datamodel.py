@@ -202,7 +202,10 @@ class PhaseMap:
         values = np.asarray(self.values)
         if values.ndim != 2:
             raise ValidationError(f"phase map must be M x N, got shape {values.shape}")
-        dev = float(np.abs(np.abs(values) - 1.0).max()) if values.size else 0.0
+        # | |P| - 1 | in one float64 buffer
+        gap = np.abs(values).astype(np.float64, copy=False)
+        gap -= 1.0
+        dev = float(np.abs(gap, out=gap).max(initial=0.0))
         if dev > 1e-12:
             raise ValidationError(
                 f"phase map entries deviate from unit magnitude by {dev:.3e} (> 1e-12)")
@@ -210,7 +213,9 @@ class PhaseMap:
 
     @classmethod
     def from_angles(cls, angles: np.ndarray) -> "PhaseMap":
-        return cls(np.exp(1j * np.asarray(angles, dtype=np.float64)))
+        """exp(i ``angles``), exponentiated in place of i ``angles``."""
+        z = 1j * np.asarray(angles, dtype=np.float64)
+        return cls(np.exp(z, out=z))
 
 
 @dataclass(frozen=True)

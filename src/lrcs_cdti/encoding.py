@@ -38,7 +38,12 @@ Layout conventions:
   is still in cache: the ADMM's CG operator A*A + (rho/2) I costs one
   call and no whole-grid pass for the shift.  The sum is the same
   float32 operation as adding s x afterwards, so the result is
-  bit-equal to ``normal_matrix(model, x) + s * x``.
+  bit-equal to ``normal_matrix(model, x) + s * x``.  It writes into a
+  caller's grid when given one (``out``), so a solver that applies it
+  once per CG step reuses one grid.
+* The model keeps one complex64 copy of the phase, P.  ``normal_matrix``
+  conjugates each block's phase into a spent block buffer while the
+  block is in cache, and :func:`unphase` conjugates it once per call.
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``adjoint_matrix`` and ``normal_matrix`` cast their input to
@@ -228,14 +233,15 @@ class EncodingModel:
     (:func:`adjoint_matrix`) and A*A (:func:`normal_matrix`) run on it.
     Construction precomputes the transposed coil fields times the
     image-space ramp ``a`` of the centered DFT, the k-space ramp
-    ``kappa b`` and the transposed phase field, so the operators are
-    pure and cheap to call concurrently.  For :func:`normal_matrix` it
-    adds the indices of the fully sampled columns (``_full_cols``) and
-    of the others (``_part_cols``), the coil sum of squares ``_sos`` =
-    sum_c |S_c a|^2 (nz, ny, nx), and per undersampled (column, slice)
-    the kept rows of the unitary line DFT, ``_rows`` (N_part, nz, L, ny)
-    zero-padded to the largest kept count L, with their conjugate
-    transpose ``_rows_h``.
+    ``kappa b`` and the transposed phase field ``_phase_t``, its one
+    copy of the phase (the operators take its conjugate as they go), so
+    the operators are pure and cheap to call concurrently.  For
+    :func:`normal_matrix` it adds the indices of the fully sampled
+    columns (``_full_cols``) and of the others (``_part_cols``), the
+    coil sum of squares ``_sos`` = sum_c |S_c a|^2 (nz, ny, nx), and per
+    undersampled (column, slice) the kept rows of the unitary line DFT,
+    ``_rows`` (N_part, nz, L, ny) zero-padded to the largest kept count
+    L, with their conjugate transpose ``_rows_h``.
 
     ``dtype`` is the arithmetic of every operator on the model: each
     field is computed in double precision and stored once as complex64
@@ -270,14 +276,10 @@ class EncodingModel:
         object.__setattr__(self, "_maps_a", maps_a.astype(self.dtype))
         object.__setattr__(self, "_maps_a_conj", maps_a_conj.astype(self.dtype))
         object.__setattr__(self, "_kb", kb.astype(self.dtype))
-        if self.phase is not None:
-            phase_t = np.ascontiguousarray(_series_to_grid(self.phase.values,
-                                                           (nx, ny, nz)))
-            object.__setattr__(self, "_phase_t", phase_t.astype(self.dtype))
-            object.__setattr__(self, "_phase_t_conj", np.conj(phase_t).astype(self.dtype))
-        else:
-            object.__setattr__(self, "_phase_t", None)
-            object.__setattr__(self, "_phase_t_conj", None)
+        object.__setattr__(self, "_phase_t", None if self.phase is None else
+                           np.ascontiguousarray(_series_to_grid(self.phase.values,
+                                                                (nx, ny, nz)),
+                                                dtype=self.dtype))
         # fields of the normal operator (see the class docstring)
         kept = self.mask.kept
         is_full = kept.all(axis=(0, 1))
@@ -439,13 +441,15 @@ def unphase(model: EncodingModel, x: np.ndarray) -> np.ndarray:
     P; ``x`` itself on a phase-free model.  :func:`adjoint_matrix` ends
     with it, so the adjoint on a phased model is this of the adjoint on
     the phase-free model of its coils and mask, bit for bit."""
-    if model._phase_t_conj is None:
+    if model._phase_t is None:
         return x
-    return _grid_to_series(_series_to_grid(x, model.spatial_dims) * model._phase_t_conj)
+    out = np.conj(model._phase_t)
+    np.multiply(_series_to_grid(x, model.spatial_dims), out, out=out)
+    return _grid_to_series(out)
 
 
-def normal_matrix(model: EncodingModel, x: np.ndarray,
-                  shift: float = 0.0) -> np.ndarray:
+def normal_matrix(model: EncodingModel, x: np.ndarray, shift: float = 0.0,
+                  out: np.ndarray | None = None) -> np.ndarray:
     """(A*A + shift I) x with no DFT (see the module notes for the algebra).
 
     A fully sampled column is ``_sos`` times P o X.  The undersampled
@@ -454,7 +458,8 @@ def normal_matrix(model: EncodingModel, x: np.ndarray,
     coil ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched matrix
     products over the kept lines, through one reused coil buffer) is
     combined with conj(S_c a) and summed over the coils in coil order,
-    then the conjugate phase.  Every entry sees the same operations in
+    then the conjugate phase, which is taken of the block's phase into
+    that spent coil buffer.  Every entry sees the same operations in
     the same order for any block size.  A block that is a run of
     columns accumulates straight into the output.
 
@@ -465,17 +470,32 @@ def normal_matrix(model: EncodingModel, x: np.ndarray,
     complex64; equal to A*(A x) + shift x, with A the complex128
     simulation (:func:`coil_kspace`, :func:`extract_samples`), up to
     float32 rounding.
+
+    The product is written into ``out`` when it is given, an (N, nz, ny,
+    nx) C-contiguous grid of the model's dtype that shares no memory
+    with ``x``, and is returned as the (M, N) view of that grid; a solver
+    that applies the operator once per step reuses one grid this way.
     """
     vols = _series_to_grid(x, model.spatial_dims).astype(model.dtype, copy=False)
-    out = np.empty(vols.shape, dtype=model.dtype)
-    phase, phase_conj = model._phase_t, model._phase_t_conj
+    if out is None:
+        out = np.empty(vols.shape, dtype=model.dtype)
+    elif not (out.shape == vols.shape and out.dtype == model.dtype
+              and out.flags.c_contiguous and out.flags.writeable
+              and not np.may_share_memory(out, vols)):
+        raise ValidationError(
+            f"normal_matrix output must be a writeable C-contiguous {model.dtype} "
+            f"grid of shape {vols.shape} apart from the input, got {out.dtype} "
+            f"{out.shape}")
+    phase = model._phase_t
 
-    def finish(cols, acc):
-        # conjugate phase and shift of a block; acc is out[cols] for a run
-        if phase_conj is not None:
-            acc *= phase_conj[cols]
+    def finish(cols, acc, scratch):
+        # conjugate phase and shift of a block, through the spent
+        # ``scratch`` of its shape; acc is out[cols] for a run
+        if phase is not None:
+            np.conjugate(phase[cols], out=scratch)
+            acc *= scratch
         if shift:
-            acc += shift * vols[cols]
+            acc += np.multiply(shift, vols[cols], out=scratch)
         if not isinstance(cols, slice):
             out[cols] = acc
 
@@ -483,7 +503,7 @@ def normal_matrix(model: EncodingModel, x: np.ndarray,
     acc = out[full]
     v = vols[full] if phase is None else vols[full] * phase[full]
     np.multiply(model._sos, v, out=acc)
-    finish(full, acc)
+    finish(full, acc, np.empty_like(acc))
 
     part = model._part_cols
     blocks = _column_blocks(part.size, vols[0].nbytes)
@@ -507,7 +527,7 @@ def normal_matrix(model: EncodingModel, x: np.ndarray,
             else:
                 buf *= maps_a_conj
                 acc += buf
-        finish(cols, acc)
+        finish(cols, acc, buf)
     return _grid_to_series(out)
 
 
@@ -540,7 +560,9 @@ def estimate_coil_maps(b0_coil_images: np.ndarray) -> CoilMaps:
     imgs = np.asarray(b0_coil_images, dtype=np.complex128)
     if imgs.ndim != 4:
         raise ValidationError(f"expected (C, nx, ny, nz) images, got {imgs.shape}")
-    rss = np.sqrt((np.abs(imgs) ** 2).sum(axis=0))
+    power = np.abs(imgs)
+    rss = np.sqrt(np.square(power, out=power).sum(axis=0))
+    del power
     peak = float(rss.max())
     if peak == 0.0:
         raise ValidationError("all-zero coil images")
@@ -548,11 +570,16 @@ def estimate_coil_maps(b0_coil_images: np.ndarray) -> CoilMaps:
     if np.count_nonzero(support) < 0.01 * support.size:
         warnings.warn("coil-map support nearly empty; returning zero maps")
         return CoilMaps(np.zeros_like(imgs))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        raw = np.where(support[None], imgs / rss[None], 0.0)
-    maps = _gaussian_smooth(raw.real, COIL_SMOOTH_SIGMA, axes=(1, 2)) \
-        + 1j * _gaussian_smooth(raw.imag, COIL_SMOOTH_SIGMA, axes=(1, 2))
-    return CoilMaps(np.where(support[None], maps, 0.0))
+    # the maps are built in this one buffer: the images over the RSS on
+    # the support, then each coil's real and imaginary parts smoothed in
+    # place of their raw values, then zeroed off the support
+    maps = np.zeros_like(imgs)
+    np.divide(imgs, rss, out=maps, where=support)
+    for coil in maps:
+        for part in (coil.real, coil.imag):
+            part[...] = _gaussian_smooth(part, COIL_SMOOTH_SIGMA, axes=(0, 1))
+    maps[:, ~support] = 0.0
+    return CoilMaps(maps)
 
 
 def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.ndarray:
@@ -579,8 +606,11 @@ def _gaussian_smooth(x: np.ndarray, sigma: float, axes: tuple[int, ...]) -> np.n
             return padded[radius + j:radius + j + n]
 
         out = shifted(0) * taps[0]
+        pair = np.empty_like(out)
         for j in range(radius, 0, -1):
-            out += (shifted(-j) + shifted(j)) * taps[j]
+            np.add(shifted(-j), shifted(j), out=pair)
+            pair *= taps[j]
+            out += pair
         x = np.moveaxis(out, 0, axis)
     return x
 

@@ -188,8 +188,9 @@ def build_phantom(cfg: PhantomConfig) -> GroundTruth:
                                s0=np.where(mask, 1.0, BACKGROUND_FRACTION),
                                evals=evals_vol, e1=e1_vol)
 
-    # clean signal: s0 * exp(-b g^T D g) inside, flat background outside
-    signal = np.empty((nx, ny, nz, n_cols))
+    # clean signal: s0 * exp(-b g^T D g) inside, flat background outside;
+    # F order, so that the Casorati matrix is a view of it
+    signal = np.empty((nx, ny, nz, n_cols), dtype=np.complex128, order="F")
     g_all = np.array([lab.direction for lab in labels])
     b_all = np.array([lab.b_value for lab in labels])
     quad = np.einsum("kc,xycd,kd->xyk", g_all, d_plane, g_all)
@@ -197,7 +198,7 @@ def build_phantom(cfg: PhantomConfig) -> GroundTruth:
     col_plane = np.where(plane_mask[:, :, None], atten, BACKGROUND_FRACTION)
     for z in range(nz):
         signal[:, :, z, :] = col_plane
-    clean = reshape_to_casorati(signal.astype(np.complex128), labels)
+    clean = reshape_to_casorati(signal, labels)
 
     phase = _simulate_phase(cfg, labels)
     coils = _simulate_coils(cfg)
@@ -220,7 +221,8 @@ def _simulate_phase(cfg: PhantomConfig, labels) -> PhaseMap:
     uu, vv = np.meshgrid(u, v, indexing="ij")
     terms = [(p, q) for p in range(cfg.phase_order + 1)
              for q in range(cfg.phase_order + 1 - p)]
-    angles = np.zeros((nx, ny, nz, len(labels)))
+    # F order: the Casorati reshape below is a view
+    angles = np.zeros((nx, ny, nz, len(labels)), order="F")
     rng = np.random.default_rng([cfg.seed, 101])
     for k, lab in enumerate(labels):
         if lab.is_b0:

@@ -11,7 +11,12 @@ estimated once per subject from the fully sampled b=0 column and shared
 by the reference and all reconstructions.  A prepared subject is its
 cells' inputs and its reference metrics
 (:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
-the reference series, when the plan saves arrays, and drops them.
+the reference series, when the plan saves arrays, and drops them.  The
+truth goes first: of it, only the myocardium mask and what
+:func:`acquire` reads (:func:`acquisition_inputs`: the phased series
+x o P, made once, the coil maps and the noise scale) outlive the save,
+so its clean series, phase and tensors are dead while the coils are
+simulated.
 
 :func:`acquire` simulates a subject's k-space in complex128 one coil at
 a time, and adds each coil's noise into that coil's draw, so one coil's
@@ -208,22 +213,37 @@ class SubjectInputs:
     reference: SubjectMetrics
 
 
-def acquire(truth: phantom.GroundTruth) -> tuple[list[np.ndarray], dm.CoilMaps]:
-    """The noisy fully sampled k-space of ``truth``, one complex128 (N,
-    nz, ny, nx) grid per coil in coil order, and the coil maps of its
-    b=0 column.  Each coil's grid is :func:`encoding.coil_kspace` on that
-    coil's map, with its noise added into that coil's draw of the
+def acquisition_inputs(truth: phantom.GroundTruth) -> tuple[
+        phantom.PhantomConfig, dm.CasoratiSeries, dm.CoilMaps, float]:
+    """What :func:`acquire` reads of ``truth``: its config, its phased
+    series x o P, made once here, its coil maps and its mean b=0
+    magnitude (:func:`phantom.mean_s0`), the noise scale.  None of it
+    holds the clean series, the phase or the tensors, so the truth can
+    die before the coils are simulated."""
+    clean = truth.clean_series
+    # x o P, in the operand order of encoding.coil_kspace's phase product
+    return (truth.config, clean.with_data(clean.data * truth.phase.values),
+            truth.coils, phantom.mean_s0(truth))
+
+
+def acquire(cfg: phantom.PhantomConfig, signal: dm.CasoratiSeries,
+            coils: dm.CoilMaps, s0: float) -> tuple[list[np.ndarray], dm.CoilMaps]:
+    """The noisy fully sampled k-space of the phantom of ``cfg``, one
+    complex128 (N, nz, ny, nx) grid per coil in coil order, and the coil
+    maps of its b=0 column.  ``signal``, ``coils`` and ``s0`` are its
+    phased series, coil maps and noise scale (:func:`acquisition_inputs`).
+    Each coil's grid is :func:`encoding.coil_kspace` of ``signal`` on
+    that coil's map, with its noise added into that coil's draw of the
     phantom's one noise stream (:func:`phantom.add_noise`).  So the grids
     are the coil slices of the whole grid noised in one draw, bit for
     bit, and only one coil's clean grid is alive at a time."""
-    cfg = truth.config
-    s0, rng = phantom.mean_s0(truth), phantom.noise_rng(cfg.seed)
+    rng = phantom.noise_rng(cfg.seed)
     kspace = []
-    for maps_c in truth.coils.maps:
+    for maps_c in coils.maps:
         # one expression: the clean grid dies once its noise is added
         kspace.append(phantom.add_noise(
-            encoding.coil_kspace(truth.clean_series, dm.CoilMaps(maps_c[None]),
-                                 truth.phase), cfg.snr, s0, rng)[0])
+            encoding.coil_kspace(signal, dm.CoilMaps(maps_c[None])),
+            cfg.snr, s0, rng)[0])
     # the grids are full: the b=0 column's coil images need no zero fill
     b0_images = encoding.ifft2c(np.stack([k_c[0] for k_c in kspace]))
     return kspace, encoding.estimate_coil_maps(b0_images.transpose(0, 3, 2, 1))
@@ -251,30 +271,36 @@ def _samples_or_error(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
 
 
 def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
-    """The inputs of one subject's cells.  Its reference series is the
-    least squares of its fully sampled noisy k-space k on the estimated
-    coil maps S, sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 per voxel and
-    column (:func:`encoding.coil_combine`), taken in complex128.  The
-    samples of every R of the plan are packed from the same complex128
-    grids, which are then dropped, before the reference's metrics.  Its
-    truth and reference series are saved, when the plan saves arrays,
-    and die on return."""
+    """The inputs of one subject's cells.  Its truth is saved first, when
+    the plan saves arrays, and of it only the myocardium mask and what
+    :func:`acquire` reads are kept, so it is dead while the coils are
+    simulated.  Its reference series is the least squares of its fully
+    sampled noisy k-space k on the estimated coil maps S, sum_c conj(S_c)
+    F^H k_c / sum_c |S_c|^2 per voxel and column
+    (:func:`encoding.coil_combine`), taken in complex128.  The samples of
+    every R of the plan are packed from the same complex128 grids, which
+    are then dropped, before the reference's metrics.  The reference
+    series is saved, when the plan saves arrays, and dies on return."""
     cfg = subject_config(plan, index)
+    sdir = Path(plan.output_dir) / f"subject{index:02d}"
     gt = phantom.build_phantom(cfg)
-    kspace, coil_maps = acquire(gt)
-    ref = gt.clean_series.with_data(encoding.coil_combine(kspace, coil_maps))
+    if plan.save_arrays:
+        phantom.save_ground_truth(sdir / "ground_truth", gt)
+    mask, scan = gt.myocardium_mask, acquisition_inputs(gt)
+    del gt
+    kspace, coil_maps = acquire(*scan)
+    del scan
+    ref = dm.CasoratiSeries(encoding.coil_combine(kspace, coil_maps), cfg.grid,
+                            cfg.column_labels)
     samples = {R: _samples_or_error(cfg, kspace, R) for R in plan.R_list}
     del kspace
     segmentation = None
     if cfg.grid[2] >= 3:
-        segmentation = dti.segment_aha16(gt.myocardium_mask)
-    ref_metrics = _series_metrics(ref, gt.myocardium_mask, segmentation)
+        segmentation = dti.segment_aha16(mask)
+    ref_metrics = _series_metrics(ref, mask, segmentation)
     if plan.save_arrays:
-        sdir = Path(plan.output_dir) / f"subject{index:02d}"
-        phantom.save_ground_truth(sdir / "ground_truth", gt)
         dm.save_series(sdir / "reference", ref)
-    return SubjectInputs(cfg, gt.myocardium_mask, coil_maps, samples, segmentation,
-                         ref_metrics)
+    return SubjectInputs(cfg, mask, coil_maps, samples, segmentation, ref_metrics)
 
 
 def run_subject_cells(plan: ExperimentPlan, index: int,

@@ -6,15 +6,24 @@ The ADMM solves
 
     min_U ||d - A(U)||^2 + lambda ||Psi U V||_{1,2}
 
-with A(U) = mask(F S [P o (U V)]) by splitting G = Psi U V: a group
-soft-threshold updates G, a conjugate-gradient solve of
+with A(U) = mask(F S [P o (U V)]).  V has orthonormal rows (V V^H = I,
+which :func:`admm_solve` checks), so a row of Psi U V has the l2 norm of
+the same row of Psi U, the group soft-threshold of (Psi U) V is that of
+Psi U times V, and the penalty is lambda ||Psi U||_{1,2}, as in the
+subspace-constrained group-sparse model (Zhao et al., IEEE TMI 2012).
+The wavelet side therefore lives in U's L columns: the loop splits
+G = Psi U, a group soft-threshold updates G, a conjugate-gradient solve
+of
 
-    (A* A + (rho/2) J) U = A*(d) + (rho/2) B*(G - Y/rho),  J(U) = U V V^H
+    (A* A + (rho/2) J) U = A*(d) + (rho/2) Psi^H(G - Y/rho),  J(U) = U V V^H
 
-updates U, and a dual ascent updates Y.  The threshold starts at the
-largest initial transform coefficient and decays by a fixed factor per
-iteration (``ALPHA_DECAY``); the penalty is rho = lambda/alpha
-throughout.
+updates U, and a dual ascent updates Y; G, Y and the feasibility
+residual Psi U - G are those of the N-column splitting G V = Psi U V
+times V^H, and the residual has the same norm.  The threshold starts at
+the largest initial transform coefficient, max |Psi U V|, and decays by
+a fixed factor per iteration (``ALPHA_DECAY``); the penalty is
+rho = lambda/alpha throughout.  That first threshold is an entrywise
+maximum, which V does not keep, so it alone is taken of the N columns.
 
 Every variant applies the CG operator as one shifted normal-operator
 call between two products with V,
@@ -23,8 +32,10 @@ call between two products with V,
 
 with the shift added inside :func:`normal_matrix`; for the identity V
 both products are skipped.  A CG step is that call plus in-place numpy
-updates of the iterate and the residual, with the call's product as
-their only scratch buffer.
+updates of the iterate and the residual.  The call writes X^T, the A*A
+grid and the product into three buffers that each CG solve makes once
+(:meth:`_Normal.operator`), and CG takes the product as its only
+scratch buffer, so a step allocates no whole-grid array.
 
 Method variants differ only in V and lambda, so all three run this one
 loop: CS_ONLY (:func:`reconstruct_cs_only`) with the identity subspace
@@ -56,7 +67,7 @@ bit.
 Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, the right-hand side,
 the CG iterate and the operator it applies, and on the wavelet side
-Psi U V, G and the dual (the transform and the shrink compute in their
+Psi U, G and the dual (the transform and the shrink compute in their
 input's precision).  :func:`admm_solve` returns U as complex128,
 so the phase map, subspace, tensor fit and containers see double
 precision.
@@ -89,7 +100,7 @@ import math
 import time
 from dataclasses import dataclass, field, replace
 from enum import Enum
-from functools import cached_property, partial
+from functools import cached_property
 
 import numpy as np
 
@@ -121,6 +132,10 @@ CG_TOL = 1e-6
 # R=6 lrcs bias moves by a sixth of what a cap of 6 moves it, for most
 # of its speed
 INNER_CG_CAP = 8
+# how far V V^H may sit from I, per entry, for admm_solve: its wavelet
+# side runs on U's L columns, which is exact for orthonormal rows; well
+# above the rounding of a V stored in complex64
+ORTHONORMAL_TOL = 1e-5
 # the default subspace rank of lr and lrcs: the tensor model's unknowns
 # per voxel (S0 and the six tensor entries), not a tuned value
 RANK = 7
@@ -275,35 +290,55 @@ def cg_solve(apply_h, rhs: np.ndarray, x0: np.ndarray, tol: float,
 
 class _Normal:
     """The normal equations of one model and subspace V (in the model's
-    dtype) on the (L, M) iterate U^T: ``expand`` takes U^T to
-    X^T = V^T U^T and ``project`` takes X^T back by conj(V), both the
-    identity for the identity V, and ``solve`` runs CG on the operator
-    project (A*A + shift I) expand (see :func:`admm_solve`)."""
+    dtype) on the (L, M) iterate U^T: :meth:`operator` is
+    H = conj(V) (A*A + shift I) V^T, :meth:`scaled_gram` a multiple of
+    J = conj(V) V^T, and :meth:`solve` runs CG on H (see
+    :func:`admm_solve`); for the identity V the products with V are
+    skipped."""
 
     def __init__(self, model: EncodingModel, v: np.ndarray):
         self.model = model
         self.identity = v.shape[0] == v.shape[1] and np.array_equal(v, np.eye(v.shape[0]))
-        if self.identity:
-            self.expand = self.project = _same
-        else:
-            vt, v_conj = np.ascontiguousarray(v.T), v.conj()
-            self.expand = partial(np.matmul, vt)
-            self.project = partial(np.matmul, v_conj)
+        self.vt, self.v_conj = np.ascontiguousarray(v.T), v.conj()
 
-    def apply_h(self, ut, shift):
-        return self.project(normal_matrix(self.model, self.expand(ut).T, shift).T)
+    def project(self, xt):
+        """conj(V) X^T; X^T itself for the identity V."""
+        return xt if self.identity else np.matmul(self.v_conj, xt)
+
+    def operator(self, shift):
+        """H at ``shift`` as a function of U^T.  It writes X^T, the A*A
+        grid and the projected product into buffers made here and reused
+        by every call, so a CG step allocates no whole-grid array; CG
+        takes the product as its scratch, which the next call
+        overwrites.  The buffers die with the operator, at the end of
+        its solve."""
+        model = self.model
+        nx, ny, nz = model.spatial_dims
+        grid = np.empty((model.n_columns, nz, ny, nx), dtype=model.dtype)
+        if self.identity:
+            return lambda ut: normal_matrix(model, ut.T, shift, out=grid).T
+        xt = np.empty((model.n_columns, model.n_voxels), dtype=model.dtype)
+        hu = np.empty((self.vt.shape[1], model.n_voxels), dtype=model.dtype)
+
+        def apply_h(ut):
+            np.matmul(self.vt, ut, out=xt)
+            hx = normal_matrix(model, xt.T, shift, out=grid)
+            return np.matmul(self.v_conj, hx.T, out=hu)
+        return apply_h
+
+    def scaled_gram(self, ut, scale):
+        """scale J(U^T), the same two products with V as H applies."""
+        if self.identity:
+            return scale * ut
+        ju = self.project(np.matmul(self.vt, ut))
+        return np.multiply(scale, ju, out=ju)
 
     def solve(self, iteration, shift, rhs, x0, r, max_iters):
         try:
-            return cg_solve(partial(self.apply_h, shift=shift), rhs, x0,
-                            CG_TOL, max_iters, r)
+            return cg_solve(self.operator(shift), rhs, x0, CG_TOL, max_iters, r)
         except _NonFiniteCG as exc:
             raise NumericalError("NaN/Inf in ADMM iterate",
                                  diagnostics={"iteration": iteration}) from exc
-
-
-def _same(x):
-    return x
 
 
 @dataclass(frozen=True)
@@ -365,9 +400,15 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     product.  On the iterate, every variant's CG operator is
     conj(V) (A*A + (rho/2) I)(V^T U^T), and J is conj(V) V^T U^T, the
     same two products (see the module notes); with the identity V both
-    are skipped.  The wavelet side transforms the L columns of U, not the
-    N of X: Psi(U V) = (Psi U) V and Psi^H(W) V^H = Psi^H(W V^H).  The
-    dual is kept scaled, W = Y / rho, and rescaled when rho changes.
+    are skipped.  The wavelet side transforms, shrinks and
+    back-projects the L columns of U, not the N of X = U V: for V with
+    orthonormal rows each row norm of (Psi U) V is that of Psi U, so
+    shrink((Psi U + W) V) = shrink(Psi U + W) V, and G, the dual and the
+    feasibility residual stay in V's row space.  The one exception is
+    the first threshold, max |Psi U V|, an entrywise maximum, which is
+    taken of (Psi U) V once.  The dual is kept scaled, W = Y / rho, and
+    rescaled when rho changes.  A V whose rows are not orthonormal to
+    ``ORTHONORMAL_TOL`` is a ValidationError, raised before any solve.
 
     A non-finite iterate raises NumericalError with its iteration.  The
     check reads ||U_next - U||, the step size the report records, which
@@ -380,6 +421,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     subspace, lr for lambda = 0, lrcs otherwise.
     """
     v = np.asarray(v_basis, dtype=model.dtype)
+    _check_orthonormal_rows(v_basis)
     if start is None:
         start = first_solve(model, v, adjoint_matrix(model, d.samples), cfg)
     elif start.u.shape != (v.shape[0], model.n_voxels):
@@ -389,24 +431,10 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     t0 = time.perf_counter() - start.wall_s
     normal = _Normal(model, v)
     inner_cap = min(cfg.cg_max_iters, INNER_CG_CAP)
-    vh = v.conj().T
     variant = (Method.CS_ONLY if normal.identity
                else Method.LR_ONLY if cfg.lam == 0.0 else Method.LRCS)
     report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
     spec = WaveletSpec(dims=model.spatial_dims)
-
-    if normal.identity:
-        def transform(ut):
-            return series_forward(ut.T, spec)
-
-        def back_project(w):
-            return series_adjoint(w, spec).T
-    else:
-        def transform(ut):
-            return series_forward(ut.T, spec) @ v
-
-        def back_project(w):
-            return series_adjoint(w @ vh, spec).T
 
     a_star_d = start.rhs
     u = start.u
@@ -417,8 +445,10 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         report.stop_reason = "pure least squares (lambda = 0)"
         return _finish(u, report, t0)
 
-    bu = transform(u)
-    alpha = float(np.abs(bu).max())
+    # Psi U, (M, L); the first threshold is an entrywise maximum of
+    # Psi U V, which V does not keep, so it alone is taken of the N columns
+    bu = series_forward(u.T, spec)
+    alpha = float(np.abs(bu @ v).max())
     if alpha == 0.0:
         report.stop_reason = "zero data"
         return _finish(u, report, t0)
@@ -436,24 +466,32 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         rho = float(cfg.lam / alpha)
         if rho_prev is not None:
             w *= rho_prev / rho
-        g = group_shrink(bu + w, alpha)
+        # bu is spent: it takes Psi U + W, then G - W, and dies once
+        # back-projected, before the CG solve
+        bu += w
+        g = group_shrink(bu, alpha)
+        np.subtract(g, w, out=bu)
         # the scaling pass also brings the back-projection to C order
-        rhs = np.multiply(back_project(g - w), rho / 2.0, order="C")
+        rhs = np.multiply(series_adjoint(bu, spec).T, rho / 2.0, order="C")
+        del bu
         rhs += a_star_d
 
         # carry the residual of u from the previous system to this one:
-        # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u)
-        r += rhs - rhs_prev
-        r -= ((rho - rho_sys) / 2.0) * normal.project(normal.expand(u))
-        u_next, cg_it, cg_res = normal.solve(k, rho / 2.0, rhs, u, r, inner_cap)
+        # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u);
+        # rhs_prev is spent here, and takes the difference unless it is
+        # the start's (read-only) right-hand side
+        r += np.subtract(rhs, rhs_prev, out=None if k == 0 else rhs_prev)
+        r -= normal.scaled_gram(u, (rho - rho_sys) / 2.0)
         rhs_prev, rho_sys = rhs, rho
+        u_next, cg_it, cg_res = normal.solve(k, rho / 2.0, rhs, u, r, inner_cap)
         # u is spent: its buffer takes the step U_next - U, negated
         u -= u_next
         delta = float(np.linalg.norm(u))
         _check_finite(delta, k)
         u = u_next
-        bu = transform(u)
-        # g becomes the feasibility residual Psi U V - G
+        bu = series_forward(u.T, spec)
+        # g becomes the feasibility residual Psi U - G, whose norm is
+        # that of Psi U V - G V
         np.subtract(bu, g, out=g)
         w += g
         report.delta_u.append(delta)
@@ -465,6 +503,18 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         rho_prev = rho
     report.stop_reason = f"iteration cap K = {cfg.max_iters}"
     return _finish(u, report, t0)
+
+
+def _check_orthonormal_rows(v_basis: np.ndarray) -> None:
+    """V V^H = I to ``ORTHONORMAL_TOL`` per entry, the condition under
+    which :func:`admm_solve` may run its wavelet side on U's columns."""
+    v = np.asarray(v_basis, dtype=np.complex128)
+    gram = v @ v.conj().T
+    dev = float(np.abs(gram - np.eye(len(gram))).max(initial=0.0))
+    if not dev <= ORTHONORMAL_TOL:
+        raise ValidationError(
+            f"subspace basis V must have orthonormal rows: V V^H deviates "
+            f"from I by {dev:.3e} (> {ORTHONORMAL_TOL:g})")
 
 
 def _check_finite(norm: float, iteration: int) -> None:
@@ -504,15 +554,13 @@ def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     """Joint subspace + group-sparsity solve on ``model``; returns
     X = P o (U V) with the model's phase map P (X = U V on a phase-free
     model).  At ``cfg.lam`` = 0 it is the subspace-constrained least
-    squares of lr; ``start`` is as in :func:`admm_solve`."""
+    squares of lr; ``start`` is as in :func:`admm_solve`, which also
+    rejects a V whose rows are not orthonormal."""
     v = np.asarray(v_basis, dtype=np.complex128)
-    sv = np.linalg.svd(v, compute_uv=False)
-    if sv[-1] <= 1e-12 * sv[0]:
-        raise ValidationError("subspace basis V is rank deficient")
     u, report = admm_solve(d, model, v, cfg, start)
     x = u @ v
     if model.phase is not None:
-        x = model.phase.values * x
+        np.multiply(model.phase.values, x, out=x)
     series = CasoratiSeries(x, model.spatial_dims, d.column_labels)
     return ReconResult(series, report)
 

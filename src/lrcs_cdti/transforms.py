@@ -16,8 +16,12 @@ once in C order and views it as (nz, ny, nx, K), since m = x + nx (y + ny
 z), with complex entries as real pairs (nz, ny, nx, 2K).  Each level
 replaces its low-corner block by W applied along each active axis: one
 real matmul over all columns, real and imaginary parts together, batched
-over the axes in front of the active one.  The adjoint applies W^T with
-levels and axes reversed.  At these extents (n <= 64) the dense product
+over the axes in front of the active one.  The matmuls of a level write
+into each other's buffers in turn, the block and one scratch buffer
+that every level shares, so a transform makes two arrays of its
+output's size (the output and the scratch) and, below the first level,
+a copy of each smaller block.  The adjoint applies W^T with levels and
+axes reversed.  At these extents (n <= 64) the dense product
 spends n multiply-adds per sample where the banded form spends 8, but one
 BLAS matmul per (level, axis) is faster than the 16 strided passes over
 memory of the banded form.
@@ -134,15 +138,22 @@ def _filter_bank(matrix: np.ndarray, spec: WaveletSpec, adjoint: bool) -> np.nda
     out = np.array(arr, dtype=_work_dtype(arr.dtype), order="C")
     real = np.finfo(out.dtype).dtype
     vols = out.reshape(nz, ny, nx, arr.shape[1]).view(real)
+    # each product writes into the other of two buffers: the block (the
+    # output itself on the first level, a copy below it) and a scratch
+    # buffer of the first level's size, shared by every level
+    scratch = np.empty(vols.size, dtype=real)
     for extent, axes in (reversed(spec.plan) if adjoint else spec.plan):
         block = (slice(0, extent[2]), slice(0, extent[1]), slice(0, extent[0]))
         cur = np.ascontiguousarray(vols[block])
         shape = cur.shape
+        spare = scratch[:cur.size].reshape(shape)
         for ax, w in (reversed(axes) if adjoint else axes):
             dim = 2 - ax                 # x, y, z are array axes 2, 1, 0
-            lines = cur.reshape(math.prod(shape[:dim]), shape[dim], -1)
-            cur = np.matmul((w.T if adjoint else w).astype(real, copy=False), lines)
-        vols[block] = cur.reshape(shape)
+            lines = (math.prod(shape[:dim]), shape[dim], -1)
+            np.matmul((w.T if adjoint else w).astype(real, copy=False),
+                      cur.reshape(lines), out=spare.reshape(lines))
+            cur, spare = spare, cur
+        vols[block] = cur
     return out
 
 

@@ -245,7 +245,7 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
     # simulate starts from the pipeline's own k-space and coil maps, up to
     # their complex64 storage
     truth = ph.build_phantom(cfg)
-    kspace, coils = pipeline.acquire(truth)
+    kspace, coils = pipeline.acquire(*pipeline.acquisition_inputs(truth))
     np.testing.assert_array_equal(
         encoding.load_kspace(sim / "kspace").samples,
         pipeline.undersample(truth.config, kspace, 4).samples.astype(np.complex64))

@@ -449,6 +449,43 @@ class TestNormalOperator:
         want = (dense @ x.astype(complex).ravel()).reshape(shape)
         assert np.linalg.norm(got - want) <= OP_RTOL * np.linalg.norm(want)
 
+    @pytest.mark.parametrize("name", ["even", "gap"])
+    @pytest.mark.parametrize("phased", [False, True])
+    @pytest.mark.parametrize("shift", [0.0, 0.37])
+    def test_product_written_into_out(self, name, phased, shift):
+        # "even" is one block that is a run of columns, "gap" one that is
+        # not; the product in ``out`` is the allocating call's, bit for
+        # bit, and the result is the series view of ``out``
+        model, rng = normal_case(name)
+        shape = (model.n_voxels, model.n_columns)
+        phase = dm.PhaseMap(np.exp(1j * rng.normal(size=shape))) if phased else None
+        model = enc.EncodingModel(model.coils, model.mask, phase)
+        x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
+        nx, ny, nz = model.spatial_dims
+        out = np.full((model.n_columns, nz, ny, nx), np.nan, dtype=model.dtype)
+        got = enc.normal_matrix(model, x, shift, out=out)
+        assert got.shape == shape and got.base is out
+        np.testing.assert_array_equal(got, enc.normal_matrix(model, x, shift))
+
+    @pytest.mark.parametrize("out", [
+        np.empty((4, 2, 8, 8), dtype=np.complex128),      # not the model's dtype
+        np.empty((3, 2, 8, 8), dtype=np.complex64),       # one column short
+        np.empty((4, 2, 8, 8), dtype=np.complex64, order="F")])
+    def test_out_of_another_layout_is_rejected(self, out):
+        model, rng = normal_case("even")
+        x = np.zeros((model.n_voxels, model.n_columns), dtype=np.complex64)
+        assert model.spatial_dims == (8, 8, 2) and model.n_columns == 4
+        with pytest.raises(ValidationError, match="normal_matrix output"):
+            enc.normal_matrix(model, x, out=out)
+
+    def test_out_that_is_the_input_is_rejected(self):
+        # the blocks read the input after earlier blocks wrote the output
+        model, _ = normal_case("even")
+        nx, ny, nz = model.spatial_dims
+        grid = np.ones((model.n_columns, nz, ny, nx), dtype=np.complex64)
+        with pytest.raises(ValidationError, match="apart from the input"):
+            enc.normal_matrix(model, grid.reshape(model.n_columns, -1).T, out=grid)
+
     def test_full_sampling_is_coil_sum_of_squares(self):
         model, rng = normal_case("r1")
         assert model._part_cols.size == 0
