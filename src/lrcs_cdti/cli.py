@@ -264,12 +264,14 @@ def cmd_fit(args) -> int:
 
 def cmd_metrics(args) -> int:
     field = dti.load_tensors(args.tensors)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     mask = field.mask
     ha = dti.helix_angle(field)
     md = dti.mean_diffusivity(field)
     fa = dti.fractional_anisotropy(field)
+    hat = dti.compute_hat(ha, mask)
+    dti.check_finite_metrics(hat, float(md[mask].mean()))
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     dm.write_container(out / "maps",
                        {"ha": ha.astype(np.float64), "md": md.astype(np.float64),
                         "fa": fa.astype(np.float64), "mask": mask},
@@ -278,7 +280,6 @@ def cmd_metrics(args) -> int:
     pgm.write_map_previews(out / "previews", "md", md)
     pgm.write_map_previews(out / "previews", "fa", fa)
 
-    hat = dti.compute_hat(ha, mask)
     dm.write_table(out / "hat.csv", ["slice", "ray", "slope", "r2"],
                    [(z, j, hat.ray_slopes[z, j], hat.ray_r2[z, j])
                     for z, j in np.ndindex(hat.ray_slopes.shape)]

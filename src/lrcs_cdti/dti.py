@@ -436,6 +436,13 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray) -> HatResult:
     return HatResult(slopes, r2s, global_hat, angles, skipped)
 
 
+def check_finite_metrics(hat: HatResult, md: float) -> None:
+    """A non-finite global HAT or mean MD ``md`` is a NumericalError."""
+    if not (np.isfinite(hat.global_hat) and np.isfinite(md)):
+        raise NumericalError(f"non-finite metrics: HAT {hat.global_hat}, MD {md} "
+                             f"({hat.n_skipped} of {hat.ray_slopes.size} rays skipped)")
+
+
 def _masked_bilinear(plane: np.ndarray, mask: np.ndarray,
                      px: np.ndarray, py: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Bilinear interpolation over masked corners (weights renormalized).

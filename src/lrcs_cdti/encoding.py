@@ -82,8 +82,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .datamodel import (LABELS_JSON, CasoratiSeries, CoilMaps, ColumnLabel,
-                        PhaseMap, SamplingMask, header_value, labels_from_json,
+from .datamodel import (LABELS_JSON, CasoratiSeries, CoilMaps, PhaseMap,
+                        SamplingMask, header_value, labels_from_json,
                         labels_to_json, read_container, write_container)
 from .errors import ValidationError
 
@@ -338,10 +338,6 @@ class KSpaceData:
                 f"layout implies ({expected},)")
         object.__setattr__(self, "spatial_dims",
                            tuple(int(v) for v in self.spatial_dims))
-
-    @property
-    def column_labels(self) -> tuple[ColumnLabel, ...]:
-        return self.mask.column_labels
 
 
 def _series_to_grid(matrix: np.ndarray, dims: tuple[int, int, int]) -> np.ndarray:

@@ -32,10 +32,11 @@ the coil maps, the weight and the plan's rank) is one
 what the methods make from it: the adjoint A*(d), the subspace, and per
 phase mode the solve model and the first CG solve, of which lr is the
 whole solve and lrcs the start.  cs returns the preliminary itself, so
-its cells of every phase mode share one tensor fit.  All of it, and its
-samples, is freed when the acceleration factor's cells finish, and each
-cell's reconstruction before the next cell's solve starts.  Each
-finished cell logs one INFO line to the ``lrcs_cdti.pipeline`` logger.
+its cells of every phase mode share one tensor fit.  Its samples die
+once :func:`recon.preliminary` returns (later solves read only A*(d)),
+the rest when the acceleration factor's cells finish, and each cell's
+reconstruction before the next cell's solve starts.  Each finished cell
+logs one INFO line to the ``lrcs_cdti.pipeline`` logger.
 The cohort statistics are :func:`evaluate` of the study's two row
 tables, for the study and ``cli eval`` alike.
 """
@@ -55,7 +56,7 @@ import numpy as np
 
 from . import datamodel as dm
 from . import dti, encoding, phantom, recon, stats
-from .errors import NumericalError, ValidationError
+from .errors import ValidationError
 
 log = logging.getLogger(__name__)
 
@@ -173,10 +174,7 @@ def _series_metrics(series: dm.CasoratiSeries, mask: np.ndarray,
     hat = dti.compute_hat(ha, mask)
     md_map = dti.mean_diffusivity(field_)
     md = float(md_map[mask].mean())
-    if not (np.isfinite(hat.global_hat) and np.isfinite(md)):
-        raise NumericalError(
-            f"non-finite metrics: HAT {hat.global_hat}, MD {md} "
-            f"({hat.n_skipped} of {hat.ray_slopes.size} rays skipped)")
+    dti.check_finite_metrics(hat, md)
     reg_hat = reg_md = None
     if segmentation is not None:
         reg_hat = dti.regional_hat(hat, segmentation)
@@ -205,7 +203,6 @@ class SubjectInputs:
     of the failure to make them, which fails that R's cells alone; the
     cells of an R take its entry out.  No full k-space grid is held."""
 
-    config: phantom.PhantomConfig
     myocardium_mask: np.ndarray
     coil_maps: dm.CoilMaps
     noisy_kspace: dict[float, encoding.KSpaceData | str]
@@ -300,7 +297,7 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
     ref_metrics = _series_metrics(ref, mask, segmentation)
     if plan.save_arrays:
         dm.save_series(sdir / "reference", ref)
-    return SubjectInputs(cfg, mask, coil_maps, samples, segmentation, ref_metrics)
+    return SubjectInputs(mask, coil_maps, samples, segmentation, ref_metrics)
 
 
 def run_subject_cells(plan: ExperimentPlan, index: int,
@@ -312,11 +309,11 @@ def run_subject_cells(plan: ExperimentPlan, index: int,
 
 def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
              R: float) -> list[CellResult]:
-    """The cells of one R.  Its samples, its preliminary solve, and all
-    that the methods share from it, live in this call alone, so they are
-    freed before the next R starts; a cell's reconstruction dies before
-    the next cell's solve.  A failed mask or preliminary solve fails
-    every cell of the R."""
+    """The cells of one R.  Its samples die as soon as its preliminary
+    solve returns; that solve, and all that the methods share from it,
+    live in this call alone, so they are freed before the next R starts;
+    a cell's reconstruction dies before the next cell's solve.  A failed
+    mask or preliminary solve fails every cell of the R."""
     d = subject.noisy_kspace.pop(R)
     # the samples, or the traceback of the mask that could not be made
     prep_error = d if isinstance(d, str) else ""
@@ -326,6 +323,7 @@ def _r_cells(plan: ExperimentPlan, index: int, subject: SubjectInputs,
                                        plan.rank, scale=plan.lambda_scale)
         except Exception:
             prep_error = traceback.format_exc()
+    del d
     results: list[CellResult] = []
     # cs returns the preliminary itself: one fit serves its every phase mode
     prelim_metrics = None
@@ -384,8 +382,8 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     ``stats.csv`` (``"stats"``, by :func:`evaluate`).  A subject's truth
     and reference series die in :func:`prepare_subject`, before its cells
     start, and of a finished subject only its reference metrics are kept
-    past its cells: its packed samples and coil maps are freed as soon as
-    they finish.
+    past its cells: its coil maps are freed as soon as they finish, and
+    the packed samples of an R once its preliminary solve returns.
 
     A subject whose preparation fails (a jitter the phantom rejects, a
     reference with non-finite metrics) is recorded with the error on its

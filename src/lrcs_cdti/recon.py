@@ -50,19 +50,19 @@ method starts from one preliminary solve (:func:`preliminary`), which
 also fixes the weight.
 
 Sharing: one problem is one k-space set, one set of coil maps, one
-weight and one rank, and the :class:`Preliminary` that
-:func:`preliminary` returns carries all four, so the methods of
-:func:`recon` read them from it and cannot be handed another's.  Each
-solve's first step, the U0 solve (:func:`first_solve`), depends on the
-model, V, A*(d) and the CG cap, not on lambda, so :func:`admm_solve`
-can start from one made elsewhere.  Per problem, one adjoint A*(d)
-serves the weight, the cs solves and, through :func:`unphase`, the
-phased model; the cs candidates of :func:`select_lambda` start from one
-U0 solve; and the :class:`Preliminary` makes, on first use, the
-subspace and per phase mode the solve model and the U0 solve.  lr is
-therefore the first solve of lrcs at its phase mode, not a second
-solve.  Every shared result is the one a cold solve computes, bit for
-bit.
+weight and one rank.  The samples reach the solves only through A*(d),
+which :func:`preliminary` makes once for the weight, the cs solves and,
+through :func:`unphase`, the phased model; the :class:`Preliminary` it
+returns carries that adjoint, the model, the weight and the rank, not
+the samples, so the methods of :func:`recon` cannot be handed
+another's.  Each solve's first step, the U0 solve (:func:`first_solve`),
+depends on the model, V, A*(d) and the CG cap, not on lambda, and is
+the start that :func:`admm_solve` requires.  Per problem, the cs
+candidates of :func:`select_lambda` start from one U0 solve, and the
+:class:`Preliminary` makes, on first use, the subspace and per phase
+mode the solve model and the U0 solve.  lr is therefore the first solve
+of lrcs at its phase mode, not a second solve.  Every shared result is
+the one a cold solve computes, bit for bit.
 
 Precision: the whole loop runs in the arithmetic of the encoding model
 (``EncodingModel.dtype``, complex64): A*(d), V, the right-hand side,
@@ -378,17 +378,15 @@ def first_solve(model: EncodingModel, v_basis: np.ndarray, adj: np.ndarray,
     return FirstSolve(rhs, u, r, cg_it, cg_res, time.perf_counter() - t0)
 
 
-def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
-               cfg: SolverConfig,
-               start: FirstSolve | None = None) -> tuple[np.ndarray, RunReport]:
+def admm_solve(model: EncodingModel, v_basis: np.ndarray, cfg: SolverConfig,
+               start: FirstSolve) -> tuple[np.ndarray, RunReport]:
     """Run the splitting loop; returns the spatial coefficients U (M x L)
     in complex128 (iterated in ``model.dtype``).
 
     The loop starts from ``start``, the U0 solve (:func:`first_solve`)
-    of this model, V, ``d`` and CG cap, when the caller holds it; else it
-    runs that solve itself.  The report counts the U0 solve: its CG
-    iterations and residual come first, and its time is part of
-    ``wall_time_s``, wherever it ran.
+    of this model, V and CG cap on A*(d); one of another shape is a
+    ValidationError.  The report counts the U0 solve: its CG iterations
+    and residual come first, and its time is part of ``wall_time_s``.
 
     Each CG solve of the loop starts from the last U and stops at
     ``CG_TOL`` or after min(``cfg.cg_max_iters``, ``INNER_CG_CAP``)
@@ -422,9 +420,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     """
     v = np.asarray(v_basis, dtype=model.dtype)
     _check_orthonormal_rows(v_basis)
-    if start is None:
-        start = first_solve(model, v, adjoint_matrix(model, d.samples), cfg)
-    elif start.u.shape != (v.shape[0], model.n_voxels):
+    if start.u.shape != (v.shape[0], model.n_voxels):
         raise ValidationError(f"start of shape {start.u.shape} does not match "
                               f"rank {v.shape[0]} on {model.n_voxels} voxels")
     # the clock starts the U0 solve's time ago
@@ -436,7 +432,6 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     report = RunReport(method=variant.value, lam=cfg.lam, rank=v.shape[0])
     spec = WaveletSpec(dims=model.spatial_dims)
 
-    a_star_d = start.rhs
     u = start.u
     report.cg_iters.append(start.cg_iters)
     report.cg_residuals.append(start.cg_residual)
@@ -459,7 +454,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
     rho_prev = None
     # r is the residual of u in the last system solved; at first U0's,
     # which has rho = 0
-    rhs_prev, rho_sys = a_star_d, 0.0
+    rhs_prev, rho_sys = start.rhs, 0.0
     for k in range(cfg.max_iters):
         # a Python float, so that a numpy lam cannot promote the loop's
         # arrays out of the model's precision
@@ -474,7 +469,7 @@ def admm_solve(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
         # the scaling pass also brings the back-projection to C order
         rhs = np.multiply(series_adjoint(bu, spec).T, rho / 2.0, order="C")
         del bu
-        rhs += a_star_d
+        rhs += start.rhs
 
         # carry the residual of u from the previous system to this one:
         # rhs_k - H_k u = (rhs_k - rhs_prev) + r - ((rho - rho_sys)/2) J(u);
@@ -535,11 +530,14 @@ def _finish(ut: np.ndarray, report: RunReport,
 def reconstruct_cs_only(d: KSpaceData, model: EncodingModel, cfg: SolverConfig,
                         start: FirstSolve | None = None) -> ReconResult:
     """Sparsity-only preliminary reconstruction (identity subspace, no
-    phase in the model), from ``start`` if given (see :func:`admm_solve`)."""
+    phase in the model) from ``start``, else from the U0 solve of ``d``."""
     if model.phase is not None:
         raise ValidationError("CS-only reconstruction requires a phase-free model")
-    u, report = admm_solve(d, model, _identity(model), cfg, start)
-    series = CasoratiSeries(u, model.spatial_dims, d.column_labels)
+    v = _identity(model)
+    if start is None:
+        start = first_solve(model, v, adjoint_matrix(model, d.samples), cfg)
+    u, report = admm_solve(model, v, cfg, start)
+    series = CasoratiSeries(u, model.spatial_dims, model.mask.column_labels)
     return ReconResult(series, report)
 
 
@@ -548,36 +546,34 @@ def _identity(model: EncodingModel) -> np.ndarray:
     return np.eye(model.n_columns, dtype=np.complex128)
 
 
-def reconstruct_lrcs(d: KSpaceData, model: EncodingModel, v_basis: np.ndarray,
-                     cfg: SolverConfig,
-                     start: FirstSolve | None = None) -> ReconResult:
-    """Joint subspace + group-sparsity solve on ``model``; returns
-    X = P o (U V) with the model's phase map P (X = U V on a phase-free
-    model).  At ``cfg.lam`` = 0 it is the subspace-constrained least
-    squares of lr; ``start`` is as in :func:`admm_solve`, which also
-    rejects a V whose rows are not orthonormal."""
+def reconstruct_lrcs(model: EncodingModel, v_basis: np.ndarray, cfg: SolverConfig,
+                     start: FirstSolve) -> ReconResult:
+    """Joint subspace + group-sparsity solve on ``model`` from ``start``;
+    returns X = P o (U V) with the model's phase map P (X = U V on a
+    phase-free model).  At ``cfg.lam`` = 0 it is the subspace-constrained
+    least squares of lr; :func:`admm_solve` checks the start and rejects
+    a V whose rows are not orthonormal."""
     v = np.asarray(v_basis, dtype=np.complex128)
-    u, report = admm_solve(d, model, v, cfg, start)
+    u, report = admm_solve(model, v, cfg, start)
     x = u @ v
     if model.phase is not None:
         np.multiply(model.phase.values, x, out=x)
-    series = CasoratiSeries(x, model.spatial_dims, d.column_labels)
+    series = CasoratiSeries(x, model.spatial_dims, model.mask.column_labels)
     return ReconResult(series, report)
 
 
 @dataclass(frozen=True)
 class Preliminary(ReconResult):
     """One reconstruction problem and its preliminary solve (see
-    :func:`preliminary`): the k-space set ``d``, its phase-free
-    ``model``, ``cfg`` at the weight, the ``rank`` of lr and lrcs, and
-    ``adj``, the adjoint A*(d) on ``model``.  What the methods of
+    :func:`preliminary`): its phase-free ``model``, ``cfg`` at the
+    weight, the ``rank`` of lr and lrcs, and ``adj``, the adjoint A*(d)
+    on ``model``, in place of the samples.  What the methods of
     :func:`recon` share from it is made on first use: the
     :attr:`subspace`, and per phase mode the solve model and the U0
     solve (:meth:`setup`).  It keeps no reconstruction but its own.  It
     is not locked: one caller (in the pipeline, one subject's thread)
     owns it."""
 
-    d: KSpaceData = field(repr=False)
     model: EncodingModel = field(repr=False)
     cfg: SolverConfig
     rank: int
@@ -622,7 +618,7 @@ def recon(prelim: Preliminary, method: Method | str,
         return prelim
     model, start = prelim.setup(mode)
     cfg = replace(prelim.cfg, lam=0.0) if method == Method.LR_ONLY else prelim.cfg
-    return reconstruct_lrcs(prelim.d, model, prelim.subspace, cfg, start)
+    return reconstruct_lrcs(model, prelim.subspace, cfg, start)
 
 
 def estimate_phase_map(series: CasoratiSeries) -> PhaseMap:
@@ -693,17 +689,17 @@ def preliminary(d: KSpaceData, coils: CoilMaps, cfg: SolverConfig, rank: int,
     phase map is the :class:`Preliminary`'s.  One adjoint A*(d) serves
     the weight, the cs solves (which all start from one U0 solve) and,
     kept on the :class:`Preliminary`, the methods of :func:`recon`.
-    Returns the preliminary, which carries ``d``, the model, ``cfg`` at
-    the weight and ``rank``.  K-space of another grid or coil count than
-    the coil maps, a rank outside [1, N] for N columns, and a given or
-    scaled weight that is not finite and >= 0 are ValidationErrors,
-    raised before any solve.
+    Returns the preliminary, which carries the model, ``cfg`` at the
+    weight, ``rank`` and the adjoint, not ``d``.  K-space of another
+    grid or coil count than the coil maps, a rank outside [1, N] for N
+    columns, and a given or scaled weight that is not finite and >= 0
+    are ValidationErrors, raised before any solve.
     """
     if d.spatial_dims != coils.spatial_dims or d.n_coils != coils.n_coils:
         raise ValidationError(
             f"k-space of grid {d.spatial_dims} with {d.n_coils} coil(s) does not match "
             f"coil maps of grid {coils.spatial_dims} with {coils.n_coils}")
-    n = len(d.column_labels)
+    n = len(d.mask.column_labels)
     if not 1 <= rank <= n:
         raise ValidationError(f"rank must be in [1, {n}], got {rank}")
     model = EncodingModel(coils, d.mask)
@@ -720,4 +716,4 @@ def preliminary(d: KSpaceData, coils: CoilMaps, cfg: SolverConfig, rank: int,
         cfg = replace(cfg, lam=lam)
     else:
         result = reconstruct_cs_only(d, model, cfg, start)
-    return Preliminary(result.series, result.report, d, model, cfg, rank, adj)
+    return Preliminary(result.series, result.report, model, cfg, rank, adj)

@@ -13,6 +13,7 @@ import pytest
 from lrcs_cdti import cli, dti, encoding, pipeline, recon
 from lrcs_cdti import datamodel as dm
 from lrcs_cdti import phantom as ph
+from lrcs_cdti.errors import NumericalError
 from treediff import differing_files
 
 FLAGS = ["--threads", "1", "--log-level", "warning"]
@@ -459,6 +460,32 @@ def test_metrics_tables_are_those_of_the_written_maps(ground_truth, tmp_path):
     np.testing.assert_array_equal([float(r["slope"]) for r in rows[:-1]],
                                   hat.ray_slopes.ravel())
     assert float(rows[-1]["slope"]) == hat.global_hat
+
+
+def test_metrics_of_a_field_with_no_fitted_ray_is_a_numerical_failure(tmp_path,
+                                                                      capsys):
+    # a wall too thin for any ray: the study fails such a cell by the
+    # same check, and the command writes nothing
+    params = tmp_path / "params.json"
+    params.write_text(json.dumps({"grid": [16, 16, 3], "r_endo": 1, "r_epi": 2.2,
+                                  "snr": None}))
+    gt = tmp_path / "gt"
+    assert cli.main(["phantom", "--params", str(params), "--out", str(gt), *FLAGS]) == 0
+    dm.save_series(tmp_path / "series", ph.load_ground_truth(gt).clean_series)
+    assert cli.main(["fit", "--series", str(tmp_path / "series"), "--mask", str(gt),
+                     "--out", str(tmp_path / "t"), *FLAGS]) == 0
+    capsys.readouterr()
+    field = dti.load_tensors(tmp_path / "t")
+    md = float(dti.mean_diffusivity(field)[field.mask].mean())
+    out = tmp_path / "m"
+    assert cli.main(["metrics", "--tensors", str(tmp_path / "t"), "--out", str(out),
+                     *FLAGS]) == 2
+    assert capsys.readouterr().err == (
+        f"numerical failure [metrics]: non-finite metrics: HAT nan, MD {md} "
+        f"(75 of 75 rays skipped)\n")
+    assert not out.exists()
+    with pytest.raises(NumericalError, match=r"\(75 of 75 rays skipped\)"):
+        pipeline._series_metrics(dm.load_series(tmp_path / "series"), field.mask, None)
 
 
 @pytest.mark.parametrize("command, flag, content, message", [

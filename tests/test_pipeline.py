@@ -75,11 +75,10 @@ def test_coil_maps_come_from_the_zero_filled_b0_column(study):
     plan, _ = study
     for i in range(plan.n_subjects):
         inputs = pipeline.prepare_subject(plan, i)
-        kspace, _ = pipeline.acquire(*pipeline.acquisition_inputs(
-            ph.build_phantom(inputs.config)))
-        _, ny, nz = inputs.config.grid
-        mask = encoding.make_sampling_mask(ny, nz, inputs.config.column_labels,
-                                           R=1, seed=inputs.config.seed)
+        cfg = pipeline.subject_config(plan, i)
+        kspace, _ = pipeline.acquire(*pipeline.acquisition_inputs(ph.build_phantom(cfg)))
+        _, ny, nz = cfg.grid
+        mask = encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=1, seed=cfg.seed)
         kept = mask.kept.transpose(2, 1, 0)[:, :, :, None]
         grid = np.stack([np.where(np.broadcast_to(kept, k_c.shape), k_c, 0)
                          for k_c in kspace])
@@ -114,7 +113,7 @@ def test_a_prepared_subject_holds_its_samples_not_its_grid(study):
     plan, _ = study
     plan = replace(plan, R_list=(6.0, 2.0))
     inputs = pipeline.prepare_subject(plan, 0)
-    cfg = inputs.config
+    cfg = pipeline.subject_config(plan, 0)
     nx, ny, nz = cfg.grid
     n_cols = len(cfg.column_labels)
     kspace, _ = pipeline.acquire(*pipeline.acquisition_inputs(ph.build_phantom(cfg)))
@@ -408,7 +407,8 @@ def test_finished_subjects_free_their_arrays(tmp_path, monkeypatch, threads):
 
     def watched_cells(plan, index, subject):
         gc.collect()
-        assert [ref() is None for ref in prepared[subject.config.seed]] == [True] * 3
+        seed = pipeline.subject_config(plan, index).seed
+        assert [ref() is None for ref in prepared[seed]] == [True] * 3
         alive_at_start.append((index, [ref() is not None for ref in arrays]))
         [d] = subject.noisy_kspace.values()
         arrays.extend([weakref.ref(d.samples), weakref.ref(subject.coil_maps.maps)])
@@ -447,6 +447,29 @@ def test_the_samples_of_an_r_die_before_the_next_r_starts(tmp_path, monkeypatch)
     result = pipeline.run_experiment(plan)
     assert [c.R for c in result["cells"] if c.ok] == [2.0, 4.0]
     assert alive == [[], [False]]
+
+
+def test_the_samples_of_an_r_die_once_its_preliminary_returns(tmp_path, monkeypatch):
+    # every solve after the preliminary reads the samples only through
+    # its adjoint A*(d), so no cell's solve holds them
+    real_preliminary, real_recon = pipeline.recon.preliminary, pipeline.recon.recon
+    samples, alive = [], []
+
+    def watched_preliminary(d, *args, **kwargs):
+        samples.append(weakref.ref(d.samples))
+        return real_preliminary(d, *args, **kwargs)
+
+    def watched_recon(*args):
+        gc.collect()
+        alive.append(samples[-1]() is not None)
+        return real_recon(*args)
+
+    monkeypatch.setattr(pipeline.recon, "preliminary", watched_preliminary)
+    monkeypatch.setattr(pipeline.recon, "recon", watched_recon)
+    plan = _every_cell_plan(tmp_path, n_subjects=1, R_list=(2.0, 4.0))
+    result = pipeline.run_experiment(plan)
+    assert all(c.ok for c in result["cells"])
+    assert len(samples) == 2 and alive == [False] * 12
 
 
 def _every_cell_plan(tmp_path, **changes):

@@ -15,12 +15,15 @@ nothing reads it; that hid the unread ``TensorField.spatial_dims`` behind
 Every setting, too, has a second value in use: each defaulted parameter
 of a public top-level function, and each init field with a plain default
 of a public dataclass, is given a value somewhere in the program.  A
-value counts as given by a keyword of that name in any call, by a
-positional argument at its position in a call to a function or class of
-that name, or by an attribute store of that name.  A setting the program
-never changes is a constant in all but name, and should be one.  Fields
-with a ``default_factory`` (containers filled in place), ``init=False``
-fields and ``ClassVar``s are not settings.  The JSON configs are exempt:
+value counts as given by a keyword of that name or a positional argument
+at its position in a call to the function or class that owns the
+setting (found by the name called), or by an attribute store of that
+name.  A keyword counts at its owner's calls alone: counted at any call,
+it hid ``encoding.coil_kspace``'s unset ``phase`` behind the ``phase``
+keyword of other calls.  A setting the program never changes is a
+constant in all but name, and should be one.  Fields with a
+``default_factory`` (containers filled in place), ``init=False`` fields
+and ``ClassVar``s are not settings.  The JSON configs are exempt:
 the fields of ``PhantomConfig``, ``ExperimentPlan`` and ``SolverConfig``
 are the keys of the user's params and plan files, which
 ``config_from_json`` passes as ``cls(**obj)``.
@@ -30,6 +33,7 @@ of the package names ``csv.writer`` or ``csv.DictWriter``, so a number
 has one text form in every CSV file."""
 
 import ast
+from collections import defaultdict
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -43,7 +47,12 @@ ALLOWED_ATTRIBUTES = {}
 
 # (module, function or class, parameter or field): why the program keeps
 # it a setting although it never sets it
-ALLOWED_SETTINGS = {}
+ALLOWED_SETTINGS = {
+    ("encoding", "coil_kspace", "phase"):
+        "the program simulates from the phased series (pipeline.acquisition_inputs); "
+        "the tests and the benchmark's tracer self-test pass the phase map, and the "
+        "parameter goes when that self-test stops passing it",
+}
 
 # the JSON configs, whose fields the user sets (see the module notes)
 CONFIG_CLASSES = {("phantom", "PhantomConfig"), ("pipeline", "ExperimentPlan"),
@@ -205,24 +214,25 @@ def settings() -> dict[tuple[str, str, str], int | None]:
 
 
 def unset_settings() -> set[tuple[str, str, str]]:
-    """Settings the program never gives a value: no call passes a keyword
-    of that name, no call to a function or class of that name passes
-    an argument at its position, and no statement stores an attribute of
-    that name.  Like the scans above, this one goes by name alone."""
-    keywords, stores, positional = set(), set(), {}
+    """Settings the program never gives a value: no call to a function or
+    class of that name passes a keyword of the setting's name or an
+    argument at its position, and no statement stores an attribute of
+    that name.  Like the scans above, this one goes by name alone: a call
+    counts by the name it calls, whatever module it is bound in."""
+    keywords, stores, positional = defaultdict(set), set(), defaultdict(int)
     for path in _program():
         for node in ast.walk(ast.parse(path.read_text())):
             if isinstance(node, ast.Call):
-                keywords.update(k.arg for k in node.keywords if k.arg)
                 func = node.func
                 name = (func.id if isinstance(func, ast.Name)
                         else func.attr if isinstance(func, ast.Attribute) else None)
-                positional[name] = max(positional.get(name, 0), len(node.args))
+                keywords[name].update(k.arg for k in node.keywords if k.arg)
+                positional[name] = max(positional[name], len(node.args))
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 stores.add(node.attr)
     return {key for key, index in settings().items()
-            if key[2] not in keywords and key[2] not in stores
-            and not (index is not None and positional.get(key[1], 0) > index)}
+            if key[2] not in keywords[key[1]] and key[2] not in stores
+            and not (index is not None and positional[key[1]] > index)}
 
 
 def csv_writer_uses() -> set[tuple[str, str]]:
