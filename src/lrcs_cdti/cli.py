@@ -15,8 +15,8 @@ tables are CSV, as the pipeline's (:func:`datamodel.write_table`);
 previews are PGM.  Every flag can also be given in a JSON config file
 (--config); explicit command-line values win.
 ``--threads`` (default 1) sizes the subject pool of ``run`` when the
-plan sets no ``threads``.  Exit codes: 0 success, 1 validation or usage
-error, 2 numerical failure.
+plan sets no ``threads``.  Exit codes: 0 success, 1 validation, usage or
+file error, 2 numerical failure.
 """
 
 from __future__ import annotations
@@ -119,14 +119,11 @@ def _flags(parser: argparse.ArgumentParser) -> dict[str, argparse.Action]:
 
 
 def _read_json(path, what: str) -> dict:
-    """The JSON object in ``path``.  Unreadable or malformed content is a
-    ValidationError naming the file; a missing file stays
-    FileNotFoundError."""
+    """The JSON object in ``path``.  Content that is not JSON text is a
+    ValidationError naming the file; an unreadable file raises its OSError."""
     try:
         obj = json.loads(Path(path).read_text())
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError) as exc:
+    except ValueError as exc:
         raise ValidationError(f"cannot read {what} {path}: {exc}") from exc
     if not isinstance(obj, dict):
         raise ValidationError(f"{what} {path} does not hold a JSON object")
@@ -344,6 +341,10 @@ def main(argv=None) -> int:
         return 1
     except FileNotFoundError as exc:
         print(f"error [{args.command}]: missing file {exc.filename}", file=sys.stderr)
+        return 1
+    except OSError as exc:
+        where = "" if exc.filename is None else f": {exc.filename}"
+        print(f"error [{args.command}]: {exc.strerror or exc}{where}", file=sys.stderr)
         return 1
     except NumericalError as exc:
         print(f"numerical failure [{args.command}]: {exc}", file=sys.stderr)

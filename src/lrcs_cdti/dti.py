@@ -430,10 +430,16 @@ def compute_hat(ha_map: np.ndarray, mask: np.ndarray) -> HatResult:
         slopes[z, rays[fitted]] = slope[fitted]
         r2s[z, rays[fitted]] = r2[fitted]
     skipped = int(np.count_nonzero(np.isnan(slopes)))
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        global_hat = float(np.nanmean(np.nanmean(slopes, axis=1)))
+    global_hat = float(_nanmean(_nanmean(slopes, axis=1)))
     return HatResult(slopes, r2s, global_hat, angles, skipped)
+
+
+def _nanmean(values: np.ndarray, axis: int | None = None):
+    """``np.nanmean`` bit for bit, but NaN on an all-NaN slice with no warning."""
+    nan = np.isnan(values)
+    total = np.where(nan, 0.0, values).sum(axis=axis)
+    with np.errstate(invalid="ignore"):
+        return total / np.sum(~nan, axis=axis, dtype=np.intp)
 
 
 def check_finite_metrics(hat: HatResult, md: float) -> None:

@@ -21,18 +21,17 @@ Layout conventions:
   of ``a`` cancels in the conjugate coil combination.  What is left is
   A*A = sum_c (S_c a)^H F_y^H M F_y (S_c a) per (column, slice), with
   F_y the plain unitary DFT along the lines: the coil sum of squares on
-  a fully sampled column (F_y^H F_y = I), and R^H R with R the kept rows
-  of F_y on an undersampled one.  The adjoint keeps the 2-D DFT because
-  it maps from the packed samples.
-* A*A works on the undersampled columns in blocks of about
-  ``NORMAL_BLOCK_BYTES`` (256 KiB), so that the per-coil temporaries of
-  a block stay in L2.  The block count is
-  ceil(N_part * column bytes / NORMAL_BLOCK_BYTES), at most N_part,
-  split evenly: 2 columns a block on a 64x64x4 grid, 6 on 32x32x3.
-  Blocks keep each entry's operations and the coil summation order, so
-  the result does not depend on the block size.  A block that is a run
-  of columns accumulates in the output itself, and every block reuses
-  one coil buffer and one kept-line buffer.
+  the leading fully sampled columns (F_y^H F_y = I; the b=0 ones), and
+  R^H R with R the kept rows of F_y on every later column, fully kept
+  or not (R = F_y gives R^H R = I to float32 rounding).  The adjoint
+  keeps the 2-D DFT because it maps from the packed samples.
+* A*A works on the N_part columns after the leading fully sampled ones
+  in blocks of about ``NORMAL_BLOCK_BYTES`` (256 KiB), so that the
+  per-coil temporaries of a block stay in L2 (:func:`_column_blocks`: 2
+  columns a block on a 64x64x4 grid, 6 on 32x32x3).  Blocks keep each
+  entry's operations and the coil summation order, so the result does
+  not depend on the block size.  Each block accumulates in its slice of
+  the output; all reuse one coil buffer and one kept-line buffer.
 * ``normal_matrix`` takes a diagonal shift s and returns (A*A + s I) x,
   adding s x to each block after its conjugate phase, while the block
   is still in cache: the ADMM's CG operator A*A + (rho/2) I costs one
@@ -236,12 +235,12 @@ class EncodingModel:
     ``kappa b`` and the transposed phase field ``_phase_t``, its one
     copy of the phase (the operators take its conjugate as they go), so
     the operators are pure and cheap to call concurrently.  For
-    :func:`normal_matrix` it adds the indices of the fully sampled
-    columns (``_full_cols``) and of the others (``_part_cols``), the
-    coil sum of squares ``_sos`` = sum_c |S_c a|^2 (nz, ny, nx), and per
-    undersampled (column, slice) the kept rows of the unitary line DFT,
-    ``_rows`` (N_part, nz, L, ny) zero-padded to the largest kept count
-    L, with their conjugate transpose ``_rows_h``.
+    :func:`normal_matrix` it adds the count ``_n_full`` of the leading
+    columns the mask keeps whole, the coil sum of squares ``_sos`` =
+    sum_c |S_c a|^2 (nz, ny, nx), and per (column, slice) of the N_part
+    columns after them the kept rows of the unitary line DFT, ``_rows``
+    (N_part, nz, L, ny) zero-padded to the largest kept count L, with
+    their conjugate transpose ``_rows_h``.
 
     ``dtype`` is the arithmetic of every operator on the model: each
     field is computed in double precision and stored once as complex64
@@ -281,20 +280,16 @@ class EncodingModel:
                                                                 (nx, ny, nz)),
                                                 dtype=self.dtype))
         # fields of the normal operator (see the class docstring)
-        kept = self.mask.kept
-        is_full = kept.all(axis=(0, 1))
-        full, part = np.flatnonzero(is_full), np.flatnonzero(~is_full)
-        object.__setattr__(self, "_full_cols", full)
-        object.__setattr__(self, "_part_cols", part)
+        n_full = int(np.logical_and.accumulate(self.mask.kept.all(axis=(0, 1))).sum())
+        object.__setattr__(self, "_n_full", n_full)
         sos = (maps_a * maps_a_conj).real.sum(axis=0)
         object.__setattr__(self, "_sos", sos.astype(np.finfo(self.dtype).dtype))
-        n_rows = int(kept[:, :, part].sum(axis=0).max()) if part.size else 0
-        rows = np.zeros((part.size, nz, n_rows, ny), dtype=np.complex128)
-        iy = np.arange(ny)
-        for i, n in enumerate(part):
-            for z in range(nz):
-                lines = np.flatnonzero(kept[:, z, n])
-                rows[i, z, :lines.size] = _unit_root(-np.outer(lines, iy), ny)
+        kept = self.mask.kept[:, :, n_full:]
+        n_rows = int(kept.sum(axis=0).max(initial=0))
+        rows = np.zeros((n_cols - n_full, nz, n_rows, ny), dtype=np.complex128)
+        for n, z in np.ndindex(n_cols - n_full, nz):
+            lines = np.flatnonzero(kept[:, z, n])
+            rows[n, z, :lines.size] = _unit_root(-np.outer(lines, np.arange(ny)), ny)
         rows /= np.sqrt(ny)
         object.__setattr__(self, "_rows", rows.astype(self.dtype))
         object.__setattr__(self, "_rows_h",
@@ -448,16 +443,16 @@ def normal_matrix(model: EncodingModel, x: np.ndarray, shift: float = 0.0,
                   out: np.ndarray | None = None) -> np.ndarray:
     """(A*A + shift I) x with no DFT (see the module notes for the algebra).
 
-    A fully sampled column is ``_sos`` times P o X.  The undersampled
-    columns run in blocks of about ``NORMAL_BLOCK_BYTES`` (see
-    :func:`_column_blocks`); per block the phase is applied, then per
-    coil ``_rows_h @ (_rows @ (S_c a P o X))`` (two batched matrix
-    products over the kept lines, through one reused coil buffer) is
-    combined with conj(S_c a) and summed over the coils in coil order,
-    then the conjugate phase, which is taken of the block's phase into
-    that spent coil buffer.  Every entry sees the same operations in
-    the same order for any block size.  A block that is a run of
-    columns accumulates straight into the output.
+    The leading ``_n_full`` columns are ``_sos`` times P o X.  The
+    columns after them run in blocks of about ``NORMAL_BLOCK_BYTES``
+    (see :func:`_column_blocks`), each a slice of columns; per block
+    the phase is applied, then per coil ``_rows_h @ (_rows @ (S_c a P o
+    X))`` (two batched matrix products over the kept lines, through one
+    reused coil buffer) is combined with conj(S_c a) and summed over the
+    coils in coil order, then the conjugate phase, which is taken of the
+    block's phase into that spent coil buffer.  Every entry sees the
+    same operations in the same order for any block size.  Each block
+    accumulates straight into its slice of the output.
 
     ``shift`` x is added per block after the conjugate phase, while the
     block is in cache, so the result is bit-equal to
@@ -484,31 +479,29 @@ def normal_matrix(model: EncodingModel, x: np.ndarray, shift: float = 0.0,
             f"{out.shape}")
     phase = model._phase_t
 
-    def finish(cols, acc, scratch):
-        # conjugate phase and shift of a block, through the spent
-        # ``scratch`` of its shape; acc is out[cols] for a run
+    def finish(cols, scratch):
+        # conjugate phase and shift of the block out[cols], through the
+        # spent ``scratch`` of its shape
+        acc = out[cols]
         if phase is not None:
             np.conjugate(phase[cols], out=scratch)
             acc *= scratch
         if shift:
             acc += np.multiply(shift, vols[cols], out=scratch)
-        if not isinstance(cols, slice):
-            out[cols] = acc
 
-    full = _run_or_index(model._full_cols)
-    acc = out[full]
+    n_full = model._n_full
+    full = slice(0, n_full)
     v = vols[full] if phase is None else vols[full] * phase[full]
-    np.multiply(model._sos, v, out=acc)
-    finish(full, acc, np.empty_like(acc))
+    np.multiply(model._sos, v, out=out[full])
+    finish(full, np.empty_like(v))
 
-    part = model._part_cols
-    blocks = _column_blocks(part.size, vols[0].nbytes)
+    blocks = _column_blocks(model.n_columns - n_full, vols[0].nbytes)
     n_max = max((hi - lo for lo, hi in blocks), default=0)
     nz, ny, nx = vols.shape[1:]
     coil_buf = np.empty((n_max, nz, ny, nx), dtype=model.dtype)
     line_buf = np.empty((n_max, nz, model._rows.shape[2], nx), dtype=model.dtype)
     for lo, hi in blocks:
-        cols = _run_or_index(part[lo:hi])
+        cols = slice(n_full + lo, n_full + hi)
         v = vols[cols] if phase is None else vols[cols] * phase[cols]
         rows, rows_h = model._rows[lo:hi], model._rows_h[lo:hi]
         buf, lines = coil_buf[:hi - lo], line_buf[:hi - lo]
@@ -523,16 +516,8 @@ def normal_matrix(model: EncodingModel, x: np.ndarray, shift: float = 0.0,
             else:
                 buf *= maps_a_conj
                 acc += buf
-        finish(cols, acc, buf)
+        finish(cols, buf)
     return _grid_to_series(out)
-
-
-def _run_or_index(cols: np.ndarray) -> slice | np.ndarray:
-    """A slice for sorted column indices that form a run (basic indexing
-    takes views), else the indices."""
-    if cols.size and cols[-1] - cols[0] == cols.size - 1:
-        return slice(int(cols[0]), int(cols[-1]) + 1)
-    return cols
 
 
 def _column_blocks(n_cols: int, column_bytes: int) -> list[tuple[int, int]]:

@@ -391,8 +391,13 @@ def run_experiment(plan: ExperimentPlan) -> dict:
     Every failure leaves its full traceback in ``error.txt``: in the
     subject's directory when the preparation failed, else in the failed
     cell's.
+
+    An ``output_dir`` that holds a study (``plan.json`` or ``summary.csv``)
+    is a ValidationError, raised before anything is written or deleted.
     """
     out_root = Path(plan.output_dir)
+    if any((out_root / name).exists() for name in ("plan.json", "summary.csv")):
+        raise ValidationError(f"output_dir {out_root} already holds a study")
     out_root.mkdir(parents=True, exist_ok=True)
     (out_root / "plan.json").write_text(json.dumps(dm.config_to_json(plan), indent=1))
 
@@ -499,12 +504,16 @@ def evaluate(summary_path, stats_path) -> list[dict]:
     A group of fewer than 3 subjects, or with a failed cell or reference, is
     skipped.  A p-map needs finite values of its group's every reference and
     cell in the ``regional.csv`` beside ``summary_path``.  A malformed value
-    is a ValidationError naming its place (:func:`_csv_value`)."""
+    is a ValidationError naming its place (:func:`_csv_value`), a non-text
+    table one naming the file."""
 
     def table(path):
-        with open(path, newline="") as fh:
-            return [partial(_csv_value, path, i, row)
-                    for i, row in enumerate(csv.DictReader(fh), start=1)]
+        try:
+            with open(path, newline="") as fh:
+                return [partial(_csv_value, path, i, row)
+                        for i, row in enumerate(csv.DictReader(fh), start=1)]
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not a text table ({exc})") from None
 
     # (subject, R, method, phase_mode) -> {metric: value}, None if failed
     metrics = {}

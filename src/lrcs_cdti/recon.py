@@ -451,16 +451,15 @@ def admm_solve(model: EncodingModel, v_basis: np.ndarray, cfg: SolverConfig,
     # the loop updates u and r in place: its own copies of the start's
     u, r = u.copy(), start.r.copy()
     w = np.zeros_like(bu)
-    rho_prev = None
-    # r is the residual of u in the last system solved; at first U0's,
-    # which has rho = 0
+    # r is the residual of u in the last system solved, whose rho is
+    # rho_sys; at first U0's, which has rho = 0
     rhs_prev, rho_sys = start.rhs, 0.0
     for k in range(cfg.max_iters):
         # a Python float, so that a numpy lam cannot promote the loop's
         # arrays out of the model's precision
         rho = float(cfg.lam / alpha)
-        if rho_prev is not None:
-            w *= rho_prev / rho
+        # the scaled dual follows rho; at k = 0 it is still all zeros
+        w *= rho_sys / rho
         # bu is spent: it takes Psi U + W, then G - W, and dies once
         # back-projected, before the CG solve
         bu += w
@@ -495,7 +494,6 @@ def admm_solve(model: EncodingModel, v_basis: np.ndarray, cfg: SolverConfig,
         report.cg_iters.append(cg_it)
         report.cg_residuals.append(cg_res)
         alpha /= ALPHA_DECAY
-        rho_prev = rho
     report.stop_reason = f"iteration cap K = {cfg.max_iters}"
     return _finish(u, report, t0)
 

@@ -603,6 +603,32 @@ def test_negative_seed_flag_without_params_is_a_named_error(tmp_path, capsys):
     assert not (tmp_path / "gt").exists()
 
 
+@pytest.mark.parametrize("case, reason", [
+    ("eval-of-a-binary-file", "not a text table ('utf-8' codec can't decode"),
+    ("eval-of-a-directory", "Is a directory"),
+    ("phantom-under-a-file", "Not a directory"),
+    ("run-into-a-file", "File exists"),
+])
+def test_file_system_error_is_a_named_error(tmp_path, capsys, case, reason):
+    # the reason and the path, exit 1 and no traceback
+    file = tmp_path / "file"
+    file.write_bytes(b"\xff\xfe\x00 not a table")
+    plan = tmp_path / "plan.json"
+    plan.write_text(json.dumps({"n_subjects": 1, "output_dir": str(file)}))
+    argv = {"eval-of-a-binary-file": ["eval", "--summary", str(file)],
+            "eval-of-a-directory": ["eval", "--summary", str(tmp_path)],
+            "phantom-under-a-file": ["phantom", "--out", str(file / "gt")],
+            "run-into-a-file": ["run", "--plan", str(plan)]}[case]
+    if argv[0] == "eval":
+        argv += ["--out", str(tmp_path / "eval" / "stats.csv")]
+    assert cli.main([*argv, *FLAGS]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error [{argv[0]}]: ")
+    assert reason in err and str(argv[2] if argv[0] != "run" else file) in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "eval").exists()
+
+
 @pytest.mark.parametrize("config, message, command", [
     ({"threads": "x"}, "key 'threads' must be int, got \"x\"", "phantom"),
     ({"seed": 1.5}, "key 'seed' must be int, got 1.5", "phantom"),

@@ -1,4 +1,7 @@
 import re
+import sys
+import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -447,6 +450,48 @@ class TestComputeHat:
         res = dti.compute_hat(ha, mask)
         assert res.n_skipped == 25
         assert np.isnan(res.ray_slopes).all()
+
+    def test_all_nan_slice_changes_no_warning_filter(self):
+        mask, ha = mask_with_a_skipped_slice()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            filters = list(warnings.filters)
+            res = dti.compute_hat(ha, mask)
+            assert warnings.filters == filters
+        assert np.isnan(res.ray_slopes[0]).all() and np.isfinite(res.ray_slopes[1]).any()
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            want = np.nanmean(np.nanmean(res.ray_slopes, axis=1))
+        assert res.global_hat == want
+
+    def test_concurrent_calls_change_no_warning_filter(self):
+        # two threads switching every microsecond: a filter set and reset
+        # per call left ('ignore', RuntimeWarning) in the process's
+        # filters in every such run
+        mask, ha = mask_with_a_skipped_slice()
+        filters = list(warnings.filters)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for calls in [pool.submit(lambda: [dti.compute_hat(ha, mask)
+                                                   for _ in range(100)])
+                              for _ in range(2)]:
+                    calls.result()
+        finally:
+            sys.setswitchinterval(interval)
+        assert warnings.filters == filters
+
+
+def mask_with_a_skipped_slice():
+    """A 16 x 16 x 2 (mask, HA map): slice 0 holds one voxel, so its every
+    ray is skipped, and slice 1 a ring whose rays are fitted."""
+    mask = np.zeros((16, 16, 2), bool)
+    mask[10, 8, 0] = True
+    mask[4:12, 4:12, 1] = True
+    mask[6:10, 6:10, 1] = False
+    ha = np.where(mask, np.linspace(-1.0, 1.0, 16)[:, None, None], np.nan)
+    return mask, ha
 
 
 def bar_mask(block_rows=slice(1, 8)):

@@ -410,14 +410,14 @@ class TestNormalOperator:
     def test_column_blocks_match_dense_normal_matrix(self, name, n_blocks,
                                                      monkeypatch):
         # these grids fit in one block at the default budget; 2 blocks
-        # split the 3 undersampled columns 1 + 2; "gap" has a fully kept
-        # column between undersampled ones, so its one block is not a
-        # run of columns
+        # split the 3 columns after the fully kept b=0 one 1 + 2; "gap"
+        # has a fully kept column between undersampled ones, which runs
+        # through its kept rows, all of the line DFT
         model, rng = normal_case(name)
         shape = (model.n_voxels, model.n_columns)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         one_block = enc.normal_matrix(model, x)
-        n_part = model._part_cols.size
+        n_part = model.n_columns - model._n_full
         column_bytes = model.n_voxels * model.dtype.itemsize
         assert len(enc._column_blocks(n_part, column_bytes)) == 1
         monkeypatch.setattr(enc, "NORMAL_BLOCK_BYTES",
@@ -432,11 +432,11 @@ class TestNormalOperator:
     @pytest.mark.parametrize("name, n_blocks", [("phase", 1), ("gap", 1),
                                                 ("even", 2), ("phase", 2)])
     def test_shift_is_added_per_block(self, name, n_blocks, monkeypatch):
-        # n_blocks = 2 splits the 3 undersampled columns unevenly, 1 + 2
+        # n_blocks = 2 splits the 3 columns after the b=0 one unevenly, 1 + 2
         model, rng = normal_case(name)
         shape = (model.n_voxels, model.n_columns)
         x = (rng.normal(size=shape) + 1j * rng.normal(size=shape)).astype(np.complex64)
-        n_part = model._part_cols.size
+        n_part = model.n_columns - model._n_full
         column_bytes = model.n_voxels * model.dtype.itemsize
         monkeypatch.setattr(enc, "NORMAL_BLOCK_BYTES",
                             -(-n_part * column_bytes // n_blocks))
@@ -453,9 +453,9 @@ class TestNormalOperator:
     @pytest.mark.parametrize("phased", [False, True])
     @pytest.mark.parametrize("shift", [0.0, 0.37])
     def test_product_written_into_out(self, name, phased, shift):
-        # "even" is one block that is a run of columns, "gap" one that is
-        # not; the product in ``out`` is the allocating call's, bit for
-        # bit, and the result is the series view of ``out``
+        # "gap" runs a fully kept column through its kept rows; the
+        # product in ``out`` is the allocating call's, bit for bit, and
+        # the result is the series view of ``out``
         model, rng = normal_case(name)
         shape = (model.n_voxels, model.n_columns)
         phase = dm.PhaseMap(np.exp(1j * rng.normal(size=shape))) if phased else None
@@ -488,7 +488,7 @@ class TestNormalOperator:
 
     def test_full_sampling_is_coil_sum_of_squares(self):
         model, rng = normal_case("r1")
-        assert model._part_cols.size == 0
+        assert model._n_full == model.n_columns
         shape = (model.n_voxels, model.n_columns)
         x = rng.normal(size=shape) + 1j * rng.normal(size=shape)
         sos = (np.abs(model.coils.maps) ** 2).sum(axis=0).reshape(-1, order="F")
@@ -498,9 +498,16 @@ class TestNormalOperator:
 
     def test_mixed_mask_splits_columns(self):
         model, _ = normal_case("even")
-        assert list(model._full_cols) == [0]
-        assert list(model._part_cols) == [1, 2, 3]
+        assert model._n_full == 1
         assert model._rows.shape[:3] == (3, 2, 8)     # one slice of column 1 is full
+
+    def test_only_leading_full_columns_skip_the_rows(self):
+        # "gap"'s fully kept column 2 follows an undersampled one, so its
+        # rows are all ny of them
+        model, _ = normal_case("gap")
+        assert model.mask.kept[:, :, 2].all()
+        assert model._n_full == 1
+        assert model._rows.shape[:3] == (3, 2, 8)
 
     @pytest.mark.parametrize("name", NORMAL_CASES)
     def test_hermitian_positive_semidefinite(self, name):

@@ -225,11 +225,12 @@ def test_a_one_subject_study_peaks_below_eleven_series(study, tmp_path):
     # the study makes, in units of its complex128 (M, N) series
     plan, _ = study
     plan = replace(plan, n_subjects=1, phase_modes=("proposed",),
-                   output_dir=str(tmp_path))
+                   output_dir=str(tmp_path / "first"))
     nx, ny, nz = plan.base_phantom.grid
     series_bytes = (nx * ny * nz * len(plan.base_phantom.column_labels)
                     * np.dtype(np.complex128).itemsize)
     pipeline.run_experiment(plan)
+    plan = replace(plan, output_dir=str(tmp_path / "second"))
     tracemalloc.start()
     try:
         start, _ = tracemalloc.get_traced_memory()
@@ -312,6 +313,28 @@ def _tiny_plan(tmp_path, r_epi):
         solver={"max_iters": 2, "cg_max_iters": 4}, save_arrays=False,
         base_config={"grid": [24, 24, 3], "r_endo": 4, "r_epi": r_epi},
         output_dir=str(tmp_path))
+
+
+@pytest.mark.parametrize("first, second, stale", [
+    # a study of fewer R values would leave the old R's p-maps
+    ({"R_list": (2.0, 4.0)}, {"R_list": (2.0,)}, "pmap_*_R4_*.csv"),
+    # one whose R=20 cells succeed on a wider grid would leave the
+    # tracebacks of their failure on this one
+    ({"n_subjects": 1, "R_list": (20.0,)},
+     {"n_subjects": 1, "R_list": (20.0,),
+      "base_config": {"grid": [24, 80, 3], "r_endo": 4, "r_epi": 9}},
+     "subject00/R20/*/error.txt"),
+])
+def test_a_study_is_not_written_over_another(tmp_path, first, second, stale):
+    plan = replace(_tiny_plan(tmp_path, 9), geom_jitter_vox=0)
+    pipeline.run_experiment(replace(plan, **first))
+    tree = {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+    assert list(tmp_path.glob(stale))
+    with pytest.raises(ValidationError, match=f"output_dir {re.escape(str(tmp_path))} "
+                                              "already holds a study"):
+        pipeline.run_experiment(replace(plan, **second))
+    # refused before anything was written, and nothing deleted
+    assert {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()} == tree
 
 
 @pytest.mark.parametrize("r_epi, error", [

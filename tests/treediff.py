@@ -1,10 +1,13 @@
 """File-by-file comparison of two output trees, for the checks that two
 runs (or a change) leave a study's outputs identical apart from their
-timing fields."""
+timing fields.  Run as ``python tests/treediff.py A B`` it prints the
+files that differ and exits 1 if there are any."""
 
+import argparse
 import csv
 import io
 import json
+import sys
 from pathlib import Path
 
 # the fields that hold a measured time: run_report.json's wall_time_s
@@ -45,3 +48,24 @@ def differing_files(a, b, ignore=TIMING_FIELDS) -> list[str]:
     return sorted(name for name in files[a] | files[b]
                   if name not in files[a] or name not in files[b]
                   or _content(a / name, ignore) != _content(b / name, ignore))
+
+
+def main(argv=None) -> int:
+    """``python tests/treediff.py A B``: print the files that differ
+    between the trees A and B (timing fields left out), one a line, and
+    exit 1 if there are any."""
+    parser = argparse.ArgumentParser(description=main.__doc__)
+    parser.add_argument("a", type=Path)
+    parser.add_argument("b", type=Path)
+    args = parser.parse_args(argv)
+    for root in (args.a, args.b):
+        if not root.is_dir():
+            parser.error(f"{root} is not a directory")
+    names = differing_files(args.a, args.b)
+    for name in names:
+        print(name)
+    return 1 if names else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
