@@ -222,8 +222,8 @@ def cmd_phantom(args) -> int:
 
 def cmd_simulate(args) -> int:
     truth = phantom.load_ground_truth(args.truth)
-    kspace, coils = pipeline.acquire(*pipeline.acquisition_inputs(truth))
-    d = pipeline.undersample(truth.config, kspace, args.R)
+    mask = pipeline.sampling_mask(truth.config, args.R)
+    [d], coils = pipeline.acquire(*pipeline.acquisition_inputs(truth), [mask])
     encoding.save_kspace(Path(args.out) / "kspace", d)
     dm.save_coils(Path(args.out) / "coils", coils)
     log.info("k-space and coils written to %s (R_true = %.4f)", args.out, d.mask.r_true)

@@ -144,15 +144,24 @@ def fit_tensors(series: CasoratiSeries, mask: np.ndarray) -> TensorField:
         raise NumericalError(
             f"tensor fit: {n_bad} non-finite sample(s) of {samples.size} "
             f"in the masked series")
-    mag = np.maximum(np.abs(samples), np.finfo(np.float64).eps)
-    logs = np.log(mag)
-    weights = mag ** 2
+    # the magnitude (in float64 for any input), its log and the weighted
+    # log share one buffer, and each array dies once read: the samples
+    # once |.| is taken, the (V, N) arrays before the solve, the normal
+    # equations before the eigensystem
+    mag = np.abs(samples).astype(np.float64, copy=False)
+    del samples
+    np.maximum(mag, np.finfo(np.float64).eps, out=mag)
+    weights = np.square(mag)
+    logs = np.log(mag, out=mag)
+    del mag
 
     # the 28 unique entries of D^T W D as one GEMM, one row per entry
     rows, cols = np.tril_indices(7)
     lhs = (design[:, rows] * design[:, cols]).T @ weights.T
-    rhs = design.T @ (weights * logs).T
+    rhs = design.T @ np.multiply(weights, logs, out=logs).T
+    del weights, logs
     theta = _cholesky_solve(lhs, rhs)
+    del lhs, rhs
 
     s0_v = np.exp(theta[0])
     # (3, 3, V): each tensor entry a contiguous length-V array

@@ -40,9 +40,14 @@ Layout conventions:
   bit-equal to ``normal_matrix(model, x) + s * x``.  It writes into a
   caller's grid when given one (``out``), so a solver that applies it
   once per CG step reuses one grid.
-* The model keeps one complex64 copy of the phase, P.  ``normal_matrix``
-  conjugates each block's phase into a spent block buffer while the
-  block is in cache, and :func:`unphase` conjugates it once per call.
+* The model keeps one complex64 copy of the phase, P, the transposed
+  grid ``_phase_t``; ``model.phase.values`` is its (M, N) view, and the
+  caller's complex128 map is not kept.  ``normal_matrix`` conjugates
+  each block's phase into a spent block buffer while the block is in
+  cache, and :func:`unphase` conjugates it once per call.
+* The coil and line fields depend on the coils and the mask alone, so
+  :func:`with_phase` makes the phased model of a problem from its
+  phase-free one by sharing those arrays and adding the phase.
 * The operators compute in single precision: :class:`EncodingModel`
   stores its fields as complex64 (``_sos`` as float32), and
   ``adjoint_matrix`` and ``normal_matrix`` cast their input to
@@ -52,8 +57,9 @@ Layout conventions:
   on it in place, and ``ifft2c`` and ``coil_combine`` take the fully
   sampled least squares in double precision.  ``coil_kspace`` of one
   coil's map is that coil's slice of the grid, so the simulation can
-  run one coil at a time; ``coil_combine`` and ``extract_samples``
-  take per-coil grids.
+  run one coil at a time: ``extract_samples`` takes per-coil grids, of
+  one coil too, and ``coil_combine`` takes them from an iterator as
+  well, letting each go once it is added.
 * The phase enters the adjoint last (:func:`unphase`), so a solver
   holding A*(d) of the phase-free model derives that of a phased one
   with one product and no DFT.
@@ -74,6 +80,7 @@ Layout conventions:
 
 from __future__ import annotations
 
+import copy
 import warnings
 from dataclasses import dataclass
 from math import ceil
@@ -233,8 +240,9 @@ class EncodingModel:
     Construction precomputes the transposed coil fields times the
     image-space ramp ``a`` of the centered DFT, the k-space ramp
     ``kappa b`` and the transposed phase field ``_phase_t``, its one
-    copy of the phase (the operators take its conjugate as they go), so
-    the operators are pure and cheap to call concurrently.  For
+    copy of the phase, in complex64 (the operators take its conjugate
+    as they go, and ``phase`` is replaced by the map of its (M, N)
+    view), so the operators are pure and cheap to call concurrently.  For
     :func:`normal_matrix` it adds the count ``_n_full`` of the leading
     columns the mask keeps whole, the coil sum of squares ``_sos`` =
     sum_c |S_c a|^2 (nz, ny, nx), and per (column, slice) of the N_part
@@ -261,24 +269,14 @@ class EncodingModel:
             raise ValidationError(
                 f"mask lines/slices {self.mask.kept.shape[:2]} do not match "
                 f"grid (ny={ny}, nz={nz})")
-        if self.phase is not None:
-            m = nx * ny * nz
-            if self.phase.values.shape != (m, n_cols):
-                raise ValidationError(
-                    f"phase map shape {self.phase.values.shape} does not match "
-                    f"(M={m}, N={n_cols})")
-        # (C, nz, ny, nx) coil fields with the image-space ramp folded
-        # in; (N, nz, ny, nx) phase
+        _keep_phase(self, self.phase)
+        # (C, nz, ny, nx) coil fields with the image-space ramp folded in
         a, kb = _centering_ramps(ny, nx)
         maps_a = np.ascontiguousarray(self.coils.maps.transpose(0, 3, 2, 1)) * a
         maps_a_conj = np.conj(maps_a)
         object.__setattr__(self, "_maps_a", maps_a.astype(self.dtype))
         object.__setattr__(self, "_maps_a_conj", maps_a_conj.astype(self.dtype))
         object.__setattr__(self, "_kb", kb.astype(self.dtype))
-        object.__setattr__(self, "_phase_t", None if self.phase is None else
-                           np.ascontiguousarray(_series_to_grid(self.phase.values,
-                                                                (nx, ny, nz)),
-                                                dtype=self.dtype))
         # fields of the normal operator (see the class docstring)
         n_full = int(np.logical_and.accumulate(self.mask.kept.all(axis=(0, 1))).sum())
         object.__setattr__(self, "_n_full", n_full)
@@ -308,6 +306,36 @@ class EncodingModel:
     @property
     def n_columns(self) -> int:
         return len(self.mask.column_labels)
+
+
+def _keep_phase(model: EncodingModel, phase: PhaseMap | None) -> None:
+    """Give ``model`` the phase ``phase``, kept once: ``_phase_t``, its
+    transposed (N, nz, ny, nx) grid in ``model.dtype``, of which
+    ``model.phase.values`` becomes the (M, N) view.  The caller's map is
+    not kept."""
+    phase_t = None
+    if phase is not None:
+        nx, ny, nz = model.spatial_dims
+        shape = (nx * ny * nz, model.n_columns)
+        if phase.values.shape != shape:
+            raise ValidationError(f"phase map shape {phase.values.shape} does not "
+                                  f"match (M={shape[0]}, N={shape[1]})")
+        phase_t = np.ascontiguousarray(_series_to_grid(phase.values, (nx, ny, nz)),
+                                       dtype=model.dtype)
+        phase = PhaseMap(_grid_to_series(phase_t))
+    object.__setattr__(model, "phase", phase)
+    object.__setattr__(model, "_phase_t", phase_t)
+
+
+def with_phase(model: EncodingModel, phase: PhaseMap) -> EncodingModel:
+    """The model of ``model``'s coil maps and mask with the phase map
+    ``phase``, bit-equal to ``EncodingModel(model.coils, model.mask,
+    phase)`` but built without it: it shares ``model``'s coil and line
+    fields, arrays that depend on the coils and the mask alone, and adds
+    only its phase."""
+    phased = copy.copy(model)
+    _keep_phase(phased, phase)
+    return phased
 
 
 @dataclass(frozen=True)
@@ -382,19 +410,30 @@ def coil_kspace(series: CasoratiSeries, coils: CoilMaps,
 def coil_combine(kgrids, coils: CoilMaps) -> np.ndarray:
     """Least-squares (M, N) series of fully sampled k-space on ``coils``:
     sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 (Roemer et al., MRM 1990;
-    Pruessmann et al., MRM 1999), in complex128.  ``kgrids`` holds one
-    (N, nz, ny, nx) grid k_c per coil, in coil order: a sequence of them
-    or the (C, N, nz, ny, nx) grid.  On a full grid A*A is that diagonal
-    sum, so this solves A*A x = A*d exactly: it inverts the phase-free
+    Pruessmann et al., MRM 1999), in complex128.  ``kgrids`` gives one
+    (N, nz, ny, nx) grid k_c per coil, in coil order: a sequence of
+    them, the (C, N, nz, ny, nx) grid, or an iterator that makes each
+    grid as it is asked for.  On a full grid A*A is that diagonal sum,
+    so this solves A*A x = A*d exactly: it inverts the phase-free
     :func:`coil_kspace` on the coils' support and is zero off it.  One
-    coil's grid is transformed at a time, so no whole image grid of
-    every coil is made."""
+    coil's grid is transformed at a time and let go before the next is
+    asked for, so an iterator's grids are alive one at a time."""
     maps_t = coils.maps.transpose(0, 3, 2, 1)
-    combined = np.zeros(kgrids[0].shape, dtype=np.complex128)
-    for k_c, s_c in zip(kgrids, maps_t):
+    combined = None
+    c = 0
+    # no zip or enumerate: they would hold the last grid while the
+    # iterator makes the next
+    for k_c in kgrids:
         image = ifft2c(k_c)
-        image *= np.conj(s_c)
+        del k_c
+        image *= np.conj(maps_t[c])
+        if combined is None:
+            combined = np.zeros_like(image)
         combined += image
+        del image
+        c += 1
+    if c != coils.n_coils:
+        raise ValidationError(f"{c} coil grid(s) for {coils.n_coils} coil maps")
     sos = (maps_t.real ** 2 + maps_t.imag ** 2).sum(axis=0)
     # off the support every S_c is 0, so the sum there is already 0
     np.divide(combined, sos, out=combined, where=sos > 0)
@@ -406,8 +445,9 @@ def extract_samples(kgrids, mask: SamplingMask) -> KSpaceData:
     and cast to ``EncodingModel.dtype``.  ``kgrids`` holds one (N, nz,
     ny, nx) grid per coil, in coil order: a sequence of them or the (C,
     N, nz, ny, nx) grid.  The packed order is coil-major, so each coil's
-    kept entries follow the previous coil's; no copy of the whole grid
-    is made."""
+    kept entries follow the previous coil's, and the samples of one
+    coil's grid alone are its share of the vector; no copy of the whole
+    grid is made."""
     _, nz, ny, nx = kgrids[0].shape
     kept = _bool_grid_mask(mask, 1, nx)[0]
     samples = np.concatenate([k_c[kept] for k_c in kgrids],

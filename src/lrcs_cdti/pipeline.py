@@ -13,18 +13,22 @@ cells' inputs and its reference metrics
 (:class:`SubjectInputs`): :func:`prepare_subject` saves the truth and
 the reference series, when the plan saves arrays, and drops them.  The
 truth goes first: of it, only the myocardium mask and what
-:func:`acquire` reads (:func:`acquisition_inputs`: the phased series
+:func:`coil_grids` reads (:func:`acquisition_inputs`: the phased series
 x o P, made once, the coil maps and the noise scale) outlive the save,
 so its clean series, phase and tensors are dead while the coils are
 simulated.
 
-:func:`acquire` simulates a subject's k-space in complex128 one coil at
-a time, and adds each coil's noise into that coil's draw, so one coil's
-clean grid is alive at a time.  Once the coil maps and the reference
-are taken from the coil grids, :func:`prepare_subject` packs the
-samples of every R of the plan, in the solver's precision
-``EncodingModel.dtype`` (complex64), and drops the grids: a subject
-holds what its solves read, the kept share of the grid per R.
+:func:`coil_grids` simulates a subject's k-space in complex128 one coil
+at a time, and adds each coil's noise into that coil's draw of the
+phantom's noise stream, replayed from its seed on every run.
+:func:`prepare_subject` runs it twice and holds one coil's grid at a
+time in each pass.  The first (:func:`acquire`) packs each grid's
+samples for every R of the plan, in the solver's precision
+``EncodingModel.dtype`` (complex64), keeps its b=0 column for the coil
+maps, and drops it; the second adds each replayed grid into the
+reference (:func:`encoding.coil_combine`).  So no pass holds every
+coil's grid, and a subject holds what its solves read, the kept share
+of the grid per R.
 
 Per acceleration factor, one problem (the k-space of its sampling mask,
 the coil maps, the weight and the plan's rank) is one
@@ -47,6 +51,7 @@ import csv
 import json
 import logging
 import traceback
+from collections.abc import Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import partial
@@ -85,6 +90,9 @@ class ExperimentPlan:
     rank: int = recon.RANK          # of every lr and lrcs solve
     lambda_scale: float | None = recon.LAMBDA_SCALE   # None -> nuclear-norm grid
     solver: dict = field(default_factory=dict)
+    # the subject pool's size; its threads share the interpreter lock, so
+    # on small grids a second one gains little (the benchmark's
+    # cohort_small plan on 2 vCPUs: 1.37-1.53 s on 1 thread, 1.13-1.43 s on 2)
     threads: int = 1
     save_arrays: bool = True
 
@@ -199,8 +207,8 @@ class SubjectInputs:
     """What the cells of one subject read, and the metrics of its
     reference, against which their biases are taken.  ``noisy_kspace``
     maps each R of the plan to its packed samples in
-    ``EncodingModel.dtype`` (:func:`undersample`), or to the traceback
-    of the failure to make them, which fails that R's cells alone; the
+    ``EncodingModel.dtype`` (:func:`acquire`), or to the traceback of
+    the failure to make its mask, which fails that R's cells alone; the
     cells of an R take its entry out.  No full k-space grid is held."""
 
     myocardium_mask: np.ndarray
@@ -212,7 +220,7 @@ class SubjectInputs:
 
 def acquisition_inputs(truth: phantom.GroundTruth) -> tuple[
         phantom.PhantomConfig, dm.CasoratiSeries, dm.CoilMaps, float]:
-    """What :func:`acquire` reads of ``truth``: its config, its phased
+    """What :func:`coil_grids` reads of ``truth``: its config, its phased
     series x o P, made once here, its coil maps and its mean b=0
     magnitude (:func:`phantom.mean_s0`), the noise scale.  None of it
     holds the clean series, the phase or the tensors, so the truth can
@@ -223,46 +231,71 @@ def acquisition_inputs(truth: phantom.GroundTruth) -> tuple[
             truth.coils, phantom.mean_s0(truth))
 
 
-def acquire(cfg: phantom.PhantomConfig, signal: dm.CasoratiSeries,
-            coils: dm.CoilMaps, s0: float) -> tuple[list[np.ndarray], dm.CoilMaps]:
+def coil_grids(cfg: phantom.PhantomConfig, signal: dm.CasoratiSeries,
+               coils: dm.CoilMaps, s0: float) -> Iterator[np.ndarray]:
     """The noisy fully sampled k-space of the phantom of ``cfg``, one
-    complex128 (N, nz, ny, nx) grid per coil in coil order, and the coil
-    maps of its b=0 column.  ``signal``, ``coils`` and ``s0`` are its
+    complex128 (N, nz, ny, nx) grid per coil in coil order, each made
+    when it is asked for.  ``signal``, ``coils`` and ``s0`` are its
     phased series, coil maps and noise scale (:func:`acquisition_inputs`).
     Each coil's grid is :func:`encoding.coil_kspace` of ``signal`` on
     that coil's map, with its noise added into that coil's draw of the
     phantom's one noise stream (:func:`phantom.add_noise`).  So the grids
     are the coil slices of the whole grid noised in one draw, bit for
-    bit, and only one coil's clean grid is alive at a time."""
+    bit, and every run replays the stream from the phantom's seed and
+    yields the same grids.  While a grid is made, two grids of its coil
+    are alive (its clean grid and its noise draw)."""
     rng = phantom.noise_rng(cfg.seed)
-    kspace = []
     for maps_c in coils.maps:
         # one expression: the clean grid dies once its noise is added
-        kspace.append(phantom.add_noise(
+        yield phantom.add_noise(
             encoding.coil_kspace(signal, dm.CoilMaps(maps_c[None])),
-            cfg.snr, s0, rng)[0])
+            cfg.snr, s0, rng)[0]
+
+
+def acquire(cfg: phantom.PhantomConfig, signal: dm.CasoratiSeries,
+            coils: dm.CoilMaps, s0: float, masks: list[dm.SamplingMask]
+            ) -> tuple[list[encoding.KSpaceData], dm.CoilMaps]:
+    """The samples that each of ``masks`` keeps of the phantom's noisy
+    k-space, packed in ``EncodingModel.dtype`` (one
+    :class:`encoding.KSpaceData` per mask, in order), and the coil maps of
+    its b=0 column.  The arguments before ``masks`` are those of
+    :func:`coil_grids`, whose grids are taken one coil at a time: each
+    gives its samples under every mask, its share of the coil-major
+    packed vector (:func:`encoding.extract_samples`), and its b=0
+    column, and is dropped before the next coil's is made.
+    So at most two grids of one coil are alive, beside the packed samples
+    and the coils' b=0 columns."""
+    parts = [[] for _ in masks]
+    b0 = []
+    for k_c in coil_grids(cfg, signal, coils, s0):
+        for part, mask in zip(parts, masks):
+            part.append(encoding.extract_samples([k_c], mask).samples)
+        b0.append(k_c[0].copy())
+        # dead before the next coil's grid is made
+        del k_c
+    samples = []
+    for part, mask in zip(parts, masks):
+        samples.append(encoding.KSpaceData(np.concatenate(part), mask, cfg.grid,
+                                           coils.n_coils))
+        # one mask's samples are held twice at a time, not every mask's
+        part.clear()
     # the grids are full: the b=0 column's coil images need no zero fill
-    b0_images = encoding.ifft2c(np.stack([k_c[0] for k_c in kspace]))
-    return kspace, encoding.estimate_coil_maps(b0_images.transpose(0, 3, 2, 1))
+    b0_images = encoding.ifft2c(np.stack(b0))
+    return samples, encoding.estimate_coil_maps(b0_images.transpose(0, 3, 2, 1))
 
 
-def undersample(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
-                R: float) -> encoding.KSpaceData:
-    """The samples of ``kspace`` that the mask of acceleration ``R``,
-    seeded by the phantom of ``cfg``, keeps, packed in
-    ``EncodingModel.dtype``.  ``kspace`` holds the per-coil grids that
-    :func:`acquire` made of that phantom."""
+def sampling_mask(cfg: phantom.PhantomConfig, R: float) -> dm.SamplingMask:
+    """The sampling mask of acceleration ``R`` for the phantom of ``cfg``,
+    seeded by it."""
     _, ny, nz = cfg.grid
-    mask = encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=R, seed=cfg.seed)
-    return encoding.extract_samples(kspace, mask)
+    return encoding.make_sampling_mask(ny, nz, cfg.column_labels, R=R, seed=cfg.seed)
 
 
-def _samples_or_error(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
-                      R: float) -> encoding.KSpaceData | str:
-    """:func:`undersample` at ``R``, or the traceback of its failure (a
-    mask that cannot be made), which fails the cells of ``R`` alone."""
+def _mask_or_error(cfg: phantom.PhantomConfig, R: float) -> dm.SamplingMask | str:
+    """:func:`sampling_mask` at ``R``, or the traceback of its failure,
+    which fails the cells of ``R`` alone."""
     try:
-        return undersample(cfg, kspace, R)
+        return sampling_mask(cfg, R)
     except Exception:
         return traceback.format_exc()
 
@@ -270,14 +303,15 @@ def _samples_or_error(cfg: phantom.PhantomConfig, kspace: list[np.ndarray],
 def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
     """The inputs of one subject's cells.  Its truth is saved first, when
     the plan saves arrays, and of it only the myocardium mask and what
-    :func:`acquire` reads are kept, so it is dead while the coils are
-    simulated.  Its reference series is the least squares of its fully
-    sampled noisy k-space k on the estimated coil maps S, sum_c conj(S_c)
-    F^H k_c / sum_c |S_c|^2 per voxel and column
-    (:func:`encoding.coil_combine`), taken in complex128.  The samples of
-    every R of the plan are packed from the same complex128 grids, which
-    are then dropped, before the reference's metrics.  The reference
-    series is saved, when the plan saves arrays, and dies on return."""
+    :func:`coil_grids` reads are kept, so it is dead while the coils are
+    simulated.  The coils are then simulated twice, one at a time:
+    :func:`acquire` packs the samples of every R of the plan and takes
+    the coil maps, and the replayed grids give the reference series, the
+    least squares of the fully sampled noisy k-space k on the estimated
+    coil maps S, sum_c conj(S_c) F^H k_c / sum_c |S_c|^2 per voxel and
+    column (:func:`encoding.coil_combine`), taken in complex128.  Neither
+    pass holds every coil's grid.  The reference series is saved, when
+    the plan saves arrays, and dies on return."""
     cfg = subject_config(plan, index)
     sdir = Path(plan.output_dir) / f"subject{index:02d}"
     gt = phantom.build_phantom(cfg)
@@ -285,12 +319,14 @@ def prepare_subject(plan: ExperimentPlan, index: int) -> SubjectInputs:
         phantom.save_ground_truth(sdir / "ground_truth", gt)
     mask, scan = gt.myocardium_mask, acquisition_inputs(gt)
     del gt
-    kspace, coil_maps = acquire(*scan)
+    masks = {R: _mask_or_error(cfg, R) for R in plan.R_list}
+    packed, coil_maps = acquire(
+        *scan, [m for m in masks.values() if not isinstance(m, str)])
+    packed = iter(packed)
+    samples = {R: m if isinstance(m, str) else next(packed) for R, m in masks.items()}
+    ref = dm.CasoratiSeries(encoding.coil_combine(coil_grids(*scan), coil_maps),
+                            cfg.grid, cfg.column_labels)
     del scan
-    ref = dm.CasoratiSeries(encoding.coil_combine(kspace, coil_maps), cfg.grid,
-                            cfg.column_labels)
-    samples = {R: _samples_or_error(cfg, kspace, R) for R in plan.R_list}
-    del kspace
     segmentation = None
     if cfg.grid[2] >= 3:
         segmentation = dti.segment_aha16(mask)

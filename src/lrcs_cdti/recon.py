@@ -106,7 +106,7 @@ import numpy as np
 
 from .datamodel import CasoratiSeries, CoilMaps, PhaseMap
 from .encoding import (EncodingModel, KSpaceData, adjoint_matrix, normal_matrix,
-                       unphase)
+                       unphase, with_phase)
 from .errors import NumericalError, ValidationError
 from .transforms import WaveletSpec, group_shrink, series_adjoint, series_forward
 
@@ -547,10 +547,11 @@ def _identity(model: EncodingModel) -> np.ndarray:
 def reconstruct_lrcs(model: EncodingModel, v_basis: np.ndarray, cfg: SolverConfig,
                      start: FirstSolve) -> ReconResult:
     """Joint subspace + group-sparsity solve on ``model`` from ``start``;
-    returns X = P o (U V) with the model's phase map P (X = U V on a
-    phase-free model).  At ``cfg.lam`` = 0 it is the subspace-constrained
-    least squares of lr; :func:`admm_solve` checks the start and rejects
-    a V whose rows are not orthonormal."""
+    returns X = P o (U V) in complex128, with P the model's one copy of
+    its phase map, in complex64 (X = U V on a phase-free model).  At
+    ``cfg.lam`` = 0 it is the subspace-constrained least squares of lr;
+    :func:`admm_solve` checks the start and rejects a V whose rows are
+    not orthonormal."""
     v = np.asarray(v_basis, dtype=np.complex128)
     u, report = admm_solve(model, v, cfg, start)
     x = u @ v
@@ -587,13 +588,15 @@ class Preliminary(ReconResult):
         """The model that lr and lrcs solve on at ``mode`` (with the
         preliminary's phase map for ``proposed``, ``model`` itself for
         ``none``) and their U0 solve on the :attr:`subspace`, made on
-        first use.  A step that raises keeps nothing of the mode, so the
-        next caller runs it again and meets its own error."""
+        first use.  The phased model is :func:`encoding.with_phase` of
+        ``model``: it shares ``model``'s coil and line fields, and keeps
+        the phase map once, in complex64.  A step that raises keeps
+        nothing of the mode, so the next caller runs it again and meets
+        its own error."""
         if mode not in self._setups:
             model = self.model
             if mode == PhaseMode.PROPOSED:
-                model = EncodingModel(model.coils, model.mask,
-                                      estimate_phase_map(self.series))
+                model = with_phase(model, estimate_phase_map(self.series))
             start = first_solve(model, self.subspace, unphase(model, self.adj),
                                 self.cfg)
             self._setups[mode] = model, start

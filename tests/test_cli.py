@@ -243,15 +243,13 @@ def test_cli_stages_compose_to_the_pipeline_cells(tmp_path):
     assert cli.main(["phantom", "--params", str(params), "--out", str(gt), *FLAGS]) == 0
     assert cli.main(["simulate", "--truth", str(gt), "--R", "4", "--out", str(sim),
                      *FLAGS]) == 0
-    # simulate starts from the pipeline's own k-space and coil maps, up to
-    # their complex64 storage
-    truth = ph.build_phantom(cfg)
-    kspace, coils = pipeline.acquire(*pipeline.acquisition_inputs(truth))
-    np.testing.assert_array_equal(
-        encoding.load_kspace(sim / "kspace").samples,
-        pipeline.undersample(truth.config, kspace, 4).samples.astype(np.complex64))
+    # simulate starts from the study's own samples and coil maps, up to
+    # the maps' complex64 storage
+    inputs = pipeline.prepare_subject(plan, 0)
+    np.testing.assert_array_equal(encoding.load_kspace(sim / "kspace").samples,
+                                  inputs.noisy_kspace[4.0].samples)
     np.testing.assert_array_equal(dm.load_coils(sim / "coils").maps,
-                                  coils.maps.astype(np.complex64))
+                                  inputs.coil_maps.maps.astype(np.complex64))
     for method in plan.methods:
         recon_dir, tensors, metrics = (tmp_path / method / stage
                                        for stage in ("recon", "tensors", "metrics"))

@@ -1,3 +1,7 @@
+import gc
+import re
+import weakref
+
 import numpy as np
 import pytest
 import scipy.fft as sfft
@@ -206,6 +210,16 @@ class TestForwardAdjoint:
         mask = enc.make_sampling_mask(16, 2, labels[:1], R=1, seed=0)
         with pytest.raises(ValidationError):
             enc.EncodingModel(gt.coils, mask, None)
+
+    def test_with_phase_of_another_shape_is_a_named_error(self):
+        model, _ = random_model(6, 8)
+        free = enc.EncodingModel(model.coils, model.mask)
+        with pytest.raises(ValidationError, match=re.escape(
+                "phase map shape (95, 4) does not match (M=96, N=4)")):
+            enc.with_phase(free, dm.PhaseMap(model.phase.values[1:]))
+        phased = enc.with_phase(free, model.phase)
+        assert free.phase is None and free._phase_t is None
+        assert np.array_equal(phased._phase_t, model._phase_t)
 
 
 @pytest.fixture(scope="module")
@@ -686,6 +700,28 @@ class TestOneCoilAtATime:
         assert np.array_equal(d.samples, kept.astype(enc.EncodingModel.dtype))
         assert np.array_equal(enc.coil_combine(per_coil, coils),
                               enc.coil_combine(kgrid, coils))
+
+    def test_combine_lets_each_grid_of_an_iterator_go(self, noisy_full):
+        # no earlier grid is alive when the iterator makes the next one
+        kgrid, coils, _ = noisy_full
+        refs, alive = [], []
+
+        def grids():
+            for k_c in kgrid:
+                gc.collect()
+                alive.append(sum(ref() is not None for ref in refs))
+                grid = k_c.copy()
+                refs.append(weakref.ref(grid))
+                yield grid
+                del grid
+
+        got = enc.coil_combine(grids(), coils)
+        assert alive == [0] * len(kgrid)
+        assert np.array_equal(got, enc.coil_combine(kgrid, coils))
+        n = coils.n_coils
+        with pytest.raises(ValidationError,
+                           match=re.escape(f"{n - 1} coil grid(s) for {n} coil maps")):
+            enc.coil_combine(kgrid[:-1], coils)
 
 
 class TestKSpaceContainer:

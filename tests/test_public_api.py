@@ -52,6 +52,10 @@ ALLOWED_SETTINGS = {
         "the program simulates from the phased series (pipeline.acquisition_inputs); "
         "the tests and the benchmark's tracer self-test pass the phase map, and the "
         "parameter goes when that self-test stops passing it",
+    ("encoding", "EncodingModel", "phase"):
+        "the program adds a phase with encoding.with_phase, which shares the "
+        "phase-free model's coil and line fields; the tests build phased models "
+        "directly as its oracle, and the benchmark's tracer self-test passes None",
 }
 
 # the JSON configs, whose fields the user sets (see the module notes)

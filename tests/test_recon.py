@@ -1,4 +1,6 @@
+import gc
 import re
+import weakref
 from dataclasses import fields, replace
 
 import numpy as np
@@ -397,6 +399,42 @@ class TestPreliminary:
         assert len(phase_maps) == 1 and phase_maps[0] is prelim.series
 
 
+    def test_the_phased_model_keeps_one_complex64_phase_and_shares_the_fields(
+            self, bench, monkeypatch):
+        # the proposed mode's model keeps its phase map once, in complex64:
+        # the complex128 map that estimate_phase_map returns is dead once
+        # setup returns; its coil and line fields are the phase-free
+        # model's arrays, and each field equals a model built cold
+        cfg, gt, labels, kfull = bench
+        _, d, _ = make_model(gt, labels, kfull, R=3)
+        real, made = recon.estimate_phase_map, []
+
+        def watched(series):
+            pmap = real(series)
+            made.extend([weakref.ref(pmap), weakref.ref(pmap.values)])
+            return pmap
+
+        monkeypatch.setattr(recon, "estimate_phase_map", watched)
+        scfg = recon.SolverConfig(max_iters=2, cg_max_iters=4)
+        prelim = recon.preliminary(d, gt.coils, scfg, 5, lam=1.0)
+        model, _ = prelim.setup(recon.PhaseMode.PROPOSED)
+        gc.collect()
+        assert len(made) == 2 and [ref() for ref in made] == [None, None]
+        shape = (model.n_voxels, model.n_columns)
+        assert model.phase.values.shape == shape
+        assert model.phase.values.dtype == np.complex64
+        assert np.shares_memory(model.phase.values, model._phase_t)
+        assert not [name for name, a in vars(model).items()
+                    if isinstance(a, np.ndarray) and a.dtype == np.complex128]
+        shared = ("_maps_a", "_maps_a_conj", "_kb", "_sos", "_rows", "_rows_h")
+        for name in shared:
+            assert getattr(model, name) is getattr(prelim.model, name), name
+        assert model.coils is prelim.model.coils and model.mask is prelim.model.mask
+        cold = enc.EncodingModel(gt.coils, d.mask, real(prelim.series))
+        for name in (*shared, "_n_full", "_phase_t"):
+            np.testing.assert_array_equal(getattr(model, name), getattr(cold, name))
+
+
 class TestExactRecovery:
     def test_r1_all_methods_agree_with_truth(self, bench):
         cfg, gt, labels, kfull = bench
@@ -492,9 +530,9 @@ class TestMinimumOracle:
         """The noisy samples at R = 2 and the estimated coil maps of a
         16x16x2 phantom, acquired as in the study."""
         cfg = ph.PhantomConfig(grid=(16, 16, 2), r_endo=3, r_epi=6)
-        kspace, coils = pipeline.acquire(
-            *pipeline.acquisition_inputs(ph.build_phantom(cfg)))
-        return pipeline.undersample(cfg, kspace, 2.0), coils
+        [d], coils = pipeline.acquire(*pipeline.acquisition_inputs(ph.build_phantom(cfg)),
+                                      [pipeline.sampling_mask(cfg, 2.0)])
+        return d, coils
 
     @pytest.mark.parametrize("max_iters", [recon.SolverConfig().max_iters, 1],
                              ids=["default", "one-iteration"])
